@@ -31,14 +31,13 @@ from .enumeration import (
 )
 from .equivalence import check_equivalence, dedup_families
 from .errors import DeltaSimplexError
-from .exact_linalg import matrix, vector
 from .corner_ilp import corner_minimum
 from .normal_form import (
     NORMALIZED_FORMAT,
-    NormalizedSystem,
     canonical_key,
     key_tuple,
     normalize,
+    normalized_fields_from_dict,
     normalized_from_dict,
     normalized_to_dict,
     primitivize,
@@ -48,6 +47,7 @@ from .simplex_model import (
     SYSTEM_FORMAT,
     InequalitySystem,
     count_integer_points_bruteforce,
+    json_field,
     system_from_dict,
     validate_simplex,
 )
@@ -62,37 +62,25 @@ ORACLE_MAX_DIM = 6
 
 
 def record_to_dict(rec: CandidateRecord) -> dict:
-    ns = rec.ns
     return {
+        **normalized_to_dict(rec.ns),
         "format": ATLAS_FORMAT,
-        "n": ns.n,
-        "delta": ns.delta,
         "family": rec.family,
-        "s": ns.s,
-        "k": ns.k,
-        "H": [list(row) for row in ns.H],
-        "h": list(ns.h),
-        "c": list(ns.c),
-        "c0": ns.c0,
-        "canonical_key": canonical_key(ns),
+        "canonical_key": canonical_key(rec.ns),
         "provenance": rec.provenance,
     }
 
 
 def record_from_dict(data: dict) -> CandidateRecord:
+    if not isinstance(data, dict):
+        raise DeltaSimplexError("an atlas record must be a JSON object")
     if data.get("format") != ATLAS_FORMAT:
         raise DeltaSimplexError(f"expected format {ATLAS_FORMAT!r}, got {data.get('format')!r}")
-    ns = NormalizedSystem(
-        n=int(data["n"]),
-        s=int(data["s"]),
-        k=int(data["k"]),
-        H=matrix(data["H"]),
-        h=vector(data["h"]),
-        c=vector(data["c"]),
-        c0=int(data["c0"]),
-        delta=int(data["delta"]),
-    )
-    return CandidateRecord(ns, data["family"], dict(data.get("provenance", {})))
+    ns = normalized_fields_from_dict(data)
+    provenance = data.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise DeltaSimplexError(f"provenance must be a JSON object, got {provenance!r}")
+    return CandidateRecord(ns, json_field(data, "family"), dict(provenance))
 
 
 def _record_line(rec: CandidateRecord) -> str:
@@ -116,6 +104,8 @@ def read_atlas(stream) -> list[CandidateRecord]:
 def load_system_file(path: str) -> InequalitySystem:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise DeltaSimplexError(f"{path}: expected a JSON object")
     fmt = data.get("format")
     if fmt == SYSTEM_FORMAT:
         return system_from_dict(data)

@@ -25,19 +25,15 @@ from .corner_ilp import (
     corner_minimum_excluding_vertex,
     count_minimum_attainers,
 )
-from .errors import NotASimplexError, PreconditionError
+from .errors import InvariantViolation, NotASimplexError, PreconditionError
 from .exact_linalg import Mat, Vec, matrix, solve_rational
 from .normal_form import NormalizedSystem, validate_normalized
-from .simplex_model import count_integer_points_bruteforce, validate_simplex
+from .simplex_model import validate_simplex
 
 logger = logging.getLogger(__name__)
 
 FAMILY_EMPTY = "empty"
 FAMILY_LATTICE = "lattice_empty"
-
-# Above this dimension the lattice-family emptiness check switches from the
-# point-count oracle to counting optimal-facet points in the group solver.
-LATTICE_ORACLE_MAX_DIM = 6
 
 
 @dataclass(frozen=True)
@@ -218,20 +214,6 @@ def c0_candidates(h_mat: Mat, h, c):
     return EmptyRange(l_star=int(l_star), f_star=f_star)
 
 
-def _row_gcds(h_mat: Mat) -> list[int]:
-    out = []
-    for row in h_mat:
-        g = 0
-        for x in row:
-            g = math.gcd(g, x)
-        out.append(g)
-    return out
-
-
-def _gcd_with(g: int, value: int) -> int:
-    return math.gcd(g, value)
-
-
 def _vertices_integral(meta) -> bool:
     return all(x.denominator == 1 for v in meta.vertices for x in v)
 
@@ -245,10 +227,10 @@ def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
         delta *= d
     empties: list[CandidateRecord] = []
     lattices: list[CandidateRecord] = []
-    row_gcds = _row_gcds(h_mat)
+    row_gcds = [math.gcd(*row) for row in h_mat]
     c_list = enumerate_c(h_mat)
     for h_index, h in enumerate(enumerate_h(h_mat)):
-        if any(_gcd_with(row_gcds[i], h[i]) > 1 for i in range(n)):
+        if any(math.gcd(row_gcds[i], h[i]) > 1 for i in range(n)):
             logger.debug("skip (H|h) gcd violation: diag=%s h=%s", block.diag, h)
             continue
         for c_index, c in enumerate(c_list):
@@ -301,14 +283,11 @@ def _build_normalized(block: HnfBlock, delta: int, h, c, c0: int) -> NormalizedS
 
 
 def _build_empty_record(block, delta, h_index, h, c_index, c, c0, decision) -> CandidateRecord | None:
-    g = 0
-    for x in c:
-        g = math.gcd(g, x)
-    if math.gcd(g, c0) > 1:
+    if math.gcd(*c, c0) > 1:
         logger.debug("skip (c|c0) gcd violation: c=%s c0=%s", c, c0)
         return None
     if decision.f_star <= c0:
-        raise AssertionError("c0 range produced a non-empty simplex")
+        raise InvariantViolation("c0 range produced a non-empty simplex")
     ns = _build_normalized(block, delta, h, c, c0)
     if ns is None:
         return None
@@ -321,35 +300,28 @@ def _build_empty_record(block, delta, h_index, h, c_index, c, c0, decision) -> C
 
 
 def _build_lattice_record(block, delta, h_index, h, c_index, c, f_star) -> CandidateRecord | None:
-    g = 0
-    for x in c:
-        g = math.gcd(g, x)
-    if math.gcd(g, f_star) > 1:
+    if math.gcd(*c, f_star) > 1:
         logger.debug("skip lattice (c|c0) gcd violation: c=%s c0=%s", c, f_star)
         return None
     ns = _build_normalized(block, delta, h, c, f_star)
     if ns is None:
         return None
-    sys = ns.system()
     try:
-        meta = validate_simplex(sys)
+        meta = validate_simplex(ns.system())
     except NotASimplexError:
         logger.debug("skip degenerate lattice candidate: %s", (block.diag, h, c, f_star))
         return None
-    n = ns.n
     if not _vertices_integral(meta):
         logger.debug("skip lattice candidate with fractional vertex: %s", (block.diag, c))
         return None
     # Integer vertices alone do not rule out extra integer points on the
-    # optimal facet, so emptiness is verified before the record is kept.
-    if n <= LATTICE_ORACLE_MAX_DIM:
-        if count_integer_points_bruteforce(sys) != n + 1:
-            logger.debug("skip non-empty lattice candidate: %s", (block.diag, c))
-            return None
-    else:
-        if count_minimum_attainers(block.H, c, f_star) != n:
-            logger.debug("skip non-empty lattice candidate (facet count): %s", (block.diag, c))
-            return None
+    # optimal facet. f_star is the least c-value of a nonzero integer point of
+    # the cone, so any integer point of the simplex other than 0 lies on the
+    # facet c x = f_star; the simplex is lattice-empty iff that facet holds
+    # exactly its n vertices.
+    if count_minimum_attainers(block.H, c, f_star) != ns.n:
+        logger.debug("skip non-empty lattice candidate: %s", (block.diag, c))
+        return None
     return CandidateRecord(ns, FAMILY_LATTICE, _provenance(block, delta, h_index, c_index, f_star))
 
 

@@ -41,7 +41,7 @@ from .exact_linalg import (
     delta_value,
     det,
     hnf,
-    identity,
+    mat_vec,
     matrix,
     solve_rational,
     transpose,
@@ -51,9 +51,7 @@ from .exact_linalg import (
 from .simplex_model import (
     AffineUnimodularMap,
     InequalitySystem,
-    apply_map,
-    compose,
-    identity_map,
+    json_ints,
     validate_simplex,
 )
 
@@ -101,10 +99,7 @@ class NormalizedSystem:
 
 
 def _primitive_row(row: Vec, rhs: int) -> tuple[Vec, int]:
-    g = 0
-    for x in row:
-        g = math.gcd(g, x)
-    g = math.gcd(g, rhs)
+    g = math.gcd(*row, rhs)
     if g == 0:
         raise InvalidSystemError("system contains an all-zero row")
     if g == 1:
@@ -160,27 +155,6 @@ def reduce_rhs(h_mat: Mat, b) -> tuple[Vec, Vec]:
     return tuple(cur), tuple(x0)
 
 
-def _permutation_columns(sigma: list[int]) -> Mat:
-    # Column a of the returned matrix is e_{sigma[a]}; used as a map matrix it
-    # renames coordinate a of the new system to coordinate sigma[a] of the old.
-    n = len(sigma)
-    return tuple(tuple(1 if sigma[a] == j else 0 for a in range(n)) for j in range(n))
-
-
-def _apply_symmetric_permutation(cur, total, row_src, sigma):
-    n = cur.n
-    step = AffineUnimodularMap(_permutation_columns(sigma), (0,) * n)
-    moved = apply_map(cur, step)
-    rows = [moved.A[sigma[a]] for a in range(n)] + [moved.A[n]]
-    rhs = [moved.b[sigma[a]] for a in range(n)] + [moved.b[n]]
-    src = [row_src[sigma[a]] for a in range(n)] + [row_src[n]]
-    return (
-        InequalitySystem(n, matrix(rows), vector(rhs)),
-        compose(total, step),
-        src,
-    )
-
-
 def _normalize_primitive(prim: InequalitySystem, base: tuple[int, ...], delta: int):
     """Normalization pipeline for a primitive system and a maximal base.
 
@@ -189,69 +163,50 @@ def _normalize_primitive(prim: InequalitySystem, base: tuple[int, ...], delta: i
     """
     n = prim.n
     omitted = next(i for i in range(n + 1) if i not in base)
-    order = list(base) + [omitted]
-    cur = InequalitySystem(
-        n,
-        matrix(prim.A[i] for i in order),
-        vector(prim.b[i] for i in order),
-    )
-    row_src = list(order)
-    total = identity_map(n)
 
-    # Base block to Hermite form; the omitted row rides along.
-    h_full, q = hnf(matrix(cur.A[:n]))
-    step = AffineUnimodularMap(unimodular_inverse(q), (0,) * n)
-    cur = apply_map(cur, step)
-    total = compose(total, step)
+    # Base block to Hermite form: A_base == h_mat @ q, so the coordinate
+    # change x -> u x with u = q^-1 takes it there; the omitted row rides
+    # along as c.
+    h_mat, q = hnf(matrix(prim.A[i] for i in base))
+    u = unimodular_inverse(q)
+    a_omitted = prim.A[omitted]
+    c = [sum(a_omitted[i] * u[i][j] for i in range(n)) for j in range(n)]
 
-    # Gather unit-diagonal coordinates in front, keeping the relative order
-    # of the non-unit rows so the T block stays lower triangular.
-    diag = [cur.A[i][i] for i in range(n)]
-    s = sum(1 for d in diag if d == 1)
-    k = n - s
-    sigma = [i for i in range(n) if diag[i] == 1] + [i for i in range(n) if diag[i] != 1]
-    if sigma != list(range(n)):
-        cur, total, row_src = _apply_symmetric_permutation(cur, total, row_src, sigma)
-
-    # Canonical tie-break inside the identity block.
-    if s > 1:
-        def pair(j: int):
-            return (tuple(cur.A[s + t][j] for t in range(k)), cur.A[n][j])
-
-        sigma2 = sorted(range(s), key=pair) + list(range(s, n))
-        if sigma2 != list(range(n)):
-            cur, total, row_src = _apply_symmetric_permutation(cur, total, row_src, sigma2)
+    # One coordinate permutation, applied to rows and columns of H alike:
+    # unit-diagonal coordinates in front, sorted by the canonical (B column,
+    # c entry) tie-break; the non-unit coordinates keep their relative order
+    # so the T block stays lower triangular.
+    unit = [i for i in range(n) if h_mat[i][i] == 1]
+    rest = [i for i in range(n) if h_mat[i][i] != 1]
+    unit.sort(key=lambda j: (tuple(h_mat[r][j] for r in rest), c[j]))
+    sigma = unit + rest
+    h_mat = tuple(tuple(h_mat[a][b] for b in sigma) for a in sigma)
+    c = tuple(c[j] for j in sigma)
+    u = tuple(tuple(row[j] for j in sigma) for row in u)
+    row_src = tuple(base[a] for a in sigma) + (omitted,)
 
     # Right-hand-side reduction by the unique integer translation.
-    _, x0 = reduce_rhs(matrix(cur.A[:n]), cur.b[:n])
-    if any(x0):
-        step = AffineUnimodularMap(identity(n), x0)
-        cur = apply_map(cur, step)
-        total = compose(total, step)
+    h, x0 = reduce_rhs(h_mat, [prim.b[i] for i in row_src[:n]])
+    c0 = prim.b[omitted] - sum(ci * xi for ci, xi in zip(c, x0))
 
-    ns = NormalizedSystem(
-        n=n,
-        s=s,
-        k=k,
-        H=matrix(cur.A[:n]),
-        h=tuple(cur.b[:n]),
-        c=tuple(cur.A[n]),
-        c0=cur.b[n],
-        delta=delta,
-    )
+    s = len(unit)
+    ns = NormalizedSystem(n=n, s=s, k=n - s, H=h_mat, h=h, c=c, c0=c0, delta=delta)
     ok, violated = validate_normalized(ns)
     if not ok:
         raise InvariantViolation(f"normalization produced an invalid system: {violated}")
-    return ns, total, tuple(row_src)
+    return ns, AffineUnimodularMap(u, mat_vec(u, x0)), row_src
 
 
 def normalize(sys: InequalitySystem, base) -> tuple[NormalizedSystem, AffineUnimodularMap, tuple[int, ...]]:
     """Normalize a simplex system over a base of maximal |det|.
 
     The pipeline primitivizes the rows, brings the base block to Hermite
-    form, gathers the unit rows in front, applies the (B column, c entry)
-    tie-break, and reduces the right-hand side. Row scaling is quotiented
-    out first, so base maximality refers to the primitive representation.
+    form by a unimodular coordinate change U, renames coordinates by one
+    permutation (unit-diagonal coordinates first, in (B column, c entry)
+    tie-break order), and reduces the right-hand side by the unique integer
+    translation x0. The returned map is built once from those pieces,
+    x -> U' x + U' x0 with U' the permuted U. Row scaling is quotiented out
+    first, so base maximality refers to the primitive representation.
 
     Returns:
         (ns, map, row_perm) where `map` carries the normalized simplex onto
@@ -308,13 +263,8 @@ def validate_normalized(ns: NormalizedSystem) -> tuple[bool, tuple[str, ...]]:
         bad.append("rhs-range")
 
     rhs = ns.full_rhs()
-    for row, b0 in zip(full, rhs):
-        g = 0
-        for x in row:
-            g = math.gcd(g, x)
-        if math.gcd(g, b0) != 1:
-            bad.append("row-gcd")
-            break
+    if any(math.gcd(*row, b0) != 1 for row, b0 in zip(full, rhs)):
+        bad.append("row-gcd")
 
     adj_t = transpose(adjugate(h_mat))
     w = tuple(-sum(adj_t[i][j] * c[j] for j in range(n)) for i in range(n))
@@ -382,15 +332,24 @@ def normalized_to_dict(ns: NormalizedSystem) -> dict:
 def normalized_from_dict(data: dict) -> NormalizedSystem:
     if data.get("format") != NORMALIZED_FORMAT:
         raise PreconditionError(f"expected format {NORMALIZED_FORMAT!r}, got {data.get('format')!r}")
+    return normalized_fields_from_dict(data)
+
+
+def normalized_fields_from_dict(data: dict) -> NormalizedSystem:
+    """Parse the fields written by `normalized_to_dict`, ignoring the format tag.
+
+    Shared by every JSON format that embeds a normalized system. Missing
+    keys and non-integer entries raise PreconditionError.
+    """
     return NormalizedSystem(
-        n=int(data["n"]),
-        s=int(data["s"]),
-        k=int(data["k"]),
-        H=matrix(data["H"]),
-        h=vector(data["h"]),
-        c=vector(data["c"]),
-        c0=int(data["c0"]),
-        delta=int(data["delta"]),
+        n=json_ints(data, "n"),
+        s=json_ints(data, "s"),
+        k=json_ints(data, "k"),
+        H=json_ints(data, "H", 2),
+        h=json_ints(data, "h", 1),
+        c=json_ints(data, "c", 1),
+        c0=json_ints(data, "c0"),
+        delta=json_ints(data, "delta"),
     )
 
 

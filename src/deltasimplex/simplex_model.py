@@ -22,11 +22,9 @@ from .exact_linalg import (
     is_unimodular,
     mat_mul,
     mat_vec,
-    matrix,
     max_minors,
     solve_rational,
     unimodular_inverse,
-    vector,
 )
 
 SYSTEM_FORMAT = "delta-simplex/system-v1"
@@ -154,10 +152,6 @@ def validate_simplex(sys: InequalitySystem) -> SimplexMeta:
     return SimplexMeta(delta=delta, vertices=tuple(vertices), max_det_bases=bases)
 
 
-def vertex_set(sys: InequalitySystem) -> frozenset[FracVec]:
-    return frozenset(validate_simplex(sys).vertices)
-
-
 def count_integer_points_bruteforce(sys: InequalitySystem, cap: int = 10_000_000) -> int:
     """Exact |S ∩ Z^n| by scanning the integer points of the bounding box.
 
@@ -196,4 +190,30 @@ def system_to_dict(sys: InequalitySystem) -> dict:
 def system_from_dict(data: dict) -> InequalitySystem:
     if data.get("format") != SYSTEM_FORMAT:
         raise PreconditionError(f"expected format {SYSTEM_FORMAT!r}, got {data.get('format')!r}")
-    return InequalitySystem(int(data["n"]), matrix(data["A"]), vector(data["b"]))
+    return InequalitySystem(json_ints(data, "n"), json_ints(data, "A", 2), json_ints(data, "b", 1))
+
+
+def json_field(data: dict, key: str):
+    """Field `key` of a parsed JSON object; a missing key is an input error."""
+    if key not in data:
+        raise PreconditionError(f"input is missing the key {key!r}")
+    return data[key]
+
+
+def json_ints(data: dict, key: str, depth: int = 0):
+    """Field `key` as an integer (depth 0), a vector (1) or a matrix (2) of integers.
+
+    Only JSON integers are accepted: a float, bool or string entry is an
+    input error rather than something to truncate or coerce.
+    """
+
+    def check(value, depth: int):
+        if depth == 0:
+            if type(value) is not int:
+                raise PreconditionError(f"{key!r} must hold integers, got {value!r}")
+            return value
+        if not isinstance(value, list):
+            raise PreconditionError(f"{key!r} must hold lists, got {value!r}")
+        return tuple(check(x, depth - 1) for x in value)
+
+    return check(json_field(data, key), depth)

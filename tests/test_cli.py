@@ -220,3 +220,54 @@ def test_jobs_env_var_default(monkeypatch):
     assert _default_jobs() == 1
     monkeypatch.delenv("DELTA_SIMPLEX_JOBS")
     assert _default_jobs() == 1
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda d: d.pop("b"), id="missing-key"),
+        pytest.param(lambda d: d["b"].__setitem__(2, 1.7), id="float-entry"),
+        pytest.param(lambda d: d["b"].__setitem__(2, "1"), id="string-entry"),
+        pytest.param(lambda d: d["b"].__setitem__(2, True), id="bool-entry"),
+    ],
+)
+def test_check_equiv_rejects_malformed_system(tmp_path, triangle, triangle_file, mutate, capsys):
+    # A malformed input is a usage error (exit 2), never "not equivalent" (1)
+    # and never a silently truncated system compared against itself (0).
+    data = system_to_dict(triangle)
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["check-equiv", triangle_file, str(bad)]) == 2
+    assert run(["check-equiv", str(bad), str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda d: d.pop("c0"), id="missing-key"),
+        pytest.param(lambda d: d.pop("family"), id="missing-family"),
+        pytest.param(lambda d: d["H"][0].__setitem__(0, 1.0), id="float-entry"),
+        pytest.param(lambda d: d.__setitem__("delta", 3.5), id="float-scalar"),
+        pytest.param(lambda d: d.__setitem__("provenance", 5), id="provenance-not-object"),
+    ],
+)
+def test_verify_rejects_malformed_record(tmp_path, mutate, capsys):
+    out = tmp_path / "atlas.jsonl"
+    assert run(["enumerate", "--delta", "3", "--dim", "2", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    data = json.loads(lines[0])
+    mutate(data)
+    lines[0] = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    out.write_text("\n".join(lines) + "\n")
+    assert run(["verify", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+
+def test_non_object_input_exits_2(tmp_path, triangle_file):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    assert run(["check-equiv", triangle_file, str(bad)]) == 2
+    assert run(["verify", str(bad)]) == 2
