@@ -1,5 +1,6 @@
 """Exact enumeration and unimodular classification of empty Delta-modular simplices."""
 
+from .atlas import enumerate_atlas, eq1_bound, read_atlas, record_from_dict, record_to_dict, write_atlas
 from .corner_ilp import (
     CornerSolution,
     GroupTable,
@@ -82,6 +83,5 @@ from .simplex_model import (
     system_to_dict,
     validate_simplex,
 )
-from .atlas_cli import enumerate_atlas, eq1_bound, read_atlas, record_from_dict, record_to_dict, write_atlas
 
 __version__ = "0.1.0"

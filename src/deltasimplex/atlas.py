@@ -1,0 +1,203 @@
+"""Atlas library: the JSONL record codec, enumeration, verification and statistics.
+
+Atlas files are JSON Lines, one record per line, sorted by canonical key;
+identical arguments always produce byte-identical files, and `jobs` only
+changes how the candidate blocks are partitioned, never the output.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import multiprocessing
+
+from .enumeration import FAMILY_EMPTY, FAMILY_LATTICE, CandidateRecord, candidates_for_block, enumerate_H
+from .equivalence import check_equivalence, dedup_families
+from .errors import DeltaSimplexError
+from .normal_form import (
+    canonical_key,
+    key_tuple,
+    normalized_fields_from_dict,
+    normalized_to_dict,
+    validate_normalized,
+)
+from .simplex_model import count_integer_points_bruteforce, json_field, validate_simplex
+
+ATLAS_FORMAT = "delta-simplex/atlas-v1"
+ORACLE_MAX_DIM = 6
+
+
+# ---------------------------------------------------------------------------
+# Record serialization
+
+
+def record_to_dict(rec: CandidateRecord) -> dict:
+    return {
+        **normalized_to_dict(rec.ns),
+        "format": ATLAS_FORMAT,
+        "family": rec.family,
+        "canonical_key": canonical_key(rec.ns),
+        "provenance": rec.provenance,
+    }
+
+
+def record_from_dict(data: dict) -> CandidateRecord:
+    if not isinstance(data, dict):
+        raise DeltaSimplexError("an atlas record must be a JSON object")
+    if data.get("format") != ATLAS_FORMAT:
+        raise DeltaSimplexError(f"expected format {ATLAS_FORMAT!r}, got {data.get('format')!r}")
+    ns = normalized_fields_from_dict(data)
+    provenance = data.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise DeltaSimplexError(f"provenance must be a JSON object, got {provenance!r}")
+    return CandidateRecord(ns, json_field(data, "family"), dict(provenance))
+
+
+def _record_line(rec: CandidateRecord) -> str:
+    return json.dumps(record_to_dict(rec), sort_keys=True, separators=(",", ":"))
+
+
+def write_atlas(records, stream) -> None:
+    for rec in records:
+        stream.write(_record_line(rec) + "\n")
+
+
+def read_atlas(stream) -> list[CandidateRecord]:
+    records = []
+    for line in stream:
+        line = line.strip()
+        if line:
+            records.append(record_from_dict(json.loads(line)))
+    return records
+
+
+# ---------------------------------------------------------------------------
+# Enumeration orchestration
+
+
+def _block_task(args):
+    block, want_empty, want_lattice = args
+    return candidates_for_block(block, want_empty, want_lattice)
+
+
+def _family_flags(family: str) -> tuple[bool, bool]:
+    if family == "empty":
+        return True, False
+    if family == "lattice":
+        return False, True
+    if family == "both":
+        return True, True
+    raise DeltaSimplexError(f"unknown family {family!r}")
+
+
+def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = False, jobs: int = 1):
+    """Deduplicated, key-sorted atlas records for (delta, dim).
+
+    With `up_to`, the atlases for every delta' <= delta are built and
+    concatenated; classes are disjoint across delta values because the
+    normalized determinant is a class invariant.
+    """
+    want_empty, want_lattice = _family_flags(family)
+    out: list[CandidateRecord] = []
+    for d in range(1, delta + 1) if up_to else [delta]:
+        tasks = [(block, want_empty, want_lattice) for block in enumerate_H(d, dim)]
+        if jobs > 1 and len(tasks) > 1:
+            with multiprocessing.Pool(processes=jobs) as pool:
+                results = pool.map(_block_task, tasks)
+        else:
+            results = [_block_task(t) for t in tasks]
+        candidates: list[CandidateRecord] = []
+        for empties, lattices in results:
+            candidates.extend(empties)
+            candidates.extend(lattices)
+        out.extend(dedup_families(candidates))
+    out.sort(key=lambda rec: key_tuple(rec.ns))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Verification and statistics
+
+
+def eq1_bound(delta: int, n: int) -> float:
+    """Closed-form class-count bound binom(n+delta-1, delta-1) * delta^(log2(delta)+2)."""
+    return math.comb(n + delta - 1, delta - 1) * delta ** (math.log2(delta) + 2)
+
+
+def verify_atlas(records, max_pairs: int = 100) -> list[str]:
+    """Re-validate every record; returns a list of human-readable problems.
+
+    Checks, per record: stored canonical key, the normalized-form validator
+    (which recomputes delta), simplex validity, and for dimensions up to 6
+    the point-count oracle for the claimed family. A deterministic sample
+    of same-(n, delta) record pairs must also be mutually inequivalent.
+    """
+    problems = []
+    good = []
+    for i, rec in enumerate(records):
+        label = f"record {i} (key {canonical_key(rec.ns)})"
+        ok, violated = validate_normalized(rec.ns)
+        if not ok:
+            problems.append(f"{label}: validator violation {violated} [provenance {rec.provenance}]")
+            continue
+        try:
+            validate_simplex(rec.system())
+        except DeltaSimplexError as exc:
+            problems.append(f"{label}: emptiness/validator violation: not a simplex ({exc}) [provenance {rec.provenance}]")
+            continue
+        if rec.family not in (FAMILY_EMPTY, FAMILY_LATTICE):
+            problems.append(f"{label}: unknown family {rec.family!r}")
+            continue
+        if rec.ns.n <= ORACLE_MAX_DIM:
+            count = count_integer_points_bruteforce(rec.system())
+            expected = 0 if rec.family == FAMILY_EMPTY else rec.ns.n + 1
+            if count != expected:
+                problems.append(
+                    f"{label}: emptiness/validator violation: {count} integer points, "
+                    f"expected {expected} [provenance {rec.provenance}]"
+                )
+                continue
+        good.append(rec)
+    # Pairwise non-equivalence sampling within (n, delta) groups of valid records.
+    groups: dict = {}
+    for rec in good:
+        groups.setdefault((rec.ns.n, rec.ns.delta), []).append(rec)
+    checked = 0
+    for key in sorted(groups):
+        group = groups[key]
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                if checked >= max_pairs:
+                    break
+                result = check_equivalence(group[i].system(), group[j].system())
+                checked += 1
+                if result.equivalent:
+                    problems.append(
+                        f"records with keys {canonical_key(group[i].ns)} and "
+                        f"{canonical_key(group[j].ns)} are unimodular equivalent"
+                    )
+    return problems
+
+
+def stats_atlas(records) -> tuple[list[dict], bool]:
+    """Counts per (delta, n, family) with the class-count bound alongside."""
+    counts: dict = {}
+    for rec in records:
+        counts[(rec.ns.delta, rec.ns.n, rec.family)] = counts.get((rec.ns.delta, rec.ns.n, rec.family), 0) + 1
+    rows = []
+    any_violation = False
+    for (delta, n, family) in sorted(counts):
+        bound = eq1_bound(delta, n)
+        violated = family == FAMILY_EMPTY and counts[(delta, n, family)] > bound
+        any_violation = any_violation or violated
+        rows.append(
+            {
+                "delta": delta,
+                "n": n,
+                "family": family,
+                "count": counts[(delta, n, family)],
+                "bound": bound,
+                "bound_exceeded": violated,
+            }
+        )
+    return rows, any_violation

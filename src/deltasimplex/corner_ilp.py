@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantViolation, PreconditionError, RadiusError
-from .exact_linalg import Mat, Vec, adjugate, dot, solve_rational, transpose
-from .normal_form import is_hnf_matrix
+from .exact_linalg import Mat, Vec, dot, solve_rational
+from .normal_form import is_hnf_matrix, paral_weights, reduce_rhs
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,17 +36,8 @@ class GroupTable:
 
 
 def reduce_residue(h_mat: Mat, z) -> Vec:
-    """Unique representative of z modulo H Z^n with 0 <= r_i < H_ii."""
-    n = len(h_mat)
-    if any(h_mat[i][i] <= 0 for i in range(n)):
-        raise PreconditionError("residue reduction requires a positive diagonal")
-    cur = list(z)
-    for i in range(n):
-        q = cur[i] // h_mat[i][i]
-        if q:
-            for r in range(i, n):
-                cur[r] -= q * h_mat[r][i]
-    return tuple(cur)
+    """Unique representative of z modulo H Z^n with 0 <= r_i < H_ii (H in Hermite form)."""
+    return reduce_rhs(h_mat, z)[0]
 
 
 def group_table(h_mat: Mat) -> GroupTable:
@@ -80,13 +71,9 @@ class CornerSolution:
 
 
 def _scaled_weights(h_mat: Mat, c) -> tuple[Vec, int]:
-    """w = -adjugate(H)^T c and delta; w_i in [1, delta] iff c lies in paral(-H^T)."""
-    n = len(h_mat)
-    delta = 1
-    for i in range(n):
-        delta *= h_mat[i][i]
-    adj_t = transpose(adjugate(h_mat))
-    w = tuple(-sum(adj_t[i][j] * c[j] for j in range(n)) for i in range(n))
+    """The `paral_weights` w and delta = det(H); w_i in [1, delta] iff c lies in paral(-H^T)."""
+    delta = math.prod(h_mat[i][i] for i in range(len(h_mat)))
+    w = paral_weights(h_mat, c)
     if any(not 0 < wi <= delta for wi in w):
         raise PreconditionError(
             "objective is not in paral(-H^T); the cone problem is unbounded or ill-posed"
@@ -134,7 +121,8 @@ def corner_minimum(h_mat: Mat, h, c) -> CornerSolution:
     Requires c in paral(-H^T), which makes the scaled weights positive and
     the objective bounded below on the cone. The optimal value satisfies
     f* = (c^T adj(H) h + dist(class(h))) / delta, which must divide exactly;
-    the witness is rebuilt from the shortest-path predecessors.
+    the constant term is read off the weights, c^T adj(H) h = -w^T h. The
+    witness is rebuilt from the shortest-path predecessors.
     """
     n = len(h_mat)
     w, delta = _scaled_weights(h_mat, c)
@@ -143,9 +131,7 @@ def corner_minimum(h_mat: Mat, h, c) -> CornerSolution:
     target = table.index[reduce_residue(h_mat, h)]
     if dist[target] is None:
         return CornerSolution(0, (0,) * n, infeasible=True)
-    adj = adjugate(h_mat)
-    c_adj_h = sum(c[i] * sum(adj[i][j] * h[j] for j in range(n)) for i in range(n))
-    total = c_adj_h + dist[target]
+    total = dist[target] - dot(w, h)
     if total % delta:
         raise InvariantViolation("optimal value failed the divisibility invariant")
     f_star = total // delta

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .enumeration import CandidateRecord
 from .errors import InvariantViolation
-from .exact_linalg import Mat, matrix, max_minors, vector
+from .exact_linalg import Mat, matrix, vector
 from .normal_form import _normalize_primitive, key_tuple, primitivize
 from .simplex_model import (
     AffineUnimodularMap,
@@ -104,10 +104,6 @@ class EquivalenceResult:
     certificate: str | None = None
 
 
-def _minor_multiset(sys) -> tuple[int, ...]:
-    return tuple(sorted(abs(m) for _, m in max_minors(sys.A)))
-
-
 def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> EquivalenceResult:
     """Decide unimodular equivalence of two simplices, with a verified witness.
 
@@ -125,7 +121,7 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
         return EquivalenceResult(False, certificate="dimension-mismatch")
     if meta_s.delta != meta_t.delta:
         return EquivalenceResult(False, certificate="delta-mismatch")
-    if _minor_multiset(prim_s) != _minor_multiset(prim_t):
+    if sorted(map(abs, meta_s.minors)) != sorted(map(abs, meta_t.minors)):
         return EquivalenceResult(False, certificate="minor-multiset-mismatch")
 
     ns_t, m_t, _ = _normalize_primitive(prim_t, min(meta_t.max_det_bases), meta_t.delta)

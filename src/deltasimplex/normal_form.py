@@ -38,8 +38,8 @@ from .exact_linalg import (
     Mat,
     Vec,
     adjugate,
-    delta_value,
     det,
+    dot,
     hnf,
     mat_vec,
     matrix,
@@ -238,10 +238,13 @@ def validate_normalized(ns: NormalizedSystem) -> tuple[bool, tuple[str, ...]]:
 
     if not is_hnf_matrix(h_mat):
         bad.append("hnf-form")
-    if ns.delta <= 0 or det(h_mat) != ns.delta:
+    det_h = det(h_mat)
+    if ns.delta <= 0 or det_h != ns.delta:
         bad.append("determinant")
+    # The maximal minors of [H; c] are det(H) and -w_i (c in place of row i).
+    w = paral_weights(h_mat, c)
     full = ns.full_matrix()
-    if delta_value(full) != ns.delta:
+    if max(abs(det_h), *map(abs, w)) != ns.delta:
         bad.append("delta-of-full-matrix")
 
     for i in range(s):
@@ -266,8 +269,6 @@ def validate_normalized(ns: NormalizedSystem) -> tuple[bool, tuple[str, ...]]:
     if any(math.gcd(*row, b0) != 1 for row, b0 in zip(full, rhs)):
         bad.append("row-gcd")
 
-    adj_t = transpose(adjugate(h_mat))
-    w = tuple(-sum(adj_t[i][j] * c[j] for j in range(n)) for i in range(n))
     if any(not 0 < wi <= ns.delta for wi in w):
         bad.append("paral-membership")
 
@@ -275,6 +276,11 @@ def validate_normalized(ns: NormalizedSystem) -> tuple[bool, tuple[str, ...]]:
         bad.append("entry-bound")
 
     return (not bad, tuple(bad))
+
+
+def paral_weights(h_mat: Mat, c) -> Vec:
+    """w = -adj(H)^T c; for det(H) > 0, c lies in paral(-H^T) iff every w_i is in (0, det H]."""
+    return tuple(-dot(col, c) for col in transpose(adjugate(h_mat)))
 
 
 def key_tuple(ns: NormalizedSystem) -> tuple[int, ...]:

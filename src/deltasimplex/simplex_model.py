@@ -12,18 +12,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import NotASimplexError, PreconditionError, ScaleExceededError, ShapeError
 from .exact_linalg import (
     FracVec,
     Mat,
     Vec,
+    adjugate,
     dot,
     is_unimodular,
     mat_mul,
     mat_vec,
-    max_minors,
-    solve_rational,
     unimodular_inverse,
 )
 
@@ -115,11 +115,12 @@ def apply_map(sys: InequalitySystem, m: AffineUnimodularMap) -> InequalitySystem
 
 @dataclass(frozen=True)
 class SimplexMeta:
-    """Validation summary: delta, vertices (vertex i is opposite row i), maximal bases."""
+    """Validation summary: delta, vertices (vertex i is opposite row i), maximal bases, minors."""
 
     delta: int
     vertices: tuple[FracVec, ...]
     max_det_bases: tuple[tuple[int, ...], ...]
+    minors: tuple[int, ...]  # signed maximal minors of A, by omitted row
 
 
 def validate_simplex(sys: InequalitySystem) -> SimplexMeta:
@@ -129,27 +130,33 @@ def validate_simplex(sys: InequalitySystem) -> SimplexMeta:
     its omitted inequality strictly; together these force exactly n+1
     distinct vertices and a bounded interior.
 
+    Everything is read off one adjugate of M = [A | b]. Column i of adj(M)
+    is orthogonal to every row of M but row i, so it is vertex i in
+    homogeneous coordinates: v_i = -adj[0..n-1][i] / adj[n][i]. Its last
+    entry is adj[n][i] = (-1)^(i+n) det(A without row i), and the slack of
+    row i at v_i is det(M) / adj[n][i], with det(M) = b . adj[n].
+
     Raises:
         NotASimplexError: on a degenerate minor or a tight/violated omitted row.
     """
-    minors = max_minors(sys.A)
-    for base, minor in minors:
+    n = sys.n
+    adj = adjugate(tuple(row + (bi,) for row, bi in zip(sys.A, sys.b)))
+    last = adj[n]
+    det_m = dot(sys.b, last)
+    minors = tuple((-1) ** (i + n) * x for i, x in enumerate(last))
+    bases = tuple(tuple(r for r in range(n + 1) if r != i) for i in range(n + 1))
+    for base, minor in zip(bases, minors):
         if minor == 0:
             raise NotASimplexError(f"not a simplex (rank/degeneracy): zero minor at base {base}")
-    delta = max(abs(minor) for _, minor in minors)
-    vertices = []
-    for omit, (base, _) in enumerate(minors):
-        sub = tuple(sys.A[i] for i in base)
-        rhs = tuple(sys.b[i] for i in base)
-        v = solve_rational(sub, rhs)
-        slack = sys.b[omit] - sum(sys.A[omit][j] * v[j] for j in range(sys.n))
-        if slack <= 0:
+    for omit, x in enumerate(last):
+        if det_m * x <= 0:
             raise NotASimplexError(
                 f"empty or unbounded or lower-dimensional: row {omit} not strictly satisfied"
             )
-        vertices.append(v)
-    bases = tuple(base for base, minor in minors if abs(minor) == delta)
-    return SimplexMeta(delta=delta, vertices=tuple(vertices), max_det_bases=bases)
+    delta = max(map(abs, minors))
+    vertices = tuple(tuple(Fraction(-adj[j][i], last[i]) for j in range(n)) for i in range(n + 1))
+    max_bases = tuple(base for base, minor in zip(bases, minors) if abs(minor) == delta)
+    return SimplexMeta(delta=delta, vertices=vertices, max_det_bases=max_bases, minors=minors)
 
 
 def count_integer_points_bruteforce(sys: InequalitySystem, cap: int = 10_000_000) -> int:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import deltasimplex
 from deltasimplex import atlas_cli, system_to_dict
 from deltasimplex.atlas_cli import main, read_atlas, record_from_dict, record_to_dict
 from deltasimplex import InequalitySystem, normalized_to_dict
@@ -271,3 +276,18 @@ def test_non_object_input_exits_2(tmp_path, triangle_file):
     bad.write_text("[1, 2]")
     assert run(["check-equiv", triangle_file, str(bad)]) == 2
     assert run(["verify", str(bad)]) == 2
+
+
+def test_module_entry_point_is_warning_free(tmp_path):
+    # The package must not import its CLI module: `python -m` would then find
+    # it in sys.modules before running it, and runpy warns (an error here).
+    src = str(Path(deltasimplex.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = tmp_path / "atlas.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "deltasimplex.atlas_cli",
+         "enumerate", "--delta", "1", "--dim", "1", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(read_atlas(out.open())) == 1

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -21,10 +22,11 @@ from deltasimplex import (
     reduce_rhs,
     validate_normalized,
 )
-from deltasimplex.normal_form import is_hnf_matrix, opposite_vertex
+from deltasimplex.exact_linalg import delta_value, det, max_minors
+from deltasimplex.normal_form import is_hnf_matrix, opposite_vertex, paral_weights
 from deltasimplex.simplex_model import apply_map
 
-from helpers import random_hnf, random_simplex
+from helpers import random_hnf, random_int_matrix, random_simplex
 
 
 def test_primitivize_rows():
@@ -169,6 +171,56 @@ def test_validate_normalized_delta_mismatch():
     bad = NormalizedSystem(n=1, s=0, k=1, H=((3,),), h=(2,), c=(-2,), c0=-1, delta=2)
     ok, violated = validate_normalized(bad)
     assert not ok
+
+
+def _malformed_normalized(rng: random.Random, kind: str) -> NormalizedSystem:
+    """A NormalizedSystem that breaks one assumption of the form on purpose."""
+    n = rng.randint(1, 4)
+    h_mat = random_hnf(rng, n, 12)
+    d = math.prod(h_mat[i][i] for i in range(n))
+    c = tuple(rng.randint(-d, 0) for _ in range(n))
+    delta = d
+    if kind == "singular":
+        rows = [list(row) for row in random_int_matrix(rng, n, n, 3)]
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i] = [rng.choice((0, 1, -2)) * x for x in rows[j]] if i != j else [0] * n
+        h_mat = tuple(tuple(row) for row in rows)
+        delta = rng.choice((delta_value(h_mat + (c,)), rng.randint(0, 9)))
+    elif kind == "outside":
+        c = tuple(rng.randint(-2 * d - 2, 2 * d + 2) for _ in range(n))
+    elif kind == "wrong-delta":
+        delta = d + rng.choice((-1, 1, 2, -d))
+    h = tuple(rng.randrange(max(1, abs(h_mat[i][i]))) for i in range(n))
+    s = rng.randint(0, n)
+    return NormalizedSystem(n=n, s=s, k=n - s, H=h_mat, h=h, c=c, c0=rng.randint(-3, 3), delta=delta)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_delta_label_agrees_with_full_matrix_minors(seed):
+    # The validator reads the minors of [H; c] off det(H) and the paral
+    # weights; the reference takes every maximal minor of the full matrix.
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(300):
+        kind = rng.choice(("singular", "outside", "wrong-delta"))
+        ns = _malformed_normalized(rng, kind)
+        flagged = "delta-of-full-matrix" in validate_normalized(ns)[1]
+        assert flagged == (delta_value(ns.full_matrix()) != ns.delta), ns
+        seen.add((kind, flagged))
+    # Both answers occur for singular H and for c outside the parallelepiped.
+    assert {("singular", False), ("singular", True), ("outside", False), ("outside", True), ("wrong-delta", True)} <= seen
+
+
+def test_paral_weights_are_full_matrix_minors():
+    # Replacing row i of H by c gives the minor -w_i (up to the sign of moving
+    # c into place); omitting c gives det(H). Singular H included.
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        h_mat = random_int_matrix(rng, n, n, 2)
+        c = tuple(rng.randint(-3, 3) for _ in range(n))
+        minors = [abs(m) for _, m in max_minors(h_mat + (c,))]
+        assert minors == [abs(w) for w in paral_weights(h_mat, c)] + [abs(det(h_mat))]
 
 
 def test_canonical_key_round_trip():

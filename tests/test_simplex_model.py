@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from deltasimplex import (
     system_to_dict,
     validate_simplex,
 )
-from deltasimplex.exact_linalg import max_minors
+from deltasimplex.exact_linalg import max_minors, solve_rational
 
 from helpers import random_simplex, random_unimodular_map
 
@@ -153,3 +154,58 @@ def test_vertices_are_exact_fractions(triangle):
     sys = InequalitySystem(1, ((2,), (-3,)), (1, -1))
     meta = validate_simplex(sys)
     assert set(meta.vertices) == {(Fraction(1, 2),), (Fraction(1, 3),)}
+
+
+def _reference_meta(sys):
+    """validate_simplex from independent pieces: max_minors and one solve per base.
+
+    Returns (minors, vertices, max_det_bases) for a simplex, or the kind of
+    failure and the message that validate_simplex must raise: the first zero
+    minor, else the first row that its basic solution does not satisfy
+    strictly (tight or violated).
+    """
+    minors = max_minors(sys.A)
+    for base, minor in minors:
+        if minor == 0:
+            return "zero-minor", f"zero minor at base {base}"
+    vertices = []
+    for omit, (base, _) in enumerate(minors):
+        v = solve_rational(tuple(sys.A[i] for i in base), tuple(sys.b[i] for i in base))
+        slack = sys.b[omit] - sum(a * x for a, x in zip(sys.A[omit], v))
+        if slack <= 0:
+            return "tight" if slack == 0 else "violated", f"row {omit} not strictly satisfied"
+        vertices.append(v)
+    delta = max(abs(m) for _, m in minors)
+    bases = tuple(base for base, m in minors if abs(m) == delta)
+    return tuple(m for _, m in minors), tuple(vertices), bases
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_simplex_agrees_with_reference(seed):
+    # Small entries make degenerate bases common; right-hand sides built from
+    # a common point make tight rows (slack exactly 0) common too.
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        bound = rng.choice((1, 2, 4))
+        a = tuple(tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n + 1))
+        if rng.random() < 0.3:
+            p = [rng.randint(-3, 3) for _ in range(n)]
+            b = tuple(sum(x * y for x, y in zip(row, p)) + rng.choice((0, 0, 1, 2)) for row in a)
+        else:
+            b = tuple(rng.randint(-bound, bound) for _ in range(n + 1))
+        sys = InequalitySystem(n, a, b)
+        expected = _reference_meta(sys)
+        if isinstance(expected[1], str):
+            kind, message = expected
+            outcomes.add(kind)
+            with pytest.raises(NotASimplexError, match=re.escape(message)):
+                validate_simplex(sys)
+        else:
+            outcomes.add("simplex")
+            meta = validate_simplex(sys)
+            assert (meta.minors, meta.vertices, meta.max_det_bases) == expected
+            assert meta.delta == max(abs(m) for m in meta.minors)
+    assert outcomes == {"simplex", "zero-minor", "tight", "violated"}
+
