@@ -6,6 +6,11 @@ vectors congruent to h modulo the lattice H Z^n, where t = -H^-T c. Scaling
 by det(H) gives integer edge weights w_i in [1, det(H)], so the optimum is a
 shortest path on the finite quotient group Z^n / H Z^n. Everything runs on
 exact integers; the priority queue keys are plain ints.
+
+The weights, the group and the shortest-path tree depend on (H, c) alone,
+so one Dijkstra run per (H, c) is memoized as a `PathTable`, and every
+right-hand side h (each -e_j of the vertex-excluding problem included) is
+read off it; the witness and its checks are still rebuilt per query.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantViolation, PreconditionError, RadiusError
-from .exact_linalg import Mat, Vec, dot, solve_rational
+from .exact_linalg import MEMO_CACHE_SIZE, Mat, Vec, dot, matrix, solve_rational, vector
 from .normal_form import is_hnf_matrix, paral_weights, reduce_rhs
 
 
@@ -41,12 +46,10 @@ def reduce_residue(h_mat: Mat, z) -> Vec:
 
 
 def group_table(h_mat: Mat) -> GroupTable:
-    from .exact_linalg import matrix
-
     return _group_table_cached(matrix(h_mat))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_CACHE_SIZE)
 def _group_table_cached(h_mat: Mat) -> GroupTable:
     if not is_hnf_matrix(h_mat):
         raise PreconditionError("group table requires a Hermite-form matrix")
@@ -115,6 +118,31 @@ def _solve_lower_integer(h_mat: Mat, rhs) -> Vec:
     return tuple(x)
 
 
+@dataclass(frozen=True, eq=False)
+class PathTable:
+    """Group shortest paths from 0 for one (H, c): weights w, det(H), dist and pred."""
+
+    weights: Vec
+    delta: int
+    group: GroupTable
+    zero_id: int
+    dist: tuple[int | None, ...]
+    pred: tuple[tuple[int, int] | None, ...]
+
+
+def path_table(h_mat: Mat, c) -> PathTable:
+    """The memoized shortest-path table of (H, c); c must lie in paral(-H^T)."""
+    return _path_table_cached(matrix(h_mat), vector(c))
+
+
+@lru_cache(maxsize=MEMO_CACHE_SIZE)
+def _path_table_cached(h_mat: Mat, c: Vec) -> PathTable:
+    w, delta = _scaled_weights(h_mat, c)
+    table = group_table(h_mat)
+    zero_id, dist, pred = _dijkstra(table, w)
+    return PathTable(w, delta, table, zero_id, tuple(dist), tuple(pred))
+
+
 def corner_minimum(h_mat: Mat, h, c) -> CornerSolution:
     """Exact min of c^T x over {x in Z^n : H x <= h} via group shortest paths.
 
@@ -122,23 +150,22 @@ def corner_minimum(h_mat: Mat, h, c) -> CornerSolution:
     the objective bounded below on the cone. The optimal value satisfies
     f* = (c^T adj(H) h + dist(class(h))) / delta, which must divide exactly;
     the constant term is read off the weights, c^T adj(H) h = -w^T h. The
-    witness is rebuilt from the shortest-path predecessors.
+    distances come from the memoized `path_table` of (H, c); the witness is
+    rebuilt from its shortest-path predecessors on every call.
     """
     n = len(h_mat)
-    w, delta = _scaled_weights(h_mat, c)
-    table = group_table(h_mat)
-    zero_id, dist, pred = _dijkstra(table, w)
-    target = table.index[reduce_residue(h_mat, h)]
-    if dist[target] is None:
+    pt = path_table(h_mat, c)
+    target = pt.group.index[reduce_residue(h_mat, h)]
+    if pt.dist[target] is None:
         return CornerSolution(0, (0,) * n, infeasible=True)
-    total = dist[target] - dot(w, h)
-    if total % delta:
+    total = pt.dist[target] - dot(pt.weights, h)
+    if total % pt.delta:
         raise InvariantViolation("optimal value failed the divisibility invariant")
-    f_star = total // delta
+    f_star = total // pt.delta
     steps = [0] * n
     node = target
-    while node != zero_id:
-        node, i = pred[node]
+    while node != pt.zero_id:
+        node, i = pt.pred[node]
         steps[i] += 1
     x = _solve_lower_integer(h_mat, tuple(h[i] - steps[i] for i in range(n)))
     if dot(c, x) != f_star or any(dot(h_mat[i], x) > h[i] for i in range(n)):
@@ -150,7 +177,8 @@ def corner_minimum_excluding_vertex(h_mat: Mat, c) -> CornerSolution:
     """Exact min of c^T x over {x in Z^n \\ {0} : H x <= 0}.
 
     This is the reduced lattice-vertex case (h = 0, apex at the origin); the
-    minimum is taken over the n subproblems with right-hand side -e_j.
+    minimum is taken over the n subproblems with right-hand side -e_j, all
+    read off the one `path_table` of (H, c).
     """
     n = len(h_mat)
     best = None

@@ -24,9 +24,10 @@ from .corner_ilp import (
     corner_minimum,
     corner_minimum_excluding_vertex,
     count_minimum_attainers,
+    path_table,
 )
 from .errors import InvariantViolation, NotASimplexError, PreconditionError
-from .exact_linalg import Mat, Vec, matrix, solve_rational
+from .exact_linalg import Mat, Vec, dot, matrix
 from .normal_form import NormalizedSystem, validate_normalized
 from .simplex_model import validate_simplex
 
@@ -200,18 +201,18 @@ def c0_candidates(h_mat: Mat, h, c):
     integer strictly above c^T v and f_star the cone minimum; the range may
     be empty. If v is integral (equivalently h = 0, since h is reduced),
     only c0 = f_star of the vertex-excluding problem can give an empty
-    lattice simplex.
+    lattice simplex. Both cases read the path table of (H, c); its weights
+    give c^T v = -(w^T h) / det(H).
     """
     n = len(h_mat)
     if any(not 0 <= h[i] < h_mat[i][i] for i in range(n)):
         raise PreconditionError("right-hand side must be reduced (0 <= h_i < H_ii)")
-    v = solve_rational(h_mat, h)
-    if all(x.denominator == 1 for x in v):
+    if not any(h):
         return LatticeCandidate(corner_minimum_excluding_vertex(h_mat, c).f_star)
-    cv = sum(ci * vi for ci, vi in zip(c, v))
-    l_star = cv + 1 if cv.denominator == 1 else math.ceil(cv)
+    pt = path_table(h_mat, c)
+    l_star = -dot(pt.weights, h) // pt.delta + 1
     f_star = corner_minimum(h_mat, h, c).f_star
-    return EmptyRange(l_star=int(l_star), f_star=f_star)
+    return EmptyRange(l_star=l_star, f_star=f_star)
 
 
 def _vertices_integral(meta) -> bool:

@@ -21,6 +21,7 @@ from .normal_form import _normalize_primitive, key_tuple, primitivize
 from .simplex_model import (
     AffineUnimodularMap,
     InequalitySystem,
+    SimplexMeta,
     compose,
     inverse,
     validate_simplex,
@@ -70,7 +71,7 @@ class EquivalentSet:
     records: dict
 
 
-def equivalent_normalized_set(sys: InequalitySystem) -> EquivalentSet:
+def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = None) -> EquivalentSet:
     """Generate all canonical normalized systems of the simplex's class.
 
     For each base of maximal |det| the system is normalized once, and every
@@ -78,9 +79,15 @@ def equivalent_normalized_set(sys: InequalitySystem) -> EquivalentSet:
     over the base 0..n-1. Completeness rests on the fact that any normalized
     system of the class arises from a row-permuted renormalization over some
     maximal base, quotiented by the canonical tie-break.
+
+    A caller that already holds `meta = validate_simplex(sys)` for a
+    primitive `sys` passes it, and the system is used as given.
     """
-    prim = primitivize(sys)
-    meta = validate_simplex(prim)
+    if meta is None:
+        prim = primitivize(sys)
+        meta = validate_simplex(prim)
+    else:
+        prim = sys
     n = prim.n
     out: dict = {}
     for base in meta.max_det_bases:
@@ -133,7 +140,7 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
     if key_tuple(ns_s) == key_tuple(ns_t):
         stored_s = inverse(m_s)
     else:
-        hit = equivalent_normalized_set(prim_s).records.get(key_tuple(ns_t))
+        hit = equivalent_normalized_set(prim_s, meta_s).records.get(key_tuple(ns_t))
         if hit is None:
             return EquivalenceResult(False, certificate="search-exhausted")
         _, stored_s = hit  # S -> record

@@ -18,6 +18,11 @@ Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 FracVec = tuple[Fraction, ...]
 
+# Entry bound of every memo cache in the package. The largest working set in
+# the benchmark cells is about 1,000 entries; the per-(H, c) path tables of
+# `corner_ilp` need at least det(H) entries to be reused within one block.
+MEMO_CACHE_SIZE = 4096
+
 
 def matrix(rows) -> Mat:
     """Build a matrix tuple from an iterable of rows, checking rectangularity."""
@@ -107,20 +112,57 @@ def adjugate(m: Mat) -> Mat:
     return _adjugate_cached(matrix(m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_CACHE_SIZE)
 def _adjugate_cached(m: Mat) -> Mat:
+    """One fraction-free (Bareiss) Gauss-Jordan pass on [m | I].
+
+    After step k every entry is, up to sign, a (k+1) x (k+1) minor of
+    [m | I], so each row operation divides exactly by the previous pivot.
+    With P the row swaps made, the left block ends as det(P m) * I and the
+    right block as det(P m) * m^-1 = sign(P) * adj(m). A column without a
+    pivot means m is singular; only then are the n^2 cofactors computed.
+    """
     r, c = shape(m)
     if r != c:
         raise ShapeError(f"adjugate of a non-square {r}x{c} matrix")
     n = r
-    if n == 0:
-        return ()
+    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return _cofactor_adjugate(m)
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        tail = pivot_row[k + 1 :]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                row[k + 1 :] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = pivot
+    return tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
+def _cofactor_adjugate(m: Mat) -> Mat:
+    n = len(m)
     if n == 1:
         return ((1,),)
     return tuple(
         tuple((-1) ** (i + j) * det(_drop(m, j, i)) for j in range(n))
         for i in range(n)
     )
+
+
+def _det_from_adjugate(m: Mat, adj: Mat) -> int:
+    """det(m) as row 0 of m times column 0 of adj(m), since m @ adj(m) == det(m) * I."""
+    return sum(x * row[0] for x, row in zip(m[0], adj)) if m else 1
 
 
 def is_unimodular(u: Mat) -> bool:
@@ -133,10 +175,10 @@ def is_unimodular(u: Mat) -> bool:
 
 def unimodular_inverse(u: Mat) -> Mat:
     """Exact integer inverse of a unimodular matrix."""
-    d = det(u)
+    adj = adjugate(u)
+    d = _det_from_adjugate(u, adj)
     if abs(d) != 1:
         raise SingularityError("matrix is not unimodular, integer inverse undefined")
-    adj = adjugate(u)
     if d == 1:
         return adj
     return tuple(tuple(-x for x in row) for row in adj)
@@ -172,7 +214,7 @@ def hnf(a: Mat) -> tuple[Mat, Mat]:
     return _hnf_cached(matrix(a))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_CACHE_SIZE)
 def _hnf_cached(a: Mat) -> tuple[Mat, Mat]:
     m, n = shape(a)
     if n == 0 or m < n:
@@ -217,10 +259,10 @@ def _hnf_cached(a: Mat) -> tuple[Mat, Mat]:
 
 def solve_rational(m: Mat, b) -> FracVec:
     """Exact rational solution x of m @ x == b for nonsingular integer m."""
-    d = det(m)
+    adj = adjugate(m)
+    d = _det_from_adjugate(m, adj)
     if d == 0:
         raise SingularityError("cannot solve a singular system")
-    adj = adjugate(m)
     return tuple(Fraction(sum(adj[i][j] * b[j] for j in range(len(b))), d) for i in range(len(b)))
 
 

@@ -22,18 +22,24 @@ from deltasimplex import (
 
 
 def cofactor_det(m) -> int:
+    """Laplace expansion along successive rows, memoized on the columns left.
+
+    The memo makes an n x n determinant cost O(n 2^n) instead of O(n!), so
+    the oracle stays usable up to n = 9.
+    """
     n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in [list(r) for r in m[1:]]]
-        total += (-1) ** j * m[0][j] * cofactor_det(minor)
-    return total
+
+    @lru_cache(maxsize=None)
+    def expand(row: int, cols: tuple[int, ...]) -> int:
+        if row == n:
+            return 1
+        total = 0
+        for pos, j in enumerate(cols):
+            if m[row][j]:
+                total += (-1) ** pos * m[row][j] * expand(row + 1, cols[:pos] + cols[pos + 1 :])
+        return total
+
+    return expand(0, tuple(range(n)))
 
 
 def gauss_inverse(m) -> list[list[Fraction]]:

@@ -230,3 +230,54 @@ def test_count_minimum_attainers_matches_direct_scan():
             if all(xi.denominator == 1 for xi in x):
                 direct += 1
         assert count_minimum_attainers(h_mat, c, f) == direct
+
+
+def test_one_path_table_answers_every_h():
+    # corner_minimum reads every reduced h off the one shortest-path table of
+    # (H, c); the vertex-excluding minimum reads its n targets -e_j off it too.
+    import itertools
+
+    rng = random.Random(2024)
+    for _ in range(25):
+        n = rng.randint(1, 3)
+        h_mat = random_hnf(rng, n, 12)
+        for c in rng.sample(enumerate_c(h_mat), min(3, len(enumerate_c(h_mat)))):
+            for h in itertools.product(*(range(h_mat[i][i]) for i in range(n))):
+                assert corner_minimum(h_mat, h, c).f_star == oracle_minimum(h_mat, h, c).f_star
+            separate = min(
+                oracle_minimum(h_mat, tuple(-1 if i == j else 0 for i in range(n)), c).f_star
+                for j in range(n)
+            )
+            sol = corner_minimum_excluding_vertex(h_mat, c)
+            assert sol.f_star == separate
+            assert sol.witness_x != (0,) * n and dot(c, sol.witness_x) == separate
+
+
+def test_candidates_for_block_runs_one_dijkstra_per_c(monkeypatch):
+    import math
+
+    from deltasimplex import corner_ilp
+    from deltasimplex.enumeration import candidates_for_block, enumerate_H, enumerate_h
+
+    calls = []
+    original = corner_ilp._dijkstra
+
+    def counting(table, weights):
+        calls.append((table.H, weights))
+        return original(table, weights)
+
+    monkeypatch.setattr(corner_ilp, "_dijkstra", counting)
+    blocks = 0
+    for delta, n in ((4, 3), (6, 2), (3, 4), (5, 2)):
+        for block in enumerate_H(delta, n):
+            corner_ilp._path_table_cached.cache_clear()
+            calls.clear()
+            candidates_for_block(block, True, True)
+            row_gcds = [math.gcd(*row) for row in block.H]
+            any_h = any(
+                all(math.gcd(g, hi) == 1 for g, hi in zip(row_gcds, h)) for h in enumerate_h(block.H)
+            )
+            assert len(calls) == (len(enumerate_c(block.H)) if any_h else 0)
+            assert len(set(calls)) == len(calls)
+            blocks += any_h
+    assert blocks > 0

@@ -222,3 +222,34 @@ def test_invariants_constant_across_equivalent_set():
         for ns, _ in equivalent_normalized_set(prim).records.values():
             assert ns.delta == delta
             assert sorted(abs(m) for _, m in max_minors(ns.full_matrix())) == minors
+
+
+def test_check_equivalence_validates_each_system_once(monkeypatch):
+    # The equivalent-set search reuses the primitive system and its meta, so a
+    # check validates S and T once each, also when the fast path misses.
+    from deltasimplex import equivalence
+
+    counts = {"validate": 0, "search": 0}
+    validate, search = equivalence.validate_simplex, equivalence.equivalent_normalized_set
+
+    def counting_validate(sys):
+        counts["validate"] += 1
+        return validate(sys)
+
+    def counting_search(sys, meta=None):
+        counts["search"] += 1
+        return search(sys, meta)
+
+    monkeypatch.setattr(equivalence, "validate_simplex", counting_validate)
+    monkeypatch.setattr(equivalence, "equivalent_normalized_set", counting_search)
+    rng = random.Random(74)
+    for _ in range(30):
+        n = rng.randint(2, 3)
+        sys = random_simplex(rng, n, entry_bound=4)
+        moved = apply_map(sys, random_unimodular_map(rng, n, entry_bound=6, trans_bound=5))
+        order = rng.sample(range(n + 1), n + 1)  # a row order that can miss the fast path
+        moved = InequalitySystem(n, tuple(moved.A[i] for i in order), tuple(moved.b[i] for i in order))
+        before = counts["validate"]
+        check_equivalence(sys, moved)
+        assert counts["validate"] - before == 2
+    assert counts["search"] > 0

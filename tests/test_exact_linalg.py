@@ -19,7 +19,7 @@ from deltasimplex import (
     solve_rational,
     unimodular_inverse,
 )
-from deltasimplex.exact_linalg import mat_mul, shape, transpose
+from deltasimplex.exact_linalg import _adjugate_cached, mat_mul, shape, transpose
 from fractions import Fraction
 
 from helpers import cofactor_det, gauss_solve, random_int_matrix
@@ -75,6 +75,47 @@ def test_adjugate_singular():
     m = ((1, 2), (2, 4))
     adj = adjugate(m)
     assert mat_mul(m, adj) == ((0, 0), (0, 0))
+
+
+def _cofactor_adjugate(m):
+    n = len(m)
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * cofactor_det([row[:i] + row[i + 1 :] for r, row in enumerate(m) if r != j])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def _random_rank(rng, n, rank):
+    """Product of random n x rank and rank x n factors; rank <= `rank`."""
+    x = random_int_matrix(rng, n, rank, 3)
+    y = random_int_matrix(rng, rank, n, 3)
+    return tuple(tuple(sum(x[i][t] * y[t][j] for t in range(rank)) for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_adjugate_matches_cofactor_reference(seed):
+    # Entry-by-entry comparison with the cofactor definition for full rank,
+    # rank n-1 (adjugate of rank one) and rank <= n-2 (zero adjugate), so the
+    # Gauss-Jordan pass and its singular fallback both meet the reference.
+    rng = random.Random(seed)
+    for n in range(1, 10):
+        cases = []
+        while len(cases) < 2:
+            m = random_int_matrix(rng, n, n, 3)
+            if cofactor_det(m) != 0:
+                cases.append(m)
+        while len(cases) < 4:
+            m = _random_rank(rng, n, n - 1)
+            if any(any(row) for row in _cofactor_adjugate(m)):
+                cases.append(m)
+        if n >= 2:
+            cases += [_random_rank(rng, n, rng.randint(0, n - 2)) for _ in range(2)]
+        for m in cases:
+            _adjugate_cached.cache_clear()
+            assert adjugate(m) == _cofactor_adjugate(m)
 
 
 @given(small_matrices)
