@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .errors import InvariantViolation, PreconditionError, RadiusError
 from .exact_linalg import MEMO_CACHE_SIZE, Mat, Vec, dot, matrix, solve_rational, vector
-from .normal_form import is_hnf_matrix, paral_weights, reduce_rhs
+from .normal_form import _reduce_hnf_rhs, is_hnf_matrix, paral_weights, reduce_rhs
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +58,7 @@ def _group_table_cached(h_mat: Mat) -> GroupTable:
     index = {e: i for i, e in enumerate(elements)}
     successor = tuple(
         tuple(
-            index[reduce_residue(h_mat, tuple(e[r] + (1 if r == i else 0) for r in range(n)))]
+            index[_reduce_hnf_rhs(h_mat, tuple(e[r] + (1 if r == i else 0) for r in range(n)))[0]]
             for i in range(n)
         )
         for e in elements
@@ -155,7 +155,7 @@ def corner_minimum(h_mat: Mat, h, c) -> CornerSolution:
     """
     n = len(h_mat)
     pt = path_table(h_mat, c)
-    target = pt.group.index[reduce_residue(h_mat, h)]
+    target = pt.group.index[_reduce_hnf_rhs(pt.group.H, h)[0]]
     if pt.dist[target] is None:
         return CornerSolution(0, (0,) * n, infeasible=True)
     total = pt.dist[target] - dot(pt.weights, h)
@@ -242,12 +242,12 @@ def count_minimum_attainers(h_mat: Mat, c, f_star: int) -> int:
     nonnegative integer vectors y in the lattice H Z^n with w^T y equal to
     det(H) * f_star; these are in bijection with the cone points at value
     f_star via y = -H x. Used to certify that the optimal facet of a lattice
-    candidate carries exactly its n vertices and nothing else.
+    candidate carries exactly its n vertices and nothing else. The weights,
+    det(H) and the group are read off the `path_table` of (H, c).
     """
     n = len(h_mat)
-    w, delta = _scaled_weights(h_mat, c)
-    table = group_table(h_mat)
-    zero_id = table.index[(0,) * n]
+    pt = path_table(h_mat, c)
+    w, delta, table, zero_id = pt.weights, pt.delta, pt.group, pt.zero_id
     budget = delta * f_star
     if budget < 0:
         return 0

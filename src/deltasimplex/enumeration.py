@@ -44,8 +44,6 @@ class HnfBlock:
     s: int
     k: int
     diag: Vec
-    T: Mat
-    B: Mat
     H: Mat
     tuple_index: int
     t_index: int
@@ -147,8 +145,6 @@ def enumerate_H(delta: int, n: int):
                     s=s,
                     k=k,
                     diag=diag,
-                    T=t,
-                    B=b,
                     H=_assemble_block(s, k, b, t),
                     tuple_index=tuple_index,
                     t_index=t_index,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .enumeration import CandidateRecord
 from .errors import InvariantViolation
-from .exact_linalg import Mat, matrix, vector
+from .exact_linalg import Mat
 from .normal_form import _normalize_primitive, key_tuple, primitivize
 from .simplex_model import (
     AffineUnimodularMap,
@@ -61,24 +61,24 @@ def reduced_permutations(h_mat: Mat):
 
 @dataclass(frozen=True, eq=False)
 class EquivalentSet:
-    """Every canonical normalized system equivalent to `source`.
+    """Every canonical normalized system of one simplex's class.
 
     `records` maps the canonical key tuple to (normalized system, map); each
     stored map carries the source simplex onto the record's simplex.
     """
 
-    source: InequalitySystem
     records: dict
 
 
 def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = None) -> EquivalentSet:
     """Generate all canonical normalized systems of the simplex's class.
 
-    For each base of maximal |det| the system is normalized once, and every
-    reduced row permutation of the resulting block matrix is renormalized
-    over the base 0..n-1. Completeness rests on the fact that any normalized
-    system of the class arises from a row-permuted renormalization over some
-    maximal base, quotiented by the canonical tie-break.
+    For each base of maximal |det| the system is normalized once, and that
+    normalized system is renormalized over every reduced row permutation of
+    its block matrix, taken as an ordered base. Completeness rests on the
+    fact that any normalized system of the class arises from a row-permuted
+    renormalization over some maximal base, quotiented by the canonical
+    tie-break.
 
     A caller that already holds `meta = validate_simplex(sys)` for a
     primitive `sys` passes it, and the system is used as given.
@@ -88,20 +88,17 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
         meta = validate_simplex(prim)
     else:
         prim = sys
-    n = prim.n
     out: dict = {}
     for base in meta.max_det_bases:
         ns0, m0, _ = _normalize_primitive(prim, base, meta.delta)
+        sys0 = ns0.system()
         for perm in reduced_permutations(ns0.H):
-            rows = [ns0.H[p] for p in perm] + [ns0.c]
-            rhs = [ns0.h[p] for p in perm] + [ns0.c0]
-            permuted = InequalitySystem(n, matrix(rows), vector(rhs))
-            ns1, m1, _ = _normalize_primitive(permuted, tuple(range(n)), meta.delta)
+            ns1, m1, _ = _normalize_primitive(sys0, perm, meta.delta)
             key = key_tuple(ns1)
             if key not in out:
                 # m0 and m1 both point record -> source; store source -> record.
                 out[key] = (ns1, inverse(compose(m0, m1)))
-    return EquivalentSet(source=sys, records=out)
+    return EquivalentSet(records=out)
 
 
 @dataclass(frozen=True)
@@ -131,8 +128,8 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
     if sorted(map(abs, meta_s.minors)) != sorted(map(abs, meta_t.minors)):
         return EquivalenceResult(False, certificate="minor-multiset-mismatch")
 
+    # m_t carries the record onto T, so it is the last leg of the witness.
     ns_t, m_t, _ = _normalize_primitive(prim_t, min(meta_t.max_det_bases), meta_t.delta)
-    stored_t = inverse(m_t)  # T -> record
 
     # Fast path: if the least-base normalizations already coincide, the two
     # direct maps compose to a witness (the identity when S and T are equal).
@@ -144,7 +141,7 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
         if hit is None:
             return EquivalenceResult(False, certificate="search-exhausted")
         _, stored_s = hit  # S -> record
-    witness = compose(inverse(stored_t), stored_s)  # S -> record -> T
+    witness = compose(m_t, stored_s)  # S -> record -> T
     image = frozenset(witness.apply(v) for v in meta_s.vertices)
     if image != frozenset(meta_t.vertices):
         raise InvariantViolation("equivalence witness failed vertex-set verification")

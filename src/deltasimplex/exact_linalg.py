@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvariantViolation, RankError, ShapeError, SingularityError
+from .errors import InvariantViolation, PreconditionError, RankError, ShapeError, SingularityError
 
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
@@ -25,15 +25,19 @@ MEMO_CACHE_SIZE = 4096
 
 
 def matrix(rows) -> Mat:
-    """Build a matrix tuple from an iterable of rows, checking rectangularity."""
-    m = tuple(tuple(int(x) for x in row) for row in rows)
+    """Build a matrix tuple from an iterable of integer rows, checking rectangularity."""
+    m = tuple(vector(row) for row in rows)
     if m and any(len(row) != len(m[0]) for row in m):
         raise ShapeError("rows have inconsistent lengths")
     return m
 
 
 def vector(entries) -> Vec:
-    return tuple(int(x) for x in entries)
+    """Build a vector tuple; an entry that is not an int (a float, a bool, a string) is an error."""
+    v = tuple(entries)
+    if any(type(x) is not int for x in v):
+        raise PreconditionError(f"entries must be integers, got {v!r}")
+    return v
 
 
 def shape(m: Mat) -> tuple[int, int]:
@@ -200,16 +204,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def hnf(a: Mat) -> tuple[Mat, Mat]:
-    """Hermite decomposition a = h_full @ q with q unimodular.
+    """Hermite decomposition a @ u = h_full with u unimodular.
 
     The top n x n block of `h_full` is lower triangular with positive
     diagonal and 0 <= h[i][j] < h[i][i] for j < i; rows below the top block
     carry the same column operations but are otherwise unconstrained. The
-    decomposition is computed by integer column operations, so it requires
-    every row prefix of `a` to have full rank (callers choose the row order).
+    decomposition is computed by integer column operations on the stacked
+    matrix [a; I], whose lower block ends as u, so it requires every row
+    prefix of `a` to have full rank (callers choose the row order).
 
     Returns:
-        (h_full, q) with a == h_full @ q exactly.
+        (h_full, u) with a @ u == h_full exactly.
     """
     return _hnf_cached(matrix(a))
 
@@ -219,8 +224,7 @@ def _hnf_cached(a: Mat) -> tuple[Mat, Mat]:
     m, n = shape(a)
     if n == 0 or m < n:
         raise ShapeError(f"hermite form needs an m x n matrix with m >= n >= 1, got {m}x{n}")
-    work = [list(row) for row in a]
-    q = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    work = [list(row) for row in a] + [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
         if all(work[i][j] == 0 for j in range(i, n)):
             raise RankError(f"rows 0..{i} are linearly dependent")
@@ -230,31 +234,23 @@ def _hnf_cached(a: Mat) -> tuple[Mat, Mat]:
             piv, other = work[i][i], work[i][j]
             g, x, y = _xgcd(piv, other)
             p, qq = piv // g, other // g
-            for r in range(m):
-                ci, cj = work[r][i], work[r][j]
-                work[r][i] = x * ci + y * cj
-                work[r][j] = p * cj - qq * ci
-            for r in range(n):
-                qi, qj = q[i][r], q[j][r]
-                q[i][r] = p * qi + qq * qj
-                q[j][r] = -y * qi + x * qj
+            for row in work:
+                ci, cj = row[i], row[j]
+                row[i] = x * ci + y * cj
+                row[j] = p * cj - qq * ci
         if work[i][i] < 0:
-            for r in range(m):
-                work[r][i] = -work[r][i]
-            for r in range(n):
-                q[i][r] = -q[i][r]
+            for row in work:
+                row[i] = -row[i]
         for j in range(i):
             qq = work[i][j] // work[i][i]
             if qq:
-                for r in range(m):
-                    work[r][j] -= qq * work[r][i]
-                for r in range(n):
-                    q[i][r] += qq * q[j][r]
-    h_full = matrix(work)
-    qm = matrix(q)
-    if mat_mul(h_full, qm) != a:
+                for row in work:
+                    row[j] -= qq * row[i]
+    h_full = tuple(tuple(row) for row in work[:m])
+    u = tuple(tuple(row) for row in work[m:])
+    if mat_mul(a, u) != h_full:
         raise InvariantViolation("hermite decomposition readback failed")
-    return h_full, qm
+    return h_full, u
 
 
 def solve_rational(m: Mat, b) -> FracVec:

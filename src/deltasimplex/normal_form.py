@@ -45,7 +45,6 @@ from .exact_linalg import (
     matrix,
     solve_rational,
     transpose,
-    unimodular_inverse,
     vector,
 )
 from .simplex_model import (
@@ -72,9 +71,9 @@ class NormalizedSystem:
     delta: int
 
     def __post_init__(self):
-        object.__setattr__(self, "H", tuple(tuple(row) for row in self.H))
-        object.__setattr__(self, "h", tuple(self.h))
-        object.__setattr__(self, "c", tuple(self.c))
+        object.__setattr__(self, "H", matrix(self.H))
+        object.__setattr__(self, "h", vector(self.h))
+        object.__setattr__(self, "c", vector(self.c))
         if self.s + self.k != self.n:
             raise ShapeError("block sizes must add up to the dimension")
         if len(self.H) != self.n or any(len(row) != self.n for row in self.H):
@@ -115,7 +114,7 @@ def primitivize(sys: InequalitySystem) -> InequalitySystem:
         ra, rb = _primitive_row(a, b0)
         rows.append(ra)
         rhs.append(rb)
-    return InequalitySystem(sys.n, matrix(rows), vector(rhs))
+    return InequalitySystem(sys.n, rows, rhs)
 
 
 def is_hnf_matrix(m: Mat) -> bool:
@@ -143,6 +142,11 @@ def reduce_rhs(h_mat: Mat, b) -> tuple[Vec, Vec]:
     """
     if not is_hnf_matrix(h_mat):
         raise PreconditionError("matrix is not in Hermite form")
+    return _reduce_hnf_rhs(h_mat, b)
+
+
+def _reduce_hnf_rhs(h_mat: Mat, b) -> tuple[Vec, Vec]:
+    """`reduce_rhs` for a caller that has already checked that H is in Hermite form."""
     n = len(h_mat)
     cur = list(b)
     x0 = [0] * n
@@ -156,19 +160,19 @@ def reduce_rhs(h_mat: Mat, b) -> tuple[Vec, Vec]:
 
 
 def _normalize_primitive(prim: InequalitySystem, base: tuple[int, ...], delta: int):
-    """Normalization pipeline for a primitive system and a maximal base.
+    """Normalization pipeline for a primitive system and an ordered maximal base.
 
-    Trusted entry point: the caller guarantees `prim` is primitive, defines a
-    simplex, and that |det| on `base` equals `delta`.
+    `base` lists n row indices in the order the Hermite elimination takes
+    them, so one system renormalizes under any row permutation of its base
+    block. Trusted entry point: the caller guarantees `prim` is primitive,
+    defines a simplex, and that |det| on `base` equals `delta`.
     """
     n = prim.n
     omitted = next(i for i in range(n + 1) if i not in base)
 
-    # Base block to Hermite form: A_base == h_mat @ q, so the coordinate
-    # change x -> u x with u = q^-1 takes it there; the omitted row rides
-    # along as c.
-    h_mat, q = hnf(matrix(prim.A[i] for i in base))
-    u = unimodular_inverse(q)
+    # Base block to Hermite form: A_base @ u == h_mat, so the coordinate
+    # change x -> u x takes it there; the omitted row rides along as c.
+    h_mat, u = hnf(tuple(prim.A[i] for i in base))
     a_omitted = prim.A[omitted]
     c = [sum(a_omitted[i] * u[i][j] for i in range(n)) for j in range(n)]
 

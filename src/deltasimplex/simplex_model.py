@@ -24,7 +24,9 @@ from .exact_linalg import (
     is_unimodular,
     mat_mul,
     mat_vec,
+    matrix,
     unimodular_inverse,
+    vector,
 )
 
 SYSTEM_FORMAT = "delta-simplex/system-v1"
@@ -39,8 +41,8 @@ class InequalitySystem:
     b: Vec
 
     def __post_init__(self):
-        object.__setattr__(self, "A", tuple(tuple(row) for row in self.A))
-        object.__setattr__(self, "b", tuple(self.b))
+        object.__setattr__(self, "A", matrix(self.A))
+        object.__setattr__(self, "b", vector(self.b))
         if self.n < 1:
             raise ShapeError("dimension must be at least 1")
         if len(self.A) != self.n + 1 or any(len(row) != self.n for row in self.A):

@@ -1,19 +1,25 @@
 import random
 
+import pytest
+
 from deltasimplex import (
     InequalitySystem,
     apply_map,
     check_equivalence,
+    compose,
     dedup_families,
     enumerate_families,
     equivalent_normalized_set,
     identity_map,
+    inverse,
     key_tuple,
     normalize,
+    primitivize,
     reduced_permutations,
     validate_simplex,
 )
 from deltasimplex.exact_linalg import max_minors
+from deltasimplex.normal_form import _normalize_primitive
 
 from helpers import brute_force_equivalent, random_simplex, random_unimodular_map
 
@@ -72,6 +78,69 @@ def test_equivalent_set_contains_normalizations_of_mapped_system():
         for base in meta.max_det_bases:
             ns, _, _ = normalize(moved, base)
             assert key_tuple(ns) in eq_keys
+
+
+def _two_stage_equivalent_set(sys):
+    """Reference loop: rebuild each row-permuted block system, renormalize it over range(n)."""
+    prim = primitivize(sys)
+    meta = validate_simplex(prim)
+    n = prim.n
+    out = {}
+    for base in meta.max_det_bases:
+        ns0, m0, _ = _normalize_primitive(prim, base, meta.delta)
+        for perm in reduced_permutations(ns0.H):
+            rows = [ns0.H[p] for p in perm] + [ns0.c]
+            rhs = [ns0.h[p] for p in perm] + [ns0.c0]
+            ns1, m1, _ = _normalize_primitive(InequalitySystem(n, rows, rhs), tuple(range(n)), meta.delta)
+            out.setdefault(key_tuple(ns1), (ns1, inverse(compose(m0, m1))))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_equivalent_set_matches_two_stage_reference(seed):
+    # Renormalizing one system over each permutation as an ordered base must
+    # give the same keys, forms and maps, in the same order, as rebuilding a
+    # row-permuted system per permutation.
+    rng = random.Random(900 + seed)
+    forms = 0
+    for _ in range(15):
+        n = rng.randint(1, 4)
+        sys = random_simplex(rng, n, entry_bound=4 if n < 4 else 3)
+        order = rng.sample(range(n + 1), n + 1)
+        shuffled = InequalitySystem(n, [sys.A[i] for i in order], [sys.b[i] for i in order])
+        got = equivalent_normalized_set(shuffled).records
+        want = _two_stage_equivalent_set(shuffled)
+        assert list(got) == list(want)
+        for key, (ns, m) in want.items():
+            assert got[key] == (ns, m)
+        forms += len(want)
+    assert forms > 15
+
+
+def test_equivalent_set_builds_one_system_per_maximal_base(monkeypatch):
+    # Each base's normalized system is renormalized in place over every
+    # permutation; no system is rebuilt per permutation.
+    built = {"count": 0}
+    post_init = InequalitySystem.__post_init__
+
+    def counting_post_init(self):
+        built["count"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(InequalitySystem, "__post_init__", counting_post_init)
+    rng = random.Random(77)
+    permutations = 0
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        prim = primitivize(random_simplex(rng, n, entry_bound=4 if n < 4 else 3))
+        meta = validate_simplex(prim)
+        for base in meta.max_det_bases:
+            ns0, _, _ = _normalize_primitive(prim, base, meta.delta)
+            permutations += len(list(reduced_permutations(ns0.H)))
+        built["count"] = 0
+        equivalent_normalized_set(prim, meta)
+        assert built["count"] == len(meta.max_det_bases)
+    assert permutations > 40
 
 
 def test_check_equivalence_self_is_identity(triangle):

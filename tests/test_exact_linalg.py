@@ -157,9 +157,9 @@ def test_hnf_random_properties():
     for _ in range(40):
         n = rng.randint(1, 4)
         a = _random_full_rank(rng, n + 1, n)
-        h_full, q = hnf(a)
-        assert mat_mul(h_full, q) == a
-        assert abs(det(q)) == 1
+        h_full, u = hnf(a)
+        assert mat_mul(a, u) == h_full
+        assert abs(det(u)) == 1
         top = tuple(h_full[i] for i in range(n))
         for i in range(n):
             assert top[i][i] > 0

@@ -7,7 +7,9 @@ import pytest
 from deltasimplex import (
     AffineUnimodularMap,
     InequalitySystem,
+    NormalizedSystem,
     NotASimplexError,
+    PreconditionError,
     ScaleExceededError,
     ShapeError,
     apply_map,
@@ -15,9 +17,11 @@ from deltasimplex import (
     count_integer_points_bruteforce,
     identity_map,
     inverse,
+    matrix,
     system_from_dict,
     system_to_dict,
     validate_simplex,
+    vector,
 )
 from deltasimplex.exact_linalg import max_minors, solve_rational
 
@@ -29,6 +33,26 @@ def test_shapes_enforced():
         InequalitySystem(2, ((1, 0), (0, 1)), (0, 0))
     with pytest.raises(ShapeError):
         InequalitySystem(2, ((1, 0), (0, 1), (1, 1)), (0, 0))
+
+
+@pytest.mark.parametrize("bad", [1.7, -1.0, True, "1"])
+def test_non_integer_entries_rejected(bad):
+    # int() would truncate a float (x <= 1.7 read as x <= 1) and coerce a
+    # bool or a string, so each is an error at the library boundary.
+    with pytest.raises(PreconditionError):
+        matrix([[1, 0], [0, bad]])
+    with pytest.raises(PreconditionError):
+        vector([0, bad])
+    with pytest.raises(PreconditionError):
+        InequalitySystem(1, [[bad], [-1]], [1, 0])
+    with pytest.raises(PreconditionError):
+        InequalitySystem(1, [[1], [-1]], [bad, 0])
+    for field in ("H", "h", "c"):
+        fields = dict(n=1, s=0, k=1, H=[[2]], h=[1], c=[-1], c0=-1, delta=2)
+        fields[field] = [[bad]] if field == "H" else [bad]
+        with pytest.raises(PreconditionError):
+            NormalizedSystem(**fields)
+    assert InequalitySystem(1, [[1], [-1]], [1, 0]).A == ((1,), (-1,))
 
 
 def test_validate_standard_triangle(triangle):
