@@ -1,12 +1,19 @@
 """Unimodular equivalence: equivalent-set generation, decision, and dedup.
 
 Two simplices are unimodular equivalent iff they share a normalized system,
-so the decision reduces to set membership: generate every canonical
-normalized system of one simplex and look the other one up by key. Thanks
-to the (B column, c entry) tie-break of the canonical form, permutations of
-identity-block rows never produce new forms, and the generator only has to
-enumerate the C(n, k) * k! placements and orders of the non-unit rows per
-maximal base.
+so the decision reduces to set membership: generate the canonical
+normalized systems of one simplex and look the other one up by key. The
+generator enumerates only the C(n, k) * k! placements and orders of the
+non-unit rows per maximal base, keeping identity-block rows in canonical
+order. That search is known to be incomplete: reordering identity-block
+rows can give a new form. For S = (rows (1,0,0), (0,1,0), (1,2,7),
+(-1,-2,-5); right-hand side 0, 0, 2, -1) and T its rows in order
+(1, 2, 0, 3), base orders (0,2,1) and (1,2,0) of S's normalized system give
+B = (3,4) and B = (1,5), only the first is emitted, and `check_equivalence`
+calls S and T inequivalent in both directions.
+
+Each permutation is keyed before anything is built: the form, its
+validation and its map are made only for a key not yet in the set.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from .enumeration import CandidateRecord
 from .errors import InvariantViolation
 from .exact_linalg import Mat
-from .normal_form import _normalize_primitive, key_tuple, primitivize
+from .normal_form import _build_normal, _normal_key, _normalize_primitive, key_tuple, primitivize
 from .simplex_model import (
     AffineUnimodularMap,
     InequalitySystem,
@@ -34,7 +41,8 @@ def reduced_permutations(h_mat: Mat):
     Every placement of the k non-unit rows into n positions, crossed with
     every ordering of those k rows; identity-block rows fill the remaining
     positions in canonical order. Permutations that only move identity-block
-    rows are redundant under the canonical tie-break and are never emitted.
+    rows are never emitted, although some of them give new forms (see the
+    module docstring), so the set of forms they reach can be incomplete.
     """
     n = len(h_mat)
     diag = [h_mat[i][i] for i in range(n)]
@@ -71,14 +79,16 @@ class EquivalentSet:
 
 
 def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = None) -> EquivalentSet:
-    """Generate all canonical normalized systems of the simplex's class.
+    """Generate the canonical normalized systems the reduced permutations reach.
 
     For each base of maximal |det| the system is normalized once, and that
     normalized system is renormalized over every reduced row permutation of
-    its block matrix, taken as an ordered base. Completeness rests on the
-    fact that any normalized system of the class arises from a row-permuted
-    renormalization over some maximal base, quotiented by the canonical
-    tie-break.
+    its block matrix, taken as an ordered base. Each permutation first gets
+    only its key; the form is built, validated and mapped only when the key
+    is new, since a repeat key names a form identical to one already built.
+    The set is not always the whole class: identity-block row orders that
+    `reduced_permutations` skips can give further forms (see the module
+    docstring).
 
     A caller that already holds `meta = validate_simplex(sys)` for a
     primitive `sys` passes it, and the system is used as given.
@@ -93,9 +103,9 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
         ns0, m0, _ = _normalize_primitive(prim, base, meta.delta)
         sys0 = ns0.system()
         for perm in reduced_permutations(ns0.H):
-            ns1, m1, _ = _normalize_primitive(sys0, perm, meta.delta)
-            key = key_tuple(ns1)
+            key, pieces = _normal_key(sys0, perm, meta.delta)
             if key not in out:
+                ns1, m1, _ = _build_normal(pieces)
                 # m0 and m1 both point record -> source; store source -> record.
                 out[key] = (ns1, inverse(compose(m0, m1)))
     return EquivalentSet(records=out)

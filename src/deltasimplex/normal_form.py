@@ -19,8 +19,9 @@ validator still checks them so any violation flags a bug immediately.
 On top of the classical form this module pins one extra tie-break: the
 identity-block coordinates are sorted by (column of B, entry of c). The
 pair moves as a unit under any permutation of identity-block coordinates,
-so the sort makes every such permutation redundant and the canonical form
-per (base, non-unit row placement/order) choice unique.
+so the sort makes every such coordinate permutation redundant and the form
+of each ordered base unique. It does not make the order of identity-block
+rows in the elimination redundant (see the `equivalence` module).
 """
 
 from __future__ import annotations
@@ -167,6 +168,18 @@ def _normalize_primitive(prim: InequalitySystem, base: tuple[int, ...], delta: i
     block. Trusted entry point: the caller guarantees `prim` is primitive,
     defines a simplex, and that |det| on `base` equals `delta`.
     """
+    _, pieces = _normal_key(prim, base, delta)
+    return _build_normal(pieces)
+
+
+def _normal_key(prim: InequalitySystem, base: tuple[int, ...], delta: int):
+    """Key step of `_normalize_primitive`: the canonical key and the plain pieces.
+
+    Runs the Hermite elimination, the coordinate permutation and the
+    right-hand-side reduction, with their own checks, but builds no
+    `NormalizedSystem`, validation or map; `_build_normal` does that from
+    the pieces. Returns (key, pieces) with key == key_tuple of the built form.
+    """
     n = prim.n
     omitted = next(i for i in range(n + 1) if i not in base)
 
@@ -193,7 +206,13 @@ def _normalize_primitive(prim: InequalitySystem, base: tuple[int, ...], delta: i
     h, x0 = reduce_rhs(h_mat, [prim.b[i] for i in row_src[:n]])
     c0 = prim.b[omitted] - sum(ci * xi for ci, xi in zip(c, x0))
 
-    s = len(unit)
+    key = _flat_key(n, delta, h_mat + (c,), h + (c0,))
+    return key, (n, delta, len(unit), h_mat, h, c, c0, u, x0, row_src)
+
+
+def _build_normal(pieces):
+    """Build step of `_normalize_primitive`: the validated form, its map and row sources."""
+    n, delta, s, h_mat, h, c, c0, u, x0, row_src = pieces
     ns = NormalizedSystem(n=n, s=s, k=n - s, H=h_mat, h=h, c=c, c0=c0, delta=delta)
     ok, violated = validate_normalized(ns)
     if not ok:
@@ -289,11 +308,16 @@ def paral_weights(h_mat: Mat, c) -> Vec:
 
 def key_tuple(ns: NormalizedSystem) -> tuple[int, ...]:
     """Flattened integer sequence used as the total order on canonical forms."""
+    return _flat_key(ns.n, ns.delta, ns.full_matrix(), ns.full_rhs())
+
+
+def _flat_key(n: int, delta: int, rows: Mat, rhs: Vec) -> tuple[int, ...]:
+    """(n, delta, entries of (A | b) row by row): the one definition of the key."""
     flat = []
-    for row, b0 in zip(ns.full_matrix(), ns.full_rhs()):
+    for row, b0 in zip(rows, rhs):
         flat.extend(row)
         flat.append(b0)
-    return (ns.n, ns.delta, *flat)
+    return (n, delta, *flat)
 
 
 def canonical_key(ns: NormalizedSystem) -> str:

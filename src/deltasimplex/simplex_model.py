@@ -69,6 +69,18 @@ class AffineUnimodularMap:
         if len(self.x0) != len(self.U):
             raise ShapeError("translation length does not match matrix size")
 
+    @classmethod
+    def _trusted(cls, U: Mat, x0: Vec) -> AffineUnimodularMap:
+        """Build from tuples known to hold a unimodular U and an x0 of matching length.
+
+        Skips the `det` check of the public constructor; only results that are
+        unimodular by construction (`compose`, `inverse`) come through here.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "U", U)
+        object.__setattr__(m, "x0", x0)
+        return m
+
     @property
     def n(self) -> int:
         return len(self.U)
@@ -88,15 +100,18 @@ def identity_map(n: int) -> AffineUnimodularMap:
 
 
 def compose(m2: AffineUnimodularMap, m1: AffineUnimodularMap) -> AffineUnimodularMap:
-    """compose(m2, m1)(x) == m2(m1(x))."""
+    """compose(m2, m1)(x) == m2(m1(x)); det(U2 U1) = det(U2) det(U1) = +-1, so it is not retaken."""
     if m2.n != m1.n:
         raise ShapeError("cannot compose maps of different dimensions")
-    return AffineUnimodularMap(mat_mul(m2.U, m1.U), tuple(a + b for a, b in zip(mat_vec(m2.U, m1.x0), m2.x0)))
+    return AffineUnimodularMap._trusted(
+        mat_mul(m2.U, m1.U), tuple(a + b for a, b in zip(mat_vec(m2.U, m1.x0), m2.x0))
+    )
 
 
 def inverse(m: AffineUnimodularMap) -> AffineUnimodularMap:
+    """The inverse map; `unimodular_inverse` already raises unless |det U| = 1."""
     uinv = unimodular_inverse(m.U)
-    return AffineUnimodularMap(uinv, tuple(-x for x in mat_vec(uinv, m.x0)))
+    return AffineUnimodularMap._trusted(uinv, tuple(-x for x in mat_vec(uinv, m.x0)))
 
 
 def apply_map(sys: InequalitySystem, m: AffineUnimodularMap) -> InequalitySystem:

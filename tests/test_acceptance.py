@@ -190,10 +190,12 @@ def test_criterion_07_paral_enumeration():
             return True
 
         assert all(member(c) for c in got)
-        bound = n * delta
+        # c = -H^T t with t in (0, 1]^n, so |c_j| <= sum_i |H_ij|: this box
+        # contains all of paral(-H^T), and the scan misses none of it.
+        bounds = [sum(abs(h_mat[i][j]) for i in range(n)) for j in range(n)]
         scan = {
             c
-            for c in itertools.product(range(-bound, bound + 1), repeat=n)
+            for c in itertools.product(*(range(-b, b + 1) for b in bounds))
             if member(c)
         }
         assert scan == set(got)

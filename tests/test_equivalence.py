@@ -19,7 +19,7 @@ from deltasimplex import (
     validate_simplex,
 )
 from deltasimplex.exact_linalg import max_minors
-from deltasimplex.normal_form import _normalize_primitive
+from deltasimplex.normal_form import _build_normal, _normal_key, _normalize_primitive
 
 from helpers import brute_force_equivalent, random_simplex, random_unimodular_map
 
@@ -141,6 +141,70 @@ def test_equivalent_set_builds_one_system_per_maximal_base(monkeypatch):
         equivalent_normalized_set(prim, meta)
         assert built["count"] == len(meta.max_det_bases)
     assert permutations > 40
+
+
+def test_key_step_key_matches_built_form():
+    # The search compares keys before it builds a form, so the key step's key
+    # must be exactly key_tuple of the form the build step makes from it.
+    rng = random.Random(78)
+    checked = 0
+    for n in [1, 2, 3, 4, 5] * 8:
+        prim = primitivize(random_simplex(rng, n, entry_bound=4 if n < 4 else 3))
+        meta = validate_simplex(prim)
+        for base in meta.max_det_bases:
+            key0, pieces0 = _normal_key(prim, base, meta.delta)
+            ns0, _, _ = _build_normal(pieces0)
+            assert key0 == key_tuple(ns0)
+            sys0 = ns0.system()
+            for perm in reduced_permutations(ns0.H):
+                key, pieces = _normal_key(sys0, perm, meta.delta)
+                ns, _, _ = _build_normal(pieces)
+                assert key == key_tuple(ns)
+                checked += 1
+    assert checked > 300
+
+
+def test_equivalent_set_validates_once_per_new_key(monkeypatch):
+    # A repeat key is never built or validated again: one validation per
+    # maximal base (its starting form) plus one per stored form.
+    from deltasimplex import normal_form
+
+    calls = {"count": 0}
+    validate = normal_form.validate_normalized
+
+    def counting_validate(ns):
+        calls["count"] += 1
+        return validate(ns)
+
+    monkeypatch.setattr(normal_form, "validate_normalized", counting_validate)
+    rng = random.Random(79)
+    permutations = 0
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        prim = primitivize(random_simplex(rng, n, entry_bound=4 if n < 4 else 3))
+        meta = validate_simplex(prim)
+        for base in meta.max_det_bases:
+            ns0, _, _ = _normalize_primitive(prim, base, meta.delta)
+            permutations += len(list(reduced_permutations(ns0.H)))
+        calls["count"] = 0
+        eq = equivalent_normalized_set(prim, meta)
+        assert calls["count"] == len(meta.max_det_bases) + len(eq.records)
+    assert permutations > 40
+
+
+# Row orders of one simplex that the reduced-permutation search judges
+# inequivalent: base orders (0,2,1) and (1,2,0) of S's normalized system give
+# B = (3,4) and B = (1,5), and only the first is a reduced permutation.
+_INCOMPLETE_S = InequalitySystem(3, [(1, 0, 0), (0, 1, 0), (1, 2, 7), (-1, -2, -5)], [0, 0, 2, -1])
+_INCOMPLETE_T = InequalitySystem(
+    3, [_INCOMPLETE_S.A[i] for i in (1, 2, 0, 3)], [_INCOMPLETE_S.b[i] for i in (1, 2, 0, 3)]
+)
+
+
+@pytest.mark.xfail(strict=True, reason="the equivalent-set search is incomplete: identity-row orders can give new forms")
+@pytest.mark.parametrize("pair", [(_INCOMPLETE_S, _INCOMPLETE_T), (_INCOMPLETE_T, _INCOMPLETE_S)], ids=["S-T", "T-S"])
+def test_row_reordered_simplex_is_equivalent(pair):
+    assert check_equivalence(*pair).equivalent
 
 
 def test_check_equivalence_self_is_identity(triangle):

@@ -25,7 +25,7 @@ from deltasimplex import (
 )
 from deltasimplex.exact_linalg import max_minors, solve_rational
 
-from helpers import random_simplex, random_unimodular_map
+from helpers import cofactor_det, random_simplex, random_unimodular_map
 
 
 def test_shapes_enforced():
@@ -101,6 +101,30 @@ def test_compose_and_inverse():
             assert compose(m, ident) == m
             assert compose(inverse(m), m) == ident
     assert inverse(identity_map(3)) == identity_map(3)
+
+
+@pytest.mark.parametrize("u", [((2, 0), (0, 1)), ((1, 1), (1, 1)), ((1, 2, 0), (0, 1, 0), (1, 0, 3))])
+def test_non_unimodular_map_rejected(u):
+    with pytest.raises(PreconditionError):
+        AffineUnimodularMap(u, (0,) * len(u))
+
+
+def test_compose_and_inverse_stay_unimodular():
+    # compose and inverse skip the constructor's det check; their results
+    # must still be unimodular, and m after its inverse must be the identity.
+    rng = random.Random(10)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m1 = random_unimodular_map(rng, n)
+        m2 = random_unimodular_map(rng, n)
+        point = tuple(rng.randint(-9, 9) for _ in range(n))
+        both = compose(m2, m1)
+        assert both.apply(point) == m2.apply(m1.apply(point))
+        for m in (both, inverse(m1), inverse(both)):
+            assert abs(cofactor_det(m.U)) == 1
+        assert inverse(m1).apply(m1.apply(point)) == point
+        assert compose(m1, inverse(m1)) == identity_map(n)
+        assert compose(inverse(both), both) == identity_map(n)
 
 
 def test_count_triangle(triangle):
