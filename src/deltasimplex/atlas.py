@@ -13,7 +13,7 @@ import multiprocessing
 
 from .enumeration import FAMILY_EMPTY, FAMILY_LATTICE, CandidateRecord, candidates_for_block, enumerate_H
 from .equivalence import check_equivalence, dedup_families
-from .errors import DeltaSimplexError
+from .errors import DeltaSimplexError, PreconditionError
 from .normal_form import (
     canonical_key,
     key_tuple,
@@ -98,6 +98,8 @@ def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = Fa
     normalized determinant is a class invariant.
     """
     want_empty, want_lattice = _family_flags(family)
+    if jobs < 1:
+        raise PreconditionError(f"jobs must be at least 1, got {jobs}")
     out: list[CandidateRecord] = []
     for d in range(1, delta + 1) if up_to else [delta]:
         tasks = [(block, want_empty, want_lattice) for block in enumerate_H(d, dim)]
@@ -127,12 +129,22 @@ def eq1_bound(delta: int, n: int) -> float:
 def verify_atlas(records, max_pairs: int = 100) -> list[str]:
     """Re-validate every record; returns a list of human-readable problems.
 
-    Checks, per record: stored canonical key, the normalized-form validator
-    (which recomputes delta), simplex validity, and for dimensions up to 6
-    the point-count oracle for the claimed family. A deterministic sample
-    of same-(n, delta) record pairs must also be mutually inequivalent.
+    Checks, per record: the normalized-form validator (which recomputes
+    delta), simplex validity, and for dimensions up to 6 the point-count
+    oracle for the claimed family. Canonical keys must be strictly
+    ascending, as the file contract says, so a repeated or misplaced record
+    is reported with its neighbour. A deterministic sample of same-(n, delta)
+    record pairs must also be mutually inequivalent.
     """
     problems = []
+    keys = [key_tuple(rec.ns) for rec in records]
+    for i in range(1, len(keys)):
+        if keys[i - 1] >= keys[i]:
+            what = "duplicate canonical key" if keys[i - 1] == keys[i] else "canonical keys out of ascending order"
+            problems.append(
+                f"records {i - 1} and {i}: {what} "
+                f"({canonical_key(records[i - 1].ns)} then {canonical_key(records[i].ns)})"
+            )
     good = []
     for i, rec in enumerate(records):
         label = f"record {i} (key {canonical_key(rec.ns)})"

@@ -65,6 +65,16 @@ def _default_jobs() -> int:
     return 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_enumerate(args) -> int:
     records = enumerate_atlas(args.delta, args.dim, args.family, args.up_to, args.jobs)
     if args.verify:
@@ -173,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True, help="ambient dimension (>= 1)")
     p.add_argument("--family", choices=["empty", "lattice", "both"], default="both")
     p.add_argument("--up-to", action="store_true", help="union the atlases for all delta' <= delta")
-    p.add_argument("--jobs", type=int, default=_default_jobs(), help=f"worker processes (default ${JOBS_ENV_VAR} or 1)")
+    p.add_argument("--jobs", type=_positive_int, default=_default_jobs(), help=f"worker processes (default ${JOBS_ENV_VAR} or 1)")
     p.add_argument("--verify", action="store_true", help="re-validate every record before writing")
     p.add_argument("--out", default="-", help="output JSONL path ('-' for stdout)")
     p.set_defaults(func=_cmd_enumerate)

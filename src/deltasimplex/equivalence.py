@@ -13,7 +13,12 @@ B = (3,4) and B = (1,5), only the first is emitted, and `check_equivalence`
 calls S and T inequivalent in both directions.
 
 Each permutation is keyed before anything is built: the form, its
-validation and its map are made only for a key not yet in the set.
+validation and its map are made only for a key not yet in the set. Two
+rules skip key steps whose key provably repeats one the same search has
+already stored (`equivalent_normalized_set` gives the proofs): a maximal
+base whose starting form an earlier base already gave is not expanded, and
+a row order that differs from one already reached by swapping two adjacent
+unit-pivot rows is not keyed.
 """
 
 from __future__ import annotations
@@ -67,6 +72,22 @@ def reduced_permutations(h_mat: Mat):
             yield tuple(perm)
 
 
+def _unit_swap_twin(perm: tuple[int, ...], units: dict) -> tuple[int, ...] | None:
+    """A reached row order that differs from `perm` by swapping two adjacent unit-pivot rows.
+
+    `units` maps each row order reached so far to the rows that got unit
+    pivots under it. If swapping positions i and i+1 of `perm` gives such an
+    order q, and both swapped rows are unit rows of q, then `perm` has the
+    same key as q (see `equivalent_normalized_set`), and q is returned.
+    """
+    for i in range(len(perm) - 1):
+        twin = perm[:i] + (perm[i + 1], perm[i]) + perm[i + 2 :]
+        unit_rows = units.get(twin)
+        if unit_rows is not None and perm[i] in unit_rows and perm[i + 1] in unit_rows:
+            return twin
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class EquivalentSet:
     """Every canonical normalized system of one simplex's class.
@@ -90,6 +111,29 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
     `reduced_permutations` skips can give further forms (see the module
     docstring).
 
+    Two rules skip key steps whose key is already in the set; neither skips
+    a check, and the set, its order and its maps are those of the full loop.
+
+    1. Each starting form is expanded once. The keys a base reaches, and
+       their order, depend on its starting form alone, so a base whose
+       starting key an earlier base already gave adds nothing and is skipped.
+    2. Adjacent unit-pivot swap. Let the ordered base rows A have Hermite
+       form H, A U = H. If H_ii = H_(i+1)(i+1) = 1, then rows i and i+1 of
+       H are e_i and e_(i+1) (their off-diagonal entries lie in [0, 1)), and
+       rows below them have entries in [0, H_rr) in both columns. With P the
+       swap of coordinates i and i+1, (P A)(U P) = P H P, which is again
+       lower triangular with the same diagonal and reduced rows, so by
+       uniqueness it is the Hermite form of P A. The omitted row's
+       coordinates are swapped the same way, so the two unit coordinates
+       carry the same (B column, c entry) pairs into the tie-break sort, and
+       the key is the same. (If the two pairs tie, the coordinates have
+       equal columns of [H; c], and both unit rows reduce to right-hand
+       side 0, so their order does not show in the form.) So a permutation
+       is not keyed when swapping two adjacent positions gives a permutation
+       already reached in this base's loop under which both swapped rows got
+       unit pivots; it inherits that permutation's unit rows, so chains of
+       swaps prune too.
+
     A caller that already holds `meta = validate_simplex(sys)` for a
     primitive `sys` passes it, and the system is used as given.
     """
@@ -99,11 +143,23 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
     else:
         prim = sys
     out: dict = {}
+    starts: set = set()
     for base in meta.max_det_bases:
-        ns0, m0, _ = _normalize_primitive(prim, base, meta.delta)
+        key0, pieces0 = _normal_key(prim, base, meta.delta)
+        if key0 in starts:
+            continue  # an earlier base with this starting form reached every key it can
+        starts.add(key0)
+        ns0, m0, _ = _build_normal(pieces0)
         sys0 = ns0.system()
+        units: dict = {}  # permutation reached -> the rows of sys0 that got unit pivots
         for perm in reduced_permutations(ns0.H):
+            twin = _unit_swap_twin(perm, units)
+            if twin is not None:
+                units[perm] = units[twin]  # same key as twin's, already in out
+                continue
             key, pieces = _normal_key(sys0, perm, meta.delta)
+            s, row_src = pieces[2], pieces[-1]
+            units[perm] = frozenset(row_src[:s])
             if key not in out:
                 ns1, m1, _ = _build_normal(pieces)
                 # m0 and m1 both point record -> source; store source -> record.

@@ -25,18 +25,38 @@ MEMO_CACHE_SIZE = 4096
 
 
 def matrix(rows) -> Mat:
-    """Build a matrix tuple from an iterable of integer rows, checking rectangularity."""
+    """Build a matrix tuple from an iterable of integer rows, checking rectangularity.
+
+    A tuple of equal-length int tuples is already such a matrix and is
+    returned as it is, after one pass over its entries.
+    """
+    if _is_int_matrix(rows):
+        return rows
     m = tuple(vector(row) for row in rows)
     if m and any(len(row) != len(m[0]) for row in m):
         raise ShapeError("rows have inconsistent lengths")
     return m
 
 
+def _is_int_matrix(rows) -> bool:
+    """True iff `rows` is a tuple of equal-length tuples whose entries are all ints."""
+    if type(rows) is not tuple:
+        return False
+    for row in rows:
+        if type(row) is not tuple or len(row) != len(rows[0]):
+            return False
+        for x in row:
+            if type(x) is not int:
+                return False
+    return True
+
+
 def vector(entries) -> Vec:
     """Build a vector tuple; an entry that is not an int (a float, a bool, a string) is an error."""
     v = tuple(entries)
-    if any(type(x) is not int for x in v):
-        raise PreconditionError(f"entries must be integers, got {v!r}")
+    for x in v:
+        if type(x) is not int:
+            raise PreconditionError(f"entries must be integers, got {v!r}")
     return v
 
 

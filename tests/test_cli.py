@@ -9,7 +9,7 @@ import pytest
 import deltasimplex
 from deltasimplex import atlas_cli, system_to_dict
 from deltasimplex.atlas_cli import main, read_atlas, record_from_dict, record_to_dict
-from deltasimplex import InequalitySystem, normalized_to_dict
+from deltasimplex import InequalitySystem, PreconditionError, enumerate_atlas, normalized_to_dict
 
 
 def run(args):
@@ -188,6 +188,41 @@ def test_verify_detects_emptiness_violation(tmp_path, capsys):
     assert run(["verify", str(out)]) == 1
     err = capsys.readouterr().err
     assert "violation" in err
+
+
+@pytest.mark.parametrize(
+    "reshuffle, message",
+    [
+        (lambda lines: lines + lines[-1:], "duplicate canonical key"),
+        (lambda lines: lines[-1:] + lines[:-1], "out of ascending order"),
+    ],
+    ids=["last-line-repeated", "last-line-first"],
+)
+def test_verify_rejects_unsorted_atlas(tmp_path, capsys, reshuffle, message):
+    # Every record is valid on its own; only the file order breaks the contract.
+    out = tmp_path / "atlas.jsonl"
+    assert run(["enumerate", "--delta", "3", "--dim", "2", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    out.write_text("\n".join(reshuffle(lines)) + "\n")
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out.startswith("FAIL")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_enumerate_rejects_jobs_below_one(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["enumerate", "--delta", "1", "--dim", "1", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_enumerate_atlas_rejects_jobs_below_one(jobs):
+    with pytest.raises(PreconditionError):
+        enumerate_atlas(1, 1, jobs=jobs)
 
 
 def test_stats_output(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from deltasimplex import (
     reduced_permutations,
     validate_simplex,
 )
-from deltasimplex.exact_linalg import max_minors
+from deltasimplex.exact_linalg import hnf, max_minors
 from deltasimplex.normal_form import _build_normal, _normal_key, _normalize_primitive
 
 from helpers import brute_force_equivalent, random_simplex, random_unimodular_map
@@ -117,9 +118,15 @@ def test_equivalent_set_matches_two_stage_reference(seed):
     assert forms > 15
 
 
+def _starting_keys(prim, meta):
+    """Distinct keys of the maximal bases' starting forms, one per base that the search expands."""
+    return {_normal_key(prim, base, meta.delta)[0] for base in meta.max_det_bases}
+
+
 def test_equivalent_set_builds_one_system_per_maximal_base(monkeypatch):
-    # Each base's normalized system is renormalized in place over every
-    # permutation; no system is rebuilt per permutation.
+    # Each distinct starting form is renormalized in place over every
+    # permutation; no system is rebuilt per permutation, and a base whose
+    # starting form an earlier base already gave is not expanded again.
     built = {"count": 0}
     post_init = InequalitySystem.__post_init__
 
@@ -129,18 +136,27 @@ def test_equivalent_set_builds_one_system_per_maximal_base(monkeypatch):
 
     monkeypatch.setattr(InequalitySystem, "__post_init__", counting_post_init)
     rng = random.Random(77)
-    permutations = 0
+    systems = []
     for _ in range(20):
         n = rng.randint(2, 4)
-        prim = primitivize(random_simplex(rng, n, entry_bound=4 if n < 4 else 3))
+        systems.append(random_simplex(rng, n, entry_bound=4 if n < 4 else 3))
+    # Cyclically symmetric: three maximal bases, two distinct starting forms.
+    systems.append(InequalitySystem(2, ((-2, 1), (1, -2), (1, 1)), (0, 0, 1)))
+    permutations = 0
+    repeated_starts = 0
+    for sys in systems:
+        prim = primitivize(sys)
         meta = validate_simplex(prim)
         for base in meta.max_det_bases:
             ns0, _, _ = _normalize_primitive(prim, base, meta.delta)
             permutations += len(list(reduced_permutations(ns0.H)))
+        starts = len(_starting_keys(prim, meta))
+        repeated_starts += starts < len(meta.max_det_bases)
         built["count"] = 0
         equivalent_normalized_set(prim, meta)
-        assert built["count"] == len(meta.max_det_bases)
+        assert built["count"] == starts
     assert permutations > 40
+    assert repeated_starts > 0
 
 
 def test_key_step_key_matches_built_form():
@@ -166,7 +182,7 @@ def test_key_step_key_matches_built_form():
 
 def test_equivalent_set_validates_once_per_new_key(monkeypatch):
     # A repeat key is never built or validated again: one validation per
-    # maximal base (its starting form) plus one per stored form.
+    # distinct starting form of the maximal bases plus one per stored form.
     from deltasimplex import normal_form
 
     calls = {"count": 0}
@@ -179,6 +195,7 @@ def test_equivalent_set_validates_once_per_new_key(monkeypatch):
     monkeypatch.setattr(normal_form, "validate_normalized", counting_validate)
     rng = random.Random(79)
     permutations = 0
+    repeated_starts = 0
     for _ in range(20):
         n = rng.randint(2, 4)
         prim = primitivize(random_simplex(rng, n, entry_bound=4 if n < 4 else 3))
@@ -186,10 +203,80 @@ def test_equivalent_set_validates_once_per_new_key(monkeypatch):
         for base in meta.max_det_bases:
             ns0, _, _ = _normalize_primitive(prim, base, meta.delta)
             permutations += len(list(reduced_permutations(ns0.H)))
+        starts = len(_starting_keys(prim, meta))
+        repeated_starts += starts < len(meta.max_det_bases)
         calls["count"] = 0
         eq = equivalent_normalized_set(prim, meta)
-        assert calls["count"] == len(meta.max_det_bases) + len(eq.records)
+        assert calls["count"] == starts + len(eq.records)
     assert permutations > 40
+    assert repeated_starts > 0
+
+
+def test_adjacent_unit_pivot_swap_keeps_the_key():
+    # The lemma behind the search's swap rule: if rows i and i+1 of an ordered
+    # base both get unit pivots (A @ U == H with H_ii == H_(i+1)(i+1) == 1),
+    # the order with those two rows swapped has Hermite form P H P and
+    # coordinate change U P, P the swap of coordinates i and i+1, and so the
+    # same normal key. Checked on every row order of every maximal base.
+    rng = random.Random(80)
+    checked = 0
+    for n in [2, 3, 4, 5] * 6:
+        prim = primitivize(random_simplex(rng, n, entry_bound=5 if n < 5 else 3))
+        meta = validate_simplex(prim)
+        for base in meta.max_det_bases:
+            for order in itertools.permutations(base):
+                key, pieces = _normal_key(prim, order, meta.delta)
+                s, row_src = pieces[2], pieces[-1]
+                unit_rows = set(row_src[:s])
+                h_mat, u = hnf(tuple(prim.A[r] for r in order))
+                for i in range(n - 1):
+                    if order[i] not in unit_rows or order[i + 1] not in unit_rows:
+                        continue
+                    swap = list(range(n))
+                    swap[i], swap[i + 1] = i + 1, i
+                    swapped = tuple(order[j] for j in swap)
+                    h2, u2 = hnf(tuple(prim.A[r] for r in swapped))
+                    assert h2 == tuple(tuple(h_mat[a][b] for b in swap) for a in swap)
+                    assert u2 == tuple(tuple(row[b] for b in swap) for row in u)
+                    assert _normal_key(prim, swapped, meta.delta)[0] == key
+                    checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("entry_bound", [3, 9], ids=["small-entries", "large-entries"])
+def test_pruned_search_matches_unpruned_reference(monkeypatch, entry_bound):
+    # Skipping repeated starting forms and unit-pivot swaps must not change
+    # the set: same keys in the same order, same forms, same maps as the
+    # reference loop that renormalizes every reduced permutation of every
+    # maximal base. The counting key step shows that the pruning fires.
+    from deltasimplex import equivalence
+
+    calls = {"count": 0}
+    key_step = equivalence._normal_key
+
+    def counting_key_step(*args):
+        calls["count"] += 1
+        return key_step(*args)
+
+    monkeypatch.setattr(equivalence, "_normal_key", counting_key_step)
+    rng = random.Random(81 + entry_bound)
+    permutations = 0
+    deep = 0
+    for n in [2, 3, 4, 5] * 4:
+        sys = random_simplex(rng, n, entry_bound=entry_bound if n < 5 else min(entry_bound, 5))
+        prim = primitivize(sys)
+        meta = validate_simplex(prim)
+        for base in meta.max_det_bases:
+            ns0, _, _ = _normalize_primitive(prim, base, meta.delta)
+            permutations += len(list(reduced_permutations(ns0.H)))
+        want = _two_stage_equivalent_set(sys)
+        got = equivalent_normalized_set(sys).records
+        assert list(got) == list(want)
+        for key, (ns, m) in want.items():
+            assert got[key] == (ns, m)
+        deep += any(ns.k >= 2 for ns, _ in want.values())
+    assert deep > 0
+    assert 0 < calls["count"] < permutations
 
 
 # Row orders of one simplex that the reduced-permutation search judges

@@ -35,6 +35,17 @@ def test_det_identity():
     assert det(identity(3)) == 1
 
 
+def test_matrix_keeps_tuple_matrices_and_checks_shape():
+    m = ((1, 2), (3, 4))
+    assert matrix(m) is m
+    assert matrix([[1, 2], [3, 4]]) == m
+    assert matrix(()) == ()
+    with pytest.raises(ShapeError):
+        matrix(((1, 2), (3,)))
+    with pytest.raises(ShapeError):
+        matrix([(1, 2), [3]])
+
+
 def test_det_triangular():
     assert det(((1, 0), (1, 2))) == 2
 

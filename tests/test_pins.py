@@ -1,10 +1,11 @@
 """Pins on what must stay fixed across commits: canonical output and traced names.
 
-The atlas bytes of a small cell are compared with the hash recorded in the
-benchmark's reference file, so a change to the canonical form or the record
-format shows up here and not only in a benchmark run. The benchmark's tracer
-wraps package functions by name from outside the package; every name it
-lists must keep resolving.
+The atlas bytes of the smoke cell and of both benchmark cells are compared
+with the hashes recorded in the benchmark's reference file, so a change to
+the canonical form, the dedup survivors or the record format shows up here
+and not only in a benchmark run; a two-worker run must write the same
+bytes. The benchmark's tracer wraps package functions by name from outside
+the package; every name it lists must keep resolving.
 """
 
 import hashlib
@@ -12,6 +13,8 @@ import importlib
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 from deltasimplex.atlas_cli import main
 
@@ -25,13 +28,37 @@ def _load_tracer():
     return module
 
 
-def test_smoke_atlas_matches_reference(tmp_path):
-    reference = json.loads((BENCH / "reference.json").read_text())["atlases"]["smoke-d3n4"]
-    out = tmp_path / "smoke.jsonl"
-    assert main(["enumerate", "--family", "both", "--delta", "3", "--dim", "4", "--out", str(out)]) == 0
-    data = out.read_bytes()
+# The enumerate arguments of each cell in reference.json, as bench/run.py runs them.
+CELLS = {
+    "smoke-d3n4": ["--family", "both", "--delta", "3", "--dim", "4"],
+    "both-d4n5": ["--family", "both", "--delta", "4", "--dim", "5"],
+    "lattice-upto3-n8": ["--family", "lattice", "--up-to", "--delta", "3", "--dim", "8"],
+}
+
+
+def _atlas_bytes(tmp_path, cell, jobs=1):
+    out = tmp_path / f"{cell}-jobs{jobs}.jsonl"
+    assert main(["enumerate", *CELLS[cell], "--jobs", str(jobs), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _assert_matches_reference(data, cell):
+    reference = json.loads((BENCH / "reference.json").read_text())["atlases"][cell]
     assert hashlib.sha256(data).hexdigest() == reference["sha256"]
     assert len(data.splitlines()) == reference["classes"]
+
+
+def test_smoke_atlas_matches_reference(tmp_path):
+    _assert_matches_reference(_atlas_bytes(tmp_path, "smoke-d3n4"), "smoke-d3n4")
+
+
+@pytest.mark.parametrize("cell", ["both-d4n5", "lattice-upto3-n8"])
+def test_benchmark_atlas_matches_reference(tmp_path, cell):
+    _assert_matches_reference(_atlas_bytes(tmp_path, cell), cell)
+
+
+def test_atlas_bytes_do_not_depend_on_jobs(tmp_path):
+    assert _atlas_bytes(tmp_path, "both-d4n5", jobs=2) == _atlas_bytes(tmp_path, "both-d4n5", jobs=1)
 
 
 def test_traced_names_resolve():

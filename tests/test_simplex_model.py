@@ -41,8 +41,15 @@ def test_non_integer_entries_rejected(bad):
     # bool or a string, so each is an error at the library boundary.
     with pytest.raises(PreconditionError):
         matrix([[1, 0], [0, bad]])
+    # Tuple rows take the no-copy path, which must check every entry too.
+    with pytest.raises(PreconditionError):
+        matrix(((1, 0), (0, bad)))
+    with pytest.raises(PreconditionError):
+        matrix(((bad, 1),))
     with pytest.raises(PreconditionError):
         vector([0, bad])
+    with pytest.raises(PreconditionError):
+        vector((0, bad))
     with pytest.raises(PreconditionError):
         InequalitySystem(1, [[bad], [-1]], [1, 0])
     with pytest.raises(PreconditionError):
