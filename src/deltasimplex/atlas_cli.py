@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .atlas import enumerate_atlas, read_atlas, record_from_dict, stats_atlas, verify_atlas, write_atlas
@@ -35,8 +34,6 @@ from .normal_form import (
 )
 from .simplex_model import SYSTEM_FORMAT, InequalitySystem, system_from_dict, validate_simplex
 
-JOBS_ENV_VAR = "DELTA_SIMPLEX_JOBS"
-
 
 def load_system_file(path: str) -> InequalitySystem:
     with open(path, encoding="utf-8") as fh:
@@ -53,16 +50,6 @@ def load_system_file(path: str) -> InequalitySystem:
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
-
-
-def _default_jobs() -> int:
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _positive_int(text: str) -> int:
@@ -183,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True, help="ambient dimension (>= 1)")
     p.add_argument("--family", choices=["empty", "lattice", "both"], default="both")
     p.add_argument("--up-to", action="store_true", help="union the atlases for all delta' <= delta")
-    p.add_argument("--jobs", type=_positive_int, default=_default_jobs(), help=f"worker processes (default ${JOBS_ENV_VAR} or 1)")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default 1)")
     p.add_argument("--verify", action="store_true", help="re-validate every record before writing")
     p.add_argument("--out", default="-", help="output JSONL path ('-' for stdout)")
     p.set_defaults(func=_cmd_enumerate)

@@ -7,6 +7,12 @@ column multisets B -> reduced right-hand sides h -> parallelepiped vectors c
 no other integer points). The stream may contain unimodular-equivalent
 duplicates; removing those is the equivalence module's job.
 
+The family is fixed by h alone: h = 0 gives the lattice family, any other
+h the empty family. It is chosen before the cone minimum is computed, so a
+family that was not asked for costs no cone minimum. Both families then
+share one c0 loop and one record builder, which runs the shared checks
+(gcd, normalized form, simplex) once and the lattice-only checks after them.
+
 Candidates whose system has a row with gcd > 1 are skipped rather than
 repaired: the class they describe is produced by the run with its true,
 smaller delta.
@@ -76,6 +82,9 @@ class LatticeCandidate:
     """The single interesting c0 = f_star of the lattice-vertex case."""
 
     f_star: int
+
+    def c0_values(self):
+        return (self.f_star,)
 
 
 def divisor_tuples(delta: int) -> tuple[Vec, ...]:
@@ -211,10 +220,6 @@ def c0_candidates(h_mat: Mat, h, c):
     return EmptyRange(l_star=l_star, f_star=f_star)
 
 
-def _vertices_integral(meta) -> bool:
-    return all(x.denominator == 1 for v in meta.vertices for x in v)
-
-
 def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
     """All verified candidate records generated by one H block."""
     h_mat = block.H
@@ -230,26 +235,35 @@ def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
         if any(math.gcd(row_gcds[i], h[i]) > 1 for i in range(n)):
             logger.debug("skip (H|h) gcd violation: diag=%s h=%s", block.diag, h)
             continue
+        # h is reduced, so the opposite vertex H^-1 h is integral iff h = 0.
+        if any(h):
+            family, out, wanted = FAMILY_EMPTY, empties, want_empty
+        else:
+            family, out, wanted = FAMILY_LATTICE, lattices, want_lattice
+        if not wanted:
+            continue
         for c_index, c in enumerate(c_list):
             decision = c0_candidates(h_mat, h, c)
-            if isinstance(decision, LatticeCandidate):
-                if not want_lattice:
-                    continue
-                record = _build_lattice_record(block, delta, h_index, h, c_index, c, decision.f_star)
+            for c0 in decision.c0_values():
+                record = _candidate_record(block, delta, family, h_index, h, c_index, c, c0, decision.f_star)
                 if record is not None:
-                    lattices.append(record)
-            else:
-                if not want_empty:
-                    continue
-                for c0 in decision.c0_values():
-                    record = _build_empty_record(block, delta, h_index, h, c_index, c, c0, decision)
-                    if record is not None:
-                        empties.append(record)
+                    out.append(record)
     return empties, lattices
 
 
-def _provenance(block: HnfBlock, delta: int, h_index: int, c_index: int, c0: int) -> dict:
-    return {
+def _candidate_record(block, delta, family, h_index, h, c_index, c, c0, f_star) -> CandidateRecord | None:
+    """The verified record of one candidate, or None (logged) if a check rejects it."""
+    if math.gcd(*c, c0) > 1:
+        reason = "(c|c0) gcd violation"
+    else:
+        if family == FAMILY_EMPTY and f_star <= c0:
+            raise InvariantViolation("c0 range produced a non-empty simplex")
+        ns = NormalizedSystem(n=block.s + block.k, s=block.s, k=block.k, H=block.H, h=h, c=c, c0=c0, delta=delta)
+        reason = _rejection(ns, family)
+    if reason is not None:
+        logger.debug("skip %s candidate %s: %s", family, (block.diag, h, c, c0), reason)
+        return None
+    provenance = {
         "delta": delta,
         "diag": list(block.diag),
         "tuple_index": block.tuple_index,
@@ -259,67 +273,29 @@ def _provenance(block: HnfBlock, delta: int, h_index: int, c_index: int, c0: int
         "c_index": c_index,
         "c0": c0,
     }
+    return CandidateRecord(ns, family, provenance)
 
 
-def _build_normalized(block: HnfBlock, delta: int, h, c, c0: int) -> NormalizedSystem | None:
-    ns = NormalizedSystem(
-        n=block.s + block.k,
-        s=block.s,
-        k=block.k,
-        H=block.H,
-        h=tuple(h),
-        c=tuple(c),
-        c0=c0,
-        delta=delta,
-    )
+def _rejection(ns: NormalizedSystem, family: str) -> str | None:
+    """Why `ns` is not a record of `family`, or None if it passes every check."""
     ok, violated = validate_normalized(ns)
     if not ok:
-        logger.debug("skip invalid candidate %s: %s", (block.diag, h, c, c0), violated)
-        return None
-    return ns
-
-
-def _build_empty_record(block, delta, h_index, h, c_index, c, c0, decision) -> CandidateRecord | None:
-    if math.gcd(*c, c0) > 1:
-        logger.debug("skip (c|c0) gcd violation: c=%s c0=%s", c, c0)
-        return None
-    if decision.f_star <= c0:
-        raise InvariantViolation("c0 range produced a non-empty simplex")
-    ns = _build_normalized(block, delta, h, c, c0)
-    if ns is None:
-        return None
-    try:
-        validate_simplex(ns.system())
-    except NotASimplexError:
-        logger.debug("skip degenerate empty candidate: %s", (block.diag, h, c, c0))
-        return None
-    return CandidateRecord(ns, FAMILY_EMPTY, _provenance(block, delta, h_index, c_index, c0))
-
-
-def _build_lattice_record(block, delta, h_index, h, c_index, c, f_star) -> CandidateRecord | None:
-    if math.gcd(*c, f_star) > 1:
-        logger.debug("skip lattice (c|c0) gcd violation: c=%s c0=%s", c, f_star)
-        return None
-    ns = _build_normalized(block, delta, h, c, f_star)
-    if ns is None:
-        return None
+        return f"invalid normal form {violated}"
     try:
         meta = validate_simplex(ns.system())
     except NotASimplexError:
-        logger.debug("skip degenerate lattice candidate: %s", (block.diag, h, c, f_star))
-        return None
-    if not _vertices_integral(meta):
-        logger.debug("skip lattice candidate with fractional vertex: %s", (block.diag, c))
-        return None
-    # Integer vertices alone do not rule out extra integer points on the
-    # optimal facet. f_star is the least c-value of a nonzero integer point of
-    # the cone, so any integer point of the simplex other than 0 lies on the
-    # facet c x = f_star; the simplex is lattice-empty iff that facet holds
-    # exactly its n vertices.
-    if count_minimum_attainers(block.H, c, f_star) != ns.n:
-        logger.debug("skip non-empty lattice candidate: %s", (block.diag, c))
-        return None
-    return CandidateRecord(ns, FAMILY_LATTICE, _provenance(block, delta, h_index, c_index, f_star))
+        return "degenerate simplex"
+    if family == FAMILY_LATTICE:
+        if any(x.denominator != 1 for v in meta.vertices for x in v):
+            return "fractional vertex"
+        # Integer vertices alone do not rule out extra integer points on the
+        # optimal facet. c0 = f_star is the least c-value of a nonzero integer
+        # point of the cone, so any integer point of the simplex other than 0
+        # lies on the facet c x = f_star; the simplex is lattice-empty iff that
+        # facet holds exactly its n vertices.
+        if count_minimum_attainers(ns.H, ns.c, ns.c0) != ns.n:
+            return "extra integer point on the optimal facet"
+    return None
 
 
 def enumerate_families(delta: int, n: int, want_empty: bool = True, want_lattice: bool = True):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import deltasimplex
-from deltasimplex import atlas_cli, system_to_dict
+from deltasimplex import system_to_dict
 from deltasimplex.atlas_cli import main, read_atlas, record_from_dict, record_to_dict
 from deltasimplex import InequalitySystem, PreconditionError, enumerate_atlas, normalized_to_dict
 
@@ -190,6 +190,24 @@ def test_verify_detects_emptiness_violation(tmp_path, capsys):
     assert "violation" in err
 
 
+def test_verify_rejects_equivalent_records(tmp_path, capsys):
+    # Each record is valid and the keys ascend; only the pairwise
+    # inequivalence check can see that two records are one class.
+    from deltasimplex import CandidateRecord, equivalent_normalized_set, key_tuple, write_atlas
+
+    out = tmp_path / "atlas.jsonl"
+    assert run(["enumerate", "--delta", "3", "--dim", "2", "--out", str(out)]) == 0
+    records = read_atlas(out.open())
+    forms = [ns for ns, _ in equivalent_normalized_set(records[0].system()).records.values()]
+    assert len(forms) == 2 and forms[0] == records[0].ns
+    twin = CandidateRecord(forms[1], records[0].family, {})
+    with out.open("w") as fh:
+        write_atlas(sorted(records + [twin], key=lambda rec: key_tuple(rec.ns)), fh)
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "unimodular equivalent" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "reshuffle, message",
     [
@@ -247,19 +265,6 @@ def test_stdout_output(capsys):
 
 def test_unwritable_output():
     assert run(["enumerate", "--delta", "1", "--dim", "1", "--out", "/nonexistent/dir/x.jsonl"]) == 2
-
-
-def test_jobs_env_var_default(monkeypatch):
-    monkeypatch.setenv("DELTA_SIMPLEX_JOBS", "3")
-    parser = atlas_cli.build_parser()
-    # the env var is read at parser construction time in the running process
-    from deltasimplex.atlas_cli import _default_jobs
-
-    assert _default_jobs() == 3
-    monkeypatch.setenv("DELTA_SIMPLEX_JOBS", "junk")
-    assert _default_jobs() == 1
-    monkeypatch.delenv("DELTA_SIMPLEX_JOBS")
-    assert _default_jobs() == 1
 
 
 @pytest.mark.parametrize(

@@ -131,7 +131,9 @@ def test_enumerate_c_matches_full_scan():
 
 
 def test_c0_candidates_lattice():
-    assert c0_candidates(identity(2), (0, 0), (-1, -1)) == LatticeCandidate(1)
+    decision = c0_candidates(identity(2), (0, 0), (-1, -1))
+    assert decision == LatticeCandidate(1)
+    assert list(decision.c0_values()) == [1]
 
 
 def test_c0_candidates_empty_range():
@@ -204,6 +206,41 @@ def test_family_flags():
     assert lattices == [] and empties
     empties, lattices = enumerate_families(4, 3, want_empty=False)
     assert empties == [] and len(lattices) == 1
+
+
+def test_dropped_family_costs_no_cone_minimum(monkeypatch):
+    # The family is fixed by h before the cone minimum: h = 0 needs the
+    # vertex-excluding minimum, every other h the plain one.
+    from deltasimplex import enumeration
+
+    calls = {"corner_minimum": 0, "corner_minimum_excluding_vertex": 0}
+    for name in calls:
+        original = getattr(enumeration, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(enumeration, name, counting)
+    enumerate_families(4, 3, want_empty=False)
+    assert calls["corner_minimum"] == 0 and calls["corner_minimum_excluding_vertex"] > 0
+    calls.update(corner_minimum=0, corner_minimum_excluding_vertex=0)
+    enumerate_families(4, 3, want_lattice=False)
+    assert calls["corner_minimum_excluding_vertex"] == 0 and calls["corner_minimum"] > 0
+
+
+@pytest.mark.parametrize("delta, n", [(3, 3), (4, 3), (4, 2)])
+def test_single_family_streams_match_both(delta, n):
+    def rows(records):
+        return [(r.ns, r.family, r.provenance) for r in records]
+
+    both_empties, both_lattices = enumerate_families(delta, n)
+    empties, no_lattices = enumerate_families(delta, n, want_lattice=False)
+    no_empties, lattices = enumerate_families(delta, n, want_empty=False)
+    assert no_lattices == [] and no_empties == []
+    assert rows(empties) == rows(both_empties)
+    assert rows(lattices) == rows(both_lattices)
+    assert both_empties or both_lattices
 
 
 def test_c0_candidates_requires_reduced_rhs():
