@@ -7,9 +7,10 @@ changes how the candidate blocks are partitioned, never the output.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-import multiprocessing
+from multiprocessing import Pool
 
 from .enumeration import FAMILY_EMPTY, FAMILY_LATTICE, CandidateRecord, candidates_for_block, enumerate_H
 from .equivalence import check_equivalence, dedup_families
@@ -95,21 +96,27 @@ def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = Fa
 
     With `up_to`, the atlases for every delta' <= delta are built and
     concatenated; classes are disjoint across delta values because the
-    normalized determinant is a class invariant.
+    normalized determinant is a class invariant. With `jobs` > 1, one worker
+    pool serves every delta' that has more than one block; none is started
+    if no delta' has.
     """
     want_empty, want_lattice = _family_flags(family)
     if jobs < 1:
         raise PreconditionError(f"jobs must be at least 1, got {jobs}")
+    cells = [
+        [(block, want_empty, want_lattice) for block in enumerate_H(d, dim)]
+        for d in (range(1, delta + 1) if up_to else [delta])
+    ]
+    parallel = jobs > 1 and any(len(tasks) > 1 for tasks in cells)
+    results = []
+    with Pool(processes=jobs) if parallel else contextlib.nullcontext() as pool:
+        for tasks in cells:
+            run = pool.map if pool is not None and len(tasks) > 1 else map
+            results.append(list(run(_block_task, tasks)))
     out: list[CandidateRecord] = []
-    for d in range(1, delta + 1) if up_to else [delta]:
-        tasks = [(block, want_empty, want_lattice) for block in enumerate_H(d, dim)]
-        if jobs > 1 and len(tasks) > 1:
-            with multiprocessing.Pool(processes=jobs) as pool:
-                results = pool.map(_block_task, tasks)
-        else:
-            results = [_block_task(t) for t in tasks]
+    for cell in results:
         candidates: list[CandidateRecord] = []
-        for empties, lattices in results:
+        for empties, lattices in cell:
             candidates.extend(empties)
             candidates.extend(lattices)
         out.extend(dedup_families(candidates))

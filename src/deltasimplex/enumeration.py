@@ -24,7 +24,6 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .corner_ilp import (
     corner_minimum,
@@ -33,7 +32,7 @@ from .corner_ilp import (
     path_table,
 )
 from .errors import InvariantViolation, NotASimplexError, PreconditionError
-from .exact_linalg import Mat, Vec, dot, matrix
+from .exact_linalg import Mat, Vec, det, dot, matrix
 from .normal_form import NormalizedSystem, validate_normalized
 from .simplex_model import validate_simplex
 
@@ -173,26 +172,34 @@ def enumerate_c(h_mat: Mat) -> tuple[Vec, ...]:
     Back-substitution over the upper-triangular H^T, from the last
     coordinate upward: at each level the partial solution pins c_i to an
     interval of length H_ii, so exactly det(H) vectors come out.
+
+    The descent runs on T = D t with D = det(H) and t = -H^-T c, which is
+    integral (it is `paral_weights(H, c)`), so every bound is an integer
+    floor division and every new T_i an exact one. For a lower-triangular
+    H a remainder cannot occur; one raises InvariantViolation.
     """
     n = len(h_mat)
+    d = det(h_mat)
     out: list[Vec] = []
-    t_vals: list[Fraction | None] = [None] * n
+    t_vals = [0] * n  # D * t, filled from the last coordinate up
     c_vals = [0] * n
 
     def descend(i: int) -> None:
         if i < 0:
             out.append(tuple(c_vals))
             return
-        shift = sum(h_mat[j][i] * t_vals[j] for j in range(i + 1, n))
-        # c_i ranges over the integers in [-shift - H_ii, -shift).
-        low = -shift - h_mat[i][i]
-        first = math.ceil(low)
-        last = math.ceil(-shift) - 1
+        h_ii = h_mat[i][i]
+        shift = sum(h_mat[j][i] * t_vals[j] for j in range(i + 1, n))  # D * (partial sum)
+        # c_i ranges over the integers in [(-shift - H_ii D) / D, -shift / D).
+        first = -((shift + h_ii * d) // d)
+        last = -(shift // d) - 1
         for ci in range(first, last + 1):
-            t_vals[i] = Fraction(-ci - shift, h_mat[i][i])
+            t_i, rem = divmod(-ci * d - shift, h_ii)
+            if rem:
+                raise InvariantViolation(f"det(H) * t_{i} is not integral")
+            t_vals[i] = t_i
             c_vals[i] = ci
             descend(i - 1)
-        t_vals[i] = None
 
     descend(n - 1)
     return tuple(out)
@@ -286,7 +293,7 @@ def _rejection(ns: NormalizedSystem, family: str) -> str | None:
     except NotASimplexError:
         return "degenerate simplex"
     if family == FAMILY_LATTICE:
-        if any(x.denominator != 1 for v in meta.vertices for x in v):
+        if any(den != 1 for _, den in meta.points):
             return "fractional vertex"
         # Integer vertices alone do not rule out extra integer points on the
         # optimal facet. c0 = f_star is the least c-value of a nonzero integer

@@ -18,7 +18,9 @@ rules skip key steps whose key provably repeats one the same search has
 already stored (`equivalent_normalized_set` gives the proofs): a maximal
 base whose starting form an earlier base already gave is not expanded, and
 a row order that differs from one already reached by swapping two adjacent
-unit-pivot rows is not keyed.
+unit-pivot rows is not keyed. The identity row order of an expanded base
+reuses the starting form's key, form and map, since it renormalizes that
+form onto itself.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .simplex_model import (
     SimplexMeta,
     compose,
     inverse,
+    reduced_point,
     validate_simplex,
 )
 
@@ -111,8 +114,9 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
     `reduced_permutations` skips can give further forms (see the module
     docstring).
 
-    Two rules skip key steps whose key is already in the set; neither skips
-    a check, and the set, its order and its maps are those of the full loop.
+    Two rules skip key steps whose key is already in the set, and a third
+    reuses the starting form's key step; none skips a check, and the set,
+    its order and its maps are those of the full loop.
 
     1. Each starting form is expanded once. The keys a base reaches, and
        their order, depend on its starting form alone, so a base whose
@@ -133,6 +137,16 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
        already reached in this base's loop under which both swapped rows got
        unit pivots; it inherits that permutation's unit rows, so chains of
        swaps prune too.
+    3. The identity order renormalizes the starting form onto itself. Its
+       rows are already in Hermite form, so the elimination gives U = I
+       (`hnf` leaves a Hermite matrix as it is); its unit coordinates
+       already satisfy the tie-break, so the stable sort keeps them in
+       place (sigma = id); and its right-hand side is already reduced, so
+       x0 = 0. Its key is the starting key, its form the starting form,
+       its map the identity, and its unit rows are rows 0..s-1. So when
+       the loop reaches the identity it stores (starting form,
+       inverse(m0)) if the key is new, at the same point in the loop, and
+       makes no key step.
 
     A caller that already holds `meta = validate_simplex(sys)` for a
     primitive `sys` passes it, and the system is used as given.
@@ -144,6 +158,7 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
         prim = sys
     out: dict = {}
     starts: set = set()
+    identity = tuple(range(prim.n))
     for base in meta.max_det_bases:
         key0, pieces0 = _normal_key(prim, base, meta.delta)
         if key0 in starts:
@@ -156,6 +171,11 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
             twin = _unit_swap_twin(perm, units)
             if twin is not None:
                 units[perm] = units[twin]  # same key as twin's, already in out
+                continue
+            if perm == identity:  # renormalizes ns0 onto itself (rule 3)
+                units[perm] = frozenset(range(ns0.s))
+                if key0 not in out:
+                    out[key0] = (ns0, inverse(m0))
                 continue
             key, pieces = _normal_key(sys0, perm, meta.delta)
             s, row_src = pieces[2], pieces[-1]
@@ -181,7 +201,9 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
     reject most non-equivalent pairs outright. Otherwise the second simplex
     is normalized once and looked up in the first simplex's equivalent set;
     on a hit the witness map carries the first simplex onto the second and
-    is verified on the vertex sets before being returned.
+    is verified on the vertex sets before being returned. The vertex sets
+    are compared as sets of reduced integer points (`SimplexMeta.points`),
+    with no `Fraction` arithmetic.
     """
     prim_s = primitivize(sys_s)
     prim_t = primitivize(sys_t)
@@ -208,8 +230,13 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
             return EquivalenceResult(False, certificate="search-exhausted")
         _, stored_s = hit  # S -> record
     witness = compose(m_t, stored_s)  # S -> record -> T
-    image = frozenset(witness.apply(v) for v in meta_s.vertices)
-    if image != frozenset(meta_t.vertices):
+    # The witness takes the point nums / d to (U nums + d x0) / d.
+    u, x0 = witness.U, witness.x0
+    image = frozenset(
+        reduced_point(tuple(sum(a * x for a, x in zip(row, nums)) + d * t for row, t in zip(u, x0)), d)
+        for nums, d in meta_s.points
+    )
+    if image != frozenset(meta_t.points):
         raise InvariantViolation("equivalence witness failed vertex-set verification")
     return EquivalenceResult(True, witness=witness)
 

@@ -130,14 +130,40 @@ def apply_map(sys: InequalitySystem, m: AffineUnimodularMap) -> InequalitySystem
     )
 
 
+Point = tuple[Vec, int]  # (numerators, denominator): the point numerators / denominator
+
+
+def reduced_point(nums: Vec, den: int) -> Point:
+    """The point nums / den as (numerators, denominator) in lowest terms with den > 0.
+
+    The one definition of a vertex's integer form: `validate_simplex` stores
+    its vertices through it, and `check_equivalence` reduces the witness
+    images through it, so equal points compare equal.
+    """
+    g = math.gcd(*nums, den)
+    if den < 0:
+        g = -g
+    return tuple(x // g for x in nums), den // g
+
+
 @dataclass(frozen=True)
 class SimplexMeta:
-    """Validation summary: delta, vertices (vertex i is opposite row i), maximal bases, minors."""
+    """Validation summary: delta, vertices (vertex i is opposite row i), maximal bases, minors.
+
+    `points[i]` is vertex i as an exact integer point (numerators,
+    denominator) in lowest terms with a positive denominator, taken from
+    column i of the adjugate of [A | b]. `vertices` is a read-only view of
+    the same points as tuples of `Fraction`, built on each access.
+    """
 
     delta: int
-    vertices: tuple[FracVec, ...]
+    points: tuple[Point, ...]
     max_det_bases: tuple[tuple[int, ...], ...]
     minors: tuple[int, ...]  # signed maximal minors of A, by omitted row
+
+    @property
+    def vertices(self) -> tuple[FracVec, ...]:
+        return tuple(tuple(Fraction(x, den) for x in nums) for nums, den in self.points)
 
 
 def validate_simplex(sys: InequalitySystem) -> SimplexMeta:
@@ -151,7 +177,9 @@ def validate_simplex(sys: InequalitySystem) -> SimplexMeta:
     is orthogonal to every row of M but row i, so it is vertex i in
     homogeneous coordinates: v_i = -adj[0..n-1][i] / adj[n][i]. Its last
     entry is adj[n][i] = (-1)^(i+n) det(A without row i), and the slack of
-    row i at v_i is det(M) / adj[n][i], with det(M) = b . adj[n].
+    row i at v_i is det(M) / adj[n][i], with det(M) = b . adj[n]. Each
+    vertex is stored as that column, negated and put in lowest terms
+    (`reduced_point`): integers throughout, one gcd per vertex.
 
     Raises:
         NotASimplexError: on a degenerate minor or a tight/violated omitted row.
@@ -171,24 +199,22 @@ def validate_simplex(sys: InequalitySystem) -> SimplexMeta:
                 f"empty or unbounded or lower-dimensional: row {omit} not strictly satisfied"
             )
     delta = max(map(abs, minors))
-    vertices = tuple(tuple(Fraction(-adj[j][i], last[i]) for j in range(n)) for i in range(n + 1))
+    points = tuple(reduced_point(tuple(-adj[j][i] for j in range(n)), last[i]) for i in range(n + 1))
     max_bases = tuple(base for base, minor in zip(bases, minors) if abs(minor) == delta)
-    return SimplexMeta(delta=delta, vertices=vertices, max_det_bases=max_bases, minors=minors)
+    return SimplexMeta(delta=delta, points=points, max_det_bases=max_bases, minors=minors)
 
 
 def count_integer_points_bruteforce(sys: InequalitySystem, cap: int = 10_000_000) -> int:
     """Exact |S ∩ Z^n| by scanning the integer points of the bounding box.
 
-    The box is derived from the exact rational vertices; if it holds more
-    than `cap` candidate points the scan is refused.
+    The box is derived from the exact vertices by integer floor and ceiling
+    division; if it holds more than `cap` candidate points the scan is refused.
     """
     meta = validate_simplex(sys)
-    lo = []
-    hi = []
-    for j in range(sys.n):
-        coords = [v[j] for v in meta.vertices]
-        lo.append(math.ceil(min(coords)))
-        hi.append(math.floor(max(coords)))
+    # Coordinate j of a vertex is nums[j] / den with den > 0; ceil and floor
+    # are monotone, so the box bounds are the least ceiling and the largest floor.
+    lo = [min(-(-nums[j] // den) for nums, den in meta.points) for j in range(sys.n)]
+    hi = [max(nums[j] // den for nums, den in meta.points) for j in range(sys.n)]
     total = 1
     for l, h in zip(lo, hi):
         total *= max(0, h - l + 1)

@@ -243,6 +243,27 @@ def test_enumerate_atlas_rejects_jobs_below_one(jobs):
         enumerate_atlas(1, 1, jobs=jobs)
 
 
+def test_enumerate_atlas_starts_one_pool_per_call(monkeypatch):
+    # With --up-to, delta' = 1 has one block and delta' = 2, 3 have four each:
+    # one pool serves both, and a call with no multi-block delta' starts none.
+    from deltasimplex import atlas
+
+    pools = {"count": 0}
+    real_pool = atlas.Pool
+
+    def counting_pool(*args, **kwargs):
+        pools["count"] += 1
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(atlas, "Pool", counting_pool)
+    parallel = enumerate_atlas(3, 4, "lattice", up_to=True, jobs=2)
+    assert pools["count"] == 1
+    assert parallel == enumerate_atlas(3, 4, "lattice", up_to=True, jobs=1)
+    assert pools["count"] == 1
+    enumerate_atlas(1, 4, "lattice", up_to=True, jobs=2)
+    assert pools["count"] == 1
+
+
 def test_stats_output(tmp_path, capsys):
     out = tmp_path / "atlas.jsonl"
     assert run(["enumerate", "--delta", "3", "--dim", "2", "--out", str(out)]) == 0

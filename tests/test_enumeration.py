@@ -1,9 +1,12 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from deltasimplex import (
     EmptyRange,
+    InvariantViolation,
     LatticeCandidate,
     PreconditionError,
     c0_candidates,
@@ -128,6 +131,51 @@ def test_enumerate_c_matches_full_scan():
         got = enumerate_c(h_mat)
         assert len(got) == len(set(got)) == delta
         assert set(got) == _members_by_scan(h_mat, n * delta)
+
+
+def _fraction_descent(h_mat):
+    """enumerate_c as it was on Fractions: back-substitution on t = -H^-T c itself."""
+    n = len(h_mat)
+    out = []
+    t_vals = [None] * n
+    c_vals = [0] * n
+
+    def descend(i):
+        if i < 0:
+            out.append(tuple(c_vals))
+            return
+        shift = sum(h_mat[j][i] * t_vals[j] for j in range(i + 1, n))
+        first = math.ceil(-shift - h_mat[i][i])
+        last = math.ceil(-shift) - 1
+        for ci in range(first, last + 1):
+            t_vals[i] = Fraction(-ci - shift, h_mat[i][i])
+            c_vals[i] = ci
+            descend(i - 1)
+
+    descend(n - 1)
+    return tuple(out)
+
+
+def test_enumerate_c_matches_fraction_descent():
+    # c_index in every record's provenance is the position in this order, so
+    # the integer descent must give the Fraction descent's vectors in its order.
+    blocks = 0
+    for delta in range(1, 7):
+        for n in range(1, 5):
+            for block in enumerate_H(delta, n):
+                got = enumerate_c(block.H)
+                assert got == _fraction_descent(block.H)
+                assert len(got) == len(set(got)) == delta
+                blocks += 1
+    assert blocks > 100
+
+
+def test_enumerate_c_rejects_inexact_division():
+    # The descent reads only the lower triangle of H. For this symmetric H,
+    # det(H) = 3 does not scale its t-values to integers, and the descent
+    # raises rather than truncate.
+    with pytest.raises(InvariantViolation):
+        enumerate_c(((2, 1), (1, 2)))
 
 
 def test_c0_candidates_lattice():

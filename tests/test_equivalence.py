@@ -4,7 +4,9 @@ import random
 import pytest
 
 from deltasimplex import (
+    AffineUnimodularMap,
     InequalitySystem,
+    InvariantViolation,
     apply_map,
     check_equivalence,
     compose,
@@ -180,9 +182,48 @@ def test_key_step_key_matches_built_form():
     assert checked > 300
 
 
+def _search_without_identity_reuse(prim, meta):
+    """The search as it was before the identity order reused the starting form.
+
+    Every reached row order that is not a unit-pivot swap twin is keyed, the
+    identity included. Returns (records, key steps, expanded bases, forms
+    first stored at their own base's identity order).
+    """
+    from deltasimplex.equivalence import _unit_swap_twin
+
+    out = {}
+    starts = set()
+    steps = expanded = at_identity = 0
+    for base in meta.max_det_bases:
+        key0, pieces0 = _normal_key(prim, base, meta.delta)
+        steps += 1
+        if key0 in starts:
+            continue
+        starts.add(key0)
+        expanded += 1
+        ns0, m0, _ = _build_normal(pieces0)
+        sys0 = ns0.system()
+        units = {}
+        for perm in reduced_permutations(ns0.H):
+            twin = _unit_swap_twin(perm, units)
+            if twin is not None:
+                units[perm] = units[twin]
+                continue
+            key, pieces = _normal_key(sys0, perm, meta.delta)
+            steps += 1
+            units[perm] = frozenset(pieces[-1][: pieces[2]])
+            if key not in out:
+                at_identity += perm == tuple(range(prim.n))
+                ns1, m1, _ = _build_normal(pieces)
+                out[key] = (ns1, inverse(compose(m0, m1)))
+    return out, steps, expanded, at_identity
+
+
 def test_equivalent_set_validates_once_per_new_key(monkeypatch):
     # A repeat key is never built or validated again: one validation per
-    # distinct starting form of the maximal bases plus one per stored form.
+    # distinct starting form of the maximal bases plus one per stored form,
+    # less the forms stored at their own base's identity order, which is the
+    # starting form already built and validated.
     from deltasimplex import normal_form
 
     calls = {"count": 0}
@@ -196,6 +237,7 @@ def test_equivalent_set_validates_once_per_new_key(monkeypatch):
     rng = random.Random(79)
     permutations = 0
     repeated_starts = 0
+    reused = 0
     for _ in range(20):
         n = rng.randint(2, 4)
         prim = primitivize(random_simplex(rng, n, entry_bound=4 if n < 4 else 3))
@@ -205,11 +247,53 @@ def test_equivalent_set_validates_once_per_new_key(monkeypatch):
             permutations += len(list(reduced_permutations(ns0.H)))
         starts = len(_starting_keys(prim, meta))
         repeated_starts += starts < len(meta.max_det_bases)
+        *_, at_identity = _search_without_identity_reuse(prim, meta)
         calls["count"] = 0
         eq = equivalent_normalized_set(prim, meta)
-        assert calls["count"] == starts + len(eq.records)
+        assert calls["count"] == starts + len(eq.records) - at_identity
+        reused += at_identity
     assert permutations > 40
     assert repeated_starts > 0
+    assert reused > 0
+
+
+def test_identity_order_reuses_the_starting_form(monkeypatch):
+    # The identity row order of an expanded base renormalizes its starting
+    # form onto itself (U = I, sigma = id, x0 = 0), so the search skips its
+    # key step: exactly one key step fewer per expanded base than the search
+    # that keys it, with the same keys in the same order, forms and maps.
+    from deltasimplex import equivalence
+
+    calls = {"count": 0}
+    key_step = equivalence._normal_key
+
+    def counting_key_step(*args):
+        calls["count"] += 1
+        return key_step(*args)
+
+    monkeypatch.setattr(equivalence, "_normal_key", counting_key_step)
+    rng = random.Random(82)
+    identities = 0
+    for n in [2, 3, 4, 5] * 15:
+        prim = primitivize(random_simplex(rng, n, entry_bound=5 if n < 5 else 3))
+        meta = validate_simplex(prim)
+        for base in meta.max_det_bases:
+            key0, pieces0 = _normal_key(prim, base, meta.delta)
+            ns0, _, _ = _build_normal(pieces0)
+            key, pieces = _normal_key(ns0.system(), tuple(range(n)), meta.delta)
+            u, x0 = pieces[7], pieces[8]
+            assert key == key0
+            assert u == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            assert x0 == (0,) * n
+            identities += 1
+        want, steps, expanded, _ = _search_without_identity_reuse(prim, meta)
+        calls["count"] = 0
+        got = equivalent_normalized_set(prim, meta).records
+        assert calls["count"] == steps - expanded
+        assert list(got) == list(want)
+        for key, (ns, m) in want.items():
+            assert got[key] == (ns, m)
+    assert identities > 50
 
 
 def test_adjacent_unit_pivot_swap_keeps_the_key():
@@ -292,6 +376,32 @@ _INCOMPLETE_T = InequalitySystem(
 @pytest.mark.parametrize("pair", [(_INCOMPLETE_S, _INCOMPLETE_T), (_INCOMPLETE_T, _INCOMPLETE_S)], ids=["S-T", "T-S"])
 def test_row_reordered_simplex_is_equivalent(pair):
     assert check_equivalence(*pair).equivalent
+
+
+def test_witness_check_rejects_a_shifted_witness(monkeypatch):
+    # The vertex-set check runs on integer points: a witness moved by e_1
+    # must fail it, for S against itself and against a unimodular image of S
+    # whose rows keep their order (so the least-base fast path composes it).
+    from deltasimplex import equivalence
+
+    compose_ = equivalence.compose
+
+    def shifted_compose(m2, m1):
+        m = compose_(m2, m1)
+        return AffineUnimodularMap(m.U, (m.x0[0] + 1,) + m.x0[1:])
+
+    rng = random.Random(85)
+    cases = []
+    for n in [1, 2, 3, 4, 5] * 4:
+        sys = random_simplex(rng, n, entry_bound=4 if n < 5 else 3)
+        moved = apply_map(sys, random_unimodular_map(rng, n, entry_bound=6, trans_bound=5))
+        assert check_equivalence(sys, moved).equivalent
+        cases.append((sys, moved))
+    monkeypatch.setattr(equivalence, "compose", shifted_compose)
+    for sys, moved in cases:
+        for other in (sys, moved):
+            with pytest.raises(InvariantViolation, match="vertex-set verification"):
+                check_equivalence(sys, other)
 
 
 def test_check_equivalence_self_is_identity(triangle):

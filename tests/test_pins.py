@@ -58,7 +58,8 @@ def test_benchmark_atlas_matches_reference(tmp_path, cell):
 
 
 def test_atlas_bytes_do_not_depend_on_jobs(tmp_path):
-    assert _atlas_bytes(tmp_path, "both-d4n5", jobs=2) == _atlas_bytes(tmp_path, "both-d4n5", jobs=1)
+    for cell in ["both-d4n5", "lattice-upto3-n8"]:
+        assert _atlas_bytes(tmp_path, cell, jobs=2) == _atlas_bytes(tmp_path, cell, jobs=1), cell
 
 
 def test_traced_names_resolve():

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -209,6 +210,30 @@ def test_vertices_are_exact_fractions(triangle):
     sys = InequalitySystem(1, ((2,), (-3,)), (1, -1))
     meta = validate_simplex(sys)
     assert set(meta.vertices) == {(Fraction(1, 2),), (Fraction(1, 3),)}
+
+
+def test_vertex_points_are_reduced_cramer_solutions():
+    # Vertex i is stored as an integer point (nums, den) in lowest terms with
+    # den > 0; it must solve the base that omits row i (Cramer's rule with the
+    # test-side cofactor determinant), and `vertices` must be its Fraction view.
+    rng = random.Random(84)
+    fractional = 0
+    for n in [1, 2, 3, 4, 5] * 30:
+        sys = random_simplex(rng, n, entry_bound=5 if n < 5 else 3)
+        meta = validate_simplex(sys)
+        assert len(meta.points) == n + 1
+        for omit, (nums, den) in enumerate(meta.points):
+            assert den > 0
+            assert math.gcd(*nums, den) == 1
+            a = tuple(row for i, row in enumerate(sys.A) if i != omit)
+            b = tuple(x for i, x in enumerate(sys.b) if i != omit)
+            d = cofactor_det(a)
+            for j in range(n):
+                d_j = cofactor_det(tuple(row[:j] + (bi,) + row[j + 1 :] for row, bi in zip(a, b)))
+                assert nums[j] * d == d_j * den
+            fractional += den > 1
+        assert meta.vertices == tuple(tuple(Fraction(x, den) for x in nums) for nums, den in meta.points)
+    assert fractional > 100
 
 
 def _reference_meta(sys):
