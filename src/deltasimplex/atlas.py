@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from multiprocessing import Pool
 
 from .enumeration import FAMILY_EMPTY, FAMILY_LATTICE, CandidateRecord, candidates_for_block, enumerate_H
 from .equivalence import check_equivalence, dedup_families
@@ -97,8 +96,8 @@ def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = Fa
     With `up_to`, the atlases for every delta' <= delta are built and
     concatenated; classes are disjoint across delta values because the
     normalized determinant is a class invariant. With `jobs` > 1, one worker
-    pool serves every delta' that has more than one block; none is started
-    if no delta' has.
+    pool serves every delta' that has more than one block; none is started,
+    and `multiprocessing` is not imported, if no delta' has.
     """
     want_empty, want_lattice = _family_flags(family)
     if jobs < 1:
@@ -108,8 +107,10 @@ def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = Fa
         for d in (range(1, delta + 1) if up_to else [delta])
     ]
     parallel = jobs > 1 and any(len(tasks) > 1 for tasks in cells)
+    if parallel:
+        import multiprocessing  # not at module level: the import adds about 11 ms to every CLI start
     results = []
-    with Pool(processes=jobs) if parallel else contextlib.nullcontext() as pool:
+    with multiprocessing.Pool(processes=jobs) if parallel else contextlib.nullcontext() as pool:
         for tasks in cells:
             run = pool.map if pool is not None and len(tasks) > 1 else map
             results.append(list(run(_block_task, tasks)))
@@ -138,9 +139,9 @@ def verify_atlas(records, max_pairs: int = 100) -> list[str]:
 
     Checks, per record: the normalized-form validator (which recomputes
     delta), simplex validity, and for dimensions up to 6 the point-count
-    oracle for the claimed family. Canonical keys must be strictly
-    ascending, as the file contract says, so a repeated or misplaced record
-    is reported with its neighbour. A deterministic sample of same-(n, delta)
+    oracle for the claimed family, which reuses the validated simplex.
+    Canonical keys must be strictly ascending, as the file contract says, so
+    a repeated or misplaced record is reported with its neighbour. A deterministic sample of same-(n, delta)
     record pairs must also be mutually inequivalent.
     """
     problems = []
@@ -159,8 +160,9 @@ def verify_atlas(records, max_pairs: int = 100) -> list[str]:
         if not ok:
             problems.append(f"{label}: validator violation {violated} [provenance {rec.provenance}]")
             continue
+        sys = rec.system()
         try:
-            validate_simplex(rec.system())
+            meta = validate_simplex(sys)
         except DeltaSimplexError as exc:
             problems.append(f"{label}: emptiness/validator violation: not a simplex ({exc}) [provenance {rec.provenance}]")
             continue
@@ -168,7 +170,7 @@ def verify_atlas(records, max_pairs: int = 100) -> list[str]:
             problems.append(f"{label}: unknown family {rec.family!r}")
             continue
         if rec.ns.n <= ORACLE_MAX_DIM:
-            count = count_integer_points_bruteforce(rec.system())
+            count = count_integer_points_bruteforce(sys, meta=meta)
             expected = 0 if rec.family == FAMILY_EMPTY else rec.ns.n + 1
             if count != expected:
                 problems.append(

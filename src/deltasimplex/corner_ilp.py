@@ -11,6 +11,9 @@ The weights, the group and the shortest-path tree depend on (H, c) alone,
 so one Dijkstra run per (H, c) is memoized as a `PathTable`, and every
 right-hand side h (each -e_j of the vertex-excluding problem included) is
 read off it; the witness and its checks are still rebuilt per query.
+Each entry point checks (H, c) and reads the table once, through
+`path_table`, and hands it to `_corner_from_table` for every h it needs:
+the vertex-excluding minimum makes one table read for its n targets, not n.
 """
 
 from __future__ import annotations
@@ -153,9 +156,19 @@ def corner_minimum(h_mat: Mat, h, c) -> CornerSolution:
     distances come from the memoized `path_table` of (H, c); the witness is
     rebuilt from its shortest-path predecessors on every call.
     """
+    return _corner_from_table(path_table(h_mat, c), h, c)
+
+
+def _corner_from_table(pt: PathTable, h, c) -> CornerSolution:
+    """`corner_minimum` for right-hand side h, read off the path table `pt` of (H, c).
+
+    `pt` comes from `path_table`, which has checked H and c; this runs the
+    per-h work: the residue of h, the divisibility invariant, and the
+    witness rebuilt from the predecessors and checked against H, h and c.
+    """
+    h_mat = pt.group.H
     n = len(h_mat)
-    pt = path_table(h_mat, c)
-    target = pt.group.index[_reduce_hnf_rhs(pt.group.H, h)[0]]
+    target = pt.group.index[_reduce_hnf_rhs(h_mat, h)[0]]
     if pt.dist[target] is None:
         return CornerSolution(0, (0,) * n, infeasible=True)
     total = pt.dist[target] - dot(pt.weights, h)
@@ -178,13 +191,14 @@ def corner_minimum_excluding_vertex(h_mat: Mat, c) -> CornerSolution:
 
     This is the reduced lattice-vertex case (h = 0, apex at the origin); the
     minimum is taken over the n subproblems with right-hand side -e_j, all
-    read off the one `path_table` of (H, c).
+    read off one `path_table` read of (H, c), each with its own witness.
     """
-    n = len(h_mat)
+    pt = path_table(h_mat, c)
+    n = len(pt.weights)
     best = None
     for j in range(n):
         rhs = tuple(-1 if i == j else 0 for i in range(n))
-        sol = corner_minimum(h_mat, rhs, c)
+        sol = _corner_from_table(pt, rhs, c)
         if best is None or sol.f_star < best.f_star:
             best = sol
     return best

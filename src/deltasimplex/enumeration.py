@@ -12,6 +12,10 @@ h the empty family. It is chosen before the cone minimum is computed, so a
 family that was not asked for costs no cone minimum. Both families then
 share one c0 loop and one record builder, which runs the shared checks
 (gcd, normalized form, simplex) once and the lattice-only checks after them.
+A lattice candidate's vertices are tested first, on adj(H), before any
+system is built: most lattice candidates fail only there, and the test is
+exact (see `_rejection`). Records that pass still get every check, the
+vertex test again among them.
 
 Candidates whose system has a row with gcd > 1 are skipped rather than
 repaired: the class they describe is produced by the run with its true,
@@ -26,13 +30,13 @@ import math
 from dataclasses import dataclass, field
 
 from .corner_ilp import (
-    corner_minimum,
+    _corner_from_table,
     corner_minimum_excluding_vertex,
     count_minimum_attainers,
     path_table,
 )
 from .errors import InvariantViolation, NotASimplexError, PreconditionError
-from .exact_linalg import Mat, Vec, det, dot, matrix
+from .exact_linalg import Mat, Vec, adjugate, det, dot, matrix
 from .normal_form import NormalizedSystem, validate_normalized
 from .simplex_model import validate_simplex
 
@@ -213,8 +217,10 @@ def c0_candidates(h_mat: Mat, h, c):
     integer strictly above c^T v and f_star the cone minimum; the range may
     be empty. If v is integral (equivalently h = 0, since h is reduced),
     only c0 = f_star of the vertex-excluding problem can give an empty
-    lattice simplex. Both cases read the path table of (H, c); its weights
-    give c^T v = -(w^T h) / det(H).
+    lattice simplex. Either case reads the path table of (H, c) once: the
+    vertex-excluding minimum reads it for its n targets, and the empty case
+    takes c^T v = -(w^T h) / det(H) from its weights and the cone minimum
+    from its distances.
     """
     n = len(h_mat)
     if any(not 0 <= h[i] < h_mat[i][i] for i in range(n)):
@@ -223,8 +229,7 @@ def c0_candidates(h_mat: Mat, h, c):
         return LatticeCandidate(corner_minimum_excluding_vertex(h_mat, c).f_star)
     pt = path_table(h_mat, c)
     l_star = -dot(pt.weights, h) // pt.delta + 1
-    f_star = corner_minimum(h_mat, h, c).f_star
-    return EmptyRange(l_star=l_star, f_star=f_star)
+    return EmptyRange(l_star=l_star, f_star=_corner_from_table(pt, h, c).f_star)
 
 
 def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
@@ -249,19 +254,26 @@ def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
             family, out, wanted = FAMILY_LATTICE, lattices, want_lattice
         if not wanted:
             continue
+        adj = adjugate(h_mat) if family == FAMILY_LATTICE else None
         for c_index, c in enumerate(c_list):
             decision = c0_candidates(h_mat, h, c)
             for c0 in decision.c0_values():
-                record = _candidate_record(block, delta, family, h_index, h, c_index, c, c0, decision.f_star)
+                record = _candidate_record(block, delta, family, h_index, h, c_index, c, c0, decision.f_star, adj)
                 if record is not None:
                     out.append(record)
     return empties, lattices
 
 
-def _candidate_record(block, delta, family, h_index, h, c_index, c, c0, f_star) -> CandidateRecord | None:
-    """The verified record of one candidate, or None (logged) if a check rejects it."""
+def _candidate_record(block, delta, family, h_index, h, c_index, c, c0, f_star, adj) -> CandidateRecord | None:
+    """The verified record of one candidate, or None (logged) if a check rejects it.
+
+    `adj` is adj(H) for a lattice candidate (None for the empty family); its
+    vertices are tested on it before any system is built.
+    """
     if math.gcd(*c, c0) > 1:
         reason = "(c|c0) gcd violation"
+    elif family == FAMILY_LATTICE and not _lattice_vertices_integral(adj, c, c0):
+        reason = "fractional vertex"
     else:
         if family == FAMILY_EMPTY and f_star <= c0:
             raise InvariantViolation("c0 range produced a non-empty simplex")
@@ -283,8 +295,41 @@ def _candidate_record(block, delta, family, h_index, h, c_index, c, c0, f_star) 
     return CandidateRecord(ns, family, provenance)
 
 
+def _lattice_vertices_integral(adj: Mat, c, c0: int) -> bool:
+    """Whether {H x <= 0, c x <= c0} has integral vertices, read off adj(H) (see `_rejection`).
+
+    Vertex i (opposite row i < n) is -(c0 / w_i) adj(H) e_i, where
+    w_i = -c^T adj(H) e_i is the weight `path_table` holds for (H, c)
+    (`paral_weights`); it is taken from the adjugate column in hand rather
+    than by a second table read. The apex is 0.
+    """
+    for col in zip(*adj):  # col = adj(H) e_i
+        w_i = -dot(col, c)
+        if any(c0 * a % w_i for a in col):
+            return False
+    return True
+
+
 def _rejection(ns: NormalizedSystem, family: str) -> str | None:
-    """Why `ns` is not a record of `family`, or None if it passes every check."""
+    """Why `ns` is not a record of `family`, or None if it passes every check.
+
+    A lattice candidate reaches this only after `_lattice_vertices_integral`
+    passed, which decides the vertex test before anything is built. The
+    proof: for h = 0 and c0 = f_star the system is {H x <= 0, c x <= c0}
+    with H nonsingular. The vertex opposite row n (c x <= c0) solves
+    H x = 0, so it is the apex 0. The vertex opposite row i < n solves
+    H_j x = 0 for j != i and c x = c0, so H x = -t e_i for some t and
+    x = -t H^-1 e_i = -(t / det H) adj(H) e_i. Then
+    c x = (t / det H) w_i with w_i = -c^T adj(H) e_i, the path table's
+    weight, which lies in [1, det H] because c is in paral(-H^T). So
+    t / det H = c0 / w_i and x = -(c0 / w_i) adj(H) e_i, which is integral
+    iff w_i divides c0 adj(H)[j][i] for every j. On a system that
+    `validate_simplex` accepts these are exactly its n + 1 vertices, so the
+    test says "every denominator of `meta.points` is 1", which is checked
+    again below as an invariant. So moving the vertex test first keeps the
+    same records: a candidate it rejects either fails a later check too or
+    passes them and then has a fractional `meta.points` entry.
+    """
     ok, violated = validate_normalized(ns)
     if not ok:
         return f"invalid normal form {violated}"
@@ -294,7 +339,7 @@ def _rejection(ns: NormalizedSystem, family: str) -> str | None:
         return "degenerate simplex"
     if family == FAMILY_LATTICE:
         if any(den != 1 for _, den in meta.points):
-            return "fractional vertex"
+            raise InvariantViolation("vertex test on adj(H) passed a fractional vertex")
         # Integer vertices alone do not rule out extra integer points on the
         # optimal facet. c0 = f_star is the least c-value of a nonzero integer
         # point of the cone, so any integer point of the simplex other than 0

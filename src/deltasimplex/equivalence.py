@@ -218,14 +218,18 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
 
     # m_t carries the record onto T, so it is the last leg of the witness.
     ns_t, m_t, _ = _normalize_primitive(prim_t, min(meta_t.max_det_bases), meta_t.delta)
+    key_t = key_tuple(ns_t)
 
     # Fast path: if the least-base normalizations already coincide, the two
     # direct maps compose to a witness (the identity when S and T are equal).
-    ns_s, m_s, _ = _normalize_primitive(prim_s, min(meta_s.max_det_bases), meta_s.delta)
-    if key_tuple(ns_s) == key_tuple(ns_t):
+    # S's form is keyed first and built only on a hit; on a miss the search
+    # below builds and validates that same starting form itself.
+    key_s, pieces_s = _normal_key(prim_s, min(meta_s.max_det_bases), meta_s.delta)
+    if key_s == key_t:
+        _, m_s, _ = _build_normal(pieces_s)
         stored_s = inverse(m_s)
     else:
-        hit = equivalent_normalized_set(prim_s, meta_s).records.get(key_tuple(ns_t))
+        hit = equivalent_normalized_set(prim_s, meta_s).records.get(key_t)
         if hit is None:
             return EquivalenceResult(False, certificate="search-exhausted")
         _, stored_s = hit  # S -> record

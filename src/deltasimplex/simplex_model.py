@@ -204,13 +204,18 @@ def validate_simplex(sys: InequalitySystem) -> SimplexMeta:
     return SimplexMeta(delta=delta, points=points, max_det_bases=max_bases, minors=minors)
 
 
-def count_integer_points_bruteforce(sys: InequalitySystem, cap: int = 10_000_000) -> int:
+def count_integer_points_bruteforce(
+    sys: InequalitySystem, cap: int = 10_000_000, meta: SimplexMeta | None = None
+) -> int:
     """Exact |S ∩ Z^n| by scanning the integer points of the bounding box.
 
     The box is derived from the exact vertices by integer floor and ceiling
     division; if it holds more than `cap` candidate points the scan is refused.
+    A caller that already holds `meta = validate_simplex(sys)` passes it,
+    and the simplex is not validated again.
     """
-    meta = validate_simplex(sys)
+    if meta is None:
+        meta = validate_simplex(sys)
     # Coordinate j of a vertex is nums[j] / den with den > 0; ceil and floor
     # are monotone, so the box bounds are the least ceiling and the largest floor.
     lo = [min(-(-nums[j] // den) for nums, den in meta.points) for j in range(sys.n)]

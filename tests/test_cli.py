@@ -246,22 +246,31 @@ def test_enumerate_atlas_rejects_jobs_below_one(jobs):
 def test_enumerate_atlas_starts_one_pool_per_call(monkeypatch):
     # With --up-to, delta' = 1 has one block and delta' = 2, 3 have four each:
     # one pool serves both, and a call with no multi-block delta' starts none.
-    from deltasimplex import atlas
+    import multiprocessing
 
     pools = {"count": 0}
-    real_pool = atlas.Pool
+    real_pool = multiprocessing.Pool
 
     def counting_pool(*args, **kwargs):
         pools["count"] += 1
         return real_pool(*args, **kwargs)
 
-    monkeypatch.setattr(atlas, "Pool", counting_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
     parallel = enumerate_atlas(3, 4, "lattice", up_to=True, jobs=2)
     assert pools["count"] == 1
     assert parallel == enumerate_atlas(3, 4, "lattice", up_to=True, jobs=1)
     assert pools["count"] == 1
     enumerate_atlas(1, 4, "lattice", up_to=True, jobs=2)
     assert pools["count"] == 1
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # enumerate_atlas imports multiprocessing only when it starts a pool.
+    src = str(Path(deltasimplex.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, deltasimplex.atlas_cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_stats_output(tmp_path, capsys):
@@ -352,3 +361,21 @@ def test_module_entry_point_is_warning_free(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(read_atlas(out.open())) == 1
+
+
+def test_verify_validates_each_simplex_once(monkeypatch):
+    # verify_atlas hands its validated simplex to the point-count oracle.
+    from deltasimplex import atlas, simplex_model
+
+    calls = {"validate": 0}
+    validate = simplex_model.validate_simplex
+
+    def counting(sys):
+        calls["validate"] += 1
+        return validate(sys)
+
+    for mod in (atlas, simplex_model):
+        monkeypatch.setattr(mod, "validate_simplex", counting)
+    records = enumerate_atlas(3, 3, "both")
+    assert atlas.verify_atlas(records, max_pairs=0) == []
+    assert calls["validate"] == len(records) > 0

@@ -281,3 +281,46 @@ def test_candidates_for_block_runs_one_dijkstra_per_c(monkeypatch):
             assert len(set(calls)) == len(calls)
             blocks += any_h
     assert blocks > 0
+
+
+
+def test_one_table_read_per_minimum(monkeypatch):
+    # Each entry point checks (H, c) and reads the path table once: the
+    # vertex-excluding minimum makes one read for its n targets and still
+    # rebuilds and checks n witnesses, and c0_candidates' empty case reads
+    # the table once for both l_star and the cone minimum.
+    from deltasimplex import c0_candidates, corner_ilp, enumeration
+
+    reads, witnesses = [], []
+    real_read, real_solve = corner_ilp.path_table, corner_ilp._solve_lower_integer
+
+    def counting_read(h_mat, c):
+        reads.append((h_mat, c))
+        return real_read(h_mat, c)
+
+    def counting_solve(h_mat, rhs):
+        witnesses.append(rhs)
+        return real_solve(h_mat, rhs)
+
+    for mod in (corner_ilp, enumeration):
+        monkeypatch.setattr(mod, "path_table", counting_read)
+    monkeypatch.setattr(corner_ilp, "_solve_lower_integer", counting_solve)
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        h_mat = random_hnf(rng, n, 9)
+        targets = [tuple(-1 if i == j else 0 for i in range(n)) for j in range(n)]
+        for c in rng.sample(enumerate_c(h_mat), min(2, len(enumerate_c(h_mat)))):
+            reads.clear(), witnesses.clear()
+            sol = corner_minimum_excluding_vertex(h_mat, c)
+            assert (len(reads), len(witnesses)) == (1, n)
+            assert sol == min((corner_minimum(h_mat, rhs, c) for rhs in targets), key=lambda s: s.f_star)
+            h = tuple(rng.randrange(h_mat[i][i]) for i in range(n))
+            if any(h):
+                reads.clear(), witnesses.clear()
+                decision = c0_candidates(h_mat, h, c)
+                assert (len(reads), len(witnesses)) == (1, 1)
+                assert decision.f_star == corner_minimum(h_mat, h, c).f_star
+                checked += 1
+    assert checked > 5

@@ -258,10 +258,11 @@ def test_family_flags():
 
 def test_dropped_family_costs_no_cone_minimum(monkeypatch):
     # The family is fixed by h before the cone minimum: h = 0 needs the
-    # vertex-excluding minimum, every other h the plain one.
+    # vertex-excluding minimum, every other h the plain one, which
+    # c0_candidates reads off its one path table read (_corner_from_table).
     from deltasimplex import enumeration
 
-    calls = {"corner_minimum": 0, "corner_minimum_excluding_vertex": 0}
+    calls = {"_corner_from_table": 0, "corner_minimum_excluding_vertex": 0}
     for name in calls:
         original = getattr(enumeration, name)
 
@@ -271,10 +272,10 @@ def test_dropped_family_costs_no_cone_minimum(monkeypatch):
 
         monkeypatch.setattr(enumeration, name, counting)
     enumerate_families(4, 3, want_empty=False)
-    assert calls["corner_minimum"] == 0 and calls["corner_minimum_excluding_vertex"] > 0
-    calls.update(corner_minimum=0, corner_minimum_excluding_vertex=0)
+    assert calls["_corner_from_table"] == 0 and calls["corner_minimum_excluding_vertex"] > 0
+    calls.update(_corner_from_table=0, corner_minimum_excluding_vertex=0)
     enumerate_families(4, 3, want_lattice=False)
-    assert calls["corner_minimum_excluding_vertex"] == 0 and calls["corner_minimum"] > 0
+    assert calls["corner_minimum_excluding_vertex"] == 0 and calls["_corner_from_table"] > 0
 
 
 @pytest.mark.parametrize("delta, n", [(3, 3), (4, 3), (4, 2)])
@@ -332,3 +333,123 @@ def test_lattice_verification_routes_agree():
                     assert by_count == by_facet
                     checked += 1
     assert checked >= 10
+
+
+def test_early_vertex_test_matches_validated_vertices():
+    # The vertex test on adj(H) and the path table's weights decides exactly
+    # what the denominators of validate_simplex's vertices decide, on every
+    # lattice candidate (h = 0, c0 = f_star) with delta <= 6 and n <= 4.
+    from deltasimplex import NormalizedSystem, NotASimplexError, adjugate, validate_simplex
+    from deltasimplex.enumeration import _lattice_vertices_integral
+
+    seen = {True: 0, False: 0}
+    for delta in range(1, 7):
+        for n in range(1, 5):
+            for block in enumerate_H(delta, n):
+                adj = adjugate(block.H)
+                h = (0,) * n
+                for c in enumerate_c(block.H):
+                    c0 = c0_candidates(block.H, h, c).f_star
+                    ns = NormalizedSystem(n=n, s=block.s, k=block.k, H=block.H, h=h, c=c, c0=c0, delta=delta)
+                    try:
+                        meta = validate_simplex(ns.system())
+                    except NotASimplexError:
+                        continue
+                    integral = all(den == 1 for _, den in meta.points)
+                    assert _lattice_vertices_integral(adj, c, c0) == integral
+                    seen[integral] += 1
+    assert seen[True] > 50 and seen[False] > 500
+
+
+def _families_in_old_check_order(delta, n):
+    """Test-side copy of the generator with the lattice vertex test after the record checks."""
+    from deltasimplex import (
+        CandidateRecord,
+        NormalizedSystem,
+        NotASimplexError,
+        count_minimum_attainers,
+        validate_simplex,
+    )
+
+    empties, lattices = [], []
+    for block in enumerate_H(delta, n):
+        row_gcds = [math.gcd(*row) for row in block.H]
+        for h_index, h in enumerate(enumerate_h(block.H)):
+            if any(math.gcd(row_gcds[i], h[i]) > 1 for i in range(n)):
+                continue
+            family, out = ("empty", empties) if any(h) else ("lattice_empty", lattices)
+            for c_index, c in enumerate(enumerate_c(block.H)):
+                decision = c0_candidates(block.H, h, c)
+                for c0 in decision.c0_values():
+                    if math.gcd(*c, c0) > 1:
+                        continue
+                    ns = NormalizedSystem(n=n, s=block.s, k=block.k, H=block.H, h=h, c=c, c0=c0, delta=delta)
+                    if not validate_normalized(ns)[0]:
+                        continue
+                    try:
+                        meta = validate_simplex(ns.system())
+                    except NotASimplexError:
+                        continue
+                    if family == "lattice_empty" and (
+                        any(den != 1 for _, den in meta.points) or count_minimum_attainers(block.H, c, c0) != n
+                    ):
+                        continue
+                    provenance = {
+                        "delta": delta,
+                        "diag": list(block.diag),
+                        "tuple_index": block.tuple_index,
+                        "t_index": block.t_index,
+                        "b_index": block.b_index,
+                        "h_index": h_index,
+                        "c_index": c_index,
+                        "c0": c0,
+                    }
+                    out.append(CandidateRecord(ns, family, provenance))
+    return empties, lattices
+
+
+@pytest.mark.parametrize("delta, n", [(4, 5), (3, 4), (6, 3), (4, 3), (8, 2), (1, 3)])
+def test_families_match_old_check_order(delta, n):
+    def rows(records):
+        return [(r.ns, r.family, r.provenance) for r in records]
+
+    new_empties, new_lattices = enumerate_families(delta, n)
+    old_empties, old_lattices = _families_in_old_check_order(delta, n)
+    assert rows(new_empties) == rows(old_empties)
+    assert rows(new_lattices) == rows(old_lattices)
+    assert new_empties or new_lattices
+
+
+def _white_tetrahedron(p, q):
+    """Facet inequalities of T(p, q) = conv(0, e1, e3, (p, q, 1))."""
+    from deltasimplex import InequalitySystem
+
+    verts = [(0, 0, 0), (1, 0, 0), (0, 0, 1), (p, q, 1)]
+    rows, rhs = [], []
+    for i in range(4):
+        a, b, c = (v for j, v in enumerate(verts) if j != i)
+        u = [b[k] - a[k] for k in range(3)]
+        v = [c[k] - a[k] for k in range(3)]
+        normal = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+        bound = sum(x * y for x, y in zip(normal, a))
+        if sum(x * y for x, y in zip(normal, verts[i])) > bound:
+            normal, bound = [-x for x in normal], -bound
+        rows.append(tuple(normal))
+        rhs.append(bound)
+    return InequalitySystem(3, rows, rhs)
+
+
+def test_white_theorem_lattice_tetrahedra():
+    # White (Canad. J. Math., 1964): every empty lattice tetrahedron is
+    # equivalent to T(p, q) with gcd(p, q) = 1, and Delta(T(p, q)) = q^2;
+    # T(p, q) and T(p', q) are equivalent iff p' = +-p^(+-1) mod q. Up to
+    # q = 4 that is one class at each Delta in {1, 4, 9, 16}, namely T(1, q),
+    # and none at any other Delta.
+    from deltasimplex import check_equivalence, enumerate_atlas
+
+    records = enumerate_atlas(16, 3, "lattice", up_to=True)
+    assert sorted(r.ns.delta for r in records) == [1, 4, 9, 16]
+    for rec in records:
+        q = math.isqrt(rec.ns.delta)
+        assert rec.family == "lattice_empty"
+        assert check_equivalence(rec.system(), _white_tetrahedron(1, q)).equivalent

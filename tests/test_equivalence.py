@@ -583,3 +583,39 @@ def test_check_equivalence_validates_each_system_once(monkeypatch):
         check_equivalence(sys, moved)
         assert counts["validate"] - before == 2
     assert counts["search"] > 0
+
+
+def test_check_equivalence_builds_the_fast_path_form_only_on_a_hit(monkeypatch):
+    # S's least-base form is keyed first; it is built (validated and mapped)
+    # only when its key equals T's. On a miss the search builds it itself.
+    from deltasimplex import equivalence
+
+    events = []
+    build, search = equivalence._build_normal, equivalence.equivalent_normalized_set
+
+    def counting_build(pieces):
+        events.append("build")
+        return build(pieces)
+
+    def counting_search(sys, meta=None):
+        events.append("search")
+        return search(sys, meta)
+
+    monkeypatch.setattr(equivalence, "_build_normal", counting_build)
+    monkeypatch.setattr(equivalence, "equivalent_normalized_set", counting_search)
+    rng = random.Random(76)
+    outcomes = set()
+    for _ in range(30):
+        n = rng.randint(2, 3)
+        sys = random_simplex(rng, n, entry_bound=4)
+        moved = apply_map(sys, random_unimodular_map(rng, n, entry_bound=6, trans_bound=5))
+        order = rng.sample(range(n + 1), n + 1)
+        moved = InequalitySystem(n, tuple(moved.A[i] for i in order), tuple(moved.b[i] for i in order))
+        events.clear()
+        check_equivalence(sys, moved)  # the search is incomplete (see the module docstring)
+        if "search" in events:
+            assert events[0] == "search"  # nothing built before the search on a miss
+        else:
+            assert events == ["build"]
+        outcomes.add("search" in events)
+    assert outcomes == {True, False}
