@@ -100,8 +100,9 @@ def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = Fa
     and `multiprocessing` is not imported, if no delta' has.
     """
     want_empty, want_lattice = _family_flags(family)
-    if jobs < 1:
-        raise PreconditionError(f"jobs must be at least 1, got {jobs}")
+    for name, value in (("delta", delta), ("dim", dim), ("jobs", jobs)):
+        if value < 1:
+            raise PreconditionError(f"{name} must be at least 1, got {value}")
     cells = [
         [(block, want_empty, want_lattice) for block in enumerate_H(d, dim)]
         for d in (range(1, delta + 1) if up_to else [delta])

@@ -166,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="build the atlas of class representatives")
-    p.add_argument("--delta", type=int, required=True, help="determinant parameter (>= 1)")
-    p.add_argument("--dim", type=int, required=True, help="ambient dimension (>= 1)")
+    p.add_argument("--delta", type=_positive_int, required=True, help="determinant parameter (>= 1)")
+    p.add_argument("--dim", type=_positive_int, required=True, help="ambient dimension (>= 1)")
     p.add_argument("--family", choices=["empty", "lattice", "both"], default="both")
     p.add_argument("--up-to", action="store_true", help="union the atlases for all delta' <= delta")
     p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default 1)")

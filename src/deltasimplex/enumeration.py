@@ -7,15 +7,12 @@ column multisets B -> reduced right-hand sides h -> parallelepiped vectors c
 no other integer points). The stream may contain unimodular-equivalent
 duplicates; removing those is the equivalence module's job.
 
-The family is fixed by h alone: h = 0 gives the lattice family, any other
-h the empty family. It is chosen before the cone minimum is computed, so a
-family that was not asked for costs no cone minimum. Both families then
+The family is fixed by h alone (h = 0: lattice, otherwise empty), so a
+family that was not asked for costs no cone minimum. The empty family tries
+every c of `enumerate_c`; the lattice family only the few c that H fixes in
+closed form (proof in `candidates_for_block`), one cone minimum each. Both
 share one c0 loop and one record builder, which runs the shared checks
-(gcd, normalized form, simplex) once and the lattice-only checks after them.
-A lattice candidate's vertices are tested first, on adj(H), before any
-system is built: most lattice candidates fail only there, and the test is
-exact (see `_rejection`). Records that pass still get every check, the
-vertex test again among them.
+(gcd, normalized form, simplex) and then the lattice-only facet count.
 
 Candidates whose system has a row with gcd > 1 are skipped rather than
 repaired: the class they describe is produced by the run with its true,
@@ -29,12 +26,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .corner_ilp import (
-    _corner_from_table,
-    corner_minimum_excluding_vertex,
-    count_minimum_attainers,
-    path_table,
-)
+from .corner_ilp import _corner_from_table, corner_minimum_excluding_vertex, count_minimum_attainers, path_table
 from .errors import InvariantViolation, NotASimplexError, PreconditionError
 from .exact_linalg import Mat, Vec, adjugate, det, dot, matrix
 from .normal_form import NormalizedSystem, validate_normalized
@@ -233,12 +225,26 @@ def c0_candidates(h_mat: Mat, h, c):
 
 
 def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
-    """All verified candidate records generated by one H block."""
+    """All verified candidate records generated by one H block.
+
+    An empty-family h tries every c of `enumerate_c`, with c0 from
+    `c0_candidates`. The lattice family (h = 0) tries only c = -q H^T g / D,
+    where D = det H and g_i is the gcd of column i of adj(H), for q = m, 2m, ...
+    up to D / max g_i with m = D / gcd(D, content(H^T g)); q is kept iff the
+    vertex-excluding cone minimum f* equals q. Proof: vertex i of
+    {H x <= 0, c x <= c0} is (c0 g_i / w_i) r_i, with w_i the path-table weight
+    and r_i = -adj(H) e_i / g_i primitive (`_lattice_vertices_integral`). An
+    empty lattice simplex has primitive edges, so w_i = c0 g_i; then
+    c^T adj(H) = -c0 g^T and, as H adj(H) = D I, c = -c0 H^T g / D with q = c0.
+    This c is integral iff m | q, and lies in paral(-H^T) iff q g_i <= D. Each
+    r_i is a cone point with c r_i = q, so f* <= q, and a record needs c0 = f*.
+    The vertices r_i are integral by construction (InvariantViolation
+    otherwise). Kept candidates get the per-c loop's checks, in `enumerate_c`
+    order, with c_index their position there, so the stream is unchanged.
+    """
     h_mat = block.H
     n = block.s + block.k
-    delta = 1
-    for d in block.diag:
-        delta *= d
+    delta = math.prod(block.diag)
     empties: list[CandidateRecord] = []
     lattices: list[CandidateRecord] = []
     row_gcds = [math.gcd(*row) for row in h_mat]
@@ -248,15 +254,15 @@ def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
             logger.debug("skip (H|h) gcd violation: diag=%s h=%s", block.diag, h)
             continue
         # h is reduced, so the opposite vertex H^-1 h is integral iff h = 0.
-        if any(h):
-            family, out, wanted = FAMILY_EMPTY, empties, want_empty
+        if any(h) and want_empty:
+            family, out, adj = FAMILY_EMPTY, empties, None
+            decisions = ((c_index, c, c0_candidates(h_mat, h, c)) for c_index, c in enumerate(c_list))
+        elif not any(h) and want_lattice:
+            family, out, adj = FAMILY_LATTICE, lattices, adjugate(h_mat)
+            decisions = _lattice_decisions(h_mat, delta, adj, c_list)
         else:
-            family, out, wanted = FAMILY_LATTICE, lattices, want_lattice
-        if not wanted:
             continue
-        adj = adjugate(h_mat) if family == FAMILY_LATTICE else None
-        for c_index, c in enumerate(c_list):
-            decision = c0_candidates(h_mat, h, c)
+        for c_index, c, decision in decisions:
             for c0 in decision.c0_values():
                 record = _candidate_record(block, delta, family, h_index, h, c_index, c, c0, decision.f_star, adj)
                 if record is not None:
@@ -264,44 +270,52 @@ def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
     return empties, lattices
 
 
+def _lattice_decisions(h_mat: Mat, delta: int, adj: Mat, c_list):
+    """(c_index, c, LatticeCandidate(q)) for each closed-form c with f* == q, by c_index."""
+    g = [math.gcd(*col) for col in zip(*adj)]
+    v = [dot(col, g) for col in zip(*h_mat)]  # H^T g
+    m = delta // math.gcd(delta, *v)
+    out = []
+    for q in range(m, delta // max(g) + 1, m):
+        c = tuple(-q * x // delta for x in v)
+        if c not in c_list:
+            raise InvariantViolation(f"closed-form lattice c {c} is not in enumerate_c")
+        if corner_minimum_excluding_vertex(h_mat, c).f_star == q:
+            out.append((c_list.index(c), c, LatticeCandidate(q)))
+    return sorted(out, key=lambda item: item[0])
+
+
 def _candidate_record(block, delta, family, h_index, h, c_index, c, c0, f_star, adj) -> CandidateRecord | None:
     """The verified record of one candidate, or None (logged) if a check rejects it.
 
     `adj` is adj(H) for a lattice candidate (None for the empty family); its
-    vertices are tested on it before any system is built.
+    closed-form vertices are cross-checked on it before any system is built.
     """
     if math.gcd(*c, c0) > 1:
         reason = "(c|c0) gcd violation"
-    elif family == FAMILY_LATTICE and not _lattice_vertices_integral(adj, c, c0):
-        reason = "fractional vertex"
     else:
         if family == FAMILY_EMPTY and f_star <= c0:
             raise InvariantViolation("c0 range produced a non-empty simplex")
+        if family == FAMILY_LATTICE and not _lattice_vertices_integral(adj, c, c0):
+            raise InvariantViolation("closed-form lattice candidate has a fractional vertex")
         ns = NormalizedSystem(n=block.s + block.k, s=block.s, k=block.k, H=block.H, h=h, c=c, c0=c0, delta=delta)
         reason = _rejection(ns, family)
     if reason is not None:
         logger.debug("skip %s candidate %s: %s", family, (block.diag, h, c, c0), reason)
         return None
-    provenance = {
-        "delta": delta,
-        "diag": list(block.diag),
-        "tuple_index": block.tuple_index,
-        "t_index": block.t_index,
-        "b_index": block.b_index,
-        "h_index": h_index,
-        "c_index": c_index,
-        "c0": c0,
-    }
+    provenance = dict(
+        delta=delta, diag=list(block.diag), tuple_index=block.tuple_index, t_index=block.t_index,
+        b_index=block.b_index, h_index=h_index, c_index=c_index, c0=c0,
+    )
     return CandidateRecord(ns, family, provenance)
 
 
 def _lattice_vertices_integral(adj: Mat, c, c0: int) -> bool:
-    """Whether {H x <= 0, c x <= c0} has integral vertices, read off adj(H) (see `_rejection`).
+    """Whether {H x <= 0, c x <= c0} has integral vertices, read off adj(H).
 
-    Vertex i (opposite row i < n) is -(c0 / w_i) adj(H) e_i, where
-    w_i = -c^T adj(H) e_i is the weight `path_table` holds for (H, c)
-    (`paral_weights`); it is taken from the adjugate column in hand rather
-    than by a second table read. The apex is 0.
+    The apex is 0. Vertex i < n solves H_j x = 0 (j != i) and c x = c0, so it
+    is x = -(t / det H) adj(H) e_i with c x = (t / det H) w_i = c0, where
+    w_i = -c^T adj(H) e_i is the `paral_weights` weight: x = -(c0 / w_i) adj(H) e_i.
     """
     for col in zip(*adj):  # col = adj(H) e_i
         w_i = -dot(col, c)
@@ -313,22 +327,8 @@ def _lattice_vertices_integral(adj: Mat, c, c0: int) -> bool:
 def _rejection(ns: NormalizedSystem, family: str) -> str | None:
     """Why `ns` is not a record of `family`, or None if it passes every check.
 
-    A lattice candidate reaches this only after `_lattice_vertices_integral`
-    passed, which decides the vertex test before anything is built. The
-    proof: for h = 0 and c0 = f_star the system is {H x <= 0, c x <= c0}
-    with H nonsingular. The vertex opposite row n (c x <= c0) solves
-    H x = 0, so it is the apex 0. The vertex opposite row i < n solves
-    H_j x = 0 for j != i and c x = c0, so H x = -t e_i for some t and
-    x = -t H^-1 e_i = -(t / det H) adj(H) e_i. Then
-    c x = (t / det H) w_i with w_i = -c^T adj(H) e_i, the path table's
-    weight, which lies in [1, det H] because c is in paral(-H^T). So
-    t / det H = c0 / w_i and x = -(c0 / w_i) adj(H) e_i, which is integral
-    iff w_i divides c0 adj(H)[j][i] for every j. On a system that
-    `validate_simplex` accepts these are exactly its n + 1 vertices, so the
-    test says "every denominator of `meta.points` is 1", which is checked
-    again below as an invariant. So moving the vertex test first keeps the
-    same records: a candidate it rejects either fails a later check too or
-    passes them and then has a fractional `meta.points` entry.
+    A lattice candidate arrives with vertices that `_lattice_vertices_integral`
+    found integral, so every denominator of `meta.points` must be 1.
     """
     ok, violated = validate_normalized(ns)
     if not ok:

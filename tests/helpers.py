@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the package's own algorithms: the
 determinant oracle is plain cofactor expansion, rational solving is textbook
-Gaussian elimination over Fractions, and the equivalence oracle is a bounded
-exhaustive search over unimodular maps.
+Gaussian elimination over Fractions, and the equivalence oracles are an exact
+search over vertex bijections and a bounded exhaustive search over
+unimodular maps.
 """
 
 from __future__ import annotations
@@ -162,4 +163,34 @@ def brute_force_equivalent(sys_a: InequalitySystem, sys_b: InequalitySystem, ent
             )
             if image == verts_b:
                 return (u, tuple(int(t) for t in x0))
+    return None
+
+
+def vertex_bijection_equivalent(sys_a: InequalitySystem, sys_b: InequalitySystem):
+    """Exact equivalence oracle: (U, x0) with U v + x0 mapping A's vertices onto B's, or None.
+
+    An affine map of R^n is fixed by the images of n + 1 affinely independent
+    points. So A and B are equivalent iff, for some bijection pi of their
+    vertices, the map it fixes has U = D_B D_A^-1 integral with |det U| = 1
+    and x0 = pi(v_0) - U v_0 integral, where D_A has the edge vectors
+    v_i - v_0 as columns and D_B the edge vectors pi(v_i) - pi(v_0). All
+    (n + 1)! bijections are tried; nothing here uses normal forms.
+    """
+    n = sys_a.n
+    if sys_b.n != n:
+        return None
+    verts_a = validate_simplex(sys_a).vertices
+    verts_b = validate_simplex(sys_b).vertices
+    inv_a = gauss_inverse([[verts_a[j + 1][i] - verts_a[0][i] for j in range(n)] for i in range(n)])
+    for image in itertools.permutations(verts_b):
+        d_b = [[image[j + 1][i] - image[0][i] for j in range(n)] for i in range(n)]
+        u = [[sum(d_b[i][k] * inv_a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        if any(Fraction(x).denominator != 1 for row in u for x in row):
+            continue
+        u = tuple(tuple(int(x) for x in row) for row in u)
+        if abs(cofactor_det(u)) != 1:
+            continue
+        x0 = [Fraction(image[0][i]) - sum(u[i][k] * verts_a[0][k] for k in range(n)) for i in range(n)]
+        if all(t.denominator == 1 for t in x0):
+            return u, tuple(int(t) for t in x0)
     return None

@@ -243,6 +243,30 @@ def test_enumerate_atlas_rejects_jobs_below_one(jobs):
         enumerate_atlas(1, 1, jobs=jobs)
 
 
+@pytest.mark.parametrize(
+    "delta, dim, flag", [("0", "2", "--delta"), ("-2", "2", "--delta"), ("2", "0", "--dim"), ("2", "-1", "--dim")]
+)
+@pytest.mark.parametrize("up_to", [[], ["--up-to"]])
+def test_enumerate_rejects_delta_and_dim_below_one(delta, dim, flag, up_to, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["enumerate", "--delta", delta, "--dim", dim, *up_to])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("delta, dim", [(0, 2), (-2, 2), (2, 0), (2, -1)])
+@pytest.mark.parametrize("up_to", [False, True])
+def test_enumerate_atlas_rejects_delta_and_dim_below_one(delta, dim, up_to, monkeypatch):
+    # The check runs before any cell is built: with --up-to, a delta below 1
+    # used to give an empty range of cells and so an empty atlas.
+    from deltasimplex import atlas
+
+    monkeypatch.setattr(atlas, "enumerate_H", lambda *a: pytest.fail("a cell was built"))
+    with pytest.raises(PreconditionError, match="must be at least 1"):
+        enumerate_atlas(delta, dim, up_to=up_to)
+
+
 def test_enumerate_atlas_starts_one_pool_per_call(monkeypatch):
     # With --up-to, delta' = 1 has one block and delta' = 2, 3 have four each:
     # one pool serves both, and a call with no multi-block delta' starts none.

@@ -361,8 +361,12 @@ def test_early_vertex_test_matches_validated_vertices():
     assert seen[True] > 50 and seen[False] > 500
 
 
-def _families_in_old_check_order(delta, n):
-    """Test-side copy of the generator with the lattice vertex test after the record checks."""
+def _families_in_old_check_order(delta, n, want_empty=True):
+    """Test-side copy of the generator with the lattice vertex test after the record checks.
+
+    Its lattice family is the per-c loop: every c of `enumerate_c`, each with
+    a cone minimum, and c0 = f_star.
+    """
     from deltasimplex import (
         CandidateRecord,
         NormalizedSystem,
@@ -378,6 +382,8 @@ def _families_in_old_check_order(delta, n):
             if any(math.gcd(row_gcds[i], h[i]) > 1 for i in range(n)):
                 continue
             family, out = ("empty", empties) if any(h) else ("lattice_empty", lattices)
+            if family == "empty" and not want_empty:
+                continue
             for c_index, c in enumerate(enumerate_c(block.H)):
                 decision = c0_candidates(block.H, h, c)
                 for c0 in decision.c0_values():
@@ -439,17 +445,127 @@ def _white_tetrahedron(p, q):
     return InequalitySystem(3, rows, rhs)
 
 
+@pytest.mark.parametrize(
+    "delta, n", [(d, k) for d in range(1, 9) for k in range(1, 5)] + [(3, 8), (9, 3), (16, 3)]
+)
+def test_closed_form_lattice_stream_matches_per_c_loop(delta, n):
+    # The closed form tries only c = -q H^T g / det H; the per-c loop tries
+    # every c. The streams agree record for record, provenance included.
+    def rows(records):
+        return [(r.ns, r.family, r.provenance) for r in records]
+
+    no_empties, lattices = enumerate_families(delta, n, want_empty=False)
+    assert no_empties == []
+    assert rows(lattices) == rows(_families_in_old_check_order(delta, n, want_empty=False)[1])
+
+
+def test_closed_form_candidates_come_out_in_enumerate_c_order():
+    # c_index is the position of c in enumerate_c, and a block's lattice
+    # candidates come out in that order, not in the order of q.
+    from deltasimplex import adjugate
+    from deltasimplex.enumeration import _lattice_decisions
+
+    reordered = 0
+    for delta, n in ((8, 3), (8, 4), (16, 3)):
+        for block in enumerate_H(delta, n):
+            c_list = enumerate_c(block.H)
+            decisions = _lattice_decisions(block.H, delta, adjugate(block.H), c_list)
+            assert [c for _, c, _ in decisions] == [c_list[i] for i, _, _ in decisions]
+            assert [i for i, _, _ in decisions] == sorted({i for i, _, _ in decisions})
+            reordered += len(decisions) > 1
+    assert reordered > 10
+
+
+def test_closed_form_invariants_raise(monkeypatch):
+    # A closed-form c missing from enumerate_c, or a lattice candidate with a
+    # fractional vertex, is a bug in the generator, not a rejected candidate.
+    from deltasimplex import LatticeCandidate, adjugate, corner_minimum_excluding_vertex, enumeration
+    from deltasimplex.enumeration import _lattice_vertices_integral, candidates_for_block
+
+    block = next(enumerate_H(1, 2))
+    monkeypatch.setattr(enumeration, "enumerate_c", lambda h_mat: ())
+    with pytest.raises(InvariantViolation, match="not in enumerate_c"):
+        candidates_for_block(block, want_empty=False, want_lattice=True)
+    monkeypatch.undo()
+    fractional = [
+        (b, i, c, f)
+        for b in enumerate_H(4, 3)
+        if all(math.gcd(*row) == 1 for row in b.H)
+        for i, c in enumerate(enumerate_c(b.H))
+        for f in [corner_minimum_excluding_vertex(b.H, c).f_star]
+        if math.gcd(*c, f) == 1 and not _lattice_vertices_integral(adjugate(b.H), c, f)
+    ]
+    assert fractional
+    block, i, c, f = fractional[0]
+    monkeypatch.setattr(enumeration, "_lattice_decisions", lambda *args: [(i, c, LatticeCandidate(f))])
+    with pytest.raises(InvariantViolation, match="closed-form lattice candidate has a fractional vertex"):
+        candidates_for_block(block, want_empty=False, want_lattice=True)
+
+
+def _closed_form_qs(block):
+    """The q values the closed form tries for one block: m, 2m, ... up to det H / max g_i."""
+    from deltasimplex import adjugate
+
+    h_mat, n = block.H, len(block.H)
+    delta = math.prod(block.diag)
+    g = [math.gcd(*(adjugate(h_mat)[i][j] for i in range(n))) for j in range(n)]
+    v = [sum(h_mat[i][j] * g[i] for i in range(n)) for j in range(n)]
+    m = delta // math.gcd(delta, *v)
+    return list(range(m, delta // max(g) + 1, m))
+
+
+def test_lattice_family_makes_one_cone_minimum_per_q(monkeypatch):
+    # enumerate --family lattice --up-to --delta 3 --dim 8: the per-c loop
+    # made one vertex-excluding minimum per (block, c), 120 in all; the
+    # closed form makes one per q, 25 in all.
+    from deltasimplex import enumerate_atlas, enumeration
+
+    calls = []
+    original = enumeration.corner_minimum_excluding_vertex
+    monkeypatch.setattr(
+        enumeration, "corner_minimum_excluding_vertex", lambda h_mat, c: calls.append(c) or original(h_mat, c)
+    )
+    records = enumerate_atlas(3, 8, "lattice", up_to=True)
+    assert len(records) == 1
+    # Blocks with a row gcd > 1 fail the (H|h) gcd rule at h = 0.
+    blocks = [b for d in (1, 2, 3) for b in enumerate_H(d, 8) if all(math.gcd(*row) == 1 for row in b.H)]
+    assert len(calls) == sum(len(_closed_form_qs(b)) for b in blocks) == 25
+    assert sum(len(enumerate_c(b.H)) for b in blocks) == 120
+
+
+def _white_orbits(q):
+    """Orbits of (Z/q)^x under p -> -p and p -> p^-1; each is {+-p^(+-1) mod q}."""
+    units = [p for p in range(q) if math.gcd(p, q) == 1]
+    return {frozenset({p % q, -p % q, pow(p, -1, q), -pow(p, -1, q) % q}) for p in units}
+
+
 def test_white_theorem_lattice_tetrahedra():
     # White (Canad. J. Math., 1964): every empty lattice tetrahedron is
     # equivalent to T(p, q) with gcd(p, q) = 1, and Delta(T(p, q)) = q^2;
-    # T(p, q) and T(p', q) are equivalent iff p' = +-p^(+-1) mod q. Up to
-    # q = 4 that is one class at each Delta in {1, 4, 9, 16}, namely T(1, q),
-    # and none at any other Delta.
-    from deltasimplex import check_equivalence, enumerate_atlas
+    # T(p, q) and T(p', q) are equivalent iff p' = +-p^(+-1) mod q. So the
+    # n = 3 lattice atlas has records only at Delta = q^2, one per orbit of
+    # (Z/q)^x under p -> -p and p -> p^-1. Up to q = 5 that is one class at
+    # each Delta in {1, 4, 9, 16} and two at 25, T(1, 5) and T(2, 5).
+    # Equivalence is decided by the vertex-bijection oracle, not the package.
+    from deltasimplex import enumerate_atlas
 
-    records = enumerate_atlas(16, 3, "lattice", up_to=True)
-    assert sorted(r.ns.delta for r in records) == [1, 4, 9, 16]
+    from helpers import vertex_bijection_equivalent
+
+    records = enumerate_atlas(25, 3, "lattice", up_to=True)
+    assert sorted(r.ns.delta for r in records) == [1, 4, 9, 16, 25, 25]
+    classes = {}
     for rec in records:
         q = math.isqrt(rec.ns.delta)
         assert rec.family == "lattice_empty"
-        assert check_equivalence(rec.system(), _white_tetrahedron(1, q)).equivalent
+        matches = frozenset(
+            p
+            for orbit in _white_orbits(q)
+            for p in orbit
+            if vertex_bijection_equivalent(rec.system(), _white_tetrahedron(p, q)) is not None
+        )
+        classes.setdefault(q, []).append(matches)
+    assert len(_white_orbits(5)) == 2
+    for q in range(1, 6):
+        # Each record is equivalent to exactly the T(p, q) of one orbit, and
+        # each orbit has exactly one record.
+        assert sorted(map(sorted, classes[q])) == sorted(map(sorted, _white_orbits(q)))

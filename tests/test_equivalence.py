@@ -24,7 +24,7 @@ from deltasimplex import (
 from deltasimplex.exact_linalg import hnf, max_minors
 from deltasimplex.normal_form import _build_normal, _normal_key, _normalize_primitive
 
-from helpers import brute_force_equivalent, random_simplex, random_unimodular_map
+from helpers import brute_force_equivalent, random_simplex, random_unimodular_map, vertex_bijection_equivalent
 
 
 def test_reduced_permutations_counts():
@@ -538,6 +538,41 @@ def test_oracle_found_maps_are_always_found():
             found += 1
             assert check_equivalence(a, b).equivalent
     assert found >= 1
+
+
+def test_vertex_bijection_oracle():
+    # The exact oracle finds a map for every unimodular image, the map it
+    # returns carries the vertices across, and wherever the bounded search
+    # finds a map, so does the exact oracle.
+    rng = random.Random(1111)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        a = random_simplex(rng, n, entry_bound=4)
+        b = apply_map(a, random_unimodular_map(rng, n, entry_bound=6, trans_bound=5))
+        u, x0 = vertex_bijection_equivalent(a, b)
+        image = {
+            tuple(sum(u[i][j] * v[j] for j in range(n)) + x0[i] for i in range(n))
+            for v in validate_simplex(a).vertices
+        }
+        assert image == set(validate_simplex(b).vertices)
+    found = 0
+    for _ in range(60):
+        n = rng.randint(1, 2)
+        a, b = random_simplex(rng, n, entry_bound=3), random_simplex(rng, n, entry_bound=3)
+        exact = vertex_bijection_equivalent(a, b) is not None
+        assert exact == check_equivalence(a, b).equivalent
+        if brute_force_equivalent(a, b) is not None:
+            assert exact
+            found += 1
+    assert found >= 1
+
+
+def test_vertex_bijection_oracle_separates_small_atlases(atlas_cache):
+    for delta, n in ((3, 2), (4, 2), (3, 3)):
+        records = atlas_cache(delta, n)
+        for i, a in enumerate(records):
+            for j, b in enumerate(records):
+                assert (vertex_bijection_equivalent(a.system(), b.system()) is not None) == (i == j)
 
 
 def test_invariants_constant_across_equivalent_set():
