@@ -16,7 +16,6 @@ from .enumeration import (
     FAMILY_LATTICE,
     CandidateRecord,
     EmptyRange,
-    LatticeCandidate,
     c0_candidates,
     divisor_tuples,
     enumerate_H,

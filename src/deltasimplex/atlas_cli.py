@@ -20,7 +20,6 @@ import json
 import sys
 
 from .atlas import enumerate_atlas, read_atlas, record_from_dict, stats_atlas, verify_atlas, write_atlas
-from .atlas import record_to_dict  # noqa: F401  (re-exported: callers import it from here)
 from .corner_ilp import corner_minimum
 from .equivalence import check_equivalence
 from .errors import DeltaSimplexError

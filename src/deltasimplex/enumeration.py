@@ -8,11 +8,13 @@ no other integer points). The stream may contain unimodular-equivalent
 duplicates; removing those is the equivalence module's job.
 
 The family is fixed by h alone (h = 0: lattice, otherwise empty), so a
-family that was not asked for costs no cone minimum. The empty family tries
-every c of `enumerate_c`; the lattice family only the few c that H fixes in
-closed form (proof in `candidates_for_block`), one cone minimum each. Both
-share one c0 loop and one record builder, which runs the shared checks
-(gcd, normalized form, simplex) and then the lattice-only facet count.
+family that was not asked for costs no cone minimum. The empty family loops
+over every h != 0, every c of `enumerate_c` and every c0 of its admissible
+range. The lattice family is one closed-form step per block: H fixes the
+only possible (c, c0), and one cone minimum decides it (proof in
+`candidates_for_block`). Both end in one record builder, which runs the
+shared checks (gcd, normalized form, simplex) and then the lattice-only
+facet count.
 
 Candidates whose system has a row with gcd > 1 are skipped rather than
 repaired: the class they describe is produced by the run with its true,
@@ -67,19 +69,6 @@ class EmptyRange:
 
     l_star: int
     f_star: int
-
-    def c0_values(self):
-        return range(self.l_star, self.f_star)
-
-
-@dataclass(frozen=True)
-class LatticeCandidate:
-    """The single interesting c0 = f_star of the lattice-vertex case."""
-
-    f_star: int
-
-    def c0_values(self):
-        return (self.f_star,)
 
 
 def divisor_tuples(delta: int) -> tuple[Vec, ...]:
@@ -201,103 +190,104 @@ def enumerate_c(h_mat: Mat) -> tuple[Vec, ...]:
     return tuple(out)
 
 
-def c0_candidates(h_mat: Mat, h, c):
-    """Classify the admissible c0 values for a fixed (H, h, c) triple.
+def c0_candidates(h_mat: Mat, h, c) -> EmptyRange:
+    """The admissible c0 range of the empty family for a fixed (H, h, c) triple.
 
-    If the opposite vertex v = H^-1 h is fractional, every c0 in
-    [l_star, f_star - 1] gives an empty simplex, where l_star is the least
-    integer strictly above c^T v and f_star the cone minimum; the range may
-    be empty. If v is integral (equivalently h = 0, since h is reduced),
-    only c0 = f_star of the vertex-excluding problem can give an empty
-    lattice simplex. Either case reads the path table of (H, c) once: the
-    vertex-excluding minimum reads it for its n targets, and the empty case
-    takes c^T v = -(w^T h) / det(H) from its weights and the cone minimum
-    from its distances.
+    h must be reduced and nonzero, so the opposite vertex v = H^-1 h is
+    fractional. Every c0 in [l_star, f_star - 1] then gives an empty
+    simplex, where l_star is the least integer strictly above c^T v and
+    f_star the cone minimum; the range may be empty. Both come from one path
+    table read of (H, c): c^T v = -(w^T h) / det(H) from its weights and the
+    cone minimum from its distances. The lattice family (h = 0) has its own
+    closed form in `candidates_for_block`.
     """
     n = len(h_mat)
     if any(not 0 <= h[i] < h_mat[i][i] for i in range(n)):
         raise PreconditionError("right-hand side must be reduced (0 <= h_i < H_ii)")
     if not any(h):
-        return LatticeCandidate(corner_minimum_excluding_vertex(h_mat, c).f_star)
+        raise PreconditionError("h = 0 has no empty c0 range; its lattice candidate is fixed in closed form")
     pt = path_table(h_mat, c)
     l_star = -dot(pt.weights, h) // pt.delta + 1
     return EmptyRange(l_star=l_star, f_star=_corner_from_table(pt, h, c).f_star)
 
 
 def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
-    """All verified candidate records generated by one H block.
+    """All verified candidate records generated by one H block, as (empties, lattices).
 
-    An empty-family h tries every c of `enumerate_c`, with c0 from
-    `c0_candidates`. The lattice family (h = 0) tries only c = -q H^T g / D,
-    where D = det H and g_i is the gcd of column i of adj(H), for q = m, 2m, ...
-    up to D / max g_i with m = D / gcd(D, content(H^T g)); q is kept iff the
-    vertex-excluding cone minimum f* equals q. Proof: vertex i of
-    {H x <= 0, c x <= c0} is (c0 g_i / w_i) r_i, with w_i the path-table weight
-    and r_i = -adj(H) e_i / g_i primitive (`_lattice_vertices_integral`). An
+    The empty family loops over every reduced h != 0 that passes the (H|h)
+    gcd rule and every c of `enumerate_c`, with c0 from `c0_candidates`.
+
+    The lattice family is h = 0, which passes the gcd rule iff every row of H
+    is primitive, and has at most one candidate per block: with D = det H, g_i
+    the gcd of column i of adj(H), v = H^T g, G = gcd(D, content v) and
+    m = D / G, it is c = -m v / D, c0 = m, kept iff the vertex-excluding cone
+    minimum f* equals m. Proof: vertex i of {H x <= 0, c x <= c0} is
+    (c0 g_i / w_i) r_i, with w_i the path-table weight and
+    r_i = -adj(H) e_i / g_i primitive (`_lattice_vertices_integral`). An
     empty lattice simplex has primitive edges, so w_i = c0 g_i; then
-    c^T adj(H) = -c0 g^T and, as H adj(H) = D I, c = -c0 H^T g / D with q = c0.
-    This c is integral iff m | q, and lies in paral(-H^T) iff q g_i <= D. Each
-    r_i is a cone point with c r_i = q, so f* <= q, and a record needs c0 = f*.
-    The vertices r_i are integral by construction (InvariantViolation
-    otherwise). Kept candidates get the per-c loop's checks, in `enumerate_c`
-    order, with c_index their position there, so the stream is unchanged.
+    c^T adj(H) = -c0 g^T and, as H adj(H) = D I, c = -q v / D with q = c0.
+    This c is integral iff m | q, and lies in paral(-H^T) iff q g_i <= D.
+    Only q = m can pass the (c|c0) gcd rule: for q = k m, (c_q, q) =
+    k (c_m, m), while gcd(c_m, m) = 1 because c_m = -v / G and m = D / G with
+    G = gcd(D, content v). Each r_i is a cone point with c r_i = m, so
+    f* <= m, and a record needs c0 = f*. The vertices r_i are integral by
+    construction (InvariantViolation otherwise). A kept candidate gets the
+    record checks with c_index its position in `enumerate_c`, so the records
+    and their provenance are those of a loop over every c.
     """
     h_mat = block.H
-    n = block.s + block.k
     delta = math.prod(block.diag)
     empties: list[CandidateRecord] = []
     lattices: list[CandidateRecord] = []
     row_gcds = [math.gcd(*row) for row in h_mat]
-    c_list = enumerate_c(h_mat)
-    for h_index, h in enumerate(enumerate_h(h_mat)):
-        if any(math.gcd(row_gcds[i], h[i]) > 1 for i in range(n)):
-            logger.debug("skip (H|h) gcd violation: diag=%s h=%s", block.diag, h)
-            continue
-        # h is reduced, so the opposite vertex H^-1 h is integral iff h = 0.
-        if any(h) and want_empty:
-            family, out, adj = FAMILY_EMPTY, empties, None
-            decisions = ((c_index, c, c0_candidates(h_mat, h, c)) for c_index, c in enumerate(c_list))
-        elif not any(h) and want_lattice:
-            family, out, adj = FAMILY_LATTICE, lattices, adjugate(h_mat)
-            decisions = _lattice_decisions(h_mat, delta, adj, c_list)
-        else:
-            continue
-        for c_index, c, decision in decisions:
-            for c0 in decision.c0_values():
-                record = _candidate_record(block, delta, family, h_index, h, c_index, c, c0, decision.f_star, adj)
-                if record is not None:
-                    out.append(record)
+    if want_lattice and all(g == 1 for g in row_gcds):
+        record = _lattice_record(block, delta)
+        if record is not None:
+            lattices.append(record)
+    if want_empty:
+        c_list = enumerate_c(h_mat)
+        # h = 0 comes first in `enumerate_h`; every other h has a fractional opposite vertex.
+        for h_index, h in enumerate(enumerate_h(h_mat)[1:], start=1):
+            if any(math.gcd(g, x) > 1 for g, x in zip(row_gcds, h)):
+                logger.debug("skip (H|h) gcd violation: diag=%s h=%s", block.diag, h)
+                continue
+            for c_index, c in enumerate(c_list):
+                r = c0_candidates(h_mat, h, c)
+                for c0 in range(r.l_star, r.f_star):
+                    record = _candidate_record(block, delta, FAMILY_EMPTY, h_index, h, c_index, c, c0, r.f_star)
+                    if record is not None:
+                        empties.append(record)
     return empties, lattices
 
 
-def _lattice_decisions(h_mat: Mat, delta: int, adj: Mat, c_list):
-    """(c_index, c, LatticeCandidate(q)) for each closed-form c with f* == q, by c_index."""
+def _lattice_record(block: HnfBlock, delta: int) -> CandidateRecord | None:
+    """The closed-form lattice record (h = 0) of a block with primitive rows, or None."""
+    h_mat = block.H
+    adj = adjugate(h_mat)
     g = [math.gcd(*col) for col in zip(*adj)]
     v = [dot(col, g) for col in zip(*h_mat)]  # H^T g
     m = delta // math.gcd(delta, *v)
-    out = []
-    for q in range(m, delta // max(g) + 1, m):
-        c = tuple(-q * x // delta for x in v)
-        if c not in c_list:
-            raise InvariantViolation(f"closed-form lattice c {c} is not in enumerate_c")
-        if corner_minimum_excluding_vertex(h_mat, c).f_star == q:
-            out.append((c_list.index(c), c, LatticeCandidate(q)))
-    return sorted(out, key=lambda item: item[0])
+    if m * max(g) > delta:
+        return None
+    c = tuple(-m * x // delta for x in v)
+    if corner_minimum_excluding_vertex(h_mat, c).f_star != m:
+        return None
+    if not _lattice_vertices_integral(adj, c, m):
+        raise InvariantViolation("closed-form lattice candidate has a fractional vertex")
+    try:
+        c_index = enumerate_c(h_mat).index(c)
+    except ValueError:
+        raise InvariantViolation(f"closed-form lattice c {c} is not in enumerate_c") from None
+    return _candidate_record(block, delta, FAMILY_LATTICE, 0, (0,) * len(h_mat), c_index, c, m, m)
 
 
-def _candidate_record(block, delta, family, h_index, h, c_index, c, c0, f_star, adj) -> CandidateRecord | None:
-    """The verified record of one candidate, or None (logged) if a check rejects it.
-
-    `adj` is adj(H) for a lattice candidate (None for the empty family); its
-    closed-form vertices are cross-checked on it before any system is built.
-    """
+def _candidate_record(block, delta, family, h_index, h, c_index, c, c0, f_star) -> CandidateRecord | None:
+    """The verified record of one candidate, or None (logged) if a check rejects it."""
     if math.gcd(*c, c0) > 1:
         reason = "(c|c0) gcd violation"
     else:
         if family == FAMILY_EMPTY and f_star <= c0:
             raise InvariantViolation("c0 range produced a non-empty simplex")
-        if family == FAMILY_LATTICE and not _lattice_vertices_integral(adj, c, c0):
-            raise InvariantViolation("closed-form lattice candidate has a fractional vertex")
         ns = NormalizedSystem(n=block.s + block.k, s=block.s, k=block.k, H=block.H, h=h, c=c, c0=c0, delta=delta)
         reason = _rejection(ns, family)
     if reason is not None:
@@ -327,8 +317,9 @@ def _lattice_vertices_integral(adj: Mat, c, c0: int) -> bool:
 def _rejection(ns: NormalizedSystem, family: str) -> str | None:
     """Why `ns` is not a record of `family`, or None if it passes every check.
 
-    A lattice candidate arrives with vertices that `_lattice_vertices_integral`
-    found integral, so every denominator of `meta.points` must be 1.
+    A lattice candidate arrives from `_lattice_record`, whose cross-check
+    `_lattice_vertices_integral` found its vertices integral, so every
+    denominator of `meta.points` must be 1.
     """
     ok, violated = validate_normalized(ns)
     if not ok:

@@ -8,7 +8,8 @@ import pytest
 
 import deltasimplex
 from deltasimplex import system_to_dict
-from deltasimplex.atlas_cli import main, read_atlas, record_from_dict, record_to_dict
+from deltasimplex.atlas import read_atlas, record_from_dict, record_to_dict
+from deltasimplex.atlas_cli import main
 from deltasimplex import InequalitySystem, PreconditionError, enumerate_atlas, normalized_to_dict
 
 

@@ -7,7 +7,6 @@ import pytest
 from deltasimplex import (
     EmptyRange,
     InvariantViolation,
-    LatticeCandidate,
     PreconditionError,
     c0_candidates,
     count_integer_points_bruteforce,
@@ -179,22 +178,19 @@ def test_enumerate_c_rejects_inexact_division():
 
 
 def test_c0_candidates_lattice():
-    decision = c0_candidates(identity(2), (0, 0), (-1, -1))
-    assert decision == LatticeCandidate(1)
-    assert list(decision.c0_values()) == [1]
+    # h = 0 is the lattice family, whose (c, c0) candidates_for_block fixes in
+    # closed form; it has no empty c0 range.
+    with pytest.raises(PreconditionError):
+        c0_candidates(identity(2), (0, 0), (-1, -1))
 
 
 def test_c0_candidates_empty_range():
-    decision = c0_candidates(((1, 0), (1, 2)), (0, 1), (-1, -1))
-    assert decision == EmptyRange(l_star=0, f_star=0)
-    assert list(decision.c0_values()) == []
+    assert c0_candidates(((1, 0), (1, 2)), (0, 1), (-1, -1)) == EmptyRange(l_star=0, f_star=0)
 
 
 def test_c0_candidates_segment_cases():
     assert c0_candidates(((3,),), (1,), (-3,)) == EmptyRange(l_star=0, f_star=0)
-    decision = c0_candidates(((3,),), (2,), (-3,))
-    assert decision == EmptyRange(l_star=-1, f_star=0)
-    assert list(decision.c0_values()) == [-1]
+    assert c0_candidates(((3,),), (2,), (-3,)) == EmptyRange(l_star=-1, f_star=0)
 
 
 def test_families_delta_one():
@@ -339,7 +335,13 @@ def test_early_vertex_test_matches_validated_vertices():
     # The vertex test on adj(H) and the path table's weights decides exactly
     # what the denominators of validate_simplex's vertices decide, on every
     # lattice candidate (h = 0, c0 = f_star) with delta <= 6 and n <= 4.
-    from deltasimplex import NormalizedSystem, NotASimplexError, adjugate, validate_simplex
+    from deltasimplex import (
+        NormalizedSystem,
+        NotASimplexError,
+        adjugate,
+        corner_minimum_excluding_vertex,
+        validate_simplex,
+    )
     from deltasimplex.enumeration import _lattice_vertices_integral
 
     seen = {True: 0, False: 0}
@@ -349,7 +351,7 @@ def test_early_vertex_test_matches_validated_vertices():
                 adj = adjugate(block.H)
                 h = (0,) * n
                 for c in enumerate_c(block.H):
-                    c0 = c0_candidates(block.H, h, c).f_star
+                    c0 = corner_minimum_excluding_vertex(block.H, c).f_star
                     ns = NormalizedSystem(n=n, s=block.s, k=block.k, H=block.H, h=h, c=c, c0=c0, delta=delta)
                     try:
                         meta = validate_simplex(ns.system())
@@ -371,6 +373,7 @@ def _families_in_old_check_order(delta, n, want_empty=True):
         CandidateRecord,
         NormalizedSystem,
         NotASimplexError,
+        corner_minimum_excluding_vertex,
         count_minimum_attainers,
         validate_simplex,
     )
@@ -385,8 +388,12 @@ def _families_in_old_check_order(delta, n, want_empty=True):
             if family == "empty" and not want_empty:
                 continue
             for c_index, c in enumerate(enumerate_c(block.H)):
-                decision = c0_candidates(block.H, h, c)
-                for c0 in decision.c0_values():
+                if family == "empty":
+                    r = c0_candidates(block.H, h, c)
+                    c0_values = range(r.l_star, r.f_star)
+                else:
+                    c0_values = [corner_minimum_excluding_vertex(block.H, c).f_star]
+                for c0 in c0_values:
                     if math.gcd(*c, c0) > 1:
                         continue
                     ns = NormalizedSystem(n=n, s=block.s, k=block.k, H=block.H, h=h, c=c, c0=c0, delta=delta)
@@ -459,65 +466,40 @@ def test_closed_form_lattice_stream_matches_per_c_loop(delta, n):
     assert rows(lattices) == rows(_families_in_old_check_order(delta, n, want_empty=False)[1])
 
 
-def test_closed_form_candidates_come_out_in_enumerate_c_order():
-    # c_index is the position of c in enumerate_c, and a block's lattice
-    # candidates come out in that order, not in the order of q.
-    from deltasimplex import adjugate
-    from deltasimplex.enumeration import _lattice_decisions
-
-    reordered = 0
-    for delta, n in ((8, 3), (8, 4), (16, 3)):
-        for block in enumerate_H(delta, n):
-            c_list = enumerate_c(block.H)
-            decisions = _lattice_decisions(block.H, delta, adjugate(block.H), c_list)
-            assert [c for _, c, _ in decisions] == [c_list[i] for i, _, _ in decisions]
-            assert [i for i, _, _ in decisions] == sorted({i for i, _, _ in decisions})
-            reordered += len(decisions) > 1
-    assert reordered > 10
-
-
 def test_closed_form_invariants_raise(monkeypatch):
-    # A closed-form c missing from enumerate_c, or a lattice candidate with a
-    # fractional vertex, is a bug in the generator, not a rejected candidate.
-    from deltasimplex import LatticeCandidate, adjugate, corner_minimum_excluding_vertex, enumeration
-    from deltasimplex.enumeration import _lattice_vertices_integral, candidates_for_block
+    # A closed-form c missing from enumerate_c, or a kept lattice candidate
+    # whose vertex cross-check fails, is a bug in the generator, not a
+    # rejected candidate.
+    from deltasimplex import enumeration
+    from deltasimplex.enumeration import _lattice_record
 
     block = next(enumerate_H(1, 2))
+    assert _lattice_record(block, 1) is not None
     monkeypatch.setattr(enumeration, "enumerate_c", lambda h_mat: ())
     with pytest.raises(InvariantViolation, match="not in enumerate_c"):
-        candidates_for_block(block, want_empty=False, want_lattice=True)
+        _lattice_record(block, 1)
     monkeypatch.undo()
-    fractional = [
-        (b, i, c, f)
-        for b in enumerate_H(4, 3)
-        if all(math.gcd(*row) == 1 for row in b.H)
-        for i, c in enumerate(enumerate_c(b.H))
-        for f in [corner_minimum_excluding_vertex(b.H, c).f_star]
-        if math.gcd(*c, f) == 1 and not _lattice_vertices_integral(adjugate(b.H), c, f)
-    ]
-    assert fractional
-    block, i, c, f = fractional[0]
-    monkeypatch.setattr(enumeration, "_lattice_decisions", lambda *args: [(i, c, LatticeCandidate(f))])
+    monkeypatch.setattr(enumeration, "_lattice_vertices_integral", lambda adj, c, c0: False)
     with pytest.raises(InvariantViolation, match="closed-form lattice candidate has a fractional vertex"):
-        candidates_for_block(block, want_empty=False, want_lattice=True)
+        enumeration.candidates_for_block(block, want_empty=False, want_lattice=True)
 
 
-def _closed_form_qs(block):
-    """The q values the closed form tries for one block: m, 2m, ... up to det H / max g_i."""
+def _closed_form_qs(h_mat):
+    """The q values the closed form tries for one H: [m] if m * max g_i <= det H, else []."""
     from deltasimplex import adjugate
 
-    h_mat, n = block.H, len(block.H)
-    delta = math.prod(block.diag)
+    n = len(h_mat)
+    delta = math.prod(h_mat[i][i] for i in range(n))
     g = [math.gcd(*(adjugate(h_mat)[i][j] for i in range(n))) for j in range(n)]
     v = [sum(h_mat[i][j] * g[i] for i in range(n)) for j in range(n)]
     m = delta // math.gcd(delta, *v)
-    return list(range(m, delta // max(g) + 1, m))
+    return [m] if m * max(g) <= delta else []
 
 
 def test_lattice_family_makes_one_cone_minimum_per_q(monkeypatch):
     # enumerate --family lattice --up-to --delta 3 --dim 8: the per-c loop
     # made one vertex-excluding minimum per (block, c), 120 in all; the
-    # closed form makes one per q, 25 in all.
+    # closed form makes one per block, for q = m, 22 in all.
     from deltasimplex import enumerate_atlas, enumeration
 
     calls = []
@@ -529,8 +511,38 @@ def test_lattice_family_makes_one_cone_minimum_per_q(monkeypatch):
     assert len(records) == 1
     # Blocks with a row gcd > 1 fail the (H|h) gcd rule at h = 0.
     blocks = [b for d in (1, 2, 3) for b in enumerate_H(d, 8) if all(math.gcd(*row) == 1 for row in b.H)]
-    assert len(calls) == sum(len(_closed_form_qs(b)) for b in blocks) == 25
+    assert len(calls) == sum(len(_closed_form_qs(b.H)) for b in blocks) == 22
     assert sum(len(enumerate_c(b.H)) for b in blocks) == 120
+
+
+@pytest.mark.parametrize("delta, n", [(3, 8), (4, 4), (9, 3), (16, 3)])
+def test_lattice_only_run_skips_the_h_and_c_walks(monkeypatch, delta, n):
+    # A lattice-only run builds no h list, and builds enumerate_c only to
+    # find c_index of a candidate the cone minimum kept (f* == m).
+    from deltasimplex import enumeration
+
+    calls = {"enumerate_h": 0, "enumerate_c": 0}
+    for name in calls:
+        original = getattr(enumeration, name)
+
+        def counting(h_mat, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(h_mat)
+
+        monkeypatch.setattr(enumeration, name, counting)
+    minima = []
+    original_minimum = enumeration.corner_minimum_excluding_vertex
+
+    def recording_minimum(h_mat, c):
+        sol = original_minimum(h_mat, c)
+        minima.append((h_mat, sol.f_star))
+        return sol
+
+    monkeypatch.setattr(enumeration, "corner_minimum_excluding_vertex", recording_minimum)
+    empties, lattices = enumerate_families(delta, n, want_empty=False)
+    kept = sum(_closed_form_qs(h_mat) == [f_star] for h_mat, f_star in minima)
+    assert empties == [] and kept >= len(lattices) and kept > 0
+    assert calls == {"enumerate_h": 0, "enumerate_c": kept}
 
 
 def _white_orbits(q):
@@ -544,15 +556,15 @@ def test_white_theorem_lattice_tetrahedra():
     # equivalent to T(p, q) with gcd(p, q) = 1, and Delta(T(p, q)) = q^2;
     # T(p, q) and T(p', q) are equivalent iff p' = +-p^(+-1) mod q. So the
     # n = 3 lattice atlas has records only at Delta = q^2, one per orbit of
-    # (Z/q)^x under p -> -p and p -> p^-1. Up to q = 5 that is one class at
-    # each Delta in {1, 4, 9, 16} and two at 25, T(1, 5) and T(2, 5).
+    # (Z/q)^x under p -> -p and p -> p^-1. Up to q = 6 that is one class at
+    # each Delta in {1, 4, 9, 16, 36} and two at 25, T(1, 5) and T(2, 5).
     # Equivalence is decided by the vertex-bijection oracle, not the package.
     from deltasimplex import enumerate_atlas
 
     from helpers import vertex_bijection_equivalent
 
-    records = enumerate_atlas(25, 3, "lattice", up_to=True)
-    assert sorted(r.ns.delta for r in records) == [1, 4, 9, 16, 25, 25]
+    records = enumerate_atlas(36, 3, "lattice", up_to=True)
+    assert sorted(r.ns.delta for r in records) == [1, 4, 9, 16, 25, 25, 36]
     classes = {}
     for rec in records:
         q = math.isqrt(rec.ns.delta)
@@ -564,8 +576,8 @@ def test_white_theorem_lattice_tetrahedra():
             if vertex_bijection_equivalent(rec.system(), _white_tetrahedron(p, q)) is not None
         )
         classes.setdefault(q, []).append(matches)
-    assert len(_white_orbits(5)) == 2
-    for q in range(1, 6):
+    assert len(_white_orbits(5)) == 2 and len(_white_orbits(6)) == 1
+    for q in range(1, 7):
         # Each record is equivalent to exactly the T(p, q) of one orbit, and
         # each orbit has exactly one record.
         assert sorted(map(sorted, classes[q])) == sorted(map(sorted, _white_orbits(q)))
