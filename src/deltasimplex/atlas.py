@@ -143,8 +143,11 @@ def verify_atlas(records, max_pairs: int = 100) -> list[str]:
     oracle for the claimed family, which reuses the validated simplex.
     Canonical keys must be strictly ascending, as the file contract says, so
     a repeated or misplaced record is reported with its neighbour. A deterministic sample of same-(n, delta)
-    record pairs must also be mutually inequivalent.
+    record pairs must also be mutually inequivalent; `max_pairs` caps that
+    sample, and a negative cap is an error rather than an unchecked sample.
     """
+    if max_pairs < 0:
+        raise PreconditionError(f"max_pairs must be at least 0, got {max_pairs}")
     problems = []
     keys = [key_tuple(rec.ns) for rec in records]
     for i in range(1, len(keys)):

@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-validate an atlas file")
     p.add_argument("file")
-    p.add_argument("--max-pairs", type=int, default=100, help="cap on pairwise non-equivalence checks")
+    p.add_argument("--max-pairs", type=int, default=100, help="cap on pairwise non-equivalence checks (>= 0)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("stats", help="atlas counts with the class-count bound")

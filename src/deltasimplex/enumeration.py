@@ -28,7 +28,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .corner_ilp import _corner_from_table, corner_minimum_excluding_vertex, count_minimum_attainers, path_table
+from .corner_ilp import (
+    _corner_from_table,
+    _scaled_weights,
+    corner_minimum_excluding_vertex,
+    count_minimum_attainers,
+    path_table,
+)
 from .errors import InvariantViolation, NotASimplexError, PreconditionError
 from .exact_linalg import Mat, Vec, adjugate, det, dot, matrix
 from .normal_form import NormalizedSystem, validate_normalized
@@ -196,19 +202,25 @@ def c0_candidates(h_mat: Mat, h, c) -> EmptyRange:
     h must be reduced and nonzero, so the opposite vertex v = H^-1 h is
     fractional. Every c0 in [l_star, f_star - 1] then gives an empty
     simplex, where l_star is the least integer strictly above c^T v and
-    f_star the cone minimum; the range may be empty. Both come from one path
-    table read of (H, c): c^T v = -(w^T h) / det(H) from its weights and the
-    cone minimum from its distances. The lattice family (h = 0) has its own
-    closed form in `candidates_for_block`.
+    f_star the cone minimum; the range may be empty. With w the
+    `paral_weights` of (H, c), c^T v = -(w^T h) / det(H), and the cone
+    minimum comes from one path table read of (H, c), made only when
+    w^T h > det(H). Otherwise 0 < w^T h <= det(H) (w > 0, h >= 0, h != 0),
+    so l_star = 0, and f_star = 0 too: 0 lies in the cone, so f_star <= 0,
+    and f_star >= c^T v >= -1, where c^T x = c^T v = -1 would force
+    H x = h, i.e. x = v, which is fractional. The range is then empty. The
+    lattice family (h = 0) has its own closed form in `candidates_for_block`.
     """
     n = len(h_mat)
     if any(not 0 <= h[i] < h_mat[i][i] for i in range(n)):
         raise PreconditionError("right-hand side must be reduced (0 <= h_i < H_ii)")
     if not any(h):
         raise PreconditionError("h = 0 has no empty c0 range; its lattice candidate is fixed in closed form")
-    pt = path_table(h_mat, c)
-    l_star = -dot(pt.weights, h) // pt.delta + 1
-    return EmptyRange(l_star=l_star, f_star=_corner_from_table(pt, h, c).f_star)
+    w, delta = _scaled_weights(h_mat, c)
+    wh = dot(w, h)
+    if wh <= delta:
+        return EmptyRange(l_star=0, f_star=0)
+    return EmptyRange(l_star=-wh // delta + 1, f_star=_corner_from_table(path_table(h_mat, c), h, c).f_star)
 
 
 def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):

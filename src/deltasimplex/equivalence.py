@@ -12,26 +12,37 @@ rows can give a new form. For S = (rows (1,0,0), (0,1,0), (1,2,7),
 B = (3,4) and B = (1,5), only the first is emitted, and `check_equivalence`
 calls S and T inequivalent in both directions.
 
-Each permutation is keyed before anything is built: the form, its
-validation and its map are made only for a key not yet in the set. Two
-rules skip key steps whose key provably repeats one the same search has
-already stored (`equivalent_normalized_set` gives the proofs): a maximal
-base whose starting form an earlier base already gave is not expanded, and
-a row order that differs from one already reached by swapping two adjacent
-unit-pivot rows is not keyed. The identity row order of an expanded base
-reuses the starting form's key, form and map, since it renormalizes that
-form onto itself.
+Each permutation is keyed before anything is built: the form and its
+validation are made only for a key not yet in the set. Two rules skip key
+steps whose key provably repeats one the same search has already stored
+(`equivalent_normalized_set` gives the proofs): a maximal base whose
+starting form an earlier base already gave is not expanded, and a row order
+that differs from one already reached by swapping two adjacent unit-pivot
+rows is not keyed. The identity row order of an expanded base reuses the
+starting form's key and form, since it renormalizes that form onto itself.
+
+One loop (`_search`) runs that search and builds no map: for each new key
+it yields the validated form and the (U, x0) legs of its own key step and
+of its base's starting form, from which the map to the form is built on
+demand. Three callers read it. `equivalent_normalized_set` builds every
+map. `check_equivalence` reads the keys and legs of the first simplex
+through a bounded memo (`MEMO_CACHE_SIZE` entries, keyed by the primitive
+system and its meta), so a repeated reference simplex is searched once,
+and it builds the one map a hit needs. `dedup_families` reads the keys
+alone and keeps nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .enumeration import CandidateRecord
 from .errors import InvariantViolation
-from .exact_linalg import Mat
-from .normal_form import _build_normal, _normal_key, _normalize_primitive, key_tuple, primitivize
+from .exact_linalg import MEMO_CACHE_SIZE, Mat
+from .normal_form import _build_form, _build_normal, _leg_map, _map_leg, _normal_key, key_tuple, primitivize
 from .simplex_model import (
     AffineUnimodularMap,
     InequalitySystem,
@@ -108,8 +119,10 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
     For each base of maximal |det| the system is normalized once, and that
     normalized system is renormalized over every reduced row permutation of
     its block matrix, taken as an ordered base. Each permutation first gets
-    only its key; the form is built, validated and mapped only when the key
-    is new, since a repeat key names a form identical to one already built.
+    only its key; the form is built and validated only when the key is new,
+    since a repeat key names a form identical to one already built. The
+    search itself is `_search`, which builds no map; this function builds
+    the map of every form it yields.
     The set is not always the whole class: identity-block row orders that
     `reduced_permutations` skips can give further forms (see the module
     docstring).
@@ -144,9 +157,9 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
        place (sigma = id); and its right-hand side is already reduced, so
        x0 = 0. Its key is the starting key, its form the starting form,
        its map the identity, and its unit rows are rows 0..s-1. So when
-       the loop reaches the identity it stores (starting form,
-       inverse(m0)) if the key is new, at the same point in the loop, and
-       makes no key step.
+       the loop reaches the identity it yields the starting form, whose
+       stored map is inverse(m0), if the key is new, at the same point in
+       the loop, and makes no key step.
 
     A caller that already holds `meta = validate_simplex(sys)` for a
     primitive `sys` passes it, and the system is used as given.
@@ -156,7 +169,20 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
         meta = validate_simplex(prim)
     else:
         prim = sys
-    out: dict = {}
+    return EquivalentSet(records={key: (ns, _stored_map(legs)) for key, ns, legs in _search(prim, meta)})
+
+
+def _search(prim: InequalitySystem, meta: SimplexMeta):
+    """The equivalent-set search: yield (key, form, legs) for each new key, in set order.
+
+    `prim` is primitive with `meta = validate_simplex(prim)`. Each form is
+    built and validated once; no map is built. `legs` is (leg0, leg), the
+    (U, x0) of the key step of the base's starting form and of the form's
+    own row order, with leg None for the starting form itself (rule 3 of
+    `equivalent_normalized_set`). `_stored_map(legs)` is the map from the
+    source to the form.
+    """
+    seen: set = set()
     starts: set = set()
     identity = tuple(range(prim.n))
     for base in meta.max_det_bases:
@@ -164,27 +190,43 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
         if key0 in starts:
             continue  # an earlier base with this starting form reached every key it can
         starts.add(key0)
-        ns0, m0, _ = _build_normal(pieces0)
+        ns0 = _build_form(pieces0)
+        leg0 = _map_leg(pieces0)
         sys0 = ns0.system()
         units: dict = {}  # permutation reached -> the rows of sys0 that got unit pivots
         for perm in reduced_permutations(ns0.H):
             twin = _unit_swap_twin(perm, units)
             if twin is not None:
-                units[perm] = units[twin]  # same key as twin's, already in out
+                units[perm] = units[twin]  # same key as twin's, already seen
                 continue
             if perm == identity:  # renormalizes ns0 onto itself (rule 3)
                 units[perm] = frozenset(range(ns0.s))
-                if key0 not in out:
-                    out[key0] = (ns0, inverse(m0))
+                if key0 not in seen:
+                    seen.add(key0)
+                    yield key0, ns0, (leg0, None)
                 continue
             key, pieces = _normal_key(sys0, perm, meta.delta)
             s, row_src = pieces[2], pieces[-1]
             units[perm] = frozenset(row_src[:s])
-            if key not in out:
-                ns1, m1, _ = _build_normal(pieces)
-                # m0 and m1 both point record -> source; store source -> record.
-                out[key] = (ns1, inverse(compose(m0, m1)))
-    return EquivalentSet(records=out)
+            if key not in seen:
+                seen.add(key)
+                yield key, _build_form(pieces), (leg0, _map_leg(pieces))
+
+
+def _stored_map(legs) -> AffineUnimodularMap:
+    """The map from the source simplex to a searched form, from its `_search` legs."""
+    leg0, leg = legs
+    m0 = _leg_map(leg0)  # starting form -> source
+    if leg is None:
+        return inverse(m0)
+    # m0 and m1 both point record -> source; store source -> record.
+    return inverse(compose(m0, _leg_map(leg)))
+
+
+@lru_cache(maxsize=MEMO_CACHE_SIZE)
+def _search_legs(prim: InequalitySystem, meta: SimplexMeta) -> MappingProxyType:
+    """Memo of `_search` for `check_equivalence`: a read-only canonical key -> legs mapping."""
+    return MappingProxyType({key: legs for key, _, legs in _search(prim, meta)})
 
 
 @dataclass(frozen=True)
@@ -199,11 +241,13 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
 
     Cheap invariants (dimension, delta, the multiset of |maximal minors|)
     reject most non-equivalent pairs outright. Otherwise the second simplex
-    is normalized once and looked up in the first simplex's equivalent set;
-    on a hit the witness map carries the first simplex onto the second and
-    is verified on the vertex sets before being returned. The vertex sets
-    are compared as sets of reduced integer points (`SimplexMeta.points`),
-    with no `Fraction` arithmetic.
+    is normalized once and looked up in the first simplex's equivalent set,
+    which is searched once per distinct first simplex while it stays in the
+    memo (`_search_legs`). On a hit the one witness map is built; it
+    carries the first simplex onto the second and is verified on the vertex
+    sets before being returned. The vertex sets are compared as sets of
+    reduced integer points (`SimplexMeta.points`), with no `Fraction`
+    arithmetic.
     """
     prim_s = primitivize(sys_s)
     prim_t = primitivize(sys_t)
@@ -216,24 +260,26 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
     if sorted(map(abs, meta_s.minors)) != sorted(map(abs, meta_t.minors)):
         return EquivalenceResult(False, certificate="minor-multiset-mismatch")
 
-    # m_t carries the record onto T, so it is the last leg of the witness.
-    ns_t, m_t, _ = _normalize_primitive(prim_t, min(meta_t.max_det_bases), meta_t.delta)
-    key_t = key_tuple(ns_t)
+    # T's form is built and validated on every path; its map, the last leg
+    # of the witness (record -> T), only on a hit.
+    key_t, pieces_t = _normal_key(prim_t, min(meta_t.max_det_bases), meta_t.delta)
+    _build_form(pieces_t)
 
     # Fast path: if the least-base normalizations already coincide, the two
     # direct maps compose to a witness (the identity when S and T are equal).
     # S's form is keyed first and built only on a hit; on a miss the search
-    # below builds and validates that same starting form itself.
+    # below builds and validates that same starting form itself, once per
+    # distinct S while it stays in the memo.
     key_s, pieces_s = _normal_key(prim_s, min(meta_s.max_det_bases), meta_s.delta)
     if key_s == key_t:
         _, m_s, _ = _build_normal(pieces_s)
         stored_s = inverse(m_s)
     else:
-        hit = equivalent_normalized_set(prim_s, meta_s).records.get(key_t)
-        if hit is None:
+        legs = _search_legs(prim_s, meta_s).get(key_t)
+        if legs is None:
             return EquivalenceResult(False, certificate="search-exhausted")
-        _, stored_s = hit  # S -> record
-    witness = compose(m_t, stored_s)  # S -> record -> T
+        stored_s = _stored_map(legs)  # S -> record
+    witness = compose(_leg_map(_map_leg(pieces_t)), stored_s)  # S -> record -> T
     # The witness takes the point nums / d to (U nums + d x0) / d.
     u, x0 = witness.U, witness.x0
     image = frozenset(
@@ -249,9 +295,11 @@ def dedup_families(records: list[CandidateRecord]) -> list[CandidateRecord]:
     """Collapse a candidate stream to one representative per equivalence class.
 
     Records are indexed by canonical key; walking the keys in ascending
-    order, each still-present record generates its equivalent set and every
-    other member found in the index is removed. The survivor of each class
-    is therefore the record with the least canonical key present.
+    order, each still-present record runs the equivalent-set search and
+    every other member found in the index is removed. Only the keys are
+    read: no map is built, and nothing is memoized, so memory stays flat
+    however long the stream. The survivor of each class is therefore the
+    record with the least canonical key present.
     """
     index: dict = {}
     for rec in records:
@@ -259,11 +307,11 @@ def dedup_families(records: list[CandidateRecord]) -> list[CandidateRecord]:
     for key in sorted(index):
         if key not in index:
             continue
-        rec = index[key]
-        eq = equivalent_normalized_set(rec.system())
-        if key not in eq.records:
+        prim = primitivize(index[key].system())
+        found = {other for other, _, _ in _search(prim, validate_simplex(prim))}
+        if key not in found:
             raise InvariantViolation("record's own canonical form missing from its equivalent set")
-        for other in eq.records:
+        for other in found:
             if other != key and other in index:
                 del index[other]
     return [index[key] for key in sorted(index)]

@@ -212,12 +212,28 @@ def _normal_key(prim: InequalitySystem, base: tuple[int, ...], delta: int):
 
 def _build_normal(pieces):
     """Build step of `_normalize_primitive`: the validated form, its map and row sources."""
-    n, delta, s, h_mat, h, c, c0, u, x0, row_src = pieces
+    return _build_form(pieces), _leg_map(_map_leg(pieces)), pieces[-1]
+
+
+def _build_form(pieces) -> NormalizedSystem:
+    """The form half of the build step: the `NormalizedSystem`, validated, and no map."""
+    n, delta, s, h_mat, h, c, c0 = pieces[:7]
     ns = NormalizedSystem(n=n, s=s, k=n - s, H=h_mat, h=h, c=c, c0=c0, delta=delta)
     ok, violated = validate_normalized(ns)
     if not ok:
         raise InvariantViolation(f"normalization produced an invalid system: {violated}")
-    return ns, AffineUnimodularMap(u, mat_vec(u, x0)), row_src
+    return ns
+
+
+def _map_leg(pieces) -> tuple[Mat, Vec]:
+    """(U, x0) of the key step's pieces: all that the form's map is built from."""
+    return pieces[7], pieces[8]
+
+
+def _leg_map(leg: tuple[Mat, Vec]) -> AffineUnimodularMap:
+    """The map half of the build step: x -> U x + U x0, carrying the form onto its source."""
+    u, x0 = leg
+    return AffineUnimodularMap(u, mat_vec(u, x0))
 
 
 def normalize(sys: InequalitySystem, base) -> tuple[NormalizedSystem, AffineUnimodularMap, tuple[int, ...]]:

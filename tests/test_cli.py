@@ -404,3 +404,22 @@ def test_verify_validates_each_simplex_once(monkeypatch):
     records = enumerate_atlas(3, 3, "both")
     assert atlas.verify_atlas(records, max_pairs=0) == []
     assert calls["validate"] == len(records) > 0
+
+
+def test_verify_rejects_negative_max_pairs(tmp_path, capsys):
+    # A negative cap used to skip the pair check and still print OK.
+    out = tmp_path / "atlas.jsonl"
+    assert run(["enumerate", "--delta", "2", "--dim", "2", "--out", str(out)]) == 0
+    assert run(["verify", str(out), "--max-pairs", "0"]) == 0
+    capsys.readouterr()
+    assert run(["verify", str(out), "--max-pairs", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert "max_pairs" in captured.err and "OK" not in captured.out
+
+
+@pytest.mark.parametrize("max_pairs", [-1, -3])
+def test_verify_atlas_rejects_negative_max_pairs(max_pairs):
+    from deltasimplex.atlas import verify_atlas
+
+    with pytest.raises(PreconditionError, match="max_pairs"):
+        verify_atlas(enumerate_atlas(2, 2), max_pairs=max_pairs)

@@ -254,41 +254,62 @@ def test_one_path_table_answers_every_h():
 
 
 def test_candidates_for_block_runs_one_dijkstra_per_c(monkeypatch):
+    # One Dijkstra per c that needs a cone minimum, and none for any other c:
+    # the empty family needs one for c iff some h != 0 passing the (H|h) gcd
+    # rule has w^T h > det(H) (w the paral weights of (H, c); otherwise its
+    # c0 range is empty without one), and the lattice family for the c of its
+    # vertex-excluding minimum, if it makes one.
     import math
 
-    from deltasimplex import corner_ilp
+    from deltasimplex import corner_ilp, enumeration
     from deltasimplex.enumeration import candidates_for_block, enumerate_H, enumerate_h
+    from deltasimplex.normal_form import paral_weights
 
-    calls = []
-    original = corner_ilp._dijkstra
+    calls, lattice_cs = [], []
+    original, excluding = corner_ilp._dijkstra, enumeration.corner_minimum_excluding_vertex
 
     def counting(table, weights):
         calls.append((table.H, weights))
         return original(table, weights)
 
+    def recording(h_mat, c):
+        lattice_cs.append(c)
+        return excluding(h_mat, c)
+
     monkeypatch.setattr(corner_ilp, "_dijkstra", counting)
-    blocks = 0
-    for delta, n in ((4, 3), (6, 2), (3, 4), (5, 2)):
+    monkeypatch.setattr(enumeration, "corner_minimum_excluding_vertex", recording)
+    blocks = runs = skipped = 0
+    for delta, n in ((4, 3), (6, 2), (3, 4), (5, 2), (4, 5)):
         for block in enumerate_H(delta, n):
             corner_ilp._path_table_cached.cache_clear()
-            calls.clear()
+            calls.clear(), lattice_cs.clear()
             candidates_for_block(block, True, True)
             row_gcds = [math.gcd(*row) for row in block.H]
-            any_h = any(
-                all(math.gcd(g, hi) == 1 for g, hi in zip(row_gcds, h)) for h in enumerate_h(block.H)
-            )
-            assert len(calls) == (len(enumerate_c(block.H)) if any_h else 0)
-            assert len(set(calls)) == len(calls)
-            blocks += any_h
-    assert blocks > 0
-
+            hs = [
+                h for h in enumerate_h(block.H)[1:]
+                if all(math.gcd(g, hi) == 1 for g, hi in zip(row_gcds, h))
+            ]
+            needed = set(lattice_cs)
+            for c in enumerate_c(block.H):
+                w = paral_weights(block.H, c)
+                if any(dot(w, h) > delta for h in hs):
+                    needed.add(c)
+                elif hs:
+                    skipped += 1
+            assert sorted(calls) == sorted((block.H, paral_weights(block.H, c)) for c in needed)
+            blocks += bool(calls)
+            runs += len(calls)
+    assert blocks > 0 and skipped > 0
+    # A run for every c of a block with a valid h would make 493 (300 at (4, 5)).
+    assert runs == 404  # 244 of them at (4, 5)
 
 
 def test_one_table_read_per_minimum(monkeypatch):
-    # Each entry point checks (H, c) and reads the path table once: the
-    # vertex-excluding minimum makes one read for its n targets and still
-    # rebuilds and checks n witnesses, and c0_candidates' empty case reads
-    # the table once for both l_star and the cone minimum.
+    # Each entry point checks (H, c) and reads the path table at most once:
+    # the vertex-excluding minimum makes one read for its n targets and still
+    # rebuilds and checks n witnesses, and c0_candidates reads the table once
+    # when w^T h > det(H) and not at all otherwise, where its range is empty
+    # and f_star = l_star = 0.
     from deltasimplex import c0_candidates, corner_ilp, enumeration
 
     reads, witnesses = [], []
@@ -306,7 +327,7 @@ def test_one_table_read_per_minimum(monkeypatch):
         monkeypatch.setattr(mod, "path_table", counting_read)
     monkeypatch.setattr(corner_ilp, "_solve_lower_integer", counting_solve)
     rng = random.Random(11)
-    checked = 0
+    checked = skipped = 0
     for _ in range(20):
         n = rng.randint(1, 4)
         h_mat = random_hnf(rng, n, 9)
@@ -320,7 +341,13 @@ def test_one_table_read_per_minimum(monkeypatch):
             if any(h):
                 reads.clear(), witnesses.clear()
                 decision = c0_candidates(h_mat, h, c)
-                assert (len(reads), len(witnesses)) == (1, 1)
+                w, delta = _scaled_weights(h_mat, c)
+                read = dot(w, h) > delta
+                assert (len(reads), len(witnesses)) == ((1, 1) if read else (0, 0))
                 assert decision.f_star == corner_minimum(h_mat, h, c).f_star
+                assert decision.l_star == -dot(w, h) // delta + 1
+                if not read:
+                    assert (decision.l_star, decision.f_star) == (0, 0)
                 checked += 1
-    assert checked > 5
+                skipped += not read
+    assert checked > 5 and 0 < skipped < checked

@@ -594,19 +594,20 @@ def test_check_equivalence_validates_each_system_once(monkeypatch):
     # check validates S and T once each, also when the fast path misses.
     from deltasimplex import equivalence
 
+    equivalence._search_legs.cache_clear()
     counts = {"validate": 0, "search": 0}
-    validate, search = equivalence.validate_simplex, equivalence.equivalent_normalized_set
+    validate, search = equivalence.validate_simplex, equivalence._search_legs
 
     def counting_validate(sys):
         counts["validate"] += 1
         return validate(sys)
 
-    def counting_search(sys, meta=None):
+    def counting_search(prim, meta):
         counts["search"] += 1
-        return search(sys, meta)
+        return search(prim, meta)
 
     monkeypatch.setattr(equivalence, "validate_simplex", counting_validate)
-    monkeypatch.setattr(equivalence, "equivalent_normalized_set", counting_search)
+    monkeypatch.setattr(equivalence, "_search_legs", counting_search)
     rng = random.Random(74)
     for _ in range(30):
         n = rng.randint(2, 3)
@@ -625,19 +626,20 @@ def test_check_equivalence_builds_the_fast_path_form_only_on_a_hit(monkeypatch):
     # only when its key equals T's. On a miss the search builds it itself.
     from deltasimplex import equivalence
 
+    equivalence._search_legs.cache_clear()
     events = []
-    build, search = equivalence._build_normal, equivalence.equivalent_normalized_set
+    build, search = equivalence._build_normal, equivalence._search_legs
 
     def counting_build(pieces):
         events.append("build")
         return build(pieces)
 
-    def counting_search(sys, meta=None):
+    def counting_search(prim, meta):
         events.append("search")
-        return search(sys, meta)
+        return search(prim, meta)
 
     monkeypatch.setattr(equivalence, "_build_normal", counting_build)
-    monkeypatch.setattr(equivalence, "equivalent_normalized_set", counting_search)
+    monkeypatch.setattr(equivalence, "_search_legs", counting_search)
     rng = random.Random(76)
     outcomes = set()
     for _ in range(30):
@@ -654,3 +656,131 @@ def test_check_equivalence_builds_the_fast_path_form_only_on_a_hit(monkeypatch):
             assert events == ["build"]
         outcomes.add("search" in events)
     assert outcomes == {True, False}
+
+
+def _equivalent_set_before_the_split(prim, meta):
+    """The equivalent-set search as one loop that builds a map for every new key.
+
+    This is the search before the map-free `_search` was split out of it:
+    same rules, same keying order, and each new form is built with
+    `_build_normal` and stored with its map source -> form.
+    """
+    from deltasimplex.equivalence import _unit_swap_twin
+
+    out = {}
+    starts = set()
+    identity = tuple(range(prim.n))
+    for base in meta.max_det_bases:
+        key0, pieces0 = _normal_key(prim, base, meta.delta)
+        if key0 in starts:
+            continue
+        starts.add(key0)
+        ns0, m0, _ = _build_normal(pieces0)
+        sys0 = ns0.system()
+        units = {}
+        for perm in reduced_permutations(ns0.H):
+            twin = _unit_swap_twin(perm, units)
+            if twin is not None:
+                units[perm] = units[twin]
+                continue
+            if perm == identity:
+                units[perm] = frozenset(range(ns0.s))
+                if key0 not in out:
+                    out[key0] = (ns0, inverse(m0))
+                continue
+            key, pieces = _normal_key(sys0, perm, meta.delta)
+            units[perm] = frozenset(pieces[-1][: pieces[2]])
+            if key not in out:
+                ns1, m1, _ = _build_normal(pieces)
+                out[key] = (ns1, inverse(compose(m0, m1)))
+    return out
+
+
+def test_equivalent_set_matches_the_loop_that_maps_every_key():
+    # The public set is built from the map-free search: same keys in the same
+    # order, same forms and same maps as the loop that built every map itself.
+    rng = random.Random(86)
+    forms = deep = 0
+    for n in [1, 2, 3, 4, 5] * 8:
+        prim = primitivize(random_simplex(rng, n, entry_bound=5 if n < 5 else 3))
+        meta = validate_simplex(prim)
+        want = _equivalent_set_before_the_split(prim, meta)
+        got = equivalent_normalized_set(prim, meta).records
+        assert list(got) == list(want)
+        for key, (ns, m) in want.items():
+            assert got[key] == (ns, m)
+        forms += len(want)
+        deep += any(ns.k >= 2 for ns, _ in want.values())
+    assert forms > 60 and deep > 0
+
+
+def _equivalence_queries(rng, count):
+    """Seeded (S, T) pairs: moved and row-shuffled images of S, and pairs of unrelated simplices."""
+    pairs = []
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        sys = random_simplex(rng, n, entry_bound=4 if n < 4 else 3)
+        moved = apply_map(sys, random_unimodular_map(rng, n, entry_bound=6, trans_bound=5))
+        order = rng.sample(range(n + 1), n + 1)
+        shuffled = InequalitySystem(n, tuple(moved.A[i] for i in order), tuple(moved.b[i] for i in order))
+        other = random_simplex(rng, n, entry_bound=4 if n < 4 else 3)
+        pairs += [(sys, moved), (sys, shuffled), (sys, other), (sys, sys)]
+    # Distinct classes that share (n, delta, minor multiset) reach the search and miss.
+    groups = {}
+    for rec in dedup_families(sum(enumerate_families(4, 3), [])):
+        minors = sorted(abs(m) for _, m in max_minors(rec.ns.full_matrix()))
+        groups.setdefault(tuple(minors), []).append(rec.system())
+    for group in groups.values():
+        pairs += [(a, b) for a, b in zip(group, group[1:])]
+    return pairs
+
+
+def test_warm_and_cold_memo_give_the_same_answer():
+    # check_equivalence reads S's search through a memo: a warm memo must give
+    # the answer, certificate and witness of a cold one, and it must be read.
+    from deltasimplex import equivalence
+
+    pairs = _equivalence_queries(random.Random(87), 25)
+    cold = []
+    for sys_s, sys_t in pairs:
+        equivalence._search_legs.cache_clear()
+        cold.append(check_equivalence(sys_s, sys_t))
+    equivalence._search_legs.cache_clear()
+    warm = [check_equivalence(sys_s, sys_t) for sys_s, sys_t in pairs]
+    warm += [check_equivalence(sys_s, sys_t) for sys_s, sys_t in pairs]
+    assert warm == cold + cold
+    assert equivalence._search_legs.cache_info().hits > 0
+    assert {r.certificate for r in cold} >= {None, "search-exhausted"}
+
+
+def test_equivalence_memo_is_bounded_by_the_package_size():
+    from deltasimplex import equivalence
+    from deltasimplex.exact_linalg import MEMO_CACHE_SIZE
+
+    assert equivalence._search_legs.cache_info().maxsize == MEMO_CACHE_SIZE
+
+
+def test_dedup_builds_no_map(monkeypatch):
+    # dedup_families reads the keys of each search only, so it constructs no
+    # AffineUnimodularMap at all, through the public constructor or the
+    # trusted one that compose and inverse use.
+    built = {"count": 0}
+    post_init, trusted = AffineUnimodularMap.__post_init__, AffineUnimodularMap._trusted.__func__
+
+    def counting_post_init(self):
+        built["count"] += 1
+        post_init(self)
+
+    def counting_trusted(cls, u, x0):
+        built["count"] += 1
+        return trusted(cls, u, x0)
+
+    monkeypatch.setattr(AffineUnimodularMap, "__post_init__", counting_post_init)
+    monkeypatch.setattr(AffineUnimodularMap, "_trusted", classmethod(counting_trusted))
+    empties, lattices = enumerate_families(4, 4)
+    records = empties + lattices
+    kept = dedup_families(records)
+    assert built["count"] == 0
+    assert len(records) > len(kept) > 0
+    equivalent_normalized_set(records[0].system())
+    assert built["count"] > 0
