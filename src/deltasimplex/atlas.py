@@ -62,12 +62,25 @@ def write_atlas(records, stream) -> None:
         stream.write(_record_line(rec) + "\n")
 
 
-def read_atlas(stream) -> list[CandidateRecord]:
+def read_atlas(stream, problems: list[str] | None = None) -> list[CandidateRecord]:
+    """The records of an atlas file, in file order; blank lines are skipped.
+
+    With a `problems` list, each record whose stored `canonical_key` does
+    not match its system is reported there (the record is still returned).
+    """
     records = []
     for line in stream:
         line = line.strip()
-        if line:
-            records.append(record_from_dict(json.loads(line)))
+        if not line:
+            continue
+        data = json.loads(line)
+        rec = record_from_dict(data)
+        if problems is not None and data.get("canonical_key") != canonical_key(rec.ns):
+            problems.append(
+                f"record {len(records)}: stored canonical key {data.get('canonical_key')!r} does not "
+                f"match the system [provenance {rec.provenance}]"
+            )
+        records.append(rec)
     return records
 
 

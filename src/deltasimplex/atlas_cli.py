@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .atlas import enumerate_atlas, read_atlas, record_from_dict, stats_atlas, verify_atlas, write_atlas
+from .atlas import enumerate_atlas, read_atlas, stats_atlas, verify_atlas, write_atlas
 from .corner_ilp import corner_minimum
 from .equivalence import check_equivalence
 from .errors import DeltaSimplexError
@@ -112,19 +112,9 @@ def _cmd_check_equiv(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    problems: list[str] = []
     with open(args.file, encoding="utf-8") as fh:
-        raw_lines = [line.strip() for line in fh if line.strip()]
-    records = []
-    problems = []
-    for i, line in enumerate(raw_lines):
-        data = json.loads(line)
-        rec = record_from_dict(data)
-        if data.get("canonical_key") != canonical_key(rec.ns):
-            problems.append(
-                f"record {i}: stored canonical key {data.get('canonical_key')!r} does not "
-                f"match the system [provenance {rec.provenance}]"
-            )
-        records.append(rec)
+        records = read_atlas(fh, problems)
     problems.extend(verify_atlas(records, max_pairs=args.max_pairs))
     if problems:
         for p in problems:

@@ -8,12 +8,11 @@ shortest path on the finite quotient group Z^n / H Z^n. Everything runs on
 exact integers; the priority queue keys are plain ints.
 
 The weights, the group and the shortest-path tree depend on (H, c) alone,
-so one Dijkstra run per (H, c) is memoized as a `PathTable`, and every
-right-hand side h (each -e_j of the vertex-excluding problem included) is
-read off it; the witness and its checks are still rebuilt per query.
-Each entry point checks (H, c) and reads the table once, through
-`path_table`, and hands it to `_corner_from_table` for every h it needs:
-the vertex-excluding minimum makes one table read for its n targets, not n.
+so each (H, c) has one memoized `Cone` (`path_table`): it checks c and
+holds the weights w and det(H) from the start, runs Dijkstra once, on the
+first call that needs distances, and answers `minimum(h)` for every
+right-hand side h (each -e_j of the vertex-excluding problem included); the
+witness and its checks are still rebuilt per query.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvariantViolation, PreconditionError, RadiusError
 from .exact_linalg import MEMO_CACHE_SIZE, Mat, Vec, dot, matrix, solve_rational, vector
@@ -76,17 +75,6 @@ class CornerSolution:
     infeasible: bool = False
 
 
-def _scaled_weights(h_mat: Mat, c) -> tuple[Vec, int]:
-    """The `paral_weights` w and delta = det(H); w_i in [1, delta] iff c lies in paral(-H^T)."""
-    delta = math.prod(h_mat[i][i] for i in range(len(h_mat)))
-    w = paral_weights(h_mat, c)
-    if any(not 0 < wi <= delta for wi in w):
-        raise PreconditionError(
-            "objective is not in paral(-H^T); the cone problem is unbounded or ill-posed"
-        )
-    return w, delta
-
-
 def _dijkstra(table: GroupTable, weights: Vec):
     n = len(weights)
     size = table.order
@@ -122,28 +110,69 @@ def _solve_lower_integer(h_mat: Mat, rhs) -> Vec:
 
 
 @dataclass(frozen=True, eq=False)
-class PathTable:
-    """Group shortest paths from 0 for one (H, c): weights w, det(H), dist and pred."""
+class Cone:
+    """The cone {x : H x <= h} of one (H, c), for every right-hand side h.
 
+    `path_table` builds it, once per (H, c): `weights` is the `paral_weights`
+    w, each in [1, delta] because c lies in paral(-H^T), and `delta` is
+    det(H). The group shortest paths from 0 (one `_dijkstra` run) are made
+    on the first `minimum` call and kept.
+    """
+
+    H: Mat
+    c: Vec
     weights: Vec
     delta: int
-    group: GroupTable
-    zero_id: int
-    dist: tuple[int | None, ...]
-    pred: tuple[tuple[int, int] | None, ...]
+
+    @cached_property
+    def _paths(self) -> tuple:
+        """(group, zero_id, dist, pred): the shortest paths from 0 on Z^n / H Z^n, read-only."""
+        group = group_table(self.H)
+        return (group, *_dijkstra(group, self.weights))
+
+    def minimum(self, h) -> CornerSolution:
+        """`corner_minimum` for right-hand side h.
+
+        Per h: the residue of h, the divisibility invariant, and the witness
+        rebuilt from the predecessors and checked against H, h and c.
+        """
+        group, zero_id, dist, pred = self._paths
+        h_mat = self.H
+        n = len(h_mat)
+        target = group.index[_reduce_hnf_rhs(h_mat, h)[0]]
+        if dist[target] is None:
+            return CornerSolution(0, (0,) * n, infeasible=True)
+        total = dist[target] - dot(self.weights, h)
+        if total % self.delta:
+            raise InvariantViolation("optimal value failed the divisibility invariant")
+        f_star = total // self.delta
+        steps = [0] * n
+        node = target
+        while node != zero_id:
+            node, i = pred[node]
+            steps[i] += 1
+        x = _solve_lower_integer(h_mat, tuple(h[i] - steps[i] for i in range(n)))
+        if dot(self.c, x) != f_star or any(dot(h_mat[i], x) > h[i] for i in range(n)):
+            raise InvariantViolation("reconstructed witness does not attain the optimum")
+        return CornerSolution(f_star, x)
 
 
-def path_table(h_mat: Mat, c) -> PathTable:
-    """The memoized shortest-path table of (H, c); c must lie in paral(-H^T)."""
+def path_table(h_mat: Mat, c) -> Cone:
+    """The memoized `Cone` of (H, c); c must lie in paral(-H^T)."""
     return _path_table_cached(matrix(h_mat), vector(c))
 
 
 @lru_cache(maxsize=MEMO_CACHE_SIZE)
-def _path_table_cached(h_mat: Mat, c: Vec) -> PathTable:
-    w, delta = _scaled_weights(h_mat, c)
-    table = group_table(h_mat)
-    zero_id, dist, pred = _dijkstra(table, w)
-    return PathTable(w, delta, table, zero_id, tuple(dist), tuple(pred))
+def _path_table_cached(h_mat: Mat, c: Vec) -> Cone:
+    if not is_hnf_matrix(h_mat):
+        raise PreconditionError("cone minimum requires a Hermite-form matrix")
+    delta = math.prod(h_mat[i][i] for i in range(len(h_mat)))
+    w = paral_weights(h_mat, c)
+    if any(not 0 < wi <= delta for wi in w):
+        raise PreconditionError(
+            "objective is not in paral(-H^T); the cone problem is unbounded or ill-posed"
+        )
+    return Cone(h_mat, c, w, delta)
 
 
 def corner_minimum(h_mat: Mat, h, c) -> CornerSolution:
@@ -153,37 +182,10 @@ def corner_minimum(h_mat: Mat, h, c) -> CornerSolution:
     the objective bounded below on the cone. The optimal value satisfies
     f* = (c^T adj(H) h + dist(class(h))) / delta, which must divide exactly;
     the constant term is read off the weights, c^T adj(H) h = -w^T h. The
-    distances come from the memoized `path_table` of (H, c); the witness is
+    distances come from the memoized `Cone` of (H, c); the witness is
     rebuilt from its shortest-path predecessors on every call.
     """
-    return _corner_from_table(path_table(h_mat, c), h, c)
-
-
-def _corner_from_table(pt: PathTable, h, c) -> CornerSolution:
-    """`corner_minimum` for right-hand side h, read off the path table `pt` of (H, c).
-
-    `pt` comes from `path_table`, which has checked H and c; this runs the
-    per-h work: the residue of h, the divisibility invariant, and the
-    witness rebuilt from the predecessors and checked against H, h and c.
-    """
-    h_mat = pt.group.H
-    n = len(h_mat)
-    target = pt.group.index[_reduce_hnf_rhs(h_mat, h)[0]]
-    if pt.dist[target] is None:
-        return CornerSolution(0, (0,) * n, infeasible=True)
-    total = pt.dist[target] - dot(pt.weights, h)
-    if total % pt.delta:
-        raise InvariantViolation("optimal value failed the divisibility invariant")
-    f_star = total // pt.delta
-    steps = [0] * n
-    node = target
-    while node != pt.zero_id:
-        node, i = pt.pred[node]
-        steps[i] += 1
-    x = _solve_lower_integer(h_mat, tuple(h[i] - steps[i] for i in range(n)))
-    if dot(c, x) != f_star or any(dot(h_mat[i], x) > h[i] for i in range(n)):
-        raise InvariantViolation("reconstructed witness does not attain the optimum")
-    return CornerSolution(f_star, x)
+    return path_table(h_mat, c).minimum(h)
 
 
 def corner_minimum_excluding_vertex(h_mat: Mat, c) -> CornerSolution:
@@ -191,14 +193,13 @@ def corner_minimum_excluding_vertex(h_mat: Mat, c) -> CornerSolution:
 
     This is the reduced lattice-vertex case (h = 0, apex at the origin); the
     minimum is taken over the n subproblems with right-hand side -e_j, all
-    read off one `path_table` read of (H, c), each with its own witness.
+    read off the one `Cone` of (H, c), each with its own witness.
     """
-    pt = path_table(h_mat, c)
-    n = len(pt.weights)
+    cone = path_table(h_mat, c)
+    n = len(cone.weights)
     best = None
     for j in range(n):
-        rhs = tuple(-1 if i == j else 0 for i in range(n))
-        sol = _corner_from_table(pt, rhs, c)
+        sol = cone.minimum(tuple(-1 if i == j else 0 for i in range(n)))
         if best is None or sol.f_star < best.f_star:
             best = sol
     return best
@@ -256,12 +257,13 @@ def count_minimum_attainers(h_mat: Mat, c, f_star: int) -> int:
     nonnegative integer vectors y in the lattice H Z^n with w^T y equal to
     det(H) * f_star; these are in bijection with the cone points at value
     f_star via y = -H x. Used to certify that the optimal facet of a lattice
-    candidate carries exactly its n vertices and nothing else. The weights,
-    det(H) and the group are read off the `path_table` of (H, c).
+    candidate carries exactly its n vertices and nothing else. The weights
+    and det(H) are read off the `Cone` of (H, c); no distances are needed.
     """
     n = len(h_mat)
-    pt = path_table(h_mat, c)
-    w, delta, table, zero_id = pt.weights, pt.delta, pt.group, pt.zero_id
+    cone = path_table(h_mat, c)
+    w, delta, table = cone.weights, cone.delta, group_table(cone.H)
+    zero_id = table.index[(0,) * n]
     budget = delta * f_star
     if budget < 0:
         return 0

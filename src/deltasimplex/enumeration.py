@@ -28,13 +28,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .corner_ilp import (
-    _corner_from_table,
-    _scaled_weights,
-    corner_minimum_excluding_vertex,
-    count_minimum_attainers,
-    path_table,
-)
+from .corner_ilp import corner_minimum_excluding_vertex, count_minimum_attainers, path_table
 from .errors import InvariantViolation, NotASimplexError, PreconditionError
 from .exact_linalg import Mat, Vec, adjugate, det, dot, matrix
 from .normal_form import NormalizedSystem, validate_normalized
@@ -202,10 +196,11 @@ def c0_candidates(h_mat: Mat, h, c) -> EmptyRange:
     h must be reduced and nonzero, so the opposite vertex v = H^-1 h is
     fractional. Every c0 in [l_star, f_star - 1] then gives an empty
     simplex, where l_star is the least integer strictly above c^T v and
-    f_star the cone minimum; the range may be empty. With w the
-    `paral_weights` of (H, c), c^T v = -(w^T h) / det(H), and the cone
-    minimum comes from one path table read of (H, c), made only when
-    w^T h > det(H). Otherwise 0 < w^T h <= det(H) (w > 0, h >= 0, h != 0),
+    f_star the cone minimum; the range may be empty. With w the weights of
+    the memoized cone of (H, c) (`path_table`), c^T v = -(w^T h) / det(H),
+    and the cone minimum is read off that cone only when w^T h > det(H), so
+    no shortest paths are computed for an (H, c) that never needs one.
+    Otherwise 0 < w^T h <= det(H) (w > 0, h >= 0, h != 0),
     so l_star = 0, and f_star = 0 too: 0 lies in the cone, so f_star <= 0,
     and f_star >= c^T v >= -1, where c^T x = c^T v = -1 would force
     H x = h, i.e. x = v, which is fractional. The range is then empty. The
@@ -216,11 +211,11 @@ def c0_candidates(h_mat: Mat, h, c) -> EmptyRange:
         raise PreconditionError("right-hand side must be reduced (0 <= h_i < H_ii)")
     if not any(h):
         raise PreconditionError("h = 0 has no empty c0 range; its lattice candidate is fixed in closed form")
-    w, delta = _scaled_weights(h_mat, c)
-    wh = dot(w, h)
-    if wh <= delta:
+    cone = path_table(h_mat, c)
+    wh = dot(cone.weights, h)
+    if wh <= cone.delta:
         return EmptyRange(l_star=0, f_star=0)
-    return EmptyRange(l_star=-wh // delta + 1, f_star=_corner_from_table(path_table(h_mat, c), h, c).f_star)
+    return EmptyRange(l_star=-wh // cone.delta + 1, f_star=cone.minimum(h).f_star)
 
 
 def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
@@ -234,7 +229,7 @@ def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
     the gcd of column i of adj(H), v = H^T g, G = gcd(D, content v) and
     m = D / G, it is c = -m v / D, c0 = m, kept iff the vertex-excluding cone
     minimum f* equals m. Proof: vertex i of {H x <= 0, c x <= c0} is
-    (c0 g_i / w_i) r_i, with w_i the path-table weight and
+    (c0 g_i / w_i) r_i, with w_i the cone weight of (H, c) and
     r_i = -adj(H) e_i / g_i primitive (`_lattice_vertices_integral`). An
     empty lattice simplex has primitive edges, so w_i = c0 g_i; then
     c^T adj(H) = -c0 g^T and, as H adj(H) = D I, c = -q v / D with q = c0.
@@ -284,7 +279,7 @@ def _lattice_record(block: HnfBlock, delta: int) -> CandidateRecord | None:
     c = tuple(-m * x // delta for x in v)
     if corner_minimum_excluding_vertex(h_mat, c).f_star != m:
         return None
-    if not _lattice_vertices_integral(adj, c, m):
+    if not _lattice_vertices_integral(adj, path_table(h_mat, c).weights, m):
         raise InvariantViolation("closed-form lattice candidate has a fractional vertex")
     try:
         c_index = enumerate_c(h_mat).index(c)
@@ -312,15 +307,14 @@ def _candidate_record(block, delta, family, h_index, h, c_index, c, c0, f_star) 
     return CandidateRecord(ns, family, provenance)
 
 
-def _lattice_vertices_integral(adj: Mat, c, c0: int) -> bool:
-    """Whether {H x <= 0, c x <= c0} has integral vertices, read off adj(H).
+def _lattice_vertices_integral(adj: Mat, w: Vec, c0: int) -> bool:
+    """Whether {H x <= 0, c x <= c0} has integral vertices, read off adj(H) and the cone weights w.
 
     The apex is 0. Vertex i < n solves H_j x = 0 (j != i) and c x = c0, so it
     is x = -(t / det H) adj(H) e_i with c x = (t / det H) w_i = c0, where
-    w_i = -c^T adj(H) e_i is the `paral_weights` weight: x = -(c0 / w_i) adj(H) e_i.
+    w_i = -c^T adj(H) e_i is the cone's weight: x = -(c0 / w_i) adj(H) e_i.
     """
-    for col in zip(*adj):  # col = adj(H) e_i
-        w_i = -dot(col, c)
+    for col, w_i in zip(zip(*adj), w):  # col = adj(H) e_i
         if any(c0 * a % w_i for a in col):
             return False
     return True

@@ -42,7 +42,7 @@ from types import MappingProxyType
 from .enumeration import CandidateRecord
 from .errors import InvariantViolation
 from .exact_linalg import MEMO_CACHE_SIZE, Mat
-from .normal_form import _build_form, _build_normal, _leg_map, _map_leg, _normal_key, key_tuple, primitivize
+from .normal_form import key_step, key_tuple, leg_map, primitivize
 from .simplex_model import (
     AffineUnimodularMap,
     InequalitySystem,
@@ -186,12 +186,11 @@ def _search(prim: InequalitySystem, meta: SimplexMeta):
     starts: set = set()
     identity = tuple(range(prim.n))
     for base in meta.max_det_bases:
-        key0, pieces0 = _normal_key(prim, base, meta.delta)
-        if key0 in starts:
+        start = key_step(prim, base, meta.delta)
+        if start.key in starts:
             continue  # an earlier base with this starting form reached every key it can
-        starts.add(key0)
-        ns0 = _build_form(pieces0)
-        leg0 = _map_leg(pieces0)
+        starts.add(start.key)
+        ns0 = start.form()
         sys0 = ns0.system()
         units: dict = {}  # permutation reached -> the rows of sys0 that got unit pivots
         for perm in reduced_permutations(ns0.H):
@@ -201,26 +200,25 @@ def _search(prim: InequalitySystem, meta: SimplexMeta):
                 continue
             if perm == identity:  # renormalizes ns0 onto itself (rule 3)
                 units[perm] = frozenset(range(ns0.s))
-                if key0 not in seen:
-                    seen.add(key0)
-                    yield key0, ns0, (leg0, None)
+                if start.key not in seen:
+                    seen.add(start.key)
+                    yield start.key, ns0, (start.leg, None)
                 continue
-            key, pieces = _normal_key(sys0, perm, meta.delta)
-            s, row_src = pieces[2], pieces[-1]
-            units[perm] = frozenset(row_src[:s])
-            if key not in seen:
-                seen.add(key)
-                yield key, _build_form(pieces), (leg0, _map_leg(pieces))
+            step = key_step(sys0, perm, meta.delta)
+            units[perm] = frozenset(step.row_src[: step.s])
+            if step.key not in seen:
+                seen.add(step.key)
+                yield step.key, step.form(), (start.leg, step.leg)
 
 
 def _stored_map(legs) -> AffineUnimodularMap:
     """The map from the source simplex to a searched form, from its `_search` legs."""
     leg0, leg = legs
-    m0 = _leg_map(leg0)  # starting form -> source
+    m0 = leg_map(leg0)  # starting form -> source
     if leg is None:
         return inverse(m0)
     # m0 and m1 both point record -> source; store source -> record.
-    return inverse(compose(m0, _leg_map(leg)))
+    return inverse(compose(m0, leg_map(leg)))
 
 
 @lru_cache(maxsize=MEMO_CACHE_SIZE)
@@ -262,24 +260,24 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
 
     # T's form is built and validated on every path; its map, the last leg
     # of the witness (record -> T), only on a hit.
-    key_t, pieces_t = _normal_key(prim_t, min(meta_t.max_det_bases), meta_t.delta)
-    _build_form(pieces_t)
+    step_t = key_step(prim_t, min(meta_t.max_det_bases), meta_t.delta)
+    step_t.form()
 
     # Fast path: if the least-base normalizations already coincide, the two
     # direct maps compose to a witness (the identity when S and T are equal).
-    # S's form is keyed first and built only on a hit; on a miss the search
-    # below builds and validates that same starting form itself, once per
+    # S's form is then T's, field for field (the key is injective), and
+    # already validated, so only its map is built. On a miss the search
+    # below builds and validates S's starting form itself, once per
     # distinct S while it stays in the memo.
-    key_s, pieces_s = _normal_key(prim_s, min(meta_s.max_det_bases), meta_s.delta)
-    if key_s == key_t:
-        _, m_s, _ = _build_normal(pieces_s)
-        stored_s = inverse(m_s)
+    step_s = key_step(prim_s, min(meta_s.max_det_bases), meta_s.delta)
+    if step_s.key == step_t.key:
+        stored_s = inverse(step_s.map())
     else:
-        legs = _search_legs(prim_s, meta_s).get(key_t)
+        legs = _search_legs(prim_s, meta_s).get(step_t.key)
         if legs is None:
             return EquivalenceResult(False, certificate="search-exhausted")
         stored_s = _stored_map(legs)  # S -> record
-    witness = compose(_leg_map(_map_leg(pieces_t)), stored_s)  # S -> record -> T
+    witness = compose(step_t.map(), stored_s)  # S -> record -> T
     # The witness takes the point nums / d to (U nums + d x0) / d.
     u, x0 = witness.U, witness.x0
     image = frozenset(

@@ -19,10 +19,10 @@ Mat = tuple[tuple[int, ...], ...]
 FracVec = tuple[Fraction, ...]
 
 # Entry bound of every memo cache in the package. The largest working set in
-# the benchmark cells is about 1,000 entries; the per-(H, c) path tables of
+# the benchmark cells is about 1,000 entries; the per-(H, c) cones of
 # `corner_ilp` need at least det(H) entries to be reused within one block.
 # The equivalence memo holds one reference simplex's searched keys and
-# (U, x0) pieces per entry: on the benchmark query stream at most 8 forms
+# (U, x0) legs per entry: on the benchmark query stream at most 8 forms
 # and 1.5 KB pickled, and about 6.5 KB in memory on average, so a full memo
 # of such entries takes about 27 MB.
 MEMO_CACHE_SIZE = 4096

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     InvalidSystemError,
@@ -168,17 +169,64 @@ def _normalize_primitive(prim: InequalitySystem, base: tuple[int, ...], delta: i
     block. Trusted entry point: the caller guarantees `prim` is primitive,
     defines a simplex, and that |det| on `base` equals `delta`.
     """
-    _, pieces = _normal_key(prim, base, delta)
-    return _build_normal(pieces)
+    step = key_step(prim, base, delta)
+    return step.form(), step.map(), step.row_src
 
 
-def _normal_key(prim: InequalitySystem, base: tuple[int, ...], delta: int):
-    """Key step of `_normalize_primitive`: the canonical key and the plain pieces.
+class KeyStep(NamedTuple):
+    """One normalization of a primitive system over an ordered base, before anything is built.
+
+    `key` is the canonical key tuple of the form; n, delta, s, H, h, c and
+    c0 are the form's fields; U and x0 are the coordinate change and the
+    translation that the form's map is built from (`leg`); row i of the
+    form came from source row row_src[i]. `form()` and `map()` build the
+    validated `NormalizedSystem` and its map. Fields are read by name.
+
+    An immutable named tuple rather than a frozen dataclass: the search
+    makes one per key step, and a named tuple is built about five times
+    faster (0.6 against 3.2 us for these 11 fields, CPython 3.11 on a
+    2-vCPU Linux VM).
+    """
+
+    key: tuple[int, ...]
+    n: int
+    delta: int
+    s: int
+    H: Mat
+    h: Vec
+    c: Vec
+    c0: int
+    U: Mat
+    x0: Vec
+    row_src: tuple[int, ...]
+
+    @property
+    def leg(self) -> tuple[Mat, Vec]:
+        """(U, x0): all that the form's map is built from (`leg_map`)."""
+        return self.U, self.x0
+
+    def form(self) -> NormalizedSystem:
+        """The `NormalizedSystem`, validated; key_tuple of it equals `key`."""
+        ns = NormalizedSystem(
+            n=self.n, s=self.s, k=self.n - self.s, H=self.H, h=self.h, c=self.c, c0=self.c0, delta=self.delta
+        )
+        ok, violated = validate_normalized(ns)
+        if not ok:
+            raise InvariantViolation(f"normalization produced an invalid system: {violated}")
+        return ns
+
+    def map(self) -> AffineUnimodularMap:
+        """The map carrying the form onto its source."""
+        return leg_map(self.leg)
+
+
+def key_step(prim: InequalitySystem, base: tuple[int, ...], delta: int) -> KeyStep:
+    """Key step of `_normalize_primitive`: the canonical key and everything the form and map need.
 
     Runs the Hermite elimination, the coordinate permutation and the
     right-hand-side reduction, with their own checks, but builds no
-    `NormalizedSystem`, validation or map; `_build_normal` does that from
-    the pieces. Returns (key, pieces) with key == key_tuple of the built form.
+    `NormalizedSystem`, validation or map; the returned `KeyStep` builds
+    those on demand.
     """
     n = prim.n
     omitted = next(i for i in range(n + 1) if i not in base)
@@ -207,31 +255,11 @@ def _normal_key(prim: InequalitySystem, base: tuple[int, ...], delta: int):
     c0 = prim.b[omitted] - sum(ci * xi for ci, xi in zip(c, x0))
 
     key = _flat_key(n, delta, h_mat + (c,), h + (c0,))
-    return key, (n, delta, len(unit), h_mat, h, c, c0, u, x0, row_src)
+    return KeyStep(key, n, delta, len(unit), h_mat, h, c, c0, u, x0, row_src)
 
 
-def _build_normal(pieces):
-    """Build step of `_normalize_primitive`: the validated form, its map and row sources."""
-    return _build_form(pieces), _leg_map(_map_leg(pieces)), pieces[-1]
-
-
-def _build_form(pieces) -> NormalizedSystem:
-    """The form half of the build step: the `NormalizedSystem`, validated, and no map."""
-    n, delta, s, h_mat, h, c, c0 = pieces[:7]
-    ns = NormalizedSystem(n=n, s=s, k=n - s, H=h_mat, h=h, c=c, c0=c0, delta=delta)
-    ok, violated = validate_normalized(ns)
-    if not ok:
-        raise InvariantViolation(f"normalization produced an invalid system: {violated}")
-    return ns
-
-
-def _map_leg(pieces) -> tuple[Mat, Vec]:
-    """(U, x0) of the key step's pieces: all that the form's map is built from."""
-    return pieces[7], pieces[8]
-
-
-def _leg_map(leg: tuple[Mat, Vec]) -> AffineUnimodularMap:
-    """The map half of the build step: x -> U x + U x0, carrying the form onto its source."""
+def leg_map(leg: tuple[Mat, Vec]) -> AffineUnimodularMap:
+    """The map x -> U x + U x0 of a key step's leg (U, x0), carrying its form onto its source."""
     u, x0 = leg
     return AffineUnimodularMap(u, mat_vec(u, x0))
 
@@ -380,6 +408,8 @@ def normalized_to_dict(ns: NormalizedSystem) -> dict:
 
 
 def normalized_from_dict(data: dict) -> NormalizedSystem:
+    if not isinstance(data, dict):
+        raise PreconditionError("a normalized system must be a JSON object")
     if data.get("format") != NORMALIZED_FORMAT:
         raise PreconditionError(f"expected format {NORMALIZED_FORMAT!r}, got {data.get('format')!r}")
     return normalized_fields_from_dict(data)

@@ -175,6 +175,24 @@ def test_verify_corrupted_record(tmp_path, capsys):
     assert "canonical key" in err or "violation" in err
 
 
+def test_verify_reports_a_stale_canonical_key(tmp_path, capsys):
+    # The system is valid and the keys ascend; only the stored key text is
+    # wrong, which the atlas reader reports as a problem (exit 1), not an error.
+    out = tmp_path / "atlas.jsonl"
+    assert run(["enumerate", "--delta", "3", "--dim", "2", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    data = json.loads(lines[1])
+    data["canonical_key"] = "0:0:0"
+    lines[1] = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    out.write_text("\n".join(lines) + "\n")
+    assert run(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"record 1: stored canonical key '0:0:0' does not match the system [provenance {data['provenance']}]"
+    ]
+    assert captured.out == f"FAIL: 1 problem(s) in {len(lines)} record(s)\n"
+
+
 def test_verify_detects_emptiness_violation(tmp_path, capsys):
     out = tmp_path / "atlas.jsonl"
     assert run(["enumerate", "--delta", "1", "--dim", "2", "--out", str(out)]) == 0
@@ -371,6 +389,23 @@ def test_non_object_input_exits_2(tmp_path, triangle_file):
     bad.write_text("[1, 2]")
     assert run(["check-equiv", triangle_file, str(bad)]) == 2
     assert run(["verify", str(bad)]) == 2
+
+
+def test_corner_rejects_non_object_input(tmp_path):
+    # A JSON list is not a normalized system: `corner` reports it on one
+    # `error:` line and exits 2, as every other subcommand does, with no
+    # traceback.
+    src = str(Path(deltasimplex.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    bad = tmp_path / "f.json"
+    bad.write_text("[1, 2]")
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltasimplex.atlas_cli", "corner", str(bad)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_module_entry_point_is_warning_free(tmp_path):

@@ -16,7 +16,7 @@ from deltasimplex import (
     identity,
     reduce_residue,
 )
-from deltasimplex.corner_ilp import _scaled_weights
+from deltasimplex.corner_ilp import path_table
 from deltasimplex.exact_linalg import adjugate, dot
 
 from helpers import random_hnf
@@ -132,9 +132,9 @@ def test_weight_bounds_characterize_membership():
         for i in range(n):
             delta *= h_mat[i][i]
         for c in enumerate_c(h_mat):
-            w, d = _scaled_weights(h_mat, c)
-            assert d == delta
-            assert all(1 <= wi <= delta for wi in w)
+            cone = path_table(h_mat, c)
+            assert cone.delta == delta
+            assert all(1 <= wi <= delta for wi in cone.weights)
 
 
 def test_divisibility_invariant():
@@ -166,7 +166,7 @@ def test_distance_monotonicity():
             delta *= h_mat[i][i]
         h = tuple(rng.randrange(h_mat[i][i]) for i in range(n))
         c = rng.choice(enumerate_c(h_mat))
-        w, _ = _scaled_weights(h_mat, c)
+        w = path_table(h_mat, c).weights
         adj = adjugate(h_mat)
 
         def dist(rhs):
@@ -220,7 +220,8 @@ def test_count_minimum_attainers_matches_direct_scan():
         h_mat = random_hnf(rng, n, 8)
         c = rng.choice(enumerate_c(h_mat))
         f = corner_minimum_excluding_vertex(h_mat, c).f_star
-        w, delta = _scaled_weights(h_mat, c)
+        cone = path_table(h_mat, c)
+        w, delta = cone.weights, cone.delta
         budget = delta * f
         direct = 0
         for y in itertools.product(*(range(budget // w[i] + 1) for i in range(n))):
@@ -305,15 +306,15 @@ def test_candidates_for_block_runs_one_dijkstra_per_c(monkeypatch):
 
 
 def test_one_table_read_per_minimum(monkeypatch):
-    # Each entry point checks (H, c) and reads the path table at most once:
-    # the vertex-excluding minimum makes one read for its n targets and still
-    # rebuilds and checks n witnesses, and c0_candidates reads the table once
-    # when w^T h > det(H) and not at all otherwise, where its range is empty
-    # and f_star = l_star = 0.
+    # Each entry point checks (H, c) and reads its memoized cone once: the
+    # vertex-excluding minimum makes one read for its n targets and still
+    # rebuilds and checks n witnesses. c0_candidates reads the cone once for
+    # its weights, and runs Dijkstra and rebuilds a witness only when
+    # w^T h > det(H); otherwise its range is empty and f_star = l_star = 0.
     from deltasimplex import c0_candidates, corner_ilp, enumeration
 
-    reads, witnesses = [], []
-    real_read, real_solve = corner_ilp.path_table, corner_ilp._solve_lower_integer
+    reads, witnesses, runs = [], [], []
+    real_read, real_solve, real_dijkstra = corner_ilp.path_table, corner_ilp._solve_lower_integer, corner_ilp._dijkstra
 
     def counting_read(h_mat, c):
         reads.append((h_mat, c))
@@ -323,9 +324,14 @@ def test_one_table_read_per_minimum(monkeypatch):
         witnesses.append(rhs)
         return real_solve(h_mat, rhs)
 
+    def counting_dijkstra(table, weights):
+        runs.append(weights)
+        return real_dijkstra(table, weights)
+
     for mod in (corner_ilp, enumeration):
         monkeypatch.setattr(mod, "path_table", counting_read)
     monkeypatch.setattr(corner_ilp, "_solve_lower_integer", counting_solve)
+    monkeypatch.setattr(corner_ilp, "_dijkstra", counting_dijkstra)
     rng = random.Random(11)
     checked = skipped = 0
     for _ in range(20):
@@ -339,11 +345,14 @@ def test_one_table_read_per_minimum(monkeypatch):
             assert sol == min((corner_minimum(h_mat, rhs, c) for rhs in targets), key=lambda s: s.f_star)
             h = tuple(rng.randrange(h_mat[i][i]) for i in range(n))
             if any(h):
-                reads.clear(), witnesses.clear()
+                corner_ilp._path_table_cached.cache_clear()
+                reads.clear(), witnesses.clear(), runs.clear()
                 decision = c0_candidates(h_mat, h, c)
-                w, delta = _scaled_weights(h_mat, c)
+                cone = real_read(h_mat, c)
+                w, delta = cone.weights, cone.delta
                 read = dot(w, h) > delta
-                assert (len(reads), len(witnesses)) == ((1, 1) if read else (0, 0))
+                assert len(reads) == 1
+                assert (len(runs), len(witnesses)) == ((1, 1) if read else (0, 0))
                 assert decision.f_star == corner_minimum(h_mat, h, c).f_star
                 assert decision.l_star == -dot(w, h) // delta + 1
                 if not read:
@@ -351,3 +360,41 @@ def test_one_table_read_per_minimum(monkeypatch):
                 checked += 1
                 skipped += not read
     assert checked > 5 and 0 < skipped < checked
+
+
+def test_one_cone_per_h_c_pair(monkeypatch):
+    # The empty family builds one cone per distinct (H, c) it reads, however
+    # many right-hand sides h read it: enumerate_families(4, 5) without the
+    # lattice family reads 75 blocks x det(H) = 4 objectives. The paral
+    # weights are computed once per cone; the only other caller is the
+    # record validator, which recomputes them for the candidate it checks.
+    from deltasimplex import corner_ilp, enumerate_families, enumeration, normal_form
+
+    pairs, weights, validating = set(), [], [False]
+    real_read, real_weights, real_validate = corner_ilp.path_table, normal_form.paral_weights, enumeration.validate_normalized
+
+    def recording_read(h_mat, c):
+        pairs.add((h_mat, c))
+        return real_read(h_mat, c)
+
+    def counting_weights(h_mat, c):
+        if not validating[0]:
+            weights.append((h_mat, c))
+        return real_weights(h_mat, c)
+
+    def validate(ns):
+        validating[0] = True
+        try:
+            return real_validate(ns)
+        finally:
+            validating[0] = False
+
+    for mod in (corner_ilp, normal_form):
+        monkeypatch.setattr(mod, "paral_weights", counting_weights)
+    monkeypatch.setattr(enumeration, "path_table", recording_read)
+    monkeypatch.setattr(enumeration, "validate_normalized", validate)
+    corner_ilp._path_table_cached.cache_clear()
+    enumerate_families(4, 5, want_lattice=False)
+    info = corner_ilp._path_table_cached.cache_info()
+    assert info.misses == len(pairs) == len(weights) == 300
+    assert info.hits > info.misses

@@ -255,23 +255,28 @@ def test_family_flags():
 def test_dropped_family_costs_no_cone_minimum(monkeypatch):
     # The family is fixed by h before the cone minimum: h = 0 needs the
     # vertex-excluding minimum, every other h the plain one, which
-    # c0_candidates reads off its one path table read (_corner_from_table).
-    from deltasimplex import enumeration
+    # c0_candidates reads off the memoized cone of (H, c) (`Cone.minimum`).
+    from deltasimplex import corner_ilp, enumeration
 
-    calls = {"_corner_from_table": 0, "corner_minimum_excluding_vertex": 0}
-    for name in calls:
-        original = getattr(enumeration, name)
+    calls = {"minimum": 0, "excluding": 0}
+    minimum, excluding = corner_ilp.Cone.minimum, enumeration.corner_minimum_excluding_vertex
 
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counting_minimum(cone, h):
+        calls["minimum"] += 1
+        return minimum(cone, h)
 
-        monkeypatch.setattr(enumeration, name, counting)
+    def counting_excluding(h_mat, c):
+        calls["excluding"] += 1
+        return excluding(h_mat, c)
+
+    monkeypatch.setattr(corner_ilp.Cone, "minimum", counting_minimum)
+    monkeypatch.setattr(enumeration, "corner_minimum_excluding_vertex", counting_excluding)
     enumerate_families(4, 3, want_empty=False)
-    assert calls["_corner_from_table"] == 0 and calls["corner_minimum_excluding_vertex"] > 0
-    calls.update(_corner_from_table=0, corner_minimum_excluding_vertex=0)
+    # Every plain minimum is one of the n = 3 targets of a vertex-excluding one.
+    assert calls["excluding"] > 0 and calls["minimum"] == 3 * calls["excluding"]
+    calls.update(minimum=0, excluding=0)
     enumerate_families(4, 3, want_lattice=False)
-    assert calls["corner_minimum_excluding_vertex"] == 0 and calls["_corner_from_table"] > 0
+    assert calls["excluding"] == 0 and calls["minimum"] > 0
 
 
 @pytest.mark.parametrize("delta, n", [(3, 3), (4, 3), (4, 2)])
@@ -332,7 +337,7 @@ def test_lattice_verification_routes_agree():
 
 
 def test_early_vertex_test_matches_validated_vertices():
-    # The vertex test on adj(H) and the path table's weights decides exactly
+    # The vertex test on adj(H) and the cone's weights decides exactly
     # what the denominators of validate_simplex's vertices decide, on every
     # lattice candidate (h = 0, c0 = f_star) with delta <= 6 and n <= 4.
     from deltasimplex import (
@@ -342,6 +347,7 @@ def test_early_vertex_test_matches_validated_vertices():
         corner_minimum_excluding_vertex,
         validate_simplex,
     )
+    from deltasimplex.corner_ilp import path_table
     from deltasimplex.enumeration import _lattice_vertices_integral
 
     seen = {True: 0, False: 0}
@@ -358,7 +364,7 @@ def test_early_vertex_test_matches_validated_vertices():
                     except NotASimplexError:
                         continue
                     integral = all(den == 1 for _, den in meta.points)
-                    assert _lattice_vertices_integral(adj, c, c0) == integral
+                    assert _lattice_vertices_integral(adj, path_table(block.H, c).weights, c0) == integral
                     seen[integral] += 1
     assert seen[True] > 50 and seen[False] > 500
 
@@ -479,7 +485,7 @@ def test_closed_form_invariants_raise(monkeypatch):
     with pytest.raises(InvariantViolation, match="not in enumerate_c"):
         _lattice_record(block, 1)
     monkeypatch.undo()
-    monkeypatch.setattr(enumeration, "_lattice_vertices_integral", lambda adj, c, c0: False)
+    monkeypatch.setattr(enumeration, "_lattice_vertices_integral", lambda adj, w, c0: False)
     with pytest.raises(InvariantViolation, match="closed-form lattice candidate has a fractional vertex"):
         enumeration.candidates_for_block(block, want_empty=False, want_lattice=True)
 
@@ -551,20 +557,23 @@ def _white_orbits(q):
     return {frozenset({p % q, -p % q, pow(p, -1, q), -pow(p, -1, q) % q}) for p in units}
 
 
-def test_white_theorem_lattice_tetrahedra():
-    # White (Canad. J. Math., 1964): every empty lattice tetrahedron is
-    # equivalent to T(p, q) with gcd(p, q) = 1, and Delta(T(p, q)) = q^2;
-    # T(p, q) and T(p', q) are equivalent iff p' = +-p^(+-1) mod q. So the
-    # n = 3 lattice atlas has records only at Delta = q^2, one per orbit of
-    # (Z/q)^x under p -> -p and p -> p^-1. Up to q = 6 that is one class at
-    # each Delta in {1, 4, 9, 16, 36} and two at 25, T(1, 5) and T(2, 5).
-    # Equivalence is decided by the vertex-bijection oracle, not the package.
+def _check_white_theorem(q_max):
+    """The n = 3 lattice atlas up to Delta = q_max^2 against White's classification.
+
+    White (Canad. J. Math., 1964): every empty lattice tetrahedron is
+    equivalent to T(p, q) with gcd(p, q) = 1, and Delta(T(p, q)) = q^2;
+    T(p, q) and T(p', q) are equivalent iff p' = +-p^(+-1) mod q. So the
+    atlas has records only at Delta = q^2, one per orbit of (Z/q)^x under
+    p -> -p and p -> p^-1. Equivalence is decided by the vertex-bijection
+    oracle, not the package.
+    """
     from deltasimplex import enumerate_atlas
 
     from helpers import vertex_bijection_equivalent
 
-    records = enumerate_atlas(36, 3, "lattice", up_to=True)
-    assert sorted(r.ns.delta for r in records) == [1, 4, 9, 16, 25, 25, 36]
+    records = enumerate_atlas(q_max**2, 3, "lattice", up_to=True)
+    expected = sorted(q * q for q in range(1, q_max + 1) for _ in _white_orbits(q))
+    assert sorted(r.ns.delta for r in records) == expected
     classes = {}
     for rec in records:
         q = math.isqrt(rec.ns.delta)
@@ -576,8 +585,21 @@ def test_white_theorem_lattice_tetrahedra():
             if vertex_bijection_equivalent(rec.system(), _white_tetrahedron(p, q)) is not None
         )
         classes.setdefault(q, []).append(matches)
-    assert len(_white_orbits(5)) == 2 and len(_white_orbits(6)) == 1
-    for q in range(1, 7):
+    for q in range(1, q_max + 1):
         # Each record is equivalent to exactly the T(p, q) of one orbit, and
         # each orbit has exactly one record.
         assert sorted(map(sorted, classes[q])) == sorted(map(sorted, _white_orbits(q)))
+
+
+def test_white_theorem_lattice_tetrahedra():
+    # Up to q = 6 that is one class at each Delta in {1, 4, 9, 16, 36} and
+    # two at 25, T(1, 5) and T(2, 5).
+    assert [len(_white_orbits(q)) for q in range(1, 7)] == [1, 1, 1, 1, 2, 1]
+    _check_white_theorem(6)
+
+
+@pytest.mark.slow
+def test_white_theorem_lattice_tetrahedra_to_64():
+    # Up to q = 8 (Delta = 64): 11 classes, two each at Delta = 25, 49 and 64.
+    assert [len(_white_orbits(q)) for q in range(1, 9)] == [1, 1, 1, 1, 2, 1, 2, 2]
+    _check_white_theorem(8)

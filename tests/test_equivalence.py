@@ -22,7 +22,7 @@ from deltasimplex import (
     validate_simplex,
 )
 from deltasimplex.exact_linalg import hnf, max_minors
-from deltasimplex.normal_form import _build_normal, _normal_key, _normalize_primitive
+from deltasimplex.normal_form import _normalize_primitive, key_step
 
 from helpers import brute_force_equivalent, random_simplex, random_unimodular_map, vertex_bijection_equivalent
 
@@ -122,7 +122,7 @@ def test_equivalent_set_matches_two_stage_reference(seed):
 
 def _starting_keys(prim, meta):
     """Distinct keys of the maximal bases' starting forms, one per base that the search expands."""
-    return {_normal_key(prim, base, meta.delta)[0] for base in meta.max_det_bases}
+    return {key_step(prim, base, meta.delta).key for base in meta.max_det_bases}
 
 
 def test_equivalent_set_builds_one_system_per_maximal_base(monkeypatch):
@@ -170,14 +170,13 @@ def test_key_step_key_matches_built_form():
         prim = primitivize(random_simplex(rng, n, entry_bound=4 if n < 4 else 3))
         meta = validate_simplex(prim)
         for base in meta.max_det_bases:
-            key0, pieces0 = _normal_key(prim, base, meta.delta)
-            ns0, _, _ = _build_normal(pieces0)
-            assert key0 == key_tuple(ns0)
+            start = key_step(prim, base, meta.delta)
+            ns0 = start.form()
+            assert start.key == key_tuple(ns0)
             sys0 = ns0.system()
             for perm in reduced_permutations(ns0.H):
-                key, pieces = _normal_key(sys0, perm, meta.delta)
-                ns, _, _ = _build_normal(pieces)
-                assert key == key_tuple(ns)
+                step = key_step(sys0, perm, meta.delta)
+                assert step.key == key_tuple(step.form())
                 checked += 1
     assert checked > 300
 
@@ -195,13 +194,13 @@ def _search_without_identity_reuse(prim, meta):
     starts = set()
     steps = expanded = at_identity = 0
     for base in meta.max_det_bases:
-        key0, pieces0 = _normal_key(prim, base, meta.delta)
+        start = key_step(prim, base, meta.delta)
         steps += 1
-        if key0 in starts:
+        if start.key in starts:
             continue
-        starts.add(key0)
+        starts.add(start.key)
         expanded += 1
-        ns0, m0, _ = _build_normal(pieces0)
+        ns0, m0 = start.form(), start.map()
         sys0 = ns0.system()
         units = {}
         for perm in reduced_permutations(ns0.H):
@@ -209,13 +208,12 @@ def _search_without_identity_reuse(prim, meta):
             if twin is not None:
                 units[perm] = units[twin]
                 continue
-            key, pieces = _normal_key(sys0, perm, meta.delta)
+            step = key_step(sys0, perm, meta.delta)
             steps += 1
-            units[perm] = frozenset(pieces[-1][: pieces[2]])
-            if key not in out:
+            units[perm] = frozenset(step.row_src[: step.s])
+            if step.key not in out:
                 at_identity += perm == tuple(range(prim.n))
-                ns1, m1, _ = _build_normal(pieces)
-                out[key] = (ns1, inverse(compose(m0, m1)))
+                out[step.key] = (step.form(), inverse(compose(m0, step.map())))
     return out, steps, expanded, at_identity
 
 
@@ -265,26 +263,22 @@ def test_identity_order_reuses_the_starting_form(monkeypatch):
     from deltasimplex import equivalence
 
     calls = {"count": 0}
-    key_step = equivalence._normal_key
-
     def counting_key_step(*args):
         calls["count"] += 1
         return key_step(*args)
 
-    monkeypatch.setattr(equivalence, "_normal_key", counting_key_step)
+    monkeypatch.setattr(equivalence, "key_step", counting_key_step)
     rng = random.Random(82)
     identities = 0
     for n in [2, 3, 4, 5] * 15:
         prim = primitivize(random_simplex(rng, n, entry_bound=5 if n < 5 else 3))
         meta = validate_simplex(prim)
         for base in meta.max_det_bases:
-            key0, pieces0 = _normal_key(prim, base, meta.delta)
-            ns0, _, _ = _build_normal(pieces0)
-            key, pieces = _normal_key(ns0.system(), tuple(range(n)), meta.delta)
-            u, x0 = pieces[7], pieces[8]
-            assert key == key0
-            assert u == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-            assert x0 == (0,) * n
+            start = key_step(prim, base, meta.delta)
+            step = key_step(start.form().system(), tuple(range(n)), meta.delta)
+            assert step.key == start.key
+            assert step.U == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            assert step.x0 == (0,) * n
             identities += 1
         want, steps, expanded, _ = _search_without_identity_reuse(prim, meta)
         calls["count"] = 0
@@ -309,9 +303,8 @@ def test_adjacent_unit_pivot_swap_keeps_the_key():
         meta = validate_simplex(prim)
         for base in meta.max_det_bases:
             for order in itertools.permutations(base):
-                key, pieces = _normal_key(prim, order, meta.delta)
-                s, row_src = pieces[2], pieces[-1]
-                unit_rows = set(row_src[:s])
+                step = key_step(prim, order, meta.delta)
+                unit_rows = set(step.row_src[: step.s])
                 h_mat, u = hnf(tuple(prim.A[r] for r in order))
                 for i in range(n - 1):
                     if order[i] not in unit_rows or order[i + 1] not in unit_rows:
@@ -322,7 +315,7 @@ def test_adjacent_unit_pivot_swap_keeps_the_key():
                     h2, u2 = hnf(tuple(prim.A[r] for r in swapped))
                     assert h2 == tuple(tuple(h_mat[a][b] for b in swap) for a in swap)
                     assert u2 == tuple(tuple(row[b] for b in swap) for row in u)
-                    assert _normal_key(prim, swapped, meta.delta)[0] == key
+                    assert key_step(prim, swapped, meta.delta).key == step.key
                     checked += 1
     assert checked > 1000
 
@@ -336,13 +329,11 @@ def test_pruned_search_matches_unpruned_reference(monkeypatch, entry_bound):
     from deltasimplex import equivalence
 
     calls = {"count": 0}
-    key_step = equivalence._normal_key
-
     def counting_key_step(*args):
         calls["count"] += 1
         return key_step(*args)
 
-    monkeypatch.setattr(equivalence, "_normal_key", counting_key_step)
+    monkeypatch.setattr(equivalence, "key_step", counting_key_step)
     rng = random.Random(81 + entry_bound)
     permutations = 0
     deep = 0
@@ -622,23 +613,34 @@ def test_check_equivalence_validates_each_system_once(monkeypatch):
 
 
 def test_check_equivalence_builds_the_fast_path_form_only_on_a_hit(monkeypatch):
-    # S's least-base form is keyed first; it is built (validated and mapped)
-    # only when its key equals T's. On a miss the search builds it itself.
+    # T's least-base form is built and validated first, on every path. S's
+    # least-base step is keyed next and builds only its map, and only when
+    # its key equals T's: its form is then T's, already validated. On a miss
+    # nothing of S is built before the search, which builds S's forms itself.
     from deltasimplex import equivalence
+    from deltasimplex.normal_form import KeyStep
 
     equivalence._search_legs.cache_clear()
     events = []
-    build, search = equivalence._build_normal, equivalence._search_legs
+    form, leg_map, search = KeyStep.form, KeyStep.map, equivalence._search_legs
 
-    def counting_build(pieces):
-        events.append("build")
-        return build(pieces)
+    def counting_form(step):
+        events.append(("form", step.key))
+        return form(step)
+
+    def counting_map(step):
+        events.append(("map", step.key))
+        return leg_map(step)
 
     def counting_search(prim, meta):
+        before = len(events)
+        result = search(prim, meta)
+        del events[before:]
         events.append("search")
-        return search(prim, meta)
+        return result
 
-    monkeypatch.setattr(equivalence, "_build_normal", counting_build)
+    monkeypatch.setattr(KeyStep, "form", counting_form)
+    monkeypatch.setattr(KeyStep, "map", counting_map)
     monkeypatch.setattr(equivalence, "_search_legs", counting_search)
     rng = random.Random(76)
     outcomes = set()
@@ -649,11 +651,14 @@ def test_check_equivalence_builds_the_fast_path_form_only_on_a_hit(monkeypatch):
         order = rng.sample(range(n + 1), n + 1)
         moved = InequalitySystem(n, tuple(moved.A[i] for i in order), tuple(moved.b[i] for i in order))
         events.clear()
-        check_equivalence(sys, moved)  # the search is incomplete (see the module docstring)
+        result = check_equivalence(sys, moved)  # the search is incomplete (see the module docstring)
+        kind, key_t = events[0]
+        assert kind == "form"
         if "search" in events:
-            assert events[0] == "search"  # nothing built before the search on a miss
+            assert events[1] == "search"  # nothing of S built before the search on a miss
+            assert events[2:] == ([("map", key_t)] if result.equivalent else [])
         else:
-            assert events == ["build"]
+            assert events[1:] == [("map", key_t), ("map", key_t)]  # S's map, then T's
         outcomes.add("search" in events)
     assert outcomes == {True, False}
 
@@ -662,8 +667,8 @@ def _equivalent_set_before_the_split(prim, meta):
     """The equivalent-set search as one loop that builds a map for every new key.
 
     This is the search before the map-free `_search` was split out of it:
-    same rules, same keying order, and each new form is built with
-    `_build_normal` and stored with its map source -> form.
+    same rules, same keying order, and each new form is built with its map
+    by its `KeyStep` and stored with the map source -> form.
     """
     from deltasimplex.equivalence import _unit_swap_twin
 
@@ -671,11 +676,11 @@ def _equivalent_set_before_the_split(prim, meta):
     starts = set()
     identity = tuple(range(prim.n))
     for base in meta.max_det_bases:
-        key0, pieces0 = _normal_key(prim, base, meta.delta)
-        if key0 in starts:
+        start = key_step(prim, base, meta.delta)
+        if start.key in starts:
             continue
-        starts.add(key0)
-        ns0, m0, _ = _build_normal(pieces0)
+        starts.add(start.key)
+        ns0, m0 = start.form(), start.map()
         sys0 = ns0.system()
         units = {}
         for perm in reduced_permutations(ns0.H):
@@ -685,14 +690,13 @@ def _equivalent_set_before_the_split(prim, meta):
                 continue
             if perm == identity:
                 units[perm] = frozenset(range(ns0.s))
-                if key0 not in out:
-                    out[key0] = (ns0, inverse(m0))
+                if start.key not in out:
+                    out[start.key] = (ns0, inverse(m0))
                 continue
-            key, pieces = _normal_key(sys0, perm, meta.delta)
-            units[perm] = frozenset(pieces[-1][: pieces[2]])
-            if key not in out:
-                ns1, m1, _ = _build_normal(pieces)
-                out[key] = (ns1, inverse(compose(m0, m1)))
+            step = key_step(sys0, perm, meta.delta)
+            units[perm] = frozenset(step.row_src[: step.s])
+            if step.key not in out:
+                out[step.key] = (step.form(), inverse(compose(m0, step.map())))
     return out
 
 
