@@ -7,7 +7,6 @@ changes how the candidate blocks are partitioned, never the output.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 
@@ -106,37 +105,33 @@ def _family_flags(family: str) -> tuple[bool, bool]:
 def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = False, jobs: int = 1):
     """Deduplicated, key-sorted atlas records for (delta, dim).
 
-    With `up_to`, the atlases for every delta' <= delta are built and
-    concatenated; classes are disjoint across delta values because the
-    normalized determinant is a class invariant. With `jobs` > 1, one worker
-    pool serves every delta' that has more than one block; none is started,
-    and `multiprocessing` is not imported, if no delta' has.
+    With `up_to`, the blocks of every delta' <= delta go into one task list
+    and one dedup: delta is part of the canonical key and a class invariant,
+    so no equivalence search crosses delta values. With `jobs` > 1 and more
+    than one block, one worker pool maps the whole list; otherwise none is
+    started and `multiprocessing` is not imported.
     """
     want_empty, want_lattice = _family_flags(family)
     for name, value in (("delta", delta), ("dim", dim), ("jobs", jobs)):
         if value < 1:
             raise PreconditionError(f"{name} must be at least 1, got {value}")
-    cells = [
-        [(block, want_empty, want_lattice) for block in enumerate_H(d, dim)]
+    tasks = [
+        (block, want_empty, want_lattice)
         for d in (range(1, delta + 1) if up_to else [delta])
+        for block in enumerate_H(d, dim)
     ]
-    parallel = jobs > 1 and any(len(tasks) > 1 for tasks in cells)
-    if parallel:
+    if jobs > 1 and len(tasks) > 1:
         import multiprocessing  # not at module level: the import adds about 11 ms to every CLI start
-    results = []
-    with multiprocessing.Pool(processes=jobs) if parallel else contextlib.nullcontext() as pool:
-        for tasks in cells:
-            run = pool.map if pool is not None and len(tasks) > 1 else map
-            results.append(list(run(_block_task, tasks)))
-    out: list[CandidateRecord] = []
-    for cell in results:
-        candidates: list[CandidateRecord] = []
-        for empties, lattices in cell:
-            candidates.extend(empties)
-            candidates.extend(lattices)
-        out.extend(dedup_families(candidates))
-    out.sort(key=lambda rec: key_tuple(rec.ns))
-    return out
+
+        with multiprocessing.Pool(processes=jobs) as pool:
+            results = pool.map(_block_task, tasks)
+    else:
+        results = map(_block_task, tasks)
+    candidates: list[CandidateRecord] = []
+    for empties, lattices in results:
+        candidates.extend(empties)
+        candidates.extend(lattices)
+    return dedup_families(candidates)  # survivors come out in ascending key order
 
 
 # ---------------------------------------------------------------------------

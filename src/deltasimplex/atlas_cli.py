@@ -22,7 +22,7 @@ import sys
 from .atlas import enumerate_atlas, read_atlas, stats_atlas, verify_atlas, write_atlas
 from .corner_ilp import corner_minimum
 from .equivalence import check_equivalence
-from .errors import DeltaSimplexError
+from .errors import DeltaSimplexError, PreconditionError
 from .normal_form import (
     NORMALIZED_FORMAT,
     canonical_key,
@@ -85,6 +85,9 @@ def _cmd_normalize(args) -> int:
         base = min(meta.max_det_bases)
     else:
         base = tuple(int(x) - 1 for x in args.base.split(","))
+        n = sys_in.n
+        if len(set(base)) != n or len(base) != n or not all(0 <= i <= n for i in base):
+            raise PreconditionError(f"--base must be {n} distinct row indices in 1..{n + 1}, got {args.base!r}")
     ns, amap, row_perm = normalize(sys_in, base)
     payload = {
         "normalized": normalized_to_dict(ns),

@@ -8,11 +8,13 @@ shortest path on the finite quotient group Z^n / H Z^n. Everything runs on
 exact integers; the priority queue keys are plain ints.
 
 The weights, the group and the shortest-path tree depend on (H, c) alone,
-so each (H, c) has one memoized `Cone` (`path_table`): it checks c and
-holds the weights w and det(H) from the start, runs Dijkstra once, on the
-first call that needs distances, and answers `minimum(h)` for every
-right-hand side h (each -e_j of the vertex-excluding problem included); the
-witness and its checks are still rebuilt per query.
+so they live on one `Cone` of (H, c) (`path_table`): it checks c and holds
+the weights w and det(H) from the start, runs Dijkstra once, on the first
+call that needs distances, and answers `minimum(h)` for every right-hand
+side h (each -e_j of the vertex-excluding problem included); the witness
+and its checks are still rebuilt per query. Nothing here memoizes cones:
+whoever reads one (H, c) many times keeps its cone (the enumeration keeps
+one per c of a block).
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ def _group_table_cached(h_mat: Mat) -> GroupTable:
 class CornerSolution:
     f_star: int
     witness_x: Vec
-    infeasible: bool = False
 
 
 def _dijkstra(table: GroupTable, weights: Vec):
@@ -113,10 +114,10 @@ def _solve_lower_integer(h_mat: Mat, rhs) -> Vec:
 class Cone:
     """The cone {x : H x <= h} of one (H, c), for every right-hand side h.
 
-    `path_table` builds it, once per (H, c): `weights` is the `paral_weights`
-    w, each in [1, delta] because c lies in paral(-H^T), and `delta` is
-    det(H). The group shortest paths from 0 (one `_dijkstra` run) are made
-    on the first `minimum` call and kept.
+    `path_table` builds and checks it: `weights` is the `paral_weights` w,
+    each in [1, delta] because c lies in paral(-H^T), and `delta` is det(H).
+    The group shortest paths from 0 (one `_dijkstra` run) are made on the
+    first `minimum` call and kept.
     """
 
     H: Mat
@@ -134,14 +135,15 @@ class Cone:
         """`corner_minimum` for right-hand side h.
 
         Per h: the residue of h, the divisibility invariant, and the witness
-        rebuilt from the predecessors and checked against H, h and c.
+        rebuilt from the predecessors and checked against H, h and c. The
+        unit steps +e_i generate Z^n / H Z^n, so every class has a distance.
         """
         group, zero_id, dist, pred = self._paths
         h_mat = self.H
         n = len(h_mat)
         target = group.index[_reduce_hnf_rhs(h_mat, h)[0]]
         if dist[target] is None:
-            return CornerSolution(0, (0,) * n, infeasible=True)
+            raise InvariantViolation("a residue class is unreachable from 0 by unit steps")
         total = dist[target] - dot(self.weights, h)
         if total % self.delta:
             raise InvariantViolation("optimal value failed the divisibility invariant")
@@ -158,12 +160,8 @@ class Cone:
 
 
 def path_table(h_mat: Mat, c) -> Cone:
-    """The memoized `Cone` of (H, c); c must lie in paral(-H^T)."""
-    return _path_table_cached(matrix(h_mat), vector(c))
-
-
-@lru_cache(maxsize=MEMO_CACHE_SIZE)
-def _path_table_cached(h_mat: Mat, c: Vec) -> Cone:
+    """The checked `Cone` of (H, c); c must lie in paral(-H^T). Each call builds a new one."""
+    h_mat, c = matrix(h_mat), vector(c)
     if not is_hnf_matrix(h_mat):
         raise PreconditionError("cone minimum requires a Hermite-form matrix")
     delta = math.prod(h_mat[i][i] for i in range(len(h_mat)))
@@ -181,21 +179,20 @@ def corner_minimum(h_mat: Mat, h, c) -> CornerSolution:
     Requires c in paral(-H^T), which makes the scaled weights positive and
     the objective bounded below on the cone. The optimal value satisfies
     f* = (c^T adj(H) h + dist(class(h))) / delta, which must divide exactly;
-    the constant term is read off the weights, c^T adj(H) h = -w^T h. The
-    distances come from the memoized `Cone` of (H, c); the witness is
-    rebuilt from its shortest-path predecessors on every call.
+    the constant term is read off the weights, c^T adj(H) h = -w^T h. It
+    builds the `Cone` of (H, c) for this one query; a caller with many h for
+    one (H, c) keeps the cone and calls `Cone.minimum` instead.
     """
     return path_table(h_mat, c).minimum(h)
 
 
-def corner_minimum_excluding_vertex(h_mat: Mat, c) -> CornerSolution:
-    """Exact min of c^T x over {x in Z^n \\ {0} : H x <= 0}.
+def corner_minimum_excluding_vertex(cone: Cone) -> CornerSolution:
+    """Exact min of c^T x over {x in Z^n \\ {0} : H x <= 0} for the cone of (H, c).
 
     This is the reduced lattice-vertex case (h = 0, apex at the origin); the
     minimum is taken over the n subproblems with right-hand side -e_j, all
-    read off the one `Cone` of (H, c), each with its own witness.
+    read off the one cone, each with its own witness.
     """
-    cone = path_table(h_mat, c)
     n = len(cone.weights)
     best = None
     for j in range(n):
@@ -250,18 +247,17 @@ def corner_minimum_bruteforce(h_mat: Mat, h, c, radius: int) -> CornerSolution:
     return CornerSolution(best[0], best[1])
 
 
-def count_minimum_attainers(h_mat: Mat, c, f_star: int) -> int:
-    """Number of integer points of {x != 0 : H x <= 0} with c^T x == f_star.
+def count_minimum_attainers(cone: Cone, f_star: int) -> int:
+    """Number of integer points of {x != 0 : H x <= 0} with c^T x == f_star, for the cone of (H, c).
 
     Counts, by dynamic programming over (residue class, scaled value), the
     nonnegative integer vectors y in the lattice H Z^n with w^T y equal to
     det(H) * f_star; these are in bijection with the cone points at value
     f_star via y = -H x. Used to certify that the optimal facet of a lattice
     candidate carries exactly its n vertices and nothing else. The weights
-    and det(H) are read off the `Cone` of (H, c); no distances are needed.
+    and det(H) are read off the cone; no distances are needed.
     """
-    n = len(h_mat)
-    cone = path_table(h_mat, c)
+    n = len(cone.H)
     w, delta, table = cone.weights, cone.delta, group_table(cone.H)
     zero_id = table.index[(0,) * n]
     budget = delta * f_star

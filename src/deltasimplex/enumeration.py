@@ -11,14 +11,13 @@ The family is fixed by h alone (h = 0: lattice, otherwise empty), so a
 family that was not asked for costs no cone minimum. The empty family loops
 over every h != 0, every c of `enumerate_c` and every c0 of its admissible
 range. The lattice family is one closed-form step per block: H fixes the
-only possible (c, c0), and one cone minimum decides it (proof in
-`candidates_for_block`). Both end in one record builder, which runs the
-shared checks (gcd, normalized form, simplex) and then the lattice-only
-facet count.
+only possible (c, c0), and one cone minimum and one facet count decide it
+(proof in `candidates_for_block`). Both families read the block's cones.
 
-Candidates whose system has a row with gcd > 1 are skipped rather than
-repaired: the class they describe is produced by the run with its true,
-smaller delta.
+Only two rules drop a candidate: a row gcd > 1 (the class it describes comes
+from the run with its true, smaller delta) and, for the lattice family, an
+integer point besides the vertices. All else holds by construction, so the
+record builder `_record` raises InvariantViolation when a check fails.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .corner_ilp import corner_minimum_excluding_vertex, count_minimum_attainers, path_table
+from .corner_ilp import Cone, corner_minimum_excluding_vertex, count_minimum_attainers, path_table
 from .errors import InvariantViolation, NotASimplexError, PreconditionError
 from .exact_linalg import Mat, Vec, adjugate, det, dot, matrix
 from .normal_form import NormalizedSystem, validate_normalized
@@ -190,28 +189,27 @@ def enumerate_c(h_mat: Mat) -> tuple[Vec, ...]:
     return tuple(out)
 
 
-def c0_candidates(h_mat: Mat, h, c) -> EmptyRange:
-    """The admissible c0 range of the empty family for a fixed (H, h, c) triple.
+def c0_candidates(cone: Cone, h) -> EmptyRange:
+    """The admissible c0 range of the empty family for the cone of (H, c) and a fixed h.
 
     h must be reduced and nonzero, so the opposite vertex v = H^-1 h is
     fractional. Every c0 in [l_star, f_star - 1] then gives an empty
     simplex, where l_star is the least integer strictly above c^T v and
-    f_star the cone minimum; the range may be empty. With w the weights of
-    the memoized cone of (H, c) (`path_table`), c^T v = -(w^T h) / det(H),
-    and the cone minimum is read off that cone only when w^T h > det(H), so
-    no shortest paths are computed for an (H, c) that never needs one.
-    Otherwise 0 < w^T h <= det(H) (w > 0, h >= 0, h != 0),
-    so l_star = 0, and f_star = 0 too: 0 lies in the cone, so f_star <= 0,
-    and f_star >= c^T v >= -1, where c^T x = c^T v = -1 would force
-    H x = h, i.e. x = v, which is fractional. The range is then empty. The
-    lattice family (h = 0) has its own closed form in `candidates_for_block`.
+    f_star the cone minimum; the range may be empty. With w the cone's
+    weights, c^T v = -(w^T h) / det(H), and the cone minimum is read off the
+    cone only when w^T h > det(H), so no shortest paths are computed for an
+    (H, c) that never needs one. Otherwise 0 < w^T h <= det(H) (w > 0,
+    h >= 0, h != 0), so l_star = 0, and f_star = 0 too: 0 lies in the cone,
+    so f_star <= 0, and f_star >= c^T v >= -1, where c^T x = c^T v = -1
+    would force H x = h, i.e. x = v, which is fractional. The range is then
+    empty. The lattice family (h = 0) has its own closed form in
+    `candidates_for_block`.
     """
-    n = len(h_mat)
-    if any(not 0 <= h[i] < h_mat[i][i] for i in range(n)):
+    h_mat = cone.H
+    if any(not 0 <= h[i] < h_mat[i][i] for i in range(len(h_mat))):
         raise PreconditionError("right-hand side must be reduced (0 <= h_i < H_ii)")
     if not any(h):
         raise PreconditionError("h = 0 has no empty c0 range; its lattice candidate is fixed in closed form")
-    cone = path_table(h_mat, c)
     wh = dot(cone.weights, h)
     if wh <= cone.delta:
         return EmptyRange(l_star=0, f_star=0)
@@ -221,14 +219,17 @@ def c0_candidates(h_mat: Mat, h, c) -> EmptyRange:
 def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
     """All verified candidate records generated by one H block, as (empties, lattices).
 
-    The empty family loops over every reduced h != 0 that passes the (H|h)
-    gcd rule and every c of `enumerate_c`, with c0 from `c0_candidates`.
+    One `Cone` per c, shared by both families, so each (H, c) runs Dijkstra
+    at most once. The empty family loops over every reduced h != 0 that
+    passes the (H|h) gcd rule and every c of `enumerate_c`, with every c0 of
+    `c0_candidates` that passes the (c|c0) gcd rule.
 
     The lattice family is h = 0, which passes the gcd rule iff every row of H
     is primitive, and has at most one candidate per block: with D = det H, g_i
     the gcd of column i of adj(H), v = H^T g, G = gcd(D, content v) and
     m = D / G, it is c = -m v / D, c0 = m, kept iff the vertex-excluding cone
-    minimum f* equals m. Proof: vertex i of {H x <= 0, c x <= c0} is
+    minimum f* equals m and the optimal facet holds no integer point besides
+    the n vertices. Proof: vertex i of {H x <= 0, c x <= c0} is
     (c0 g_i / w_i) r_i, with w_i the cone weight of (H, c) and
     r_i = -adj(H) e_i / g_i primitive (`_lattice_vertices_integral`). An
     empty lattice simplex has primitive edges, so w_i = c0 g_i; then
@@ -238,38 +239,44 @@ def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
     k (c_m, m), while gcd(c_m, m) = 1 because c_m = -v / G and m = D / G with
     G = gcd(D, content v). Each r_i is a cone point with c r_i = m, so
     f* <= m, and a record needs c0 = f*. The vertices r_i are integral by
-    construction (InvariantViolation otherwise). A kept candidate gets the
-    record checks with c_index its position in `enumerate_c`, so the records
-    and their provenance are those of a loop over every c.
+    construction (InvariantViolation otherwise). A kept candidate gets
+    c_index, its position in `enumerate_c`, so the records and their
+    provenance are those of a loop over every c.
     """
     h_mat = block.H
     delta = math.prod(block.diag)
     empties: list[CandidateRecord] = []
     lattices: list[CandidateRecord] = []
+    cones: dict[Vec, Cone] = {}
     row_gcds = [math.gcd(*row) for row in h_mat]
     if want_lattice and all(g == 1 for g in row_gcds):
-        record = _lattice_record(block, delta)
+        record = _lattice_record(block, delta, cones)
         if record is not None:
             lattices.append(record)
     if want_empty:
-        c_list = enumerate_c(h_mat)
+        c_list = [(c, math.gcd(*c)) for c in enumerate_c(h_mat)]
         # h = 0 comes first in `enumerate_h`; every other h has a fractional opposite vertex.
         for h_index, h in enumerate(enumerate_h(h_mat)[1:], start=1):
             if any(math.gcd(g, x) > 1 for g, x in zip(row_gcds, h)):
                 logger.debug("skip (H|h) gcd violation: diag=%s h=%s", block.diag, h)
                 continue
-            for c_index, c in enumerate(c_list):
-                r = c0_candidates(h_mat, h, c)
+            for c_index, (c, c_gcd) in enumerate(c_list):
+                cone = cones.get(c)
+                if cone is None:
+                    cone = cones[c] = path_table(h_mat, c)
+                r = c0_candidates(cone, h)
                 for c0 in range(r.l_star, r.f_star):
-                    record = _candidate_record(block, delta, FAMILY_EMPTY, h_index, h, c_index, c, c0, r.f_star)
-                    if record is not None:
-                        empties.append(record)
+                    if math.gcd(c_gcd, c0) > 1:
+                        logger.debug("skip (c|c0) gcd violation: diag=%s h=%s c=%s c0=%s", block.diag, h, c, c0)
+                        continue
+                    empties.append(_record(block, delta, FAMILY_EMPTY, h_index, h, c_index, c, c0))
     return empties, lattices
 
 
-def _lattice_record(block: HnfBlock, delta: int) -> CandidateRecord | None:
-    """The closed-form lattice record (h = 0) of a block with primitive rows, or None."""
+def _lattice_record(block: HnfBlock, delta: int, cones: dict[Vec, Cone]) -> CandidateRecord | None:
+    """The closed-form lattice record (h = 0) of a block with primitive rows, or None; adds its cone to `cones`."""
     h_mat = block.H
+    n = len(h_mat)
     adj = adjugate(h_mat)
     g = [math.gcd(*col) for col in zip(*adj)]
     v = [dot(col, g) for col in zip(*h_mat)]  # H^T g
@@ -277,29 +284,52 @@ def _lattice_record(block: HnfBlock, delta: int) -> CandidateRecord | None:
     if m * max(g) > delta:
         return None
     c = tuple(-m * x // delta for x in v)
-    if corner_minimum_excluding_vertex(h_mat, c).f_star != m:
+    cone = cones[c] = path_table(h_mat, c)
+    if corner_minimum_excluding_vertex(cone).f_star != m:
         return None
-    if not _lattice_vertices_integral(adj, path_table(h_mat, c).weights, m):
+    if not _lattice_vertices_integral(adj, cone.weights, m):
         raise InvariantViolation("closed-form lattice candidate has a fractional vertex")
+    # f* = m is the least c-value of a nonzero cone point, so every integer
+    # point of the simplex but 0 lies on the facet c x = m: the simplex is
+    # lattice-empty iff that facet holds exactly its n vertices.
+    if count_minimum_attainers(cone, m) != n:
+        logger.debug("skip lattice candidate %s: extra integer point on the optimal facet", (block.diag, c, m))
+        return None
     try:
         c_index = enumerate_c(h_mat).index(c)
     except ValueError:
         raise InvariantViolation(f"closed-form lattice c {c} is not in enumerate_c") from None
-    return _candidate_record(block, delta, FAMILY_LATTICE, 0, (0,) * len(h_mat), c_index, c, m, m)
+    return _record(block, delta, FAMILY_LATTICE, 0, (0,) * n, c_index, c, m)
 
 
-def _candidate_record(block, delta, family, h_index, h, c_index, c, c0, f_star) -> CandidateRecord | None:
-    """The verified record of one candidate, or None (logged) if a check rejects it."""
-    if math.gcd(*c, c0) > 1:
-        reason = "(c|c0) gcd violation"
-    else:
-        if family == FAMILY_EMPTY and f_star <= c0:
-            raise InvariantViolation("c0 range produced a non-empty simplex")
-        ns = NormalizedSystem(n=block.s + block.k, s=block.s, k=block.k, H=block.H, h=h, c=c, c0=c0, delta=delta)
-        reason = _rejection(ns, family)
-    if reason is not None:
-        logger.debug("skip %s candidate %s: %s", family, (block.diag, h, c, c0), reason)
-        return None
+def _record(block, delta, family, h_index, h, c_index, c, c0) -> CandidateRecord:
+    """The verified record of one generated candidate; InvariantViolation if a check fails.
+
+    Every check holds by construction, so a failure is a generator bug:
+    - H and h: `enumerate_H` gives Hermite form, det(H) = delta, the identity
+      block, sorted B columns and T_ii >= 2 (so 2^k <= delta); h is reduced.
+    - Tie-break: with t = -H^-T c in (0, 1]^n (`enumerate_c`), equal B columns
+      j < j' give c_j - c_j' = t_j' - t_j, an integer in (-1, 1), so 0.
+    - Minors: w = det(H) t lies in (0, delta] (the lattice c has w_i = m g_i),
+      so every maximal minor of [H; c], det(H) or -w_i, is at most delta.
+    - Entries: H_ij < H_ii off the diagonal, and
+      |c_j| = (H^T t)_j <= 1 + sum over i >= j of (H_ii - 1) <= delta.
+    - Row gcds: the (H|h) rule, and the (c|c0) rule, which the empty loop
+      applies and the lattice closed form proves.
+    - Simplex: c in paral(-H^T) bounds it, and c0 > c^T v (v = H^-1 h) makes
+      it full-dimensional: c0 >= l_star for the empty family, c0 = m > 0 for
+      the lattice one, whose vertices `_lattice_vertices_integral` passed.
+    """
+    ns = NormalizedSystem(n=block.s + block.k, s=block.s, k=block.k, H=block.H, h=h, c=c, c0=c0, delta=delta)
+    ok, violated = validate_normalized(ns)
+    if not ok:
+        raise InvariantViolation(f"{family} candidate {(block.diag, h, c, c0)} violates the normal form: {violated}")
+    try:
+        meta = validate_simplex(ns.system())
+    except NotASimplexError as exc:
+        raise InvariantViolation(f"{family} candidate {(block.diag, h, c, c0)} is not a simplex: {exc}") from None
+    if family == FAMILY_LATTICE and any(den != 1 for _, den in meta.points):
+        raise InvariantViolation("vertex test on adj(H) passed a fractional vertex")
     provenance = dict(
         delta=delta, diag=list(block.diag), tuple_index=block.tuple_index, t_index=block.t_index,
         b_index=block.b_index, h_index=h_index, c_index=c_index, c0=c0,
@@ -318,33 +348,6 @@ def _lattice_vertices_integral(adj: Mat, w: Vec, c0: int) -> bool:
         if any(c0 * a % w_i for a in col):
             return False
     return True
-
-
-def _rejection(ns: NormalizedSystem, family: str) -> str | None:
-    """Why `ns` is not a record of `family`, or None if it passes every check.
-
-    A lattice candidate arrives from `_lattice_record`, whose cross-check
-    `_lattice_vertices_integral` found its vertices integral, so every
-    denominator of `meta.points` must be 1.
-    """
-    ok, violated = validate_normalized(ns)
-    if not ok:
-        return f"invalid normal form {violated}"
-    try:
-        meta = validate_simplex(ns.system())
-    except NotASimplexError:
-        return "degenerate simplex"
-    if family == FAMILY_LATTICE:
-        if any(den != 1 for _, den in meta.points):
-            raise InvariantViolation("vertex test on adj(H) passed a fractional vertex")
-        # Integer vertices alone do not rule out extra integer points on the
-        # optimal facet. c0 = f_star is the least c-value of a nonzero integer
-        # point of the cone, so any integer point of the simplex other than 0
-        # lies on the facet c x = f_star; the simplex is lattice-empty iff that
-        # facet holds exactly its n vertices.
-        if count_minimum_attainers(ns.H, ns.c, ns.c0) != ns.n:
-            return "extra integer point on the optimal facet"
-    return None
 
 
 def enumerate_families(delta: int, n: int, want_empty: bool = True, want_lattice: bool = True):

@@ -19,8 +19,8 @@ Mat = tuple[tuple[int, ...], ...]
 FracVec = tuple[Fraction, ...]
 
 # Entry bound of every memo cache in the package. The largest working set in
-# the benchmark cells is about 1,000 entries; the per-(H, c) cones of
-# `corner_ilp` need at least det(H) entries to be reused within one block.
+# the benchmark cells is about 1,000 entries. Cones of `corner_ilp` are not
+# memoized: each block of the enumeration keeps its own.
 # The equivalence memo holds one reference simplex's searched keys and
 # (U, x0) legs per entry: on the benchmark query stream at most 8 forms
 # and 1.5 KB pickled, and about 6.5 KB in memory on average, so a full memo

@@ -17,6 +17,11 @@ def run(args):
     return main(list(args))
 
 
+def read_file(path):
+    with path.open(encoding="utf-8") as fh:
+        return read_atlas(fh)
+
+
 def write_system(path, sys):
     path.write_text(json.dumps(system_to_dict(sys)))
     return str(path)
@@ -30,7 +35,7 @@ def triangle_file(tmp_path, triangle):
 def test_enumerate_delta_one(tmp_path):
     out = tmp_path / "atlas.jsonl"
     assert run(["enumerate", "--delta", "1", "--dim", "4", "--family", "both", "--out", str(out)]) == 0
-    records = read_atlas(out.open())
+    records = read_file(out)
     assert len(records) == 1
     assert records[0].family == "lattice_empty"
     assert records[0].ns.c0 == 1
@@ -45,7 +50,7 @@ def test_enumerate_delta_two_empty(tmp_path):
 def test_enumerate_delta_three_dim_one(tmp_path):
     out = tmp_path / "atlas.jsonl"
     assert run(["enumerate", "--delta", "3", "--dim", "1", "--out", str(out)]) == 0
-    records = read_atlas(out.open())
+    records = read_file(out)
     assert len(records) == 2
     assert all(r.family == "empty" for r in records)
 
@@ -53,14 +58,14 @@ def test_enumerate_delta_three_dim_one(tmp_path):
 def test_enumerate_family_filter(tmp_path):
     out = tmp_path / "lattice.jsonl"
     assert run(["enumerate", "--delta", "4", "--dim", "3", "--family", "lattice", "--out", str(out)]) == 0
-    records = read_atlas(out.open())
+    records = read_file(out)
     assert len(records) == 1 and records[0].family == "lattice_empty"
 
 
 def test_enumerate_up_to(tmp_path):
     out = tmp_path / "upto.jsonl"
     assert run(["enumerate", "--delta", "3", "--dim", "1", "--up-to", "--out", str(out)]) == 0
-    records = read_atlas(out.open())
+    records = read_file(out)
     deltas = sorted(r.ns.delta for r in records)
     assert deltas == [1, 3, 3]
 
@@ -145,6 +150,16 @@ def test_normalize_cli_bad_base(tmp_path, capsys):
     assert "valid bases" in err
 
 
+def test_normalize_cli_base_is_one_based(triangle_file, capsys):
+    # Row 0 does not exist in the 1-based numbering of --base, and the
+    # error names the 1-based range.
+    assert run(["normalize", triangle_file, "--base", "0,1"]) == 2
+    assert capsys.readouterr().err == "error: --base must be 2 distinct row indices in 1..3, got '0,1'\n"
+    assert run(["normalize", triangle_file, "--base", "2,2"]) == 2
+    assert "in 1..3" in capsys.readouterr().err
+    assert run(["normalize", triangle_file, "--base", "2,3"]) == 0
+
+
 def test_corner_cli(tmp_path, capsys):
     from deltasimplex import NormalizedSystem
 
@@ -216,7 +231,7 @@ def test_verify_rejects_equivalent_records(tmp_path, capsys):
 
     out = tmp_path / "atlas.jsonl"
     assert run(["enumerate", "--delta", "3", "--dim", "2", "--out", str(out)]) == 0
-    records = read_atlas(out.open())
+    records = read_file(out)
     forms = [ns for ns, _ in equivalent_normalized_set(records[0].system()).records.values()]
     assert len(forms) == 2 and forms[0] == records[0].ns
     twin = CandidateRecord(forms[1], records[0].family, {})
@@ -420,7 +435,7 @@ def test_module_entry_point_is_warning_free(tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert len(read_atlas(out.open())) == 1
+    assert len(read_file(out)) == 1
 
 
 def test_verify_validates_each_simplex_once(monkeypatch):

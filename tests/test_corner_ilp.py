@@ -88,16 +88,33 @@ def test_corner_minimum_precondition():
         corner_minimum(identity(2), (0, 0), (1, 1))
 
 
+def test_unreachable_class_raises(monkeypatch):
+    # Unit steps reach every class of Z^n / H Z^n, so a class without a
+    # distance is a solver bug, never a minimum of 0.
+    from deltasimplex import InvariantViolation, corner_ilp
+
+    real = corner_ilp._dijkstra
+
+    def cut(table, weights):
+        zero_id, dist, pred = real(table, weights)
+        return zero_id, [d if i == zero_id else None for i, d in enumerate(dist)], pred
+
+    monkeypatch.setattr(corner_ilp, "_dijkstra", cut)
+    assert corner_minimum(((2,),), (0,), (-1,)).f_star == 0
+    with pytest.raises(InvariantViolation, match="unreachable"):
+        corner_minimum(((2,),), (1,), (-1,))
+
+
 def test_excluding_vertex_identity():
     for n in (1, 2, 3):
-        sol = corner_minimum_excluding_vertex(identity(n), (-1,) * n)
+        sol = corner_minimum_excluding_vertex(path_table(identity(n), (-1,) * n))
         assert sol.f_star == 1
         assert sol.witness_x != (0,) * n
 
 
 def test_excluding_vertex_examples():
-    assert corner_minimum_excluding_vertex(((1, 0), (0, 2)), (-1, -2)).f_star == 1
-    sol = corner_minimum_excluding_vertex(((2,),), (-1,))
+    assert corner_minimum_excluding_vertex(path_table(((1, 0), (0, 2)), (-1, -2))).f_star == 1
+    sol = corner_minimum_excluding_vertex(path_table(((2,),), (-1,)))
     assert sol.f_star == 1 and sol.witness_x == (-1,)
 
 
@@ -196,13 +213,13 @@ def test_lower_bound_by_vertex_value():
 
 def test_count_minimum_attainers_identity():
     for n in (1, 2, 3, 5, 7):
-        assert count_minimum_attainers(identity(n), (-1,) * n, 1) == n
+        assert count_minimum_attainers(path_table(identity(n), (-1,) * n), 1) == n
 
 
 def test_count_minimum_attainers_extra_point():
     # integer vertices alone do not imply lattice emptiness: this cone has a
     # third integer point on the optimal facet besides the two facet vertices
-    assert count_minimum_attainers(((1, 0), (1, 2)), (-1, -1), 1) == 3
+    assert count_minimum_attainers(path_table(((1, 0), (1, 2)), (-1, -1)), 1) == 3
 
 
 def test_count_minimum_attainers_matches_direct_scan():
@@ -219,8 +236,8 @@ def test_count_minimum_attainers_matches_direct_scan():
         n = rng.randint(1, 3)
         h_mat = random_hnf(rng, n, 8)
         c = rng.choice(enumerate_c(h_mat))
-        f = corner_minimum_excluding_vertex(h_mat, c).f_star
         cone = path_table(h_mat, c)
+        f = corner_minimum_excluding_vertex(cone).f_star
         w, delta = cone.weights, cone.delta
         budget = delta * f
         direct = 0
@@ -230,7 +247,7 @@ def test_count_minimum_attainers_matches_direct_scan():
             x = gauss_solve(h_mat, tuple(-v for v in y))
             if all(xi.denominator == 1 for xi in x):
                 direct += 1
-        assert count_minimum_attainers(h_mat, c, f) == direct
+        assert count_minimum_attainers(cone, f) == direct
 
 
 def test_one_path_table_answers_every_h():
@@ -249,13 +266,14 @@ def test_one_path_table_answers_every_h():
                 oracle_minimum(h_mat, tuple(-1 if i == j else 0 for i in range(n)), c).f_star
                 for j in range(n)
             )
-            sol = corner_minimum_excluding_vertex(h_mat, c)
+            sol = corner_minimum_excluding_vertex(path_table(h_mat, c))
             assert sol.f_star == separate
             assert sol.witness_x != (0,) * n and dot(c, sol.witness_x) == separate
 
 
 def test_candidates_for_block_runs_one_dijkstra_per_c(monkeypatch):
-    # One Dijkstra per c that needs a cone minimum, and none for any other c:
+    # One Dijkstra per c that needs a cone minimum, and none for any other c,
+    # though both families read the block's cones:
     # the empty family needs one for c iff some h != 0 passing the (H|h) gcd
     # rule has w^T h > det(H) (w the paral weights of (H, c); otherwise its
     # c0 range is empty without one), and the lattice family for the c of its
@@ -273,16 +291,15 @@ def test_candidates_for_block_runs_one_dijkstra_per_c(monkeypatch):
         calls.append((table.H, weights))
         return original(table, weights)
 
-    def recording(h_mat, c):
-        lattice_cs.append(c)
-        return excluding(h_mat, c)
+    def recording(cone):
+        lattice_cs.append(cone.c)
+        return excluding(cone)
 
     monkeypatch.setattr(corner_ilp, "_dijkstra", counting)
     monkeypatch.setattr(enumeration, "corner_minimum_excluding_vertex", recording)
     blocks = runs = skipped = 0
     for delta, n in ((4, 3), (6, 2), (3, 4), (5, 2), (4, 5)):
         for block in enumerate_H(delta, n):
-            corner_ilp._path_table_cached.cache_clear()
             calls.clear(), lattice_cs.clear()
             candidates_for_block(block, True, True)
             row_gcds = [math.gcd(*row) for row in block.H]
@@ -306,19 +323,19 @@ def test_candidates_for_block_runs_one_dijkstra_per_c(monkeypatch):
 
 
 def test_one_table_read_per_minimum(monkeypatch):
-    # Each entry point checks (H, c) and reads its memoized cone once: the
-    # vertex-excluding minimum makes one read for its n targets and still
-    # rebuilds and checks n witnesses. c0_candidates reads the cone once for
-    # its weights, and runs Dijkstra and rebuilds a witness only when
+    # A cone runs Dijkstra once, on the first minimum that needs distances,
+    # and every later minimum reads that table; neither entry point builds a
+    # cone. c0_candidates runs Dijkstra and rebuilds a witness only when
     # w^T h > det(H); otherwise its range is empty and f_star = l_star = 0.
+    # The vertex-excluding minimum still rebuilds and checks n witnesses.
     from deltasimplex import c0_candidates, corner_ilp, enumeration
 
-    reads, witnesses, runs = [], [], []
-    real_read, real_solve, real_dijkstra = corner_ilp.path_table, corner_ilp._solve_lower_integer, corner_ilp._dijkstra
+    builds, witnesses, runs = [], [], []
+    real_build, real_solve, real_dijkstra = corner_ilp.path_table, corner_ilp._solve_lower_integer, corner_ilp._dijkstra
 
-    def counting_read(h_mat, c):
-        reads.append((h_mat, c))
-        return real_read(h_mat, c)
+    def counting_build(h_mat, c):
+        builds.append((h_mat, c))
+        return real_build(h_mat, c)
 
     def counting_solve(h_mat, rhs):
         witnesses.append(rhs)
@@ -329,7 +346,7 @@ def test_one_table_read_per_minimum(monkeypatch):
         return real_dijkstra(table, weights)
 
     for mod in (corner_ilp, enumeration):
-        monkeypatch.setattr(mod, "path_table", counting_read)
+        monkeypatch.setattr(mod, "path_table", counting_build)
     monkeypatch.setattr(corner_ilp, "_solve_lower_integer", counting_solve)
     monkeypatch.setattr(corner_ilp, "_dijkstra", counting_dijkstra)
     rng = random.Random(11)
@@ -339,43 +356,45 @@ def test_one_table_read_per_minimum(monkeypatch):
         h_mat = random_hnf(rng, n, 9)
         targets = [tuple(-1 if i == j else 0 for i in range(n)) for j in range(n)]
         for c in rng.sample(enumerate_c(h_mat), min(2, len(enumerate_c(h_mat)))):
-            reads.clear(), witnesses.clear()
-            sol = corner_minimum_excluding_vertex(h_mat, c)
-            assert (len(reads), len(witnesses)) == (1, n)
-            assert sol == min((corner_minimum(h_mat, rhs, c) for rhs in targets), key=lambda s: s.f_star)
+            cone = real_build(h_mat, c)
+            w, delta = cone.weights, cone.delta
             h = tuple(rng.randrange(h_mat[i][i]) for i in range(n))
+            read = False
             if any(h):
-                corner_ilp._path_table_cached.cache_clear()
-                reads.clear(), witnesses.clear(), runs.clear()
-                decision = c0_candidates(h_mat, h, c)
-                cone = real_read(h_mat, c)
-                w, delta = cone.weights, cone.delta
+                builds.clear(), witnesses.clear(), runs.clear()
+                decision = c0_candidates(cone, h)
                 read = dot(w, h) > delta
-                assert len(reads) == 1
-                assert (len(runs), len(witnesses)) == ((1, 1) if read else (0, 0))
+                assert (len(builds), len(runs), len(witnesses)) == ((0, 1, 1) if read else (0, 0, 0))
                 assert decision.f_star == corner_minimum(h_mat, h, c).f_star
                 assert decision.l_star == -dot(w, h) // delta + 1
                 if not read:
                     assert (decision.l_star, decision.f_star) == (0, 0)
                 checked += 1
                 skipped += not read
+            builds.clear(), witnesses.clear(), runs.clear()
+            sol = corner_minimum_excluding_vertex(cone)
+            assert (len(builds), len(runs), len(witnesses)) == (0, 0 if read else 1, n)
+            assert sol == min((corner_minimum(h_mat, rhs, c) for rhs in targets), key=lambda s: s.f_star)
     assert checked > 5 and 0 < skipped < checked
 
 
 def test_one_cone_per_h_c_pair(monkeypatch):
-    # The empty family builds one cone per distinct (H, c) it reads, however
-    # many right-hand sides h read it: enumerate_families(4, 5) without the
-    # lattice family reads 75 blocks x det(H) = 4 objectives. The paral
-    # weights are computed once per cone; the only other caller is the
+    # A block builds one cone per c it reads, however many right-hand sides
+    # h read it: enumerate_families(4, 5) without the lattice family builds
+    # det(H) = 4 cones in each of its 75 blocks, one per distinct (H, c). The
+    # paral weights are computed once per cone; the only other caller is the
     # record validator, which recomputes them for the candidate it checks.
-    from deltasimplex import corner_ilp, enumerate_families, enumeration, normal_form
+    from collections import Counter
 
-    pairs, weights, validating = set(), [], [False]
-    real_read, real_weights, real_validate = corner_ilp.path_table, normal_form.paral_weights, enumeration.validate_normalized
+    from deltasimplex import corner_ilp, enumerate_H, enumerate_families, enumeration, normal_form
 
-    def recording_read(h_mat, c):
-        pairs.add((h_mat, c))
-        return real_read(h_mat, c)
+    builds, weights, ranges, validating = [], [], [0], [False]
+    real_build, real_weights, real_validate = corner_ilp.path_table, normal_form.paral_weights, enumeration.validate_normalized
+    real_c0 = enumeration.c0_candidates
+
+    def recording_build(h_mat, c):
+        builds.append((h_mat, c))
+        return real_build(h_mat, c)
 
     def counting_weights(h_mat, c):
         if not validating[0]:
@@ -389,12 +408,16 @@ def test_one_cone_per_h_c_pair(monkeypatch):
         finally:
             validating[0] = False
 
+    def counting_c0(cone, h):
+        ranges[0] += 1
+        return real_c0(cone, h)
+
     for mod in (corner_ilp, normal_form):
         monkeypatch.setattr(mod, "paral_weights", counting_weights)
-    monkeypatch.setattr(enumeration, "path_table", recording_read)
+    monkeypatch.setattr(enumeration, "path_table", recording_build)
     monkeypatch.setattr(enumeration, "validate_normalized", validate)
-    corner_ilp._path_table_cached.cache_clear()
+    monkeypatch.setattr(enumeration, "c0_candidates", counting_c0)
     enumerate_families(4, 5, want_lattice=False)
-    info = corner_ilp._path_table_cached.cache_info()
-    assert info.misses == len(pairs) == len(weights) == 300
-    assert info.hits > info.misses
+    assert len(builds) == len(set(builds)) == len(weights) == 300
+    assert Counter(h_mat for h_mat, _ in builds) == {block.H: 4 for block in enumerate_H(4, 5)}
+    assert ranges[0] > len(builds)

@@ -20,6 +20,7 @@ from deltasimplex import (
     identity,
     validate_normalized,
 )
+from deltasimplex.corner_ilp import path_table
 from deltasimplex.equivalence import dedup_families
 
 from helpers import gauss_inverse, random_hnf
@@ -181,16 +182,17 @@ def test_c0_candidates_lattice():
     # h = 0 is the lattice family, whose (c, c0) candidates_for_block fixes in
     # closed form; it has no empty c0 range.
     with pytest.raises(PreconditionError):
-        c0_candidates(identity(2), (0, 0), (-1, -1))
+        c0_candidates(path_table(identity(2), (-1, -1)), (0, 0))
 
 
 def test_c0_candidates_empty_range():
-    assert c0_candidates(((1, 0), (1, 2)), (0, 1), (-1, -1)) == EmptyRange(l_star=0, f_star=0)
+    assert c0_candidates(path_table(((1, 0), (1, 2)), (-1, -1)), (0, 1)) == EmptyRange(l_star=0, f_star=0)
 
 
 def test_c0_candidates_segment_cases():
-    assert c0_candidates(((3,),), (1,), (-3,)) == EmptyRange(l_star=0, f_star=0)
-    assert c0_candidates(((3,),), (2,), (-3,)) == EmptyRange(l_star=-1, f_star=0)
+    cone = path_table(((3,),), (-3,))
+    assert c0_candidates(cone, (1,)) == EmptyRange(l_star=0, f_star=0)
+    assert c0_candidates(cone, (2,)) == EmptyRange(l_star=-1, f_star=0)
 
 
 def test_families_delta_one():
@@ -255,7 +257,7 @@ def test_family_flags():
 def test_dropped_family_costs_no_cone_minimum(monkeypatch):
     # The family is fixed by h before the cone minimum: h = 0 needs the
     # vertex-excluding minimum, every other h the plain one, which
-    # c0_candidates reads off the memoized cone of (H, c) (`Cone.minimum`).
+    # c0_candidates reads off the block's cone of (H, c) (`Cone.minimum`).
     from deltasimplex import corner_ilp, enumeration
 
     calls = {"minimum": 0, "excluding": 0}
@@ -265,9 +267,9 @@ def test_dropped_family_costs_no_cone_minimum(monkeypatch):
         calls["minimum"] += 1
         return minimum(cone, h)
 
-    def counting_excluding(h_mat, c):
+    def counting_excluding(cone):
         calls["excluding"] += 1
-        return excluding(h_mat, c)
+        return excluding(cone)
 
     monkeypatch.setattr(corner_ilp.Cone, "minimum", counting_minimum)
     monkeypatch.setattr(enumeration, "corner_minimum_excluding_vertex", counting_excluding)
@@ -295,7 +297,7 @@ def test_single_family_streams_match_both(delta, n):
 
 def test_c0_candidates_requires_reduced_rhs():
     with pytest.raises(PreconditionError):
-        c0_candidates(((2,),), (5,), (-1,))
+        c0_candidates(path_table(((2,),), (-1,)), (5,))
 
 
 def test_lattice_verification_routes_agree():
@@ -316,7 +318,8 @@ def test_lattice_verification_routes_agree():
             for block in enumerate_H(delta, n):
                 h = (0,) * n
                 for c in enumerate_c(block.H):
-                    f = corner_minimum_excluding_vertex(block.H, c).f_star
+                    cone = path_table(block.H, c)
+                    f = corner_minimum_excluding_vertex(cone).f_star
                     ns = NormalizedSystem(
                         n=n, s=block.s, k=block.k, H=block.H, h=h, c=c, c0=f, delta=delta
                     )
@@ -330,7 +333,7 @@ def test_lattice_verification_routes_agree():
                     if any(x.denominator != 1 for v in meta.vertices for x in v):
                         continue
                     by_count = count_integer_points_bruteforce(ns.system()) == n + 1
-                    by_facet = count_minimum_attainers(block.H, c, f) == n
+                    by_facet = count_minimum_attainers(cone, f) == n
                     assert by_count == by_facet
                     checked += 1
     assert checked >= 10
@@ -347,7 +350,6 @@ def test_early_vertex_test_matches_validated_vertices():
         corner_minimum_excluding_vertex,
         validate_simplex,
     )
-    from deltasimplex.corner_ilp import path_table
     from deltasimplex.enumeration import _lattice_vertices_integral
 
     seen = {True: 0, False: 0}
@@ -357,14 +359,15 @@ def test_early_vertex_test_matches_validated_vertices():
                 adj = adjugate(block.H)
                 h = (0,) * n
                 for c in enumerate_c(block.H):
-                    c0 = corner_minimum_excluding_vertex(block.H, c).f_star
+                    cone = path_table(block.H, c)
+                    c0 = corner_minimum_excluding_vertex(cone).f_star
                     ns = NormalizedSystem(n=n, s=block.s, k=block.k, H=block.H, h=h, c=c, c0=c0, delta=delta)
                     try:
                         meta = validate_simplex(ns.system())
                     except NotASimplexError:
                         continue
                     integral = all(den == 1 for _, den in meta.points)
-                    assert _lattice_vertices_integral(adj, path_table(block.H, c).weights, c0) == integral
+                    assert _lattice_vertices_integral(adj, cone.weights, c0) == integral
                     seen[integral] += 1
     assert seen[True] > 50 and seen[False] > 500
 
@@ -394,11 +397,12 @@ def _families_in_old_check_order(delta, n, want_empty=True):
             if family == "empty" and not want_empty:
                 continue
             for c_index, c in enumerate(enumerate_c(block.H)):
+                cone = path_table(block.H, c)
                 if family == "empty":
-                    r = c0_candidates(block.H, h, c)
+                    r = c0_candidates(cone, h)
                     c0_values = range(r.l_star, r.f_star)
                 else:
-                    c0_values = [corner_minimum_excluding_vertex(block.H, c).f_star]
+                    c0_values = [corner_minimum_excluding_vertex(cone).f_star]
                 for c0 in c0_values:
                     if math.gcd(*c, c0) > 1:
                         continue
@@ -410,7 +414,7 @@ def _families_in_old_check_order(delta, n, want_empty=True):
                     except NotASimplexError:
                         continue
                     if family == "lattice_empty" and (
-                        any(den != 1 for _, den in meta.points) or count_minimum_attainers(block.H, c, c0) != n
+                        any(den != 1 for _, den in meta.points) or count_minimum_attainers(cone, c0) != n
                     ):
                         continue
                     provenance = {
@@ -480,14 +484,40 @@ def test_closed_form_invariants_raise(monkeypatch):
     from deltasimplex.enumeration import _lattice_record
 
     block = next(enumerate_H(1, 2))
-    assert _lattice_record(block, 1) is not None
+    assert _lattice_record(block, 1, {}) is not None
     monkeypatch.setattr(enumeration, "enumerate_c", lambda h_mat: ())
     with pytest.raises(InvariantViolation, match="not in enumerate_c"):
-        _lattice_record(block, 1)
+        _lattice_record(block, 1, {})
     monkeypatch.undo()
     monkeypatch.setattr(enumeration, "_lattice_vertices_integral", lambda adj, w, c0: False)
     with pytest.raises(InvariantViolation, match="closed-form lattice candidate has a fractional vertex"):
         enumeration.candidates_for_block(block, want_empty=False, want_lattice=True)
+
+
+def test_failed_record_check_raises_instead_of_dropping(monkeypatch):
+    # Every record check holds by construction, so a candidate that fails
+    # one is a generator bug: candidates_for_block raises InvariantViolation
+    # rather than drop the candidate, in both families.
+    from deltasimplex import NotASimplexError, enumeration
+
+    cases = [(next(enumerate_H(3, 1)), True, False), (next(enumerate_H(1, 2)), False, True)]
+    for block, want_empty, want_lattice in cases:
+        empties, lattices = enumeration.candidates_for_block(block, want_empty, want_lattice)
+        assert len(empties if want_empty else lattices) > 0
+
+    def not_a_simplex(sys):
+        raise NotASimplexError("zero minor")
+
+    patches = [
+        ("validate_normalized", lambda ns: (False, ("tie-break",)), "violates the normal form"),
+        ("validate_simplex", not_a_simplex, "is not a simplex"),
+    ]
+    for name, fake, message in patches:
+        monkeypatch.setattr(enumeration, name, fake)
+        for block, want_empty, want_lattice in cases:
+            with pytest.raises(InvariantViolation, match=message):
+                enumeration.candidates_for_block(block, want_empty, want_lattice)
+        monkeypatch.undo()
 
 
 def _closed_form_qs(h_mat):
@@ -511,7 +541,7 @@ def test_lattice_family_makes_one_cone_minimum_per_q(monkeypatch):
     calls = []
     original = enumeration.corner_minimum_excluding_vertex
     monkeypatch.setattr(
-        enumeration, "corner_minimum_excluding_vertex", lambda h_mat, c: calls.append(c) or original(h_mat, c)
+        enumeration, "corner_minimum_excluding_vertex", lambda cone: calls.append(cone.c) or original(cone)
     )
     records = enumerate_atlas(3, 8, "lattice", up_to=True)
     assert len(records) == 1
@@ -524,7 +554,8 @@ def test_lattice_family_makes_one_cone_minimum_per_q(monkeypatch):
 @pytest.mark.parametrize("delta, n", [(3, 8), (4, 4), (9, 3), (16, 3)])
 def test_lattice_only_run_skips_the_h_and_c_walks(monkeypatch, delta, n):
     # A lattice-only run builds no h list, and builds enumerate_c only to
-    # find c_index of a candidate the cone minimum kept (f* == m).
+    # find c_index of a candidate that passed the cone minimum (f* == m)
+    # and the facet count, i.e. once per record.
     from deltasimplex import enumeration
 
     calls = {"enumerate_h": 0, "enumerate_c": 0}
@@ -539,16 +570,16 @@ def test_lattice_only_run_skips_the_h_and_c_walks(monkeypatch, delta, n):
     minima = []
     original_minimum = enumeration.corner_minimum_excluding_vertex
 
-    def recording_minimum(h_mat, c):
-        sol = original_minimum(h_mat, c)
-        minima.append((h_mat, sol.f_star))
+    def recording_minimum(cone):
+        sol = original_minimum(cone)
+        minima.append((cone.H, sol.f_star))
         return sol
 
     monkeypatch.setattr(enumeration, "corner_minimum_excluding_vertex", recording_minimum)
     empties, lattices = enumerate_families(delta, n, want_empty=False)
     kept = sum(_closed_form_qs(h_mat) == [f_star] for h_mat, f_star in minima)
     assert empties == [] and kept >= len(lattices) and kept > 0
-    assert calls == {"enumerate_h": 0, "enumerate_c": kept}
+    assert calls == {"enumerate_h": 0, "enumerate_c": len(lattices)}
 
 
 def _white_orbits(q):
