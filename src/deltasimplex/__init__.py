@@ -5,11 +5,9 @@ from .corner_ilp import (
     CornerSolution,
     GroupTable,
     corner_minimum,
-    corner_minimum_bruteforce,
     corner_minimum_excluding_vertex,
     count_minimum_attainers,
     group_table,
-    reduce_residue,
 )
 from .enumeration import (
     FAMILY_EMPTY,
@@ -37,7 +35,6 @@ from .errors import (
     InvariantViolation,
     NotASimplexError,
     PreconditionError,
-    RadiusError,
     RankError,
     ScaleExceededError,
     ShapeError,
@@ -45,13 +42,11 @@ from .errors import (
 )
 from .exact_linalg import (
     adjugate,
-    delta_value,
     det,
     hnf,
     identity,
     is_unimodular,
     matrix,
-    max_minors,
     solve_rational,
     unimodular_inverse,
     vector,
@@ -63,8 +58,6 @@ from .normal_form import (
     normalize,
     normalized_from_dict,
     normalized_to_dict,
-    opposite_vertex,
-    parse_canonical_key,
     primitivize,
     reduce_rhs,
     validate_normalized,

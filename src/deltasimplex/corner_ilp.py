@@ -22,16 +22,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
-from .errors import InvariantViolation, PreconditionError, RadiusError
-from .exact_linalg import MEMO_CACHE_SIZE, Mat, Vec, dot, matrix, solve_rational, vector
-from .normal_form import _reduce_hnf_rhs, is_hnf_matrix, paral_weights, reduce_rhs
+from .errors import InvariantViolation, PreconditionError
+from .exact_linalg import MEMO_CACHE_SIZE, Mat, Vec, dot, matrix, vector
+from .normal_form import _reduce_hnf_rhs, is_hnf_matrix, paral_weights
 
 
-@dataclass(frozen=True, eq=False)
-class GroupTable:
+class GroupTable(NamedTuple):
     """The quotient group Z^n / H Z^n with unit-step successor links."""
 
     H: Mat
@@ -42,11 +41,6 @@ class GroupTable:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-
-def reduce_residue(h_mat: Mat, z) -> Vec:
-    """Unique representative of z modulo H Z^n with 0 <= r_i < H_ii (H in Hermite form)."""
-    return reduce_rhs(h_mat, z)[0]
 
 
 def group_table(h_mat: Mat) -> GroupTable:
@@ -70,8 +64,7 @@ def _group_table_cached(h_mat: Mat) -> GroupTable:
     return GroupTable(H=h_mat, elements=elements, index=index, successor=successor)
 
 
-@dataclass(frozen=True)
-class CornerSolution:
+class CornerSolution(NamedTuple):
     f_star: int
     witness_x: Vec
 
@@ -110,20 +103,21 @@ def _solve_lower_integer(h_mat: Mat, rhs) -> Vec:
     return tuple(x)
 
 
-@dataclass(frozen=True, eq=False)
 class Cone:
     """The cone {x : H x <= h} of one (H, c), for every right-hand side h.
 
     `path_table` builds and checks it: `weights` is the `paral_weights` w,
     each in [1, delta] because c lies in paral(-H^T), and `delta` is det(H).
     The group shortest paths from 0 (one `_dijkstra` run) are made on the
-    first `minimum` call and kept.
+    first `minimum` call and kept. A plain class, compared by identity,
+    since it holds that cached result.
     """
 
-    H: Mat
-    c: Vec
-    weights: Vec
-    delta: int
+    def __init__(self, H: Mat, c: Vec, weights: Vec, delta: int):
+        self.H = H
+        self.c = c
+        self.weights = weights
+        self.delta = delta
 
     @cached_property
     def _paths(self) -> tuple:
@@ -200,51 +194,6 @@ def corner_minimum_excluding_vertex(cone: Cone) -> CornerSolution:
         if best is None or sol.f_star < best.f_star:
             best = sol
     return best
-
-
-def corner_minimum_bruteforce(h_mat: Mat, h, c, radius: int) -> CornerSolution:
-    """Box-scan oracle for `corner_minimum`.
-
-    Scans the integer points of v + [-radius, radius]^n intersected with the
-    cone, pruning coordinate by coordinate through the triangular rows. The
-    result is only trusted when some optimum lies strictly inside the box;
-    otherwise the radius was too small and the caller must enlarge it.
-    """
-    n = len(h_mat)
-    if not is_hnf_matrix(h_mat):
-        raise PreconditionError("box-scan oracle requires a Hermite-form matrix")
-    v = solve_rational(h_mat, h)
-    lo = [math.ceil(v[i]) - radius for i in range(n)]
-    hi = [math.floor(v[i]) + radius for i in range(n)]
-
-    best: list = [None, None, False]  # value, witness, strict-interior flag
-
-    def interior(x: list[int]) -> bool:
-        return all(lo[i] < x[i] < hi[i] for i in range(n))
-
-    def scan(depth: int, x: list[int], slack: list[int], value: int) -> None:
-        if depth == n:
-            if best[0] is None or value < best[0]:
-                best[0], best[1], best[2] = value, tuple(x), interior(x)
-            elif value == best[0] and not best[2] and interior(x):
-                best[1], best[2] = tuple(x), True
-            return
-        cone_hi = slack[depth] // h_mat[depth][depth]
-        upper = min(hi[depth], cone_hi)
-        for xi in range(lo[depth], upper + 1):
-            nxt = list(slack)
-            for r in range(depth + 1, n):
-                nxt[r] -= h_mat[r][depth] * xi
-            x.append(xi)
-            scan(depth + 1, x, nxt, value + c[depth] * xi)
-            x.pop()
-
-    scan(0, [], list(h), 0)
-    if best[0] is None:
-        raise RadiusError(f"radius too small: no feasible point in the box (radius={radius})")
-    if not best[2]:
-        raise RadiusError(f"radius too small: optimum only attained on the box boundary (radius={radius})")
-    return CornerSolution(best[0], best[1])
 
 
 def count_minimum_attainers(cone: Cone, f_star: int) -> int:

@@ -23,9 +23,8 @@ record builder `_record` raises InvariantViolation when a check fails.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .corner_ilp import Cone, corner_minimum_excluding_vertex, count_minimum_attainers, path_table
 from .errors import InvariantViolation, NotASimplexError, PreconditionError
@@ -33,14 +32,11 @@ from .exact_linalg import Mat, Vec, adjugate, det, dot, matrix
 from .normal_form import NormalizedSystem, validate_normalized
 from .simplex_model import validate_simplex
 
-logger = logging.getLogger(__name__)
-
 FAMILY_EMPTY = "empty"
 FAMILY_LATTICE = "lattice_empty"
 
 
-@dataclass(frozen=True)
-class HnfBlock:
+class HnfBlock(NamedTuple):
     """One enumerated block matrix H = [[I_s, 0], [B, T]] with provenance indices."""
 
     s: int
@@ -52,18 +48,46 @@ class HnfBlock:
     b_index: int
 
 
-@dataclass(frozen=True)
 class CandidateRecord:
-    ns: NormalizedSystem
-    family: str
-    provenance: dict = field(compare=False)
+    """A generated normalized system, its family and where the generator made it.
+
+    Equality and hash read `ns` and `family` only: two records of one form
+    are equal whatever their `provenance`. Immutable, like the named-tuple
+    records, and pickled through its constructor.
+    """
+
+    __slots__ = ("ns", "family", "provenance")
+
+    def __init__(self, ns: NormalizedSystem, family: str, provenance: dict):
+        object.__setattr__(self, "ns", ns)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "provenance", provenance)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CandidateRecord is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CandidateRecord is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not CandidateRecord:
+            return NotImplemented
+        return self.ns == other.ns and self.family == other.family
+
+    def __hash__(self):
+        return hash((self.ns, self.family))
+
+    def __reduce__(self):
+        return CandidateRecord, (self.ns, self.family, self.provenance)
+
+    def __repr__(self):
+        return f"CandidateRecord(ns={self.ns!r}, family={self.family!r}, provenance={self.provenance!r})"
 
     def system(self):
         return self.ns.system()
 
 
-@dataclass(frozen=True)
-class EmptyRange:
+class EmptyRange(NamedTuple):
     """Admissible c0 interval [l_star, f_star - 1] for the non-lattice case."""
 
     l_star: int
@@ -258,7 +282,6 @@ def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
         # h = 0 comes first in `enumerate_h`; every other h has a fractional opposite vertex.
         for h_index, h in enumerate(enumerate_h(h_mat)[1:], start=1):
             if any(math.gcd(g, x) > 1 for g, x in zip(row_gcds, h)):
-                logger.debug("skip (H|h) gcd violation: diag=%s h=%s", block.diag, h)
                 continue
             for c_index, (c, c_gcd) in enumerate(c_list):
                 cone = cones.get(c)
@@ -267,7 +290,6 @@ def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
                 r = c0_candidates(cone, h)
                 for c0 in range(r.l_star, r.f_star):
                     if math.gcd(c_gcd, c0) > 1:
-                        logger.debug("skip (c|c0) gcd violation: diag=%s h=%s c=%s c0=%s", block.diag, h, c, c0)
                         continue
                     empties.append(_record(block, delta, FAMILY_EMPTY, h_index, h, c_index, c, c0))
     return empties, lattices
@@ -293,7 +315,6 @@ def _lattice_record(block: HnfBlock, delta: int, cones: dict[Vec, Cone]) -> Cand
     # point of the simplex but 0 lies on the facet c x = m: the simplex is
     # lattice-empty iff that facet holds exactly its n vertices.
     if count_minimum_attainers(cone, m) != n:
-        logger.debug("skip lattice candidate %s: extra integer point on the optimal facet", (block.diag, c, m))
         return None
     try:
         c_index = enumerate_c(h_mat).index(c)

@@ -35,9 +35,9 @@ alone and keeps nothing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .enumeration import CandidateRecord
 from .errors import InvariantViolation
@@ -102,8 +102,7 @@ def _unit_swap_twin(perm: tuple[int, ...], units: dict) -> tuple[int, ...] | Non
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class EquivalentSet:
+class EquivalentSet(NamedTuple):
     """Every canonical normalized system of one simplex's class.
 
     `records` maps the canonical key tuple to (normalized system, map); each
@@ -227,8 +226,7 @@ def _search_legs(prim: InequalitySystem, meta: SimplexMeta) -> MappingProxyType:
     return MappingProxyType({key: legs for key, _, legs in _search(prim, meta)})
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(NamedTuple):
     equivalent: bool
     witness: AffineUnimodularMap | None = None
     certificate: str | None = None

@@ -33,9 +33,5 @@ class ScaleExceededError(DeltaSimplexError):
     """A brute-force oracle would have to scan more candidates than its cap."""
 
 
-class RadiusError(DeltaSimplexError):
-    """The box-scan oracle did not certify an optimum inside its scan region."""
-
-
 class InvariantViolation(DeltaSimplexError):
     """An internal consistency check failed; this always indicates a bug."""

@@ -9,14 +9,16 @@ this module ever touches floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvariantViolation, PreconditionError, RankError, ShapeError, SingularityError
 
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
-FracVec = tuple[Fraction, ...]
+# A string argument, so that building the alias needs no `fractions` import:
+# only `solve_rational` and `SimplexMeta.vertices` make Fractions, and they
+# import the module when called.
+FracVec = tuple["Fraction", ...]
 
 # Entry bound of every memo cache in the package. The largest working set in
 # the benchmark cells is about 1,000 entries. Cones of `corner_ilp` are not
@@ -279,31 +281,11 @@ def _hnf_cached(a: Mat) -> tuple[Mat, Mat]:
 
 def solve_rational(m: Mat, b) -> FracVec:
     """Exact rational solution x of m @ x == b for nonsingular integer m."""
+    from fractions import Fraction
+
     adj = adjugate(m)
     d = _det_from_adjugate(m, adj)
     if d == 0:
         raise SingularityError("cannot solve a singular system")
     return tuple(Fraction(sum(adj[i][j] * b[j] for j in range(len(b))), d) for i in range(len(b)))
 
-
-def max_minors(a: Mat) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All n+1 maximal minors of an (n+1) x n matrix.
-
-    Returns one (base, minor) pair per omitted row, where `base` is the
-    ascending tuple of the n row indices forming the minor. Zero minors of
-    degenerate bases are included.
-    """
-    m, n = shape(a)
-    if m != n + 1:
-        raise ShapeError(f"expected an (n+1) x n matrix, got {m}x{n}")
-    out = []
-    for omit in range(m):
-        base = tuple(i for i in range(m) if i != omit)
-        minor = det(tuple(a[i] for i in base))
-        out.append((base, minor))
-    return tuple(out)
-
-
-def delta_value(a: Mat) -> int:
-    """The largest absolute value among the maximal minors of `a`."""
-    return max(abs(minor) for _, minor in max_minors(a))

@@ -27,7 +27,6 @@ rows in the elimination redundant (see the `equivalence` module).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -45,7 +44,6 @@ from .exact_linalg import (
     hnf,
     mat_vec,
     matrix,
-    solve_rational,
     transpose,
     vector,
 )
@@ -59,10 +57,7 @@ from .simplex_model import (
 NORMALIZED_FORMAT = "delta-simplex/normalized-v1"
 
 
-@dataclass(frozen=True)
-class NormalizedSystem:
-    """A system in canonical block Hermite form, plus its delta."""
-
+class _NormalizedSystemFields(NamedTuple):
     n: int
     s: int
     k: int
@@ -72,16 +67,23 @@ class NormalizedSystem:
     c0: int
     delta: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "H", matrix(self.H))
-        object.__setattr__(self, "h", vector(self.h))
-        object.__setattr__(self, "c", vector(self.c))
-        if self.s + self.k != self.n:
+
+class NormalizedSystem(_NormalizedSystemFields):
+    """A system in canonical block Hermite form, plus its delta."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, s: int, k: int, H, h, c, c0: int, delta: int):
+        H = matrix(H)
+        h = vector(h)
+        c = vector(c)
+        if s + k != n:
             raise ShapeError("block sizes must add up to the dimension")
-        if len(self.H) != self.n or any(len(row) != self.n for row in self.H):
+        if len(H) != n or any(len(row) != n for row in H):
             raise ShapeError("H must be n x n")
-        if len(self.h) != self.n or len(self.c) != self.n:
+        if len(h) != n or len(c) != n:
             raise ShapeError("h and c must have length n")
+        return super().__new__(cls, n, s, k, H, h, c, c0, delta)
 
     def full_matrix(self) -> Mat:
         return self.H + (self.c,)
@@ -182,10 +184,11 @@ class KeyStep(NamedTuple):
     form came from source row row_src[i]. `form()` and `map()` build the
     validated `NormalizedSystem` and its map. Fields are read by name.
 
-    An immutable named tuple rather than a frozen dataclass: the search
-    makes one per key step, and a named tuple is built about five times
-    faster (0.6 against 3.2 us for these 11 fields, CPython 3.11 on a
-    2-vCPU Linux VM).
+    A named tuple, like every value record of the package: the search makes
+    one per key step, and a named tuple is built about five times faster
+    than a frozen dataclass (0.6 against 3.2 us for these 11 fields, CPython
+    3.11 on a 2-vCPU Linux VM), and defining it at import costs no
+    `dataclasses` module.
     """
 
     key: tuple[int, ...]
@@ -370,29 +373,6 @@ def canonical_key(ns: NormalizedSystem) -> str:
     return f"{t[0]}:{t[1]}:" + ",".join(str(x) for x in t[2:])
 
 
-def parse_canonical_key(key: str) -> NormalizedSystem:
-    """Rebuild the exact normalized system encoded by a canonical key."""
-    n_text, delta_text, entries_text = key.split(":")
-    n = int(n_text)
-    delta = int(delta_text)
-    flat = [int(x) for x in entries_text.split(",")]
-    if len(flat) != (n + 1) * (n + 1):
-        raise PreconditionError("canonical key has the wrong number of entries")
-    rows = [flat[i * (n + 1) : (i + 1) * (n + 1)] for i in range(n + 1)]
-    h_mat = matrix(row[:n] for row in rows[:n])
-    s = sum(1 for i in range(n) if h_mat[i][i] == 1)
-    return NormalizedSystem(
-        n=n,
-        s=s,
-        k=n - s,
-        H=h_mat,
-        h=tuple(row[n] for row in rows[:n]),
-        c=tuple(rows[n][:n]),
-        c0=rows[n][n],
-        delta=delta,
-    )
-
-
 def normalized_to_dict(ns: NormalizedSystem) -> dict:
     return {
         "format": NORMALIZED_FORMAT,
@@ -432,7 +412,3 @@ def normalized_fields_from_dict(data: dict) -> NormalizedSystem:
         delta=json_ints(data, "delta"),
     )
 
-
-def opposite_vertex(ns: NormalizedSystem):
-    """The vertex opposite the c-row facet, v = H^-1 h, as exact rationals."""
-    return solve_rational(ns.H, ns.h)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NotASimplexError, PreconditionError, ScaleExceededError, ShapeError
 from .exact_linalg import (
@@ -32,42 +31,53 @@ from .exact_linalg import (
 SYSTEM_FORMAT = "delta-simplex/system-v1"
 
 
-@dataclass(frozen=True)
-class InequalitySystem:
-    """A candidate simplex {x : A x <= b} with A of shape (n+1) x n."""
-
+# Records are named tuples. A NamedTuple body cannot define __new__, so a
+# record that checks its fields does so in the __new__ of a subclass of its
+# field tuple; unpickling runs that __new__ too.
+class _InequalitySystemFields(NamedTuple):
     n: int
     A: Mat
     b: Vec
 
-    def __post_init__(self):
-        object.__setattr__(self, "A", matrix(self.A))
-        object.__setattr__(self, "b", vector(self.b))
-        if self.n < 1:
+
+class InequalitySystem(_InequalitySystemFields):
+    """A candidate simplex {x : A x <= b} with A of shape (n+1) x n."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, A, b):
+        A = matrix(A)
+        b = vector(b)
+        if n < 1:
             raise ShapeError("dimension must be at least 1")
-        if len(self.A) != self.n + 1 or any(len(row) != self.n for row in self.A):
-            raise ShapeError(f"matrix must be {self.n + 1}x{self.n}")
-        if len(self.b) != self.n + 1:
-            raise ShapeError(f"right-hand side must have length {self.n + 1}")
+        if len(A) != n + 1 or any(len(row) != n for row in A):
+            raise ShapeError(f"matrix must be {n + 1}x{n}")
+        if len(b) != n + 1:
+            raise ShapeError(f"right-hand side must have length {n + 1}")
+        return super().__new__(cls, n, A, b)
 
     def rows(self):
         return tuple((self.A[i], self.b[i]) for i in range(self.n + 1))
 
 
-@dataclass(frozen=True)
-class AffineUnimodularMap:
-    """The affine map x -> U x + x0 with U unimodular and x0 integral."""
-
+class _AffineUnimodularMapFields(NamedTuple):
     U: Mat
     x0: Vec
 
-    def __post_init__(self):
-        object.__setattr__(self, "U", tuple(tuple(row) for row in self.U))
-        object.__setattr__(self, "x0", tuple(self.x0))
-        if not is_unimodular(self.U):
+
+class AffineUnimodularMap(_AffineUnimodularMapFields):
+    """The affine map x -> U x + x0 with U unimodular and x0 integral."""
+
+    __slots__ = ()
+
+    def __new__(cls, U, x0):
+        U = tuple(tuple(row) for row in U)
+        x0 = tuple(x0)
+        if not is_unimodular(U):
             raise PreconditionError("map matrix is not unimodular")
-        if len(self.x0) != len(self.U):
+        if len(x0) != len(U):
             raise ShapeError("translation length does not match matrix size")
+        return super().__new__(cls, U, x0)
 
     @classmethod
     def _trusted(cls, U: Mat, x0: Vec) -> AffineUnimodularMap:
@@ -76,10 +86,7 @@ class AffineUnimodularMap:
         Skips the `det` check of the public constructor; only results that are
         unimodular by construction (`compose`, `inverse`) come through here.
         """
-        m = object.__new__(cls)
-        object.__setattr__(m, "U", U)
-        object.__setattr__(m, "x0", x0)
-        return m
+        return _AffineUnimodularMapFields.__new__(cls, U, x0)
 
     @property
     def n(self) -> int:
@@ -146,8 +153,7 @@ def reduced_point(nums: Vec, den: int) -> Point:
     return tuple(x // g for x in nums), den // g
 
 
-@dataclass(frozen=True)
-class SimplexMeta:
+class SimplexMeta(NamedTuple):
     """Validation summary: delta, vertices (vertex i is opposite row i), maximal bases, minors.
 
     `points[i]` is vertex i as an exact integer point (numerators,
@@ -163,6 +169,8 @@ class SimplexMeta:
 
     @property
     def vertices(self) -> tuple[FracVec, ...]:
+        from fractions import Fraction
+
         return tuple(tuple(Fraction(x, den) for x in nums) for nums, den in self.points)
 
 

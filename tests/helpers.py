@@ -4,22 +4,36 @@ The oracles here deliberately avoid the package's own algorithms: the
 determinant oracle is plain cofactor expansion, rational solving is textbook
 Gaussian elimination over Fractions, and the equivalence oracles are an exact
 search over vertex bijections and a bounded exhaustive search over
-unimodular maps.
+unimodular maps. The test references at the end (the box-scan cone minimum,
+the maximal minors, the vertex opposite the c-row, the residue and key
+readers) are built on the package's primitives; no package module calls them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
 
 from deltasimplex import (
     AffineUnimodularMap,
+    CornerSolution,
+    DeltaSimplexError,
     InequalitySystem,
+    NormalizedSystem,
     NotASimplexError,
+    PreconditionError,
+    ShapeError,
+    det,
+    matrix,
+    reduce_rhs,
+    solve_rational,
     validate_simplex,
 )
+from deltasimplex.exact_linalg import shape
+from deltasimplex.normal_form import is_hnf_matrix
 
 
 def cofactor_det(m) -> int:
@@ -194,3 +208,108 @@ def vertex_bijection_equivalent(sys_a: InequalitySystem, sys_b: InequalitySystem
         if all(t.denominator == 1 for t in x0):
             return u, tuple(int(t) for t in x0)
     return None
+
+
+class RadiusError(DeltaSimplexError):
+    """The box-scan oracle did not certify an optimum inside its scan region."""
+
+
+def corner_minimum_bruteforce(h_mat, h, c, radius: int) -> CornerSolution:
+    """Box-scan oracle for `corner_minimum`.
+
+    Scans the integer points of v + [-radius, radius]^n intersected with the
+    cone, pruning coordinate by coordinate through the triangular rows. The
+    result is only trusted when some optimum lies strictly inside the box;
+    otherwise the radius was too small and the caller must enlarge it.
+    """
+    n = len(h_mat)
+    if not is_hnf_matrix(h_mat):
+        raise PreconditionError("box-scan oracle requires a Hermite-form matrix")
+    v = solve_rational(h_mat, h)
+    lo = [math.ceil(v[i]) - radius for i in range(n)]
+    hi = [math.floor(v[i]) + radius for i in range(n)]
+
+    best: list = [None, None, False]  # value, witness, strict-interior flag
+
+    def interior(x: list[int]) -> bool:
+        return all(lo[i] < x[i] < hi[i] for i in range(n))
+
+    def scan(depth: int, x: list[int], slack: list[int], value: int) -> None:
+        if depth == n:
+            if best[0] is None or value < best[0]:
+                best[0], best[1], best[2] = value, tuple(x), interior(x)
+            elif value == best[0] and not best[2] and interior(x):
+                best[1], best[2] = tuple(x), True
+            return
+        cone_hi = slack[depth] // h_mat[depth][depth]
+        upper = min(hi[depth], cone_hi)
+        for xi in range(lo[depth], upper + 1):
+            nxt = list(slack)
+            for r in range(depth + 1, n):
+                nxt[r] -= h_mat[r][depth] * xi
+            x.append(xi)
+            scan(depth + 1, x, nxt, value + c[depth] * xi)
+            x.pop()
+
+    scan(0, [], list(h), 0)
+    if best[0] is None:
+        raise RadiusError(f"radius too small: no feasible point in the box (radius={radius})")
+    if not best[2]:
+        raise RadiusError(f"radius too small: optimum only attained on the box boundary (radius={radius})")
+    return CornerSolution(best[0], best[1])
+
+
+def max_minors(a) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """All n+1 maximal minors of an (n+1) x n matrix.
+
+    Returns one (base, minor) pair per omitted row, where `base` is the
+    ascending tuple of the n row indices forming the minor. Zero minors of
+    degenerate bases are included.
+    """
+    m, n = shape(a)
+    if m != n + 1:
+        raise ShapeError(f"expected an (n+1) x n matrix, got {m}x{n}")
+    out = []
+    for omit in range(m):
+        base = tuple(i for i in range(m) if i != omit)
+        minor = det(tuple(a[i] for i in base))
+        out.append((base, minor))
+    return tuple(out)
+
+
+def delta_value(a) -> int:
+    """The largest absolute value among the maximal minors of `a`."""
+    return max(abs(minor) for _, minor in max_minors(a))
+
+
+def opposite_vertex(ns: NormalizedSystem):
+    """The vertex opposite the c-row facet, v = H^-1 h, as exact rationals."""
+    return solve_rational(ns.H, ns.h)
+
+
+def reduce_residue(h_mat, z):
+    """Unique representative of z modulo H Z^n with 0 <= r_i < H_ii (H in Hermite form)."""
+    return reduce_rhs(h_mat, z)[0]
+
+
+def parse_canonical_key(key: str) -> NormalizedSystem:
+    """Rebuild the exact normalized system encoded by a canonical key."""
+    n_text, delta_text, entries_text = key.split(":")
+    n = int(n_text)
+    delta = int(delta_text)
+    flat = [int(x) for x in entries_text.split(",")]
+    if len(flat) != (n + 1) * (n + 1):
+        raise PreconditionError("canonical key has the wrong number of entries")
+    rows = [flat[i * (n + 1) : (i + 1) * (n + 1)] for i in range(n + 1)]
+    h_mat = matrix(row[:n] for row in rows[:n])
+    s = sum(1 for i in range(n) if h_mat[i][i] == 1)
+    return NormalizedSystem(
+        n=n,
+        s=s,
+        k=n - s,
+        H=h_mat,
+        h=tuple(row[n] for row in rows[:n]),
+        c=tuple(rows[n][:n]),
+        c0=rows[n][n],
+        delta=delta,
+    )

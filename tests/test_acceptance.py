@@ -11,18 +11,15 @@ import time
 from fractions import Fraction
 
 from deltasimplex import (
-    RadiusError,
     apply_map,
     check_equivalence,
     corner_minimum,
-    corner_minimum_bruteforce,
     count_integer_points_bruteforce,
     enumerate_c,
     eq1_bound,
     equivalent_normalized_set,
     identity,
     key_tuple,
-    opposite_vertex,
     primitivize,
     reduce_rhs,
     validate_simplex,
@@ -31,8 +28,11 @@ from deltasimplex.atlas_cli import main
 from deltasimplex import InequalitySystem, NotASimplexError, InvalidSystemError
 
 from helpers import (
+    RadiusError,
     brute_force_equivalent,
+    corner_minimum_bruteforce,
     gauss_inverse,
+    opposite_vertex,
     random_hnf,
     random_simplex,
     random_unimodular_map,

@@ -224,6 +224,45 @@ def test_verify_detects_emptiness_violation(tmp_path, capsys):
     assert "violation" in err
 
 
+def test_verify_counts_points_above_dimension_six(tmp_path, capsys):
+    # The point-count oracle runs in every dimension: a widened n = 7 record
+    # (0 <= -x, -sum x <= 2 holds 36 integer points) is flagged.
+    out = tmp_path / "atlas.jsonl"
+    assert run(["enumerate", "--delta", "1", "--dim", "7", "--out", str(out)]) == 0
+    data = json.loads(out.read_text().strip())
+    assert (data["n"], data["family"], data["c0"]) == (7, "lattice_empty", 1)
+    data["c0"] = 2
+    rec = record_from_dict(data)
+    from deltasimplex import canonical_key
+
+    data["canonical_key"] = canonical_key(rec.ns)
+    out.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+    assert run(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"record 0 (key {data['canonical_key']}): emptiness/validator violation: 36 integer points, "
+        f"expected 8 [provenance {data['provenance']}]"
+    ]
+
+
+def test_verify_reports_an_unchecked_emptiness(tmp_path, capsys):
+    # A valid normalized segment whose bounding box (10^8 + 1 points) exceeds
+    # the oracle's cap is reported, not passed unchecked.
+    from deltasimplex import CandidateRecord, NormalizedSystem, write_atlas
+
+    ns = NormalizedSystem(n=1, s=0, k=1, H=((2,),), h=(1,), c=(-1,), c0=10**8, delta=2)
+    out = tmp_path / "atlas.jsonl"
+    with out.open("w") as fh:
+        write_atlas([CandidateRecord(ns, "empty", {})], fh)
+    assert run(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "record 0 (key 1:2:2,1,-1,100000000): emptiness not checked: "
+        "oracle scale exceeded: 100000001 candidates > cap 10000000 [provenance {}]"
+    ]
+    assert captured.out == "FAIL: 1 problem(s) in 1 record(s)\n"
+
+
 def test_verify_rejects_equivalent_records(tmp_path, capsys):
     # Each record is valid and the keys ascend; only the pairwise
     # inequivalence check can see that two records are one class.
@@ -329,6 +368,37 @@ def test_cli_import_leaves_out_multiprocessing():
     code = "import sys, deltasimplex.atlas_cli; print('multiprocessing' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+# Modules that no CLI path runs: `dataclasses` (with `inspect`), `logging`,
+# `fractions` (with `decimal`), and `multiprocessing` unless a pool starts.
+# Only modules the package loads count: some interpreters load `inspect`
+# at start-up.
+HEAVY_MODULES = ("dataclasses", "inspect", "logging", "fractions", "decimal", "multiprocessing")
+
+
+@pytest.mark.parametrize(
+    "run_cli",
+    ["", "atlas_cli.main(['enumerate', '--delta', '3', '--dim', '3', '--jobs', '1', '--out', sys.argv[1]])"],
+    ids=["import", "enumerate"],
+)
+def test_cli_start_up_imports_only_what_it_runs(tmp_path, run_cli):
+    src = str(Path(deltasimplex.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from deltasimplex import atlas_cli\n"
+        f"{run_cli}\n"
+        f"print([m for m in {HEAVY_MODULES!r} if m in sys.modules and m not in before])"
+    )
+    out = tmp_path / "atlas.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    if run_cli:
+        assert len(read_file(out)) > 0
 
 
 def test_stats_output(tmp_path, capsys):

@@ -6,20 +6,17 @@ from hypothesis import strategies as st
 
 from deltasimplex import (
     PreconditionError,
-    RadiusError,
     corner_minimum,
-    corner_minimum_bruteforce,
     corner_minimum_excluding_vertex,
     count_minimum_attainers,
     enumerate_c,
     group_table,
     identity,
-    reduce_residue,
 )
 from deltasimplex.corner_ilp import path_table
 from deltasimplex.exact_linalg import adjugate, dot
 
-from helpers import random_hnf
+from helpers import RadiusError, corner_minimum_bruteforce, random_hnf, reduce_residue
 
 
 def oracle_minimum(h_mat, h, c):

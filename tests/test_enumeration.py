@@ -10,7 +10,6 @@ from deltasimplex import (
     PreconditionError,
     c0_candidates,
     count_integer_points_bruteforce,
-    delta_value,
     divisor_tuples,
     enumerate_H,
     enumerate_c,
@@ -23,7 +22,7 @@ from deltasimplex import (
 from deltasimplex.corner_ilp import path_table
 from deltasimplex.equivalence import dedup_families
 
-from helpers import gauss_inverse, random_hnf
+from helpers import delta_value, gauss_inverse, random_hnf
 
 
 def test_divisor_tuples_one():

@@ -21,10 +21,16 @@ from deltasimplex import (
     reduced_permutations,
     validate_simplex,
 )
-from deltasimplex.exact_linalg import hnf, max_minors
+from deltasimplex.exact_linalg import hnf
 from deltasimplex.normal_form import _normalize_primitive, key_step
 
-from helpers import brute_force_equivalent, random_simplex, random_unimodular_map, vertex_bijection_equivalent
+from helpers import (
+    brute_force_equivalent,
+    max_minors,
+    random_simplex,
+    random_unimodular_map,
+    vertex_bijection_equivalent,
+)
 
 
 def test_reduced_permutations_counts():
@@ -130,13 +136,13 @@ def test_equivalent_set_builds_one_system_per_maximal_base(monkeypatch):
     # permutation; no system is rebuilt per permutation, and a base whose
     # starting form an earlier base already gave is not expanded again.
     built = {"count": 0}
-    post_init = InequalitySystem.__post_init__
+    new = InequalitySystem.__new__
 
-    def counting_post_init(self):
+    def counting_new(cls, *args, **kwargs):
         built["count"] += 1
-        post_init(self)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(InequalitySystem, "__post_init__", counting_post_init)
+    monkeypatch.setattr(InequalitySystem, "__new__", counting_new)
     rng = random.Random(77)
     systems = []
     for _ in range(20):
@@ -769,17 +775,17 @@ def test_dedup_builds_no_map(monkeypatch):
     # AffineUnimodularMap at all, through the public constructor or the
     # trusted one that compose and inverse use.
     built = {"count": 0}
-    post_init, trusted = AffineUnimodularMap.__post_init__, AffineUnimodularMap._trusted.__func__
+    new, trusted = AffineUnimodularMap.__new__, AffineUnimodularMap._trusted.__func__
 
-    def counting_post_init(self):
+    def counting_new(cls, u, x0):
         built["count"] += 1
-        post_init(self)
+        return new(cls, u, x0)
 
     def counting_trusted(cls, u, x0):
         built["count"] += 1
         return trusted(cls, u, x0)
 
-    monkeypatch.setattr(AffineUnimodularMap, "__post_init__", counting_post_init)
+    monkeypatch.setattr(AffineUnimodularMap, "__new__", counting_new)
     monkeypatch.setattr(AffineUnimodularMap, "_trusted", classmethod(counting_trusted))
     empties, lattices = enumerate_families(4, 4)
     records = empties + lattices

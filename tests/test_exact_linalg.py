@@ -9,20 +9,18 @@ from deltasimplex import (
     ShapeError,
     SingularityError,
     adjugate,
-    delta_value,
     det,
     hnf,
     identity,
     is_unimodular,
     matrix,
-    max_minors,
     solve_rational,
     unimodular_inverse,
 )
 from deltasimplex.exact_linalg import _adjugate_cached, mat_mul, shape, transpose
 from fractions import Fraction
 
-from helpers import cofactor_det, gauss_solve, random_int_matrix
+from helpers import cofactor_det, delta_value, gauss_solve, max_minors, random_int_matrix
 
 small_matrices = st.integers(2, 4).flatmap(
     lambda n: st.lists(

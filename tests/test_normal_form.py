@@ -17,16 +17,23 @@ from deltasimplex import (
     normalize,
     normalized_from_dict,
     normalized_to_dict,
-    parse_canonical_key,
     primitivize,
     reduce_rhs,
     validate_normalized,
 )
-from deltasimplex.exact_linalg import delta_value, det, max_minors
-from deltasimplex.normal_form import is_hnf_matrix, opposite_vertex, paral_weights
+from deltasimplex.exact_linalg import det
+from deltasimplex.normal_form import is_hnf_matrix, paral_weights
 from deltasimplex.simplex_model import apply_map
 
-from helpers import random_hnf, random_int_matrix, random_simplex
+from helpers import (
+    delta_value,
+    max_minors,
+    opposite_vertex,
+    parse_canonical_key,
+    random_hnf,
+    random_int_matrix,
+    random_simplex,
+)
 
 
 def test_primitivize_rows():

@@ -24,9 +24,9 @@ from deltasimplex import (
     validate_simplex,
     vector,
 )
-from deltasimplex.exact_linalg import max_minors, solve_rational
+from deltasimplex.exact_linalg import solve_rational
 
-from helpers import cofactor_det, random_simplex, random_unimodular_map
+from helpers import cofactor_det, max_minors, random_simplex, random_unimodular_map
 
 
 def test_shapes_enforced():
