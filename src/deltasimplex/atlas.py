@@ -48,7 +48,10 @@ def record_from_dict(data: dict) -> CandidateRecord:
     provenance = data.get("provenance", {})
     if not isinstance(provenance, dict):
         raise DeltaSimplexError(f"provenance must be a JSON object, got {provenance!r}")
-    return CandidateRecord(ns, json_field(data, "family"), dict(provenance))
+    family = json_field(data, "family")
+    if not isinstance(family, str):
+        raise DeltaSimplexError(f"family must be a JSON string, got {family!r}")
+    return CandidateRecord(ns, family, dict(provenance))
 
 
 def _record_line(rec: CandidateRecord) -> str:

@@ -12,24 +12,22 @@ rows can give a new form. For S = (rows (1,0,0), (0,1,0), (1,2,7),
 B = (3,4) and B = (1,5), only the first is emitted, and `check_equivalence`
 calls S and T inequivalent in both directions.
 
-Each permutation is keyed before anything is built: the form and its
-validation are made only for a key not yet in the set. Two rules skip key
+Each permutation is keyed before anything is built. Two rules skip key
 steps whose key provably repeats one the same search has already stored
 (`equivalent_normalized_set` gives the proofs): a maximal base whose
 starting form an earlier base already gave is not expanded, and a row order
 that differs from one already reached by swapping two adjacent unit-pivot
 rows is not keyed. The identity row order of an expanded base reuses the
-starting form's key and form, since it renormalizes that form onto itself.
+starting form's key step, since it renormalizes that form onto itself.
 
-One loop (`_search`) runs that search and builds no map: for each new key
-it yields the validated form and the (U, x0) legs of its own key step and
-of its base's starting form, from which the map to the form is built on
-demand. Three callers read it. `equivalent_normalized_set` builds every
-map. `check_equivalence` reads the keys and legs of the first simplex
-through a bounded memo (`MEMO_CACHE_SIZE` entries, keyed by the primitive
-system and its meta), so a repeated reference simplex is searched once,
-and it builds the one map a hit needs. `dedup_families` reads the keys
-alone and keeps nothing.
+One loop (`_search`) runs that search. It builds and validates each
+expanded base's starting form and nothing else: per new key it yields the
+`KeyStep` and the (U, x0) legs from which the map to the form is built.
+Each caller builds only what it reads. `equivalent_normalized_set` builds
+every form and map. `check_equivalence` reads the first simplex's keys and
+legs through a bounded memo (`MEMO_CACHE_SIZE` entries, keyed by the
+primitive system and its meta), so a repeated reference simplex is searched
+once, and builds the one map a hit needs. `dedup_families` reads the keys.
 """
 
 from __future__ import annotations
@@ -118,10 +116,9 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
     For each base of maximal |det| the system is normalized once, and that
     normalized system is renormalized over every reduced row permutation of
     its block matrix, taken as an ordered base. Each permutation first gets
-    only its key; the form is built and validated only when the key is new,
-    since a repeat key names a form identical to one already built. The
-    search itself is `_search`, which builds no map; this function builds
-    the map of every form it yields.
+    only its key, since a repeat key names a form already stored. The
+    search itself is `_search`, which builds no form of a key and no map;
+    this function builds the form and the map of every key it yields.
     The set is not always the whole class: identity-block row orders that
     `reduced_permutations` skips can give further forms (see the module
     docstring).
@@ -156,7 +153,7 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
        place (sigma = id); and its right-hand side is already reduced, so
        x0 = 0. Its key is the starting key, its form the starting form,
        its map the identity, and its unit rows are rows 0..s-1. So when
-       the loop reaches the identity it yields the starting form, whose
+       the loop reaches the identity it yields the starting key step, whose
        stored map is inverse(m0), if the key is new, at the same point in
        the loop, and makes no key step.
 
@@ -168,18 +165,18 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
         meta = validate_simplex(prim)
     else:
         prim = sys
-    return EquivalentSet(records={key: (ns, _stored_map(legs)) for key, ns, legs in _search(prim, meta)})
+    return EquivalentSet({step.key: (step.form(), _stored_map(legs)) for step, legs in _search(prim, meta)})
 
 
 def _search(prim: InequalitySystem, meta: SimplexMeta):
-    """The equivalent-set search: yield (key, form, legs) for each new key, in set order.
+    """The equivalent-set search: yield (step, legs) for each new key, in set order.
 
-    `prim` is primitive with `meta = validate_simplex(prim)`. Each form is
-    built and validated once; no map is built. `legs` is (leg0, leg), the
-    (U, x0) of the key step of the base's starting form and of the form's
-    own row order, with leg None for the starting form itself (rule 3 of
-    `equivalent_normalized_set`). `_stored_map(legs)` is the map from the
-    source to the form.
+    `prim` is primitive with `meta = validate_simplex(prim)`. Only each
+    expanded base's starting form is built (and validated). `legs` is
+    (leg0, leg), the (U, x0) of the base's starting key step and of
+    `step`, with leg None for the starting form itself (rule 3 of
+    `equivalent_normalized_set`). `step.form()` is the validated form and
+    `_stored_map(legs)` the map from the source to it.
     """
     seen: set = set()
     starts: set = set()
@@ -201,13 +198,13 @@ def _search(prim: InequalitySystem, meta: SimplexMeta):
                 units[perm] = frozenset(range(ns0.s))
                 if start.key not in seen:
                     seen.add(start.key)
-                    yield start.key, ns0, (start.leg, None)
+                    yield start, (start.leg, None)
                 continue
             step = key_step(sys0, perm, meta.delta)
             units[perm] = frozenset(step.row_src[: step.s])
             if step.key not in seen:
                 seen.add(step.key)
-                yield step.key, step.form(), (start.leg, step.leg)
+                yield step, (start.leg, step.leg)
 
 
 def _stored_map(legs) -> AffineUnimodularMap:
@@ -223,7 +220,7 @@ def _stored_map(legs) -> AffineUnimodularMap:
 @lru_cache(maxsize=MEMO_CACHE_SIZE)
 def _search_legs(prim: InequalitySystem, meta: SimplexMeta) -> MappingProxyType:
     """Memo of `_search` for `check_equivalence`: a read-only canonical key -> legs mapping."""
-    return MappingProxyType({key: legs for key, _, legs in _search(prim, meta)})
+    return MappingProxyType({step.key: legs for step, legs in _search(prim, meta)})
 
 
 class EquivalenceResult(NamedTuple):
@@ -293,9 +290,10 @@ def dedup_families(records: list[CandidateRecord]) -> list[CandidateRecord]:
     Records are indexed by canonical key; walking the keys in ascending
     order, each still-present record runs the equivalent-set search and
     every other member found in the index is removed. Only the keys are
-    read: no map is built, and nothing is memoized, so memory stays flat
-    however long the stream. The survivor of each class is therefore the
-    record with the least canonical key present.
+    read, so no map is built and no form beyond the search's starting
+    forms: each key acted on names a record validated when it was made.
+    Nothing is memoized, so memory stays flat however long the stream. The
+    survivor of each class is the record with the least key present.
     """
     index: dict = {}
     for rec in records:
@@ -304,7 +302,7 @@ def dedup_families(records: list[CandidateRecord]) -> list[CandidateRecord]:
         if key not in index:
             continue
         prim = primitivize(index[key].system())
-        found = {other for other, _, _ in _search(prim, validate_simplex(prim))}
+        found = {step.key for step, _ in _search(prim, validate_simplex(prim))}
         if key not in found:
             raise InvariantViolation("record's own canonical form missing from its equivalent set")
         for other in found:

@@ -77,6 +77,8 @@ class NormalizedSystem(_NormalizedSystemFields):
         H = matrix(H)
         h = vector(h)
         c = vector(c)
+        if n < 1:
+            raise ShapeError("dimension must be at least 1")
         if s + k != n:
             raise ShapeError("block sizes must add up to the dimension")
         if len(H) != n or any(len(row) != n for row in H):
@@ -93,12 +95,6 @@ class NormalizedSystem(_NormalizedSystemFields):
 
     def system(self) -> InequalitySystem:
         return InequalitySystem(self.n, self.full_matrix(), self.full_rhs())
-
-    def B(self) -> Mat:
-        return tuple(row[: self.s] for row in self.H[self.s :])
-
-    def T(self) -> Mat:
-        return tuple(row[self.s :] for row in self.H[self.s :])
 
 
 def _primitive_row(row: Vec, rhs: int) -> tuple[Vec, int]:

@@ -208,6 +208,22 @@ def test_verify_reports_a_stale_canonical_key(tmp_path, capsys):
     assert captured.out == f"FAIL: 1 problem(s) in {len(lines)} record(s)\n"
 
 
+def test_verify_reports_an_unknown_family(tmp_path, capsys):
+    # A family that is a JSON string but not a known one is a problem of the
+    # atlas (exit 1), reported with its record; a non-string is an error (2).
+    out = tmp_path / "atlas.jsonl"
+    assert run(["enumerate", "--delta", "3", "--dim", "2", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    data = json.loads(lines[0])
+    data["family"] = "other"
+    lines[0] = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    out.write_text("\n".join(lines) + "\n")
+    assert run(["verify", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"record 0 (key {data['canonical_key']}): unknown family 'other'"
+    ]
+
+
 def test_verify_detects_emptiness_violation(tmp_path, capsys):
     out = tmp_path / "atlas.jsonl"
     assert run(["enumerate", "--delta", "1", "--dim", "2", "--out", str(out)]) == 0
@@ -377,12 +393,19 @@ def test_cli_import_leaves_out_multiprocessing():
 HEAVY_MODULES = ("dataclasses", "inspect", "logging", "fractions", "decimal", "multiprocessing")
 
 
+ENUMERATE_3_3 = "atlas_cli.main(['enumerate', '--delta', '3', '--dim', '3', '--jobs', '1', '--out', sys.argv[1]])"
+
+
 @pytest.mark.parametrize(
-    "run_cli",
-    ["", "atlas_cli.main(['enumerate', '--delta', '3', '--dim', '3', '--jobs', '1', '--out', sys.argv[1]])"],
-    ids=["import", "enumerate"],
+    "run_cli, printed",
+    [
+        ("", ""),
+        (ENUMERATE_3_3, ""),
+        (f"{ENUMERATE_3_3}\natlas_cli.main(['verify', sys.argv[1]])", "OK: 5 record(s) verified\n"),
+    ],
+    ids=["import", "enumerate", "verify"],
 )
-def test_cli_start_up_imports_only_what_it_runs(tmp_path, run_cli):
+def test_cli_start_up_imports_only_what_it_runs(tmp_path, run_cli, printed):
     src = str(Path(deltasimplex.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = (
@@ -396,7 +419,7 @@ def test_cli_start_up_imports_only_what_it_runs(tmp_path, run_cli):
     proc = subprocess.run(
         [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env, timeout=120
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{printed}[]\n", "")
     if run_cli:
         assert len(read_file(out)) > 0
 
@@ -491,6 +514,35 @@ def test_corner_rejects_non_object_input(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "stats"])
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda d: d.update(n=0, s=0, k=0, H=[], h=[], c=[], c0=1, delta=1), id="dimension-0"),
+        pytest.param(lambda d: d.__setitem__("family", ["x"]), id="family-list"),
+        pytest.param(lambda d: d.__setitem__("family", 7), id="family-int"),
+    ],
+)
+def test_malformed_record_is_one_error_line(tmp_path, command, mutate):
+    # A record that no normalized system can have, or a family that is not a
+    # JSON string, is an input error: exit 2 with one `error:` line, never a
+    # traceback (exit 1 means problems found or a bound exceeded).
+    src = str(Path(deltasimplex.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = tmp_path / "atlas.jsonl"
+    assert run(["enumerate", "--delta", "3", "--dim", "2", "--out", str(out)]) == 0
+    data = json.loads(out.read_text().splitlines()[0])
+    mutate(data)
+    out.write_text(json.dumps(data) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltasimplex.atlas_cli", command, str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
 
 
 def test_module_entry_point_is_warning_free(tmp_path):

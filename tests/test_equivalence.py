@@ -225,9 +225,10 @@ def _search_without_identity_reuse(prim, meta):
 
 def test_equivalent_set_validates_once_per_new_key(monkeypatch):
     # A repeat key is never built or validated again: one validation per
-    # distinct starting form of the maximal bases plus one per stored form,
-    # less the forms stored at their own base's identity order, which is the
-    # starting form already built and validated.
+    # distinct starting form of the maximal bases, in the search, plus one
+    # per stored form, when the set is built. A form first stored at its own
+    # base's identity order is the starting form, built again from its key
+    # step, so the sample must hold such forms too.
     from deltasimplex import normal_form
 
     calls = {"count": 0}
@@ -254,7 +255,7 @@ def test_equivalent_set_validates_once_per_new_key(monkeypatch):
         *_, at_identity = _search_without_identity_reuse(prim, meta)
         calls["count"] = 0
         eq = equivalent_normalized_set(prim, meta)
-        assert calls["count"] == starts + len(eq.records) - at_identity
+        assert calls["count"] == starts + len(eq.records)
         reused += at_identity
     assert permutations > 40
     assert repeated_starts > 0
@@ -794,3 +795,29 @@ def test_dedup_builds_no_map(monkeypatch):
     assert len(records) > len(kept) > 0
     equivalent_normalized_set(records[0].system())
     assert built["count"] > 0
+
+
+def test_dedup_validates_only_the_starting_forms(monkeypatch):
+    # dedup_families reads keys only: the one form it validates per expanded
+    # base is the starting form whose rows the search renormalizes, and no
+    # form of a searched key is built. On (4, 5) both that is 121
+    # validations, one per expanded base, where building every new key's
+    # form took 283.
+    from deltasimplex import equivalence, normal_form
+
+    counts = {"validate": 0, "expanded": 0}
+    validate, permutations = normal_form.validate_normalized, equivalence.reduced_permutations
+
+    def counting_validate(ns):
+        counts["validate"] += 1
+        return validate(ns)
+
+    def counting_permutations(h_mat):
+        counts["expanded"] += 1
+        return permutations(h_mat)
+
+    empties, lattices = enumerate_families(4, 5)
+    monkeypatch.setattr(normal_form, "validate_normalized", counting_validate)
+    monkeypatch.setattr(equivalence, "reduced_permutations", counting_permutations)
+    kept = dedup_families(empties + lattices)
+    assert counts["validate"] == counts["expanded"] > len(kept) > 0

@@ -4,8 +4,9 @@ The atlas bytes of the smoke cell and of both benchmark cells are compared
 with the hashes recorded in the benchmark's reference file, so a change to
 the canonical form, the dedup survivors or the record format shows up here
 and not only in a benchmark run; a two-worker run must write the same
-bytes. The benchmark's tracer wraps package functions by name from outside
-the package; every name it lists must keep resolving.
+bytes. The two cells where dedup does the most work are pinned by hashes of
+their own. The benchmark's tracer wraps package functions by name from
+outside the package; every name it lists must keep resolving.
 """
 
 import hashlib
@@ -60,6 +61,38 @@ def test_benchmark_atlas_matches_reference(tmp_path, cell):
 def test_atlas_bytes_do_not_depend_on_jobs(tmp_path):
     for cell in ["both-d4n5", "lattice-upto3-n8"]:
         assert _atlas_bytes(tmp_path, cell, jobs=2) == _atlas_bytes(tmp_path, cell, jobs=1), cell
+
+
+# The cells where dedup does the most work: (enumerate arguments, lines, sha256).
+DEDUP_CELLS = {
+    "both-d6n4": (
+        ["--family", "both", "--delta", "6", "--dim", "4"],
+        419,
+        "46d118fe11811f78faf8be1db088665092dd0faccf8ebdb2be6559845a125e93",
+    ),
+    "empty-d10n3": (
+        ["--family", "empty", "--delta", "10", "--dim", "3"],
+        2072,
+        "947bfd816feee7fb78cd7f800855c37b5ac816c0afdeae4620537c8df153f431",
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", ["both-d6n4", pytest.param("empty-d10n3", marks=pytest.mark.slow)])
+def test_dedup_heavy_atlas_is_pinned(tmp_path, cell):
+    """The atlas of a dedup-heavy cell keeps its bytes.
+
+    These bytes still hold ROADMAP item 1's known duplicates: classes that
+    the search splits because `reduced_permutations` skips identity-block
+    row orders. The change that completes the search replaces them with
+    that item's fixed values, 384 lines and sha256 f9b2feb7... at (6, 4)
+    both, and 1,929 lines and ba12740e... at (10, 3) empty.
+    """
+    args, lines, sha256 = DEDUP_CELLS[cell]
+    out = tmp_path / f"{cell}.jsonl"
+    assert main(["enumerate", *args, "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert (len(data.splitlines()), hashlib.sha256(data).hexdigest()) == (lines, sha256)
 
 
 def test_traced_names_resolve():

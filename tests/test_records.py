@@ -55,6 +55,7 @@ NS = NormalizedSystem(n=1, s=0, k=1, H=((3,),), h=(1,), c=(-1,), c0=0, delta=3)
         (lambda: NormalizedSystem(n=1, s=1, k=1, H=((3,),), h=(1,), c=(-1,), c0=0, delta=3), ShapeError),
         (lambda: NormalizedSystem(n=1, s=0, k=1, H=((3, 0),), h=(1,), c=(-1,), c0=0, delta=3), ShapeError),
         (lambda: NormalizedSystem(n=1, s=0, k=1, H=((3,),), h=(1, 0), c=(-1,), c0=0, delta=3), ShapeError),
+        (lambda: NormalizedSystem(n=0, s=0, k=0, H=(), h=(), c=(), c0=1, delta=1), ShapeError),
     ],
     ids=[
         "system-float-matrix-entry",
@@ -72,6 +73,7 @@ NS = NormalizedSystem(n=1, s=0, k=1, H=((3,),), h=(1,), c=(-1,), c0=0, delta=3)
         "normalized-block-sizes",
         "normalized-H-not-square",
         "normalized-h-too-long",
+        "normalized-dimension-0",
     ],
 )
 def test_constructors_check_their_fields(build, error):
