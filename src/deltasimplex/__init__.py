@@ -1,6 +1,17 @@
 """Exact enumeration and unimodular classification of empty Delta-modular simplices."""
 
-from .atlas import enumerate_atlas, eq1_bound, read_atlas, record_from_dict, record_to_dict, write_atlas
+from .atlas import (
+    enumerate_atlas,
+    eq1_bound,
+    normalized_from_dict,
+    normalized_to_dict,
+    read_atlas,
+    record_from_dict,
+    record_to_dict,
+    system_from_dict,
+    system_to_dict,
+    write_atlas,
+)
 from .corner_ilp import (
     CornerSolution,
     GroupTable,
@@ -56,8 +67,6 @@ from .normal_form import (
     canonical_key,
     key_tuple,
     normalize,
-    normalized_from_dict,
-    normalized_to_dict,
     primitivize,
     reduce_rhs,
     validate_normalized,
@@ -71,8 +80,6 @@ from .simplex_model import (
     count_integer_points_bruteforce,
     identity_map,
     inverse,
-    system_from_dict,
-    system_to_dict,
     validate_simplex,
 )
 

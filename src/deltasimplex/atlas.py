@@ -1,8 +1,11 @@
-"""Atlas library: the JSONL record codec, enumeration, verification and statistics.
+"""Atlas library: every file format, enumeration, verification and statistics.
 
-Atlas files are JSON Lines, one record per line, sorted by canonical key;
-identical arguments always produce byte-identical files, and `jobs` only
-changes how the candidate blocks are partitioned, never the output.
+Every JSON object the package reads or writes is coded here: systems
+(`system-v1`), normalized systems (`normalized-v1`), atlas records
+(`atlas-v1`) and maps; readers accept JSON integers only. Atlas files are
+JSON Lines, one record per line, sorted by canonical key; identical
+arguments always produce byte-identical files, and `jobs` only changes how
+the candidate blocks are partitioned, never the output.
 """
 
 from __future__ import annotations
@@ -11,22 +14,105 @@ import json
 import math
 
 from .enumeration import FAMILY_EMPTY, FAMILY_LATTICE, CandidateRecord, candidates_for_block, enumerate_H
-from .equivalence import check_equivalence, dedup_families
+from .equivalence import class_keys, dedup_families
 from .errors import DeltaSimplexError, PreconditionError, ScaleExceededError
-from .normal_form import (
-    canonical_key,
-    key_tuple,
-    normalized_fields_from_dict,
-    normalized_to_dict,
-    validate_normalized,
-)
-from .simplex_model import count_integer_points_bruteforce, json_field, validate_simplex
+from .normal_form import NormalizedSystem, canonical_key, key_tuple, validate_normalized
+from .simplex_model import AffineUnimodularMap, InequalitySystem, count_integer_points_bruteforce, validate_simplex
 
+SYSTEM_FORMAT = "delta-simplex/system-v1"
+NORMALIZED_FORMAT = "delta-simplex/normalized-v1"
 ATLAS_FORMAT = "delta-simplex/atlas-v1"
+_OBJECT_NAMES = {SYSTEM_FORMAT: "a system", NORMALIZED_FORMAT: "a normalized system", ATLAS_FORMAT: "an atlas record"}
 
 
 # ---------------------------------------------------------------------------
-# Record serialization
+# File formats
+
+
+def _check_tagged(data, fmt: str) -> None:
+    """Raise unless `data` is a JSON object whose format tag is `fmt`."""
+    if not isinstance(data, dict):
+        raise PreconditionError(f"{_OBJECT_NAMES[fmt]} must be a JSON object")
+    if data.get("format") != fmt:
+        raise PreconditionError(f"expected format {fmt!r}, got {data.get('format')!r}")
+
+
+def _field(data: dict, key: str):
+    """Field `key` of a parsed JSON object; a missing key is an input error."""
+    if key not in data:
+        raise PreconditionError(f"input is missing the key {key!r}")
+    return data[key]
+
+
+def _ints(data: dict, key: str, depth: int = 0):
+    """Field `key` as an integer (depth 0), a vector (1) or a matrix (2) of integers.
+
+    Only JSON integers are accepted: a float, bool or string entry is an
+    input error rather than something to truncate or coerce.
+    """
+
+    def check(value, depth: int):
+        if depth == 0:
+            if type(value) is not int:
+                raise PreconditionError(f"{key!r} must hold integers, got {value!r}")
+            return value
+        if not isinstance(value, list):
+            raise PreconditionError(f"{key!r} must hold lists, got {value!r}")
+        return tuple(check(x, depth - 1) for x in value)
+
+    return check(_field(data, key), depth)
+
+
+def system_to_dict(sys: InequalitySystem) -> dict:
+    return {"format": SYSTEM_FORMAT, "n": sys.n, "A": [list(row) for row in sys.A], "b": list(sys.b)}
+
+
+def system_from_dict(data: dict) -> InequalitySystem:
+    _check_tagged(data, SYSTEM_FORMAT)
+    return InequalitySystem(_ints(data, "n"), _ints(data, "A", 2), _ints(data, "b", 1))
+
+
+def normalized_to_dict(ns: NormalizedSystem) -> dict:
+    return {
+        "format": NORMALIZED_FORMAT, "n": ns.n, "s": ns.s, "k": ns.k, "delta": ns.delta,
+        "H": [list(row) for row in ns.H], "h": list(ns.h), "c": list(ns.c), "c0": ns.c0,
+    }
+
+
+def normalized_from_dict(data: dict, fmt: str = NORMALIZED_FORMAT) -> NormalizedSystem:
+    """The normalized system in a JSON object tagged `fmt`: a `normalized-v1` object or an atlas record."""
+    _check_tagged(data, fmt)
+    return NormalizedSystem(
+        n=_ints(data, "n"), s=_ints(data, "s"), k=_ints(data, "k"), H=_ints(data, "H", 2),
+        h=_ints(data, "h", 1), c=_ints(data, "c", 1), c0=_ints(data, "c0"), delta=_ints(data, "delta"),
+    )
+
+
+def map_to_dict(m: AffineUnimodularMap) -> dict:
+    return {"U": [list(row) for row in m.U], "x0": list(m.x0)}
+
+
+def _load_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def load_system(path: str) -> InequalitySystem:
+    """The simplex in a `system-v1` or `normalized-v1` JSON file."""
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise PreconditionError(f"{path}: expected a JSON object")
+    fmt = data.get("format")
+    if fmt == SYSTEM_FORMAT:
+        return system_from_dict(data)
+    if fmt == NORMALIZED_FORMAT:
+        return normalized_from_dict(data).system()
+    raise PreconditionError(f"unsupported input format {fmt!r}")
+
+
+def load_normalized(path: str) -> NormalizedSystem:
+    """The normalized system in a `normalized-v1` JSON file."""
+    return normalized_from_dict(_load_json(path))
 
 
 def record_to_dict(rec: CandidateRecord) -> dict:
@@ -40,15 +126,11 @@ def record_to_dict(rec: CandidateRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> CandidateRecord:
-    if not isinstance(data, dict):
-        raise DeltaSimplexError("an atlas record must be a JSON object")
-    if data.get("format") != ATLAS_FORMAT:
-        raise DeltaSimplexError(f"expected format {ATLAS_FORMAT!r}, got {data.get('format')!r}")
-    ns = normalized_fields_from_dict(data)
+    ns = normalized_from_dict(data, ATLAS_FORMAT)
     provenance = data.get("provenance", {})
     if not isinstance(provenance, dict):
         raise DeltaSimplexError(f"provenance must be a JSON object, got {provenance!r}")
-    family = json_field(data, "family")
+    family = _field(data, "family")
     if not isinstance(family, str):
         raise DeltaSimplexError(f"family must be a JSON string, got {family!r}")
     return CandidateRecord(ns, family, dict(provenance))
@@ -142,6 +224,8 @@ def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = Fa
 
 def eq1_bound(delta: int, n: int) -> float:
     """Closed-form class-count bound binom(n+delta-1, delta-1) * delta^(log2(delta)+2)."""
+    if delta < 1:
+        raise PreconditionError(f"delta must be at least 1, got {delta}")
     return math.comb(n + delta - 1, delta - 1) * delta ** (math.log2(delta) + 2)
 
 
@@ -154,9 +238,12 @@ def verify_atlas(records, max_pairs: int = 100) -> list[str]:
     whose bounding box exceeds the oracle's cap is reported as "emptiness
     not checked" rather than passed.
     Canonical keys must be strictly ascending, as the file contract says, so
-    a repeated or misplaced record is reported with its neighbour. A deterministic sample of same-(n, delta)
-    record pairs must also be mutually inequivalent; `max_pairs` caps that
-    sample, and a negative cap is an error rather than an unchecked sample.
+    a repeated or misplaced record is reported with its neighbour. A
+    deterministic sample of same-(n, delta) record pairs must also be
+    mutually inequivalent; `max_pairs` caps that sample, and a negative cap
+    is an error rather than an unchecked sample. A valid record is primitive
+    and is its own form at its least base, so a pair is equivalent iff the
+    later key is in the earlier record's `class_keys`, searched once each.
     """
     if max_pairs < 0:
         raise PreconditionError(f"max_pairs must be at least 0, got {max_pairs}")
@@ -169,7 +256,7 @@ def verify_atlas(records, max_pairs: int = 100) -> list[str]:
                 f"records {i - 1} and {i}: {what} "
                 f"({canonical_key(records[i - 1].ns)} then {canonical_key(records[i].ns)})"
             )
-    good = []
+    groups: dict = {}  # (n, delta) -> [(key, record, system, meta)] of the valid records
     for i, rec in enumerate(records):
         label = f"record {i} (key {canonical_key(rec.ns)})"
         ok, violated = validate_normalized(rec.ns)
@@ -197,25 +284,23 @@ def verify_atlas(records, max_pairs: int = 100) -> list[str]:
                 f"expected {expected} [provenance {rec.provenance}]"
             )
             continue
-        good.append(rec)
-    # Pairwise non-equivalence sampling within (n, delta) groups of valid records.
-    groups: dict = {}
-    for rec in good:
-        groups.setdefault((rec.ns.n, rec.ns.delta), []).append(rec)
-    checked = 0
-    for key in sorted(groups):
-        group = groups[key]
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if checked >= max_pairs:
-                    break
-                result = check_equivalence(group[i].system(), group[j].system())
-                checked += 1
-                if result.equivalent:
-                    problems.append(
-                        f"records with keys {canonical_key(group[i].ns)} and "
-                        f"{canonical_key(group[j].ns)} are unimodular equivalent"
-                    )
+        groups.setdefault((rec.ns.n, rec.ns.delta), []).append((keys[i], rec, sys, meta))
+    # Pairwise non-equivalence sampling: the first `max_pairs` pairs (i, j),
+    # i < j, of each group in turn.
+    budget = max_pairs
+    for n_delta in sorted(groups):
+        group = groups[n_delta]
+        for i, (_, rec, sys, meta) in enumerate(group):
+            later = group[i + 1 : i + 1 + budget]
+            if not later:
+                continue
+            budget -= len(later)
+            reached = class_keys(sys, meta)
+            problems.extend(
+                f"records with keys {canonical_key(rec.ns)} and {canonical_key(other.ns)} are unimodular equivalent"
+                for key, other, _, _ in later
+                if key in reached
+            )
     return problems
 
 

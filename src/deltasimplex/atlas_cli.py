@@ -8,9 +8,9 @@ Subcommands:
   stats        per-(delta, n, family) counts with the closed-form bound
   corner       debug: cone minimum and witness for a normalized system
 
-The atlas format and the work behind each subcommand live in the library
-modules (`atlas`, `equivalence`, `normal_form`, ...); this module parses
-arguments, prints results and maps errors to exit codes.
+Every file format (`atlas`) and the work behind each subcommand live in the
+library modules (`atlas`, `equivalence`, `normal_form`, ...); this module
+parses arguments, prints results and maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -19,32 +19,22 @@ import argparse
 import json
 import sys
 
-from .atlas import enumerate_atlas, read_atlas, stats_atlas, verify_atlas, write_atlas
+from .atlas import (
+    enumerate_atlas,
+    load_normalized,
+    load_system,
+    map_to_dict,
+    normalized_to_dict,
+    read_atlas,
+    stats_atlas,
+    verify_atlas,
+    write_atlas,
+)
 from .corner_ilp import corner_minimum
 from .equivalence import check_equivalence
 from .errors import DeltaSimplexError, PreconditionError
-from .normal_form import (
-    NORMALIZED_FORMAT,
-    canonical_key,
-    normalize,
-    normalized_from_dict,
-    normalized_to_dict,
-    primitivize,
-)
-from .simplex_model import SYSTEM_FORMAT, InequalitySystem, system_from_dict, validate_simplex
-
-
-def load_system_file(path: str) -> InequalitySystem:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise DeltaSimplexError(f"{path}: expected a JSON object")
-    fmt = data.get("format")
-    if fmt == SYSTEM_FORMAT:
-        return system_from_dict(data)
-    if fmt == NORMALIZED_FORMAT:
-        return normalized_from_dict(data).system()
-    raise DeltaSimplexError(f"unsupported input format {fmt!r}")
+from .normal_form import canonical_key, normalize, primitivize
+from .simplex_model import validate_simplex
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +68,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    sys_in = load_system_file(args.file)
+    sys_in = load_system(args.file)
     if args.base == "auto":
         # Base selection works on the primitive representation, like normalize.
         meta = validate_simplex(primitivize(sys_in))
@@ -91,7 +81,7 @@ def _cmd_normalize(args) -> int:
     ns, amap, row_perm = normalize(sys_in, base)
     payload = {
         "normalized": normalized_to_dict(ns),
-        "map": {"U": [list(row) for row in amap.U], "x0": list(amap.x0)},
+        "map": map_to_dict(amap),
         "row_permutation": [i + 1 for i in row_perm],
         "canonical_key": canonical_key(ns),
     }
@@ -100,15 +90,9 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_check_equiv(args) -> int:
-    sys_a = load_system_file(args.file_a)
-    sys_b = load_system_file(args.file_b)
-    result = check_equivalence(sys_a, sys_b)
+    result = check_equivalence(load_system(args.file_a), load_system(args.file_b))
     if result.equivalent:
-        payload = {
-            "equivalent": True,
-            "witness": {"U": [list(row) for row in result.witness.U], "x0": list(result.witness.x0)},
-        }
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({"equivalent": True, "witness": map_to_dict(result.witness)}, sort_keys=True))
         return 0
     print(json.dumps({"equivalent": False, "certificate": result.certificate}, sort_keys=True))
     return 1
@@ -143,8 +127,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_corner(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        ns = normalized_from_dict(json.load(fh))
+    ns = load_normalized(args.file)
     sol = corner_minimum(ns.H, ns.h, ns.c)
     print(json.dumps({"f_star": sol.f_star, "witness": list(sol.witness_x)}, sort_keys=True))
     return 0

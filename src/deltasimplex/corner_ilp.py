@@ -91,18 +91,6 @@ def _dijkstra(table: GroupTable, weights: Vec):
     return zero_id, dist, pred
 
 
-def _solve_lower_integer(h_mat: Mat, rhs) -> Vec:
-    n = len(h_mat)
-    x = []
-    for i in range(n):
-        acc = rhs[i] - sum(h_mat[i][j] * x[j] for j in range(i))
-        q, r = divmod(acc, h_mat[i][i])
-        if r:
-            raise InvariantViolation("expected an integral triangular solve")
-        x.append(q)
-    return tuple(x)
-
-
 class Cone:
     """The cone {x : H x <= h} of one (H, c), for every right-hand side h.
 
@@ -147,7 +135,9 @@ class Cone:
         while node != zero_id:
             node, i = pred[node]
             steps[i] += 1
-        x = _solve_lower_integer(h_mat, tuple(h[i] - steps[i] for i in range(n)))
+        residue, x = _reduce_hnf_rhs(h_mat, tuple(h[i] - steps[i] for i in range(n)))
+        if any(residue):
+            raise InvariantViolation("reconstructed witness is not integral")
         if dot(self.c, x) != f_star or any(dot(h_mat[i], x) > h[i] for i in range(n)):
             raise InvariantViolation("reconstructed witness does not attain the optimum")
         return CornerSolution(f_star, x)

@@ -48,40 +48,26 @@ class HnfBlock(NamedTuple):
     b_index: int
 
 
-class CandidateRecord:
+class CandidateRecord(NamedTuple):
     """A generated normalized system, its family and where the generator made it.
 
     Equality and hash read `ns` and `family` only: two records of one form
-    are equal whatever their `provenance`. Immutable, like the named-tuple
-    records, and pickled through its constructor.
+    are equal whatever their `provenance`, and a record never equals a plain
+    tuple. `__ne__` is overridden too, since tuple's own compares provenance.
     """
 
-    __slots__ = ("ns", "family", "provenance")
-
-    def __init__(self, ns: NormalizedSystem, family: str, provenance: dict):
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "provenance", provenance)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CandidateRecord is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"CandidateRecord is immutable: cannot delete {name!r}")
+    ns: NormalizedSystem
+    family: str
+    provenance: dict
 
     def __eq__(self, other):
-        if type(other) is not CandidateRecord:
-            return NotImplemented
-        return self.ns == other.ns and self.family == other.family
+        return type(other) is CandidateRecord and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
 
     def __hash__(self):
-        return hash((self.ns, self.family))
-
-    def __reduce__(self):
-        return CandidateRecord, (self.ns, self.family, self.provenance)
-
-    def __repr__(self):
-        return f"CandidateRecord(ns={self.ns!r}, family={self.family!r}, provenance={self.provenance!r})"
+        return hash(self[:2])
 
     def system(self):
         return self.ns.system()

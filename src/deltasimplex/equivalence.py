@@ -37,7 +37,6 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .enumeration import CandidateRecord
 from .errors import InvariantViolation
 from .exact_linalg import MEMO_CACHE_SIZE, Mat
 from .normal_form import key_step, key_tuple, leg_map, primitivize
@@ -217,6 +216,11 @@ def _stored_map(legs) -> AffineUnimodularMap:
     return inverse(compose(m0, leg_map(leg)))
 
 
+def class_keys(prim: InequalitySystem, meta: SimplexMeta) -> set:
+    """The canonical key tuples `_search` reaches from primitive `prim`, with `meta = validate_simplex(prim)`."""
+    return {step.key for step, _ in _search(prim, meta)}
+
+
 @lru_cache(maxsize=MEMO_CACHE_SIZE)
 def _search_legs(prim: InequalitySystem, meta: SimplexMeta) -> MappingProxyType:
     """Memo of `_search` for `check_equivalence`: a read-only canonical key -> legs mapping."""
@@ -284,8 +288,8 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
     return EquivalenceResult(True, witness=witness)
 
 
-def dedup_families(records: list[CandidateRecord]) -> list[CandidateRecord]:
-    """Collapse a candidate stream to one representative per equivalence class.
+def dedup_families(records: list) -> list:
+    """Collapse a stream of `CandidateRecord`s to one representative per equivalence class.
 
     Records are indexed by canonical key; walking the keys in ascending
     order, each still-present record runs the equivalent-set search and
@@ -302,7 +306,7 @@ def dedup_families(records: list[CandidateRecord]) -> list[CandidateRecord]:
         if key not in index:
             continue
         prim = primitivize(index[key].system())
-        found = {step.key for step, _ in _search(prim, validate_simplex(prim))}
+        found = class_keys(prim, validate_simplex(prim))
         if key not in found:
             raise InvariantViolation("record's own canonical form missing from its equivalent set")
         for other in found:

@@ -50,11 +50,8 @@ from .exact_linalg import (
 from .simplex_model import (
     AffineUnimodularMap,
     InequalitySystem,
-    json_ints,
     validate_simplex,
 )
-
-NORMALIZED_FORMAT = "delta-simplex/normalized-v1"
 
 
 class _NormalizedSystemFields(NamedTuple):
@@ -79,6 +76,8 @@ class NormalizedSystem(_NormalizedSystemFields):
         c = vector(c)
         if n < 1:
             raise ShapeError("dimension must be at least 1")
+        if s < 0 or k < 0:
+            raise ShapeError("block sizes must be non-negative")
         if s + k != n:
             raise ShapeError("block sizes must add up to the dimension")
         if len(H) != n or any(len(row) != n for row in H):
@@ -146,7 +145,11 @@ def reduce_rhs(h_mat: Mat, b) -> tuple[Vec, Vec]:
 
 
 def _reduce_hnf_rhs(h_mat: Mat, b) -> tuple[Vec, Vec]:
-    """`reduce_rhs` for a caller that has already checked that H is in Hermite form."""
+    """`reduce_rhs` for a caller that has already checked that H is in Hermite form.
+
+    For b in H Z^n the residue h is 0 and x0 = H^-1 b: the integral
+    triangular solve that `Cone.minimum` rebuilds its witness with.
+    """
     n = len(h_mat)
     cur = list(b)
     x0 = [0] * n
@@ -367,44 +370,3 @@ def canonical_key(ns: NormalizedSystem) -> str:
     """Injective text key: n, delta, then the flattened (A | b) entries."""
     t = key_tuple(ns)
     return f"{t[0]}:{t[1]}:" + ",".join(str(x) for x in t[2:])
-
-
-def normalized_to_dict(ns: NormalizedSystem) -> dict:
-    return {
-        "format": NORMALIZED_FORMAT,
-        "n": ns.n,
-        "s": ns.s,
-        "k": ns.k,
-        "delta": ns.delta,
-        "H": [list(row) for row in ns.H],
-        "h": list(ns.h),
-        "c": list(ns.c),
-        "c0": ns.c0,
-    }
-
-
-def normalized_from_dict(data: dict) -> NormalizedSystem:
-    if not isinstance(data, dict):
-        raise PreconditionError("a normalized system must be a JSON object")
-    if data.get("format") != NORMALIZED_FORMAT:
-        raise PreconditionError(f"expected format {NORMALIZED_FORMAT!r}, got {data.get('format')!r}")
-    return normalized_fields_from_dict(data)
-
-
-def normalized_fields_from_dict(data: dict) -> NormalizedSystem:
-    """Parse the fields written by `normalized_to_dict`, ignoring the format tag.
-
-    Shared by every JSON format that embeds a normalized system. Missing
-    keys and non-integer entries raise PreconditionError.
-    """
-    return NormalizedSystem(
-        n=json_ints(data, "n"),
-        s=json_ints(data, "s"),
-        k=json_ints(data, "k"),
-        H=json_ints(data, "H", 2),
-        h=json_ints(data, "h", 1),
-        c=json_ints(data, "c", 1),
-        c0=json_ints(data, "c0"),
-        delta=json_ints(data, "delta"),
-    )
-

@@ -28,9 +28,6 @@ from .exact_linalg import (
     vector,
 )
 
-SYSTEM_FORMAT = "delta-simplex/system-v1"
-
-
 # Records are named tuples. A NamedTuple body cannot define __new__, so a
 # record that checks its fields does so in the __new__ of a subclass of its
 # field tuple; unpickling runs that __new__ too.
@@ -239,44 +236,3 @@ def count_integer_points_bruteforce(
         if all(dot(a, point) <= b0 for a, b0 in rows):
             count += 1
     return count
-
-
-def system_to_dict(sys: InequalitySystem) -> dict:
-    return {
-        "format": SYSTEM_FORMAT,
-        "n": sys.n,
-        "A": [list(row) for row in sys.A],
-        "b": list(sys.b),
-    }
-
-
-def system_from_dict(data: dict) -> InequalitySystem:
-    if data.get("format") != SYSTEM_FORMAT:
-        raise PreconditionError(f"expected format {SYSTEM_FORMAT!r}, got {data.get('format')!r}")
-    return InequalitySystem(json_ints(data, "n"), json_ints(data, "A", 2), json_ints(data, "b", 1))
-
-
-def json_field(data: dict, key: str):
-    """Field `key` of a parsed JSON object; a missing key is an input error."""
-    if key not in data:
-        raise PreconditionError(f"input is missing the key {key!r}")
-    return data[key]
-
-
-def json_ints(data: dict, key: str, depth: int = 0):
-    """Field `key` as an integer (depth 0), a vector (1) or a matrix (2) of integers.
-
-    Only JSON integers are accepted: a float, bool or string entry is an
-    input error rather than something to truncate or coerce.
-    """
-
-    def check(value, depth: int):
-        if depth == 0:
-            if type(value) is not int:
-                raise PreconditionError(f"{key!r} must hold integers, got {value!r}")
-            return value
-        if not isinstance(value, list):
-            raise PreconditionError(f"{key!r} must hold lists, got {value!r}")
-        return tuple(check(x, depth - 1) for x in value)
-
-    return check(json_field(data, key), depth)

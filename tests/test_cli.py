@@ -297,6 +297,37 @@ def test_verify_rejects_equivalent_records(tmp_path, capsys):
     assert "unimodular equivalent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_pairs", [0, 1, 5, 40, 10**6])
+def test_verify_pair_sample_agrees_with_check_equivalence(max_pairs):
+    # verify looks each later record's key up in the earlier record's class
+    # keys; that must flag exactly the pairs that check_equivalence calls
+    # equivalent, among the same first max_pairs same-(n, delta) pairs.
+    import random
+
+    from deltasimplex import CandidateRecord, canonical_key, check_equivalence, equivalent_normalized_set
+    from deltasimplex.atlas import verify_atlas
+
+    records = enumerate_atlas(4, 3, "both")
+    rng = random.Random(7)
+    for position in [1, None, None, None, None]:  # the first twin makes pair 0 equivalent
+        rec = records[0] if position else rng.choice(records)
+        forms = [ns for ns, _ in equivalent_normalized_set(rec.system()).records.values()]
+        twin = CandidateRecord(forms[-1], rec.family, {})
+        records.insert(position or rng.randrange(len(records) + 1), twin)
+    expected, checked = [], 0
+    for i, a in enumerate(records):
+        for b in records[i + 1 :]:
+            if (a.ns.n, a.ns.delta) == (b.ns.n, b.ns.delta) and checked < max_pairs:
+                checked += 1
+                if check_equivalence(a.system(), b.system()).equivalent:
+                    expected.append(
+                        f"records with keys {canonical_key(a.ns)} and {canonical_key(b.ns)} are unimodular equivalent"
+                    )
+    found = [p for p in verify_atlas(records, max_pairs=max_pairs) if p.endswith("unimodular equivalent")]
+    assert found == expected
+    assert (len(found) > 0) == (max_pairs > 0)
+
+
 @pytest.mark.parametrize(
     "reshuffle, message",
     [
@@ -523,6 +554,8 @@ def test_corner_rejects_non_object_input(tmp_path):
         pytest.param(lambda d: d.update(n=0, s=0, k=0, H=[], h=[], c=[], c0=1, delta=1), id="dimension-0"),
         pytest.param(lambda d: d.__setitem__("family", ["x"]), id="family-list"),
         pytest.param(lambda d: d.__setitem__("family", 7), id="family-int"),
+        pytest.param(lambda d: d.update(s=-1, k=d["n"] + 1), id="s-negative"),
+        pytest.param(lambda d: d.update(s=d["n"] + 1, k=-1), id="k-negative"),
     ],
 )
 def test_malformed_record_is_one_error_line(tmp_path, command, mutate):
@@ -543,6 +576,58 @@ def test_malformed_record_is_one_error_line(tmp_path, command, mutate):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
+
+
+def test_stats_rejects_delta_below_one(tmp_path, capsys):
+    # The class-count bound is defined for delta >= 1 only; a delta-0 record
+    # is an input error that names delta (verify reports it as a validator
+    # problem instead).
+    from deltasimplex import eq1_bound
+
+    with pytest.raises(PreconditionError, match="delta must be at least 1, got 0"):
+        eq1_bound(0, 2)
+    out = tmp_path / "atlas.jsonl"
+    assert run(["enumerate", "--delta", "3", "--dim", "2", "--out", str(out)]) == 0
+    data = json.loads(out.read_text().splitlines()[0])
+    data["delta"] = 0
+    out.write_text(json.dumps(data) + "\n")
+    capsys.readouterr()
+    assert run(["stats", str(out)]) == 2
+    assert capsys.readouterr().err == "error: delta must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("check-equiv", "[1, 2]", "{path}: expected a JSON object"),
+        ("check-equiv", '{"format": "x"}', "unsupported input format 'x'"),
+        ("normalize", "[1, 2]", "{path}: expected a JSON object"),
+        ("normalize", '{"format": "x"}', "unsupported input format 'x'"),
+        ("corner", "[1, 2]", "a normalized system must be a JSON object"),
+        ("corner", '{"format": "x"}', "expected format 'delta-simplex/normalized-v1', got 'x'"),
+    ],
+    ids=["check-equiv-list", "check-equiv-format", "normalize-list", "normalize-format", "corner-list", "corner-format"],
+)
+def test_input_errors_keep_their_messages(tmp_path, capsys, triangle_file, command, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    args = [command, triangle_file, str(bad)] if command == "check-equiv" else [command, str(bad)]
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=bad)}\n"
+
+
+@pytest.mark.parametrize(
+    "reader, message",
+    [
+        ("system_from_dict", "a system must be a JSON object"),
+        ("normalized_from_dict", "a normalized system must be a JSON object"),
+        ("record_from_dict", "an atlas record must be a JSON object"),
+    ],
+    ids=["system", "normalized", "record"],
+)
+def test_readers_reject_a_non_object(reader, message):
+    with pytest.raises(PreconditionError, match=message):
+        getattr(deltasimplex, reader)([1])
 
 
 def test_module_entry_point_is_warning_free(tmp_path):

@@ -325,32 +325,41 @@ def test_one_table_read_per_minimum(monkeypatch):
     # cone. c0_candidates runs Dijkstra and rebuilds a witness only when
     # w^T h > det(H); otherwise its range is empty and f_star = l_star = 0.
     # The vertex-excluding minimum still rebuilds and checks n witnesses.
+    # Each minimum read reduces two right-hand sides: h, for its residue
+    # class, then h - steps, whose residue is 0 and whose quotient is the
+    # witness; so the witnesses are every second reduction.
     from deltasimplex import c0_candidates, corner_ilp, enumeration
 
-    builds, witnesses, runs = [], [], []
-    real_build, real_solve, real_dijkstra = corner_ilp.path_table, corner_ilp._solve_lower_integer, corner_ilp._dijkstra
+    builds, reductions, runs = [], [], []
+    real_build, real_reduce, real_dijkstra = corner_ilp.path_table, corner_ilp._reduce_hnf_rhs, corner_ilp._dijkstra
 
     def counting_build(h_mat, c):
         builds.append((h_mat, c))
         return real_build(h_mat, c)
 
-    def counting_solve(h_mat, rhs):
-        witnesses.append(rhs)
-        return real_solve(h_mat, rhs)
+    def counting_reduce(h_mat, rhs):
+        residue, x = real_reduce(h_mat, rhs)
+        reductions.append(residue)
+        return residue, x
 
     def counting_dijkstra(table, weights):
         runs.append(weights)
         return real_dijkstra(table, weights)
 
+    def witnesses():
+        assert len(reductions) % 2 == 0 and not any(map(any, reductions[1::2]))
+        return reductions[1::2]
+
     for mod in (corner_ilp, enumeration):
         monkeypatch.setattr(mod, "path_table", counting_build)
-    monkeypatch.setattr(corner_ilp, "_solve_lower_integer", counting_solve)
+    monkeypatch.setattr(corner_ilp, "_reduce_hnf_rhs", counting_reduce)
     monkeypatch.setattr(corner_ilp, "_dijkstra", counting_dijkstra)
     rng = random.Random(11)
     checked = skipped = 0
     for _ in range(20):
         n = rng.randint(1, 4)
         h_mat = random_hnf(rng, n, 9)
+        group_table(h_mat)  # built now, so that its reductions are not counted below
         targets = [tuple(-1 if i == j else 0 for i in range(n)) for j in range(n)]
         for c in rng.sample(enumerate_c(h_mat), min(2, len(enumerate_c(h_mat)))):
             cone = real_build(h_mat, c)
@@ -358,19 +367,19 @@ def test_one_table_read_per_minimum(monkeypatch):
             h = tuple(rng.randrange(h_mat[i][i]) for i in range(n))
             read = False
             if any(h):
-                builds.clear(), witnesses.clear(), runs.clear()
+                builds.clear(), reductions.clear(), runs.clear()
                 decision = c0_candidates(cone, h)
                 read = dot(w, h) > delta
-                assert (len(builds), len(runs), len(witnesses)) == ((0, 1, 1) if read else (0, 0, 0))
+                assert (len(builds), len(runs), len(witnesses())) == ((0, 1, 1) if read else (0, 0, 0))
                 assert decision.f_star == corner_minimum(h_mat, h, c).f_star
                 assert decision.l_star == -dot(w, h) // delta + 1
                 if not read:
                     assert (decision.l_star, decision.f_star) == (0, 0)
                 checked += 1
                 skipped += not read
-            builds.clear(), witnesses.clear(), runs.clear()
+            builds.clear(), reductions.clear(), runs.clear()
             sol = corner_minimum_excluding_vertex(cone)
-            assert (len(builds), len(runs), len(witnesses)) == (0, 0 if read else 1, n)
+            assert (len(builds), len(runs), len(witnesses())) == (0, 0 if read else 1, n)
             assert sol == min((corner_minimum(h_mat, rhs, c) for rhs in targets), key=lambda s: s.f_star)
     assert checked > 5 and 0 < skipped < checked
 

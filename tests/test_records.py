@@ -1,7 +1,8 @@
 """The package's value records: checked constructors, equality, immutability and pickling.
 
-Every record is a named tuple except `CandidateRecord`, whose equality and
-hash ignore its provenance, and `Cone`, which caches its shortest paths.
+Every record is a named tuple except `Cone`, which caches its shortest
+paths. `CandidateRecord` overrides its equality and hash to ignore its
+provenance.
 A record that checks its fields does so in `__new__`, which also runs when a
 pickled record is loaded, so a record that crosses a worker pipe
 (`--jobs 2`) is checked again on arrival.
@@ -56,6 +57,8 @@ NS = NormalizedSystem(n=1, s=0, k=1, H=((3,),), h=(1,), c=(-1,), c0=0, delta=3)
         (lambda: NormalizedSystem(n=1, s=0, k=1, H=((3, 0),), h=(1,), c=(-1,), c0=0, delta=3), ShapeError),
         (lambda: NormalizedSystem(n=1, s=0, k=1, H=((3,),), h=(1, 0), c=(-1,), c0=0, delta=3), ShapeError),
         (lambda: NormalizedSystem(n=0, s=0, k=0, H=(), h=(), c=(), c0=1, delta=1), ShapeError),
+        (lambda: NormalizedSystem(n=1, s=-1, k=2, H=((3,),), h=(1,), c=(-1,), c0=0, delta=3), ShapeError),
+        (lambda: NormalizedSystem(n=1, s=2, k=-1, H=((3,),), h=(1,), c=(-1,), c0=0, delta=3), ShapeError),
     ],
     ids=[
         "system-float-matrix-entry",
@@ -74,6 +77,8 @@ NS = NormalizedSystem(n=1, s=0, k=1, H=((3,),), h=(1,), c=(-1,), c0=0, delta=3)
         "normalized-H-not-square",
         "normalized-h-too-long",
         "normalized-dimension-0",
+        "normalized-s-negative",
+        "normalized-k-negative",
     ],
 )
 def test_constructors_check_their_fields(build, error):
