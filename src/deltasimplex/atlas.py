@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import math
 
-from .enumeration import FAMILY_EMPTY, FAMILY_LATTICE, CandidateRecord, candidates_for_block, enumerate_H
+from .enumeration import FAMILY_EMPTY, CandidateRecord, candidates_for_block, enumerate_H, record_problem
 from .equivalence import class_keys, dedup_families
 from .errors import DeltaSimplexError, PreconditionError, ScaleExceededError
-from .normal_form import NormalizedSystem, canonical_key, key_tuple, validate_normalized
-from .simplex_model import AffineUnimodularMap, InequalitySystem, count_integer_points_bruteforce, validate_simplex
+from .normal_form import NormalizedSystem, canonical_key, key_tuple
+from .simplex_model import AffineUnimodularMap, InequalitySystem, count_integer_points_bruteforce
 
 SYSTEM_FORMAT = "delta-simplex/system-v1"
 NORMALIZED_FORMAT = "delta-simplex/normalized-v1"
@@ -176,14 +176,7 @@ def _block_task(args):
     return candidates_for_block(block, want_empty, want_lattice)
 
 
-def _family_flags(family: str) -> tuple[bool, bool]:
-    if family == "empty":
-        return True, False
-    if family == "lattice":
-        return False, True
-    if family == "both":
-        return True, True
-    raise DeltaSimplexError(f"unknown family {family!r}")
+_FAMILY_FLAGS = {"empty": (True, False), "lattice": (False, True), "both": (True, True)}  # (want_empty, want_lattice)
 
 
 def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = False, jobs: int = 1):
@@ -195,7 +188,9 @@ def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = Fa
     than one block, one worker pool maps the whole list; otherwise none is
     started and `multiprocessing` is not imported.
     """
-    want_empty, want_lattice = _family_flags(family)
+    if family not in _FAMILY_FLAGS:
+        raise DeltaSimplexError(f"unknown family {family!r}")
+    want_empty, want_lattice = _FAMILY_FLAGS[family]
     for name, value in (("delta", delta), ("dim", dim), ("jobs", jobs)):
         if value < 1:
             raise PreconditionError(f"{name} must be at least 1, got {value}")
@@ -223,20 +218,29 @@ def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = Fa
 
 
 def eq1_bound(delta: int, n: int) -> float:
-    """Closed-form class-count bound binom(n+delta-1, delta-1) * delta^(log2(delta)+2)."""
+    """Closed-form class-count bound binom(n+delta-1, delta-1) * delta^(log2(delta)+2).
+
+    A bound too large for a float (delta from 2^32 on, or a binomial past
+    the float range) is `math.inf`, which no count exceeds.
+    """
     if delta < 1:
         raise PreconditionError(f"delta must be at least 1, got {delta}")
-    return math.comb(n + delta - 1, delta - 1) * delta ** (math.log2(delta) + 2)
+    try:
+        return math.comb(n + delta - 1, delta - 1) * delta ** (math.log2(delta) + 2)
+    except OverflowError:
+        return math.inf
 
 
 def verify_atlas(records, max_pairs: int = 100) -> list[str]:
     """Re-validate every record; returns a list of human-readable problems.
 
-    Checks, per record: the normalized-form validator (which recomputes
-    delta), simplex validity, and in every dimension the point-count oracle
-    for the claimed family, which reuses the validated simplex; a record
-    whose bounding box exceeds the oracle's cap is reported as "emptiness
-    not checked" rather than passed.
+    Checks, per record: the generator's own record check,
+    `enumeration.record_problem` (the normal form, which recomputes delta;
+    a simplex; a known family; integral vertices for the lattice family),
+    then in every dimension the point-count oracle for the claimed family,
+    which reuses the validated simplex; a record whose bounding box exceeds
+    the oracle's cap is reported as "emptiness not checked" rather than
+    passed.
     Canonical keys must be strictly ascending, as the file contract says, so
     a repeated or misplaced record is reported with its neighbour. A
     deterministic sample of same-(n, delta) record pairs must also be
@@ -259,19 +263,11 @@ def verify_atlas(records, max_pairs: int = 100) -> list[str]:
     groups: dict = {}  # (n, delta) -> [(key, record, system, meta)] of the valid records
     for i, rec in enumerate(records):
         label = f"record {i} (key {canonical_key(rec.ns)})"
-        ok, violated = validate_normalized(rec.ns)
-        if not ok:
-            problems.append(f"{label}: validator violation {violated} [provenance {rec.provenance}]")
+        problem, meta = record_problem(rec.ns, rec.family)
+        if problem is not None:
+            problems.append(f"{label}: {problem} [provenance {rec.provenance}]")
             continue
         sys = rec.system()
-        try:
-            meta = validate_simplex(sys)
-        except DeltaSimplexError as exc:
-            problems.append(f"{label}: emptiness/validator violation: not a simplex ({exc}) [provenance {rec.provenance}]")
-            continue
-        if rec.family not in (FAMILY_EMPTY, FAMILY_LATTICE):
-            problems.append(f"{label}: unknown family {rec.family!r}")
-            continue
         try:
             count = count_integer_points_bruteforce(sys, meta=meta)
         except ScaleExceededError as exc:

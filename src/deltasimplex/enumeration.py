@@ -17,7 +17,8 @@ only possible (c, c0), and one cone minimum and one facet count decide it
 Only two rules drop a candidate: a row gcd > 1 (the class it describes comes
 from the run with its true, smaller delta) and, for the lattice family, an
 integer point besides the vertices. All else holds by construction, so the
-record builder `_record` raises InvariantViolation when a check fails.
+record builder `_record` raises InvariantViolation when `record_problem`,
+the record check that `atlas.verify_atlas` runs too, finds a problem.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .corner_ilp import Cone, corner_minimum_excluding_vertex, count_minimum_att
 from .errors import InvariantViolation, NotASimplexError, PreconditionError
 from .exact_linalg import Mat, Vec, adjugate, det, dot, matrix
 from .normal_form import NormalizedSystem, validate_normalized
-from .simplex_model import validate_simplex
+from .simplex_model import SimplexMeta, validate_simplex
 
 FAMILY_EMPTY = "empty"
 FAMILY_LATTICE = "lattice_empty"
@@ -310,7 +311,7 @@ def _lattice_record(block: HnfBlock, delta: int, cones: dict[Vec, Cone]) -> Cand
 
 
 def _record(block, delta, family, h_index, h, c_index, c, c0) -> CandidateRecord:
-    """The verified record of one generated candidate; InvariantViolation if a check fails.
+    """The verified record of one generated candidate; InvariantViolation if `record_problem` finds one.
 
     Every check holds by construction, so a failure is a generator bug:
     - H and h: `enumerate_H` gives Hermite form, det(H) = delta, the identity
@@ -328,20 +329,37 @@ def _record(block, delta, family, h_index, h, c_index, c, c0) -> CandidateRecord
       the lattice one, whose vertices `_lattice_vertices_integral` passed.
     """
     ns = NormalizedSystem(n=block.s + block.k, s=block.s, k=block.k, H=block.H, h=h, c=c, c0=c0, delta=delta)
-    ok, violated = validate_normalized(ns)
-    if not ok:
-        raise InvariantViolation(f"{family} candidate {(block.diag, h, c, c0)} violates the normal form: {violated}")
-    try:
-        meta = validate_simplex(ns.system())
-    except NotASimplexError as exc:
-        raise InvariantViolation(f"{family} candidate {(block.diag, h, c, c0)} is not a simplex: {exc}") from None
-    if family == FAMILY_LATTICE and any(den != 1 for _, den in meta.points):
-        raise InvariantViolation("vertex test on adj(H) passed a fractional vertex")
+    problem, _ = record_problem(ns, family)
+    if problem is not None:
+        raise InvariantViolation(f"{family} candidate {(block.diag, h, c, c0)}: {problem}")
     provenance = dict(
         delta=delta, diag=list(block.diag), tuple_index=block.tuple_index, t_index=block.t_index,
         b_index=block.b_index, h_index=h_index, c_index=c_index, c0=c0,
     )
     return CandidateRecord(ns, family, provenance)
+
+
+def record_problem(ns: NormalizedSystem, family: str) -> tuple[str | None, SimplexMeta | None]:
+    """The first claim of a record that fails, as text, or None; with the record's SimplexMeta.
+
+    The one record check, run by the generator (`_record`) and by
+    `atlas.verify_atlas`, in this order: the normal form (with it, every row
+    of (A | b) is primitive), that the system is a simplex, a known family,
+    and integral vertices for the lattice family. The point count is the
+    caller's. The meta is None when the simplex check was not reached.
+    """
+    ok, violated = validate_normalized(ns)
+    if not ok:
+        return f"validator violation {violated}", None
+    try:
+        meta = validate_simplex(ns.system())
+    except NotASimplexError as exc:
+        return f"emptiness/validator violation: not a simplex ({exc})", None
+    if family not in (FAMILY_EMPTY, FAMILY_LATTICE):
+        return f"unknown family {family!r}", meta
+    if family == FAMILY_LATTICE and any(den != 1 for _, den in meta.points):
+        return f"{FAMILY_LATTICE} record has a fractional vertex", meta
+    return None, meta
 
 
 def _lattice_vertices_integral(adj: Mat, w: Vec, c0: int) -> bool:

@@ -295,7 +295,9 @@ def dedup_families(records: list) -> list:
     order, each still-present record runs the equivalent-set search and
     every other member found in the index is removed. Only the keys are
     read, so no map is built and no form beyond the search's starting
-    forms: each key acted on names a record validated when it was made.
+    forms: each key acted on names a record validated when it was made,
+    whose system is primitive (`enumeration.record_problem` checks the
+    row gcds) and is searched as it is.
     Nothing is memoized, so memory stays flat however long the stream. The
     survivor of each class is the record with the least key present.
     """
@@ -305,8 +307,8 @@ def dedup_families(records: list) -> list:
     for key in sorted(index):
         if key not in index:
             continue
-        prim = primitivize(index[key].system())
-        found = class_keys(prim, validate_simplex(prim))
+        sys = index[key].system()
+        found = class_keys(sys, validate_simplex(sys))
         if key not in found:
             raise InvariantViolation("record's own canonical form missing from its equivalent set")
         for other in found:

@@ -2,11 +2,11 @@
 
 The oracles here deliberately avoid the package's own algorithms: the
 determinant oracle is plain cofactor expansion, rational solving is textbook
-Gaussian elimination over Fractions, and the equivalence oracles are an exact
-search over vertex bijections and a bounded exhaustive search over
-unimodular maps. The test references at the end (the box-scan cone minimum,
-the maximal minors, the vertex opposite the c-row, the residue and key
-readers) are built on the package's primitives; no package module calls them.
+Gaussian elimination over Fractions, and the equivalence oracle is an exact
+search over vertex bijections. The test references at the end (the box-scan
+cone minimum, the maximal minors, the vertex opposite the c-row, the residue
+and key readers) are built on the package's primitives; no package module
+calls them.
 """
 
 from __future__ import annotations
@@ -135,49 +135,6 @@ def random_hnf(rng: random.Random, n: int, delta_max: int):
         for j in range(i):
             m[i][j] = rng.randrange(diag[i])
     return tuple(tuple(row) for row in m)
-
-
-@lru_cache(maxsize=None)
-def unimodular_matrices(n: int, bound: int):
-    """All integer n x n matrices with entries in [-bound, bound] and |det| = 1."""
-    out = []
-    for entries in itertools.product(range(-bound, bound + 1), repeat=n * n):
-        m = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
-        if abs(cofactor_det(m)) == 1:
-            out.append(m)
-    return tuple(out)
-
-
-def brute_force_equivalent(sys_a: InequalitySystem, sys_b: InequalitySystem, entry_bound: int = 3, trans_bound: int = 5):
-    """Bounded exhaustive search for a unimodular map with map(A) == B.
-
-    Decides existence of U with entries in [-entry_bound, entry_bound],
-    |det U| = 1, and integral x0 in [-trans_bound, trans_bound]^n mapping
-    the vertex set of A onto that of B. For each U only the translations
-    aligning the first vertex of A with some vertex of B can work, so those
-    n+1 candidates are tested instead of the whole translation box.
-    """
-    n = sys_a.n
-    if sys_b.n != n:
-        return None
-    verts_a = tuple(validate_simplex(sys_a).vertices)
-    verts_b = frozenset(validate_simplex(sys_b).vertices)
-    v0 = verts_a[0]
-    for u in unimodular_matrices(n, entry_bound):
-        uv0 = tuple(sum(u[i][j] * v0[j] for j in range(n)) for i in range(n))
-        for w in verts_b:
-            x0 = tuple(w[i] - uv0[i] for i in range(n))
-            if any(t.denominator != 1 for t in x0):
-                continue
-            if any(abs(t) > trans_bound for t in x0):
-                continue
-            image = frozenset(
-                tuple(sum(u[i][j] * v[j] for j in range(n)) + x0[i] for i in range(n))
-                for v in verts_a
-            )
-            if image == verts_b:
-                return (u, tuple(int(t) for t in x0))
-    return None
 
 
 def vertex_bijection_equivalent(sys_a: InequalitySystem, sys_b: InequalitySystem):

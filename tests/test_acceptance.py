@@ -29,13 +29,13 @@ from deltasimplex import InequalitySystem, NotASimplexError, InvalidSystemError
 
 from helpers import (
     RadiusError,
-    brute_force_equivalent,
     corner_minimum_bruteforce,
     gauss_inverse,
     opposite_vertex,
     random_hnf,
     random_simplex,
     random_unimodular_map,
+    vertex_bijection_equivalent,
 )
 
 
@@ -234,9 +234,9 @@ def test_criterion_09_brute_force_oracle_agreement(atlas_cache):
             for j in range(len(records)):
                 a, b = records[i].system(), records[j].system()
                 ours = check_equivalence(a, b).equivalent
-                oracle = brute_force_equivalent(a, b) is not None
+                oracle = vertex_bijection_equivalent(a, b) is not None
                 assert ours == oracle == (i == j)
-    _pass(9, "equivalence decisions agree with the bounded unimodular search on all atlas pairs")
+    _pass(9, "equivalence decisions agree with the exact vertex-bijection oracle on all atlas pairs")
 
 
 def test_criterion_10_rhs_reduction_uniqueness():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,12 @@ def run(args):
 def read_file(path):
     with path.open(encoding="utf-8") as fh:
         return read_atlas(fh)
+
+
+def child_env():
+    """The environment of a child interpreter that imports the package under test."""
+    src = str(Path(deltasimplex.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def write_system(path, sys):
@@ -220,8 +227,23 @@ def test_verify_reports_an_unknown_family(tmp_path, capsys):
     out.write_text("\n".join(lines) + "\n")
     assert run(["verify", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"record 0 (key {data['canonical_key']}): unknown family 'other'"
+        f"record 0 (key {data['canonical_key']}): unknown family 'other' [provenance {data['provenance']}]"
     ]
+
+
+def test_verify_rejects_a_lattice_record_with_a_fractional_vertex(tmp_path, capsys):
+    # The segment 2x <= 1, -x <= 1, i.e. [-1, 1/2], is in normal form and
+    # holds n + 1 = 2 integer points, so the point count passes it; its
+    # vertex 1/2 is not integral, which the record check reports.
+    out = tmp_path / "atlas.jsonl"
+    out.write_text(
+        '{"format":"delta-simplex/atlas-v1","n":1,"s":0,"k":1,"delta":2,"H":[[2]],"h":[1],"c":[-1],"c0":1,'
+        '"family":"lattice_empty","canonical_key":"1:2:2,1,-1,1","provenance":{}}\n'
+    )
+    assert run(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "record 0 (key 1:2:2,1,-1,1): lattice_empty record has a fractional vertex [provenance {}]\n"
+    assert captured.out == "FAIL: 1 problem(s) in 1 record(s)\n"
 
 
 def test_verify_detects_emptiness_violation(tmp_path, capsys):
@@ -410,10 +432,8 @@ def test_enumerate_atlas_starts_one_pool_per_call(monkeypatch):
 
 def test_cli_import_leaves_out_multiprocessing():
     # enumerate_atlas imports multiprocessing only when it starts a pool.
-    src = str(Path(deltasimplex.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = "import sys, deltasimplex.atlas_cli; print('multiprocessing' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
@@ -437,8 +457,6 @@ ENUMERATE_3_3 = "atlas_cli.main(['enumerate', '--delta', '3', '--dim', '3', '--j
     ids=["import", "enumerate", "verify"],
 )
 def test_cli_start_up_imports_only_what_it_runs(tmp_path, run_cli, printed):
-    src = str(Path(deltasimplex.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -448,7 +466,7 @@ def test_cli_start_up_imports_only_what_it_runs(tmp_path, run_cli, printed):
     )
     out = tmp_path / "atlas.jsonl"
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=child_env(), timeout=120
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{printed}[]\n", "")
     if run_cli:
@@ -522,7 +540,6 @@ def test_verify_rejects_malformed_record(tmp_path, mutate, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-
 def test_non_object_input_exits_2(tmp_path, triangle_file):
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2]")
@@ -534,13 +551,11 @@ def test_corner_rejects_non_object_input(tmp_path):
     # A JSON list is not a normalized system: `corner` reports it on one
     # `error:` line and exits 2, as every other subcommand does, with no
     # traceback.
-    src = str(Path(deltasimplex.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     bad = tmp_path / "f.json"
     bad.write_text("[1, 2]")
     proc = subprocess.run(
         [sys.executable, "-m", "deltasimplex.atlas_cli", "corner", str(bad)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
@@ -562,8 +577,6 @@ def test_malformed_record_is_one_error_line(tmp_path, command, mutate):
     # A record that no normalized system can have, or a family that is not a
     # JSON string, is an input error: exit 2 with one `error:` line, never a
     # traceback (exit 1 means problems found or a bound exceeded).
-    src = str(Path(deltasimplex.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = tmp_path / "atlas.jsonl"
     assert run(["enumerate", "--delta", "3", "--dim", "2", "--out", str(out)]) == 0
     data = json.loads(out.read_text().splitlines()[0])
@@ -571,7 +584,7 @@ def test_malformed_record_is_one_error_line(tmp_path, command, mutate):
     out.write_text(json.dumps(data) + "\n")
     proc = subprocess.run(
         [sys.executable, "-m", "deltasimplex.atlas_cli", command, str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
@@ -594,6 +607,22 @@ def test_stats_rejects_delta_below_one(tmp_path, capsys):
     capsys.readouterr()
     assert run(["stats", str(out)]) == 2
     assert capsys.readouterr().err == "error: delta must be at least 1, got 0\n"
+
+
+def test_stats_prints_a_bound_past_the_float_range_as_inf(tmp_path, capsys, atlas_cache):
+    # delta ** (log2(delta) + 2) overflows a float from delta = 2^32 on, and
+    # so does a binomial past the float range: the bound is then inf, which
+    # stats prints and no count exceeds.
+    from deltasimplex import eq1_bound
+
+    assert eq1_bound(2**32, 4) == eq1_bound(2**31, 4) == eq1_bound(2, 10**400) == math.inf
+    assert math.isfinite(eq1_bound(2**16, 4))
+    data = record_to_dict(next(rec for rec in atlas_cache(4, 4) if rec.family == "empty"))
+    data["delta"] = 8589934592
+    out = tmp_path / "atlas.jsonl"
+    out.write_text(json.dumps(data) + "\n")
+    assert run(["stats", str(out)]) == 0
+    assert capsys.readouterr() == ("delta=8589934592 n=4 family=empty count=1 bound=inf\ntotal=1\n", "")
 
 
 @pytest.mark.parametrize(
@@ -633,22 +662,22 @@ def test_readers_reject_a_non_object(reader, message):
 def test_module_entry_point_is_warning_free(tmp_path):
     # The package must not import its CLI module: `python -m` would then find
     # it in sys.modules before running it, and runpy warns (an error here).
-    src = str(Path(deltasimplex.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = tmp_path / "atlas.jsonl"
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "deltasimplex.atlas_cli",
          "enumerate", "--delta", "1", "--dim", "1", "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(read_file(out)) == 1
 
 
 def test_verify_validates_each_simplex_once(monkeypatch):
-    # verify_atlas hands its validated simplex to the point-count oracle.
-    from deltasimplex import atlas, simplex_model
+    # verify_atlas hands the simplex its record check validated to the
+    # point-count oracle.
+    from deltasimplex import atlas, enumeration, simplex_model
 
+    records = enumerate_atlas(3, 3, "both")
     calls = {"validate": 0}
     validate = simplex_model.validate_simplex
 
@@ -656,9 +685,8 @@ def test_verify_validates_each_simplex_once(monkeypatch):
         calls["validate"] += 1
         return validate(sys)
 
-    for mod in (atlas, simplex_model):
+    for mod in (enumeration, simplex_model):
         monkeypatch.setattr(mod, "validate_simplex", counting)
-    records = enumerate_atlas(3, 3, "both")
     assert atlas.verify_atlas(records, max_pairs=0) == []
     assert calls["validate"] == len(records) > 0
 

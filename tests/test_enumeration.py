@@ -9,6 +9,7 @@ from deltasimplex import (
     InvariantViolation,
     PreconditionError,
     c0_candidates,
+    canonical_key,
     count_integer_points_bruteforce,
     divisor_tuples,
     enumerate_H,
@@ -508,8 +509,8 @@ def test_failed_record_check_raises_instead_of_dropping(monkeypatch):
         raise NotASimplexError("zero minor")
 
     patches = [
-        ("validate_normalized", lambda ns: (False, ("tie-break",)), "violates the normal form"),
-        ("validate_simplex", not_a_simplex, "is not a simplex"),
+        ("validate_normalized", lambda ns: (False, ("tie-break",)), r"validator violation \('tie-break',\)"),
+        ("validate_simplex", not_a_simplex, r"not a simplex \(zero minor\)"),
     ]
     for name, fake, message in patches:
         monkeypatch.setattr(enumeration, name, fake)
@@ -517,6 +518,47 @@ def test_failed_record_check_raises_instead_of_dropping(monkeypatch):
             with pytest.raises(InvariantViolation, match=message):
                 enumeration.candidates_for_block(block, want_empty, want_lattice)
         monkeypatch.undo()
+
+
+def test_generator_and_verify_share_one_record_check(monkeypatch):
+    # `record_problem` is the one record check: a problem it reports makes
+    # candidates_for_block raise and verify_atlas report the record.
+    from deltasimplex import atlas, enumeration
+
+    block = next(enumerate_H(3, 1))
+    records = atlas.enumerate_atlas(3, 1)
+    fake = lambda ns, family: ("planted problem", None)
+    for mod in (enumeration, atlas):
+        monkeypatch.setattr(mod, "record_problem", fake)
+    with pytest.raises(InvariantViolation, match="planted problem"):
+        enumeration.candidates_for_block(block, True, True)
+    assert atlas.verify_atlas(records) == [
+        f"record {i} (key {canonical_key(rec.ns)}): planted problem [provenance {rec.provenance}]"
+        for i, rec in enumerate(records)
+    ]
+
+
+def test_record_check_requires_integral_lattice_vertices():
+    # The segment 2x <= 1, -x <= 1, i.e. [-1, 1/2], is in normal form and
+    # holds n + 1 = 2 integer points, but its vertex 1/2 is fractional: a
+    # lattice record of it fails, an empty-family record passes the check
+    # (and fails the point count, which is the caller's).
+    from deltasimplex import NormalizedSystem
+    from deltasimplex.enumeration import record_problem
+
+    ns = NormalizedSystem(n=1, s=0, k=1, H=((2,),), h=(1,), c=(-1,), c0=1, delta=2)
+    problem, meta = record_problem(ns, "lattice_empty")
+    assert problem == "lattice_empty record has a fractional vertex"
+    assert sorted(meta.points) == [((-1,), 1), ((1,), 2)]
+    assert record_problem(ns, "empty") == (None, meta)
+    assert count_integer_points_bruteforce(ns.system()) == 2
+    assert record_problem(ns, "other") == ("unknown family 'other'", meta)
+    assert record_problem(ns._replace(h=(3,)), "empty") == ("validator violation ('rhs-range',)", None)
+    assert record_problem(ns._replace(c0=-3), "empty") == (
+        "emptiness/validator violation: not a simplex "
+        "(empty or unbounded or lower-dimensional: row 0 not strictly satisfied)",
+        None,
+    )
 
 
 def _closed_form_qs(h_mat):

@@ -25,7 +25,6 @@ from deltasimplex.exact_linalg import hnf
 from deltasimplex.normal_form import _normalize_primitive, key_step
 
 from helpers import (
-    brute_force_equivalent,
     max_minors,
     random_simplex,
     random_unimodular_map,
@@ -510,29 +509,17 @@ def test_dedup_survivors_pairwise_inequivalent():
                 assert not result.equivalent
 
 
-def test_brute_force_oracle_agreement_dim_one(atlas_cache):
-    records = []
-    for delta in (1, 2, 3):
-        records.extend(atlas_cache(delta, 1))
-    for i in range(len(records)):
-        for j in range(len(records)):
-            a, b = records[i].system(), records[j].system()
-            ours = check_equivalence(a, b).equivalent
-            oracle = brute_force_equivalent(a, b) is not None
-            assert ours == oracle == (i == j)
-
-
 def test_oracle_found_maps_are_always_found():
-    # One-sided completeness on fully random pairs: whenever the bounded
-    # exhaustive search finds a unimodular map, the decision procedure must
-    # report equivalence too. (The converse can exceed the oracle's bounds.)
+    # Completeness on fully random pairs: whenever the exact vertex-bijection
+    # oracle finds a unimodular map, the decision procedure must report
+    # equivalence too.
     rng = random.Random(616)
     found = 0
     for _ in range(60):
         n = rng.randint(1, 2)
         a = random_simplex(rng, n, entry_bound=3)
         b = random_simplex(rng, n, entry_bound=3)
-        if brute_force_equivalent(a, b) is not None:
+        if vertex_bijection_equivalent(a, b) is not None:
             found += 1
             assert check_equivalence(a, b).equivalent
     assert found >= 1
@@ -540,8 +527,8 @@ def test_oracle_found_maps_are_always_found():
 
 def test_vertex_bijection_oracle():
     # The exact oracle finds a map for every unimodular image, the map it
-    # returns carries the vertices across, and wherever the bounded search
-    # finds a map, so does the exact oracle.
+    # returns carries the vertices across, and it agrees with the decision
+    # procedure on random pairs, some of them equivalent.
     rng = random.Random(1111)
     for _ in range(40):
         n = rng.randint(1, 3)
@@ -559,9 +546,7 @@ def test_vertex_bijection_oracle():
         a, b = random_simplex(rng, n, entry_bound=3), random_simplex(rng, n, entry_bound=3)
         exact = vertex_bijection_equivalent(a, b) is not None
         assert exact == check_equivalence(a, b).equivalent
-        if brute_force_equivalent(a, b) is not None:
-            assert exact
-            found += 1
+        found += exact
     assert found >= 1
 
 
@@ -821,3 +806,20 @@ def test_dedup_validates_only_the_starting_forms(monkeypatch):
     monkeypatch.setattr(equivalence, "reduced_permutations", counting_permutations)
     kept = dedup_families(empties + lattices)
     assert counts["validate"] == counts["expanded"] > len(kept) > 0
+
+
+def test_dedup_searches_each_record_as_it_is(monkeypatch):
+    # The record check guarantees primitive rows, so dedup_families searches
+    # each record's own system and calls no primitivize.
+    from deltasimplex import equivalence
+
+    empties, lattices = enumerate_families(4, 4)
+    records = empties + lattices
+    assert all(primitivize(rec.system()) == rec.system() for rec in records)
+
+    def no_primitivize(sys):
+        raise AssertionError("dedup_families primitivized a record")
+
+    monkeypatch.setattr(equivalence, "primitivize", no_primitivize)
+    kept = dedup_families(records)
+    assert 0 < len(kept) < len(records)
