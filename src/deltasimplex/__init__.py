@@ -29,7 +29,6 @@ from .enumeration import (
     divisor_tuples,
     enumerate_H,
     enumerate_c,
-    enumerate_families,
     enumerate_h,
 )
 from .equivalence import (
@@ -78,7 +77,6 @@ from .simplex_model import (
     apply_map,
     compose,
     count_integer_points_bruteforce,
-    identity_map,
     inverse,
     validate_simplex,
 )

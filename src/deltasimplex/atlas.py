@@ -15,7 +15,7 @@ import math
 
 from .enumeration import FAMILY_EMPTY, CandidateRecord, candidates_for_block, enumerate_H, record_problem
 from .equivalence import class_keys, dedup_families
-from .errors import DeltaSimplexError, PreconditionError, ScaleExceededError
+from .errors import PreconditionError, ScaleExceededError
 from .normal_form import NormalizedSystem, canonical_key, key_tuple
 from .simplex_model import AffineUnimodularMap, InequalitySystem, count_integer_points_bruteforce
 
@@ -129,10 +129,10 @@ def record_from_dict(data: dict) -> CandidateRecord:
     ns = normalized_from_dict(data, ATLAS_FORMAT)
     provenance = data.get("provenance", {})
     if not isinstance(provenance, dict):
-        raise DeltaSimplexError(f"provenance must be a JSON object, got {provenance!r}")
+        raise PreconditionError(f"provenance must be a JSON object, got {provenance!r}")
     family = _field(data, "family")
     if not isinstance(family, str):
-        raise DeltaSimplexError(f"family must be a JSON string, got {family!r}")
+        raise PreconditionError(f"family must be a JSON string, got {family!r}")
     return CandidateRecord(ns, family, dict(provenance))
 
 
@@ -172,6 +172,8 @@ def read_atlas(stream, problems: list[str] | None = None) -> list[CandidateRecor
 
 
 def _block_task(args):
+    # `candidates_for_block` is looked up here at each call, so a rebinding
+    # of the module's name (a tracer's timing wrapper) is what runs.
     block, want_empty, want_lattice = args
     return candidates_for_block(block, want_empty, want_lattice)
 
@@ -179,17 +181,18 @@ def _block_task(args):
 _FAMILY_FLAGS = {"empty": (True, False), "lattice": (False, True), "both": (True, True)}  # (want_empty, want_lattice)
 
 
-def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = False, jobs: int = 1):
-    """Deduplicated, key-sorted atlas records for (delta, dim).
+def candidate_records(delta: int, dim: int, family: str = "both", up_to: bool = False, jobs: int = 1):
+    """Every verified candidate record for (delta, dim), in block order, before dedup.
 
-    With `up_to`, the blocks of every delta' <= delta go into one task list
-    and one dedup: delta is part of the canonical key and a class invariant,
-    so no equivalence search crosses delta values. With `jobs` > 1 and more
-    than one block, one worker pool maps the whole list; otherwise none is
-    started and `multiprocessing` is not imported.
+    The block walk: with `up_to`, the blocks of every delta' <= delta go into
+    one task list; each block gives its empty-family records, then its
+    lattice one. With `jobs` > 1 and more than one block, one worker pool
+    maps the whole list; otherwise none is started and `multiprocessing` is
+    not imported. The list is the same, order and provenance included, for
+    every `jobs`.
     """
     if family not in _FAMILY_FLAGS:
-        raise DeltaSimplexError(f"unknown family {family!r}")
+        raise PreconditionError(f"unknown family {family!r}")
     want_empty, want_lattice = _FAMILY_FLAGS[family]
     for name, value in (("delta", delta), ("dim", dim), ("jobs", jobs)):
         if value < 1:
@@ -210,7 +213,16 @@ def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = Fa
     for empties, lattices in results:
         candidates.extend(empties)
         candidates.extend(lattices)
-    return dedup_families(candidates)  # survivors come out in ascending key order
+    return candidates
+
+
+def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = False, jobs: int = 1):
+    """Deduplicated, key-sorted atlas records for (delta, dim): `candidate_records`, then dedup.
+
+    delta is part of the canonical key and a class invariant, so with
+    `up_to` no equivalence search crosses delta values.
+    """
+    return dedup_families(candidate_records(delta, dim, family, up_to, jobs))  # survivors in ascending key order
 
 
 # ---------------------------------------------------------------------------

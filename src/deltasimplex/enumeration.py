@@ -52,23 +52,14 @@ class HnfBlock(NamedTuple):
 class CandidateRecord(NamedTuple):
     """A generated normalized system, its family and where the generator made it.
 
-    Equality and hash read `ns` and `family` only: two records of one form
-    are equal whatever their `provenance`, and a record never equals a plain
-    tuple. `__ne__` is overridden too, since tuple's own compares provenance.
+    A plain named tuple: equality compares all three fields, provenance
+    included, and the `provenance` dict makes a record unhashable. Dedup
+    indexes canonical key tuples, never records.
     """
 
     ns: NormalizedSystem
     family: str
     provenance: dict
-
-    def __eq__(self, other):
-        return type(other) is CandidateRecord and self[:2] == other[:2]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:2])
 
     def system(self):
         return self.ns.system()
@@ -373,18 +364,3 @@ def _lattice_vertices_integral(adj: Mat, w: Vec, c0: int) -> bool:
         if any(c0 * a % w_i for a in col):
             return False
     return True
-
-
-def enumerate_families(delta: int, n: int, want_empty: bool = True, want_lattice: bool = True):
-    """Full candidate streams (empty family, lattice family) for (delta, n).
-
-    Iteration order is fixed everywhere, so two runs produce identical
-    streams. Records still need deduplication by unimodular equivalence.
-    """
-    empties: list[CandidateRecord] = []
-    lattices: list[CandidateRecord] = []
-    for block in enumerate_H(delta, n):
-        e, l = candidates_for_block(block, want_empty, want_lattice)
-        empties.extend(e)
-        lattices.extend(l)
-    return empties, lattices

@@ -46,7 +46,6 @@ from .simplex_model import (
     SimplexMeta,
     compose,
     inverse,
-    reduced_point,
     validate_simplex,
 )
 
@@ -242,9 +241,9 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
     which is searched once per distinct first simplex while it stays in the
     memo (`_search_legs`). On a hit the one witness map is built; it
     carries the first simplex onto the second and is verified on the vertex
-    sets before being returned. The vertex sets are compared as sets of
-    reduced integer points (`SimplexMeta.points`), with no `Fraction`
-    arithmetic.
+    sets before being returned: each point of `SimplexMeta.points` is mapped
+    by `AffineUnimodularMap.image`, and the sets of reduced integer points
+    are compared.
     """
     prim_s = primitivize(sys_s)
     prim_t = primitivize(sys_t)
@@ -277,13 +276,7 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
             return EquivalenceResult(False, certificate="search-exhausted")
         stored_s = _stored_map(legs)  # S -> record
     witness = compose(step_t.map(), stored_s)  # S -> record -> T
-    # The witness takes the point nums / d to (U nums + d x0) / d.
-    u, x0 = witness.U, witness.x0
-    image = frozenset(
-        reduced_point(tuple(sum(a * x for a, x in zip(row, nums)) + d * t for row, t in zip(u, x0)), d)
-        for nums, d in meta_s.points
-    )
-    if image != frozenset(meta_t.points):
+    if frozenset(map(witness.image, meta_s.points)) != frozenset(meta_t.points):
         raise InvariantViolation("equivalence witness failed vertex-set verification")
     return EquivalenceResult(True, witness=witness)
 

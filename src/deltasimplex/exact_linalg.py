@@ -16,8 +16,7 @@ from .errors import InvariantViolation, PreconditionError, RankError, ShapeError
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 # A string argument, so that building the alias needs no `fractions` import:
-# only `solve_rational` and `SimplexMeta.vertices` make Fractions, and they
-# import the module when called.
+# only `solve_rational` makes Fractions, and it imports the module when called.
 FracVec = tuple["Fraction", ...]
 
 # Entry bound of every memo cache in the package. The largest working set in

@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from .errors import NotASimplexError, PreconditionError, ScaleExceededError, ShapeError
 from .exact_linalg import (
-    FracVec,
     Mat,
     Vec,
     adjugate,
@@ -89,18 +88,12 @@ class AffineUnimodularMap(_AffineUnimodularMapFields):
     def n(self) -> int:
         return len(self.U)
 
-    def apply(self, point) -> tuple:
-        """Image of a point; works for integer and Fraction coordinates."""
-        return tuple(
-            sum(self.U[i][j] * point[j] for j in range(self.n)) + self.x0[i]
-            for i in range(self.n)
+    def image(self, point: Point) -> Point:
+        """The image of the point nums / d, (U nums + d x0) / d, as a reduced point (`reduced_point`)."""
+        nums, d = point
+        return reduced_point(
+            tuple(sum(a * x for a, x in zip(row, nums)) + d * t for row, t in zip(self.U, self.x0)), d
         )
-
-
-def identity_map(n: int) -> AffineUnimodularMap:
-    from .exact_linalg import identity
-
-    return AffineUnimodularMap(identity(n), (0,) * n)
 
 
 def compose(m2: AffineUnimodularMap, m1: AffineUnimodularMap) -> AffineUnimodularMap:
@@ -141,8 +134,8 @@ def reduced_point(nums: Vec, den: int) -> Point:
     """The point nums / den as (numerators, denominator) in lowest terms with den > 0.
 
     The one definition of a vertex's integer form: `validate_simplex` stores
-    its vertices through it, and `check_equivalence` reduces the witness
-    images through it, so equal points compare equal.
+    its vertices through it, and `AffineUnimodularMap.image` reduces the
+    images of points through it, so equal points compare equal.
     """
     g = math.gcd(*nums, den)
     if den < 0:
@@ -155,20 +148,13 @@ class SimplexMeta(NamedTuple):
 
     `points[i]` is vertex i as an exact integer point (numerators,
     denominator) in lowest terms with a positive denominator, taken from
-    column i of the adjugate of [A | b]. `vertices` is a read-only view of
-    the same points as tuples of `Fraction`, built on each access.
+    column i of the adjugate of [A | b].
     """
 
     delta: int
     points: tuple[Point, ...]
     max_det_bases: tuple[tuple[int, ...], ...]
     minors: tuple[int, ...]  # signed maximal minors of A, by omitted row
-
-    @property
-    def vertices(self) -> tuple[FracVec, ...]:
-        from fractions import Fraction
-
-        return tuple(tuple(Fraction(x, den) for x in nums) for nums, den in self.points)
 
 
 def validate_simplex(sys: InequalitySystem) -> SimplexMeta:
@@ -209,13 +195,16 @@ def validate_simplex(sys: InequalitySystem) -> SimplexMeta:
     return SimplexMeta(delta=delta, points=points, max_det_bases=max_bases, minors=minors)
 
 
-def count_integer_points_bruteforce(
-    sys: InequalitySystem, cap: int = 10_000_000, meta: SimplexMeta | None = None
-) -> int:
+# Largest bounding box, in integer points, that `count_integer_points_bruteforce` scans.
+POINT_COUNT_CAP = 10_000_000
+
+
+def count_integer_points_bruteforce(sys: InequalitySystem, meta: SimplexMeta | None = None) -> int:
     """Exact |S ∩ Z^n| by scanning the integer points of the bounding box.
 
     The box is derived from the exact vertices by integer floor and ceiling
-    division; if it holds more than `cap` candidate points the scan is refused.
+    division; if it holds more than `POINT_COUNT_CAP` candidate points the
+    scan is refused.
     A caller that already holds `meta = validate_simplex(sys)` passes it,
     and the simplex is not validated again.
     """
@@ -228,8 +217,8 @@ def count_integer_points_bruteforce(
     total = 1
     for l, h in zip(lo, hi):
         total *= max(0, h - l + 1)
-    if total > cap:
-        raise ScaleExceededError(f"oracle scale exceeded: {total} candidates > cap {cap}")
+    if total > POINT_COUNT_CAP:
+        raise ScaleExceededError(f"oracle scale exceeded: {total} candidates > cap {POINT_COUNT_CAP}")
     count = 0
     rows = sys.rows()
     for point in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):

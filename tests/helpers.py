@@ -5,8 +5,8 @@ determinant oracle is plain cofactor expansion, rational solving is textbook
 Gaussian elimination over Fractions, and the equivalence oracle is an exact
 search over vertex bijections. The test references at the end (the box-scan
 cone minimum, the maximal minors, the vertex opposite the c-row, the residue
-and key readers) are built on the package's primitives; no package module
-calls them.
+and key readers, the Fraction view of the vertices and the identity map)
+are built on the package's primitives; no package module calls them.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from deltasimplex import (
     PreconditionError,
     ShapeError,
     det,
+    identity,
     matrix,
     reduce_rhs,
     solve_rational,
@@ -150,8 +151,8 @@ def vertex_bijection_equivalent(sys_a: InequalitySystem, sys_b: InequalitySystem
     n = sys_a.n
     if sys_b.n != n:
         return None
-    verts_a = validate_simplex(sys_a).vertices
-    verts_b = validate_simplex(sys_b).vertices
+    verts_a = vertices(validate_simplex(sys_a))
+    verts_b = vertices(validate_simplex(sys_b))
     inv_a = gauss_inverse([[verts_a[j + 1][i] - verts_a[0][i] for j in range(n)] for i in range(n)])
     for image in itertools.permutations(verts_b):
         d_b = [[image[j + 1][i] - image[0][i] for j in range(n)] for i in range(n)]
@@ -270,3 +271,13 @@ def parse_canonical_key(key: str) -> NormalizedSystem:
         c0=rows[n][n],
         delta=delta,
     )
+
+
+def vertices(meta) -> tuple[tuple[Fraction, ...], ...]:
+    """The vertices of a `SimplexMeta` as tuples of Fractions, read off its reduced integer points."""
+    return tuple(tuple(Fraction(x, den) for x in nums) for nums, den in meta.points)
+
+
+def identity_map(n: int) -> AffineUnimodularMap:
+    """The identity x -> I x + 0 of Z^n."""
+    return AffineUnimodularMap(identity(n), (0,) * n)

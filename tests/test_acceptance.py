@@ -211,8 +211,8 @@ def test_criterion_08_equivalence_round_trip(atlas_cache):
         moved = apply_map(sys, m)
         result = check_equivalence(sys, moved)
         assert result.equivalent, f"trial {trial} failed"
-        image = {result.witness.apply(v) for v in validate_simplex(sys).vertices}
-        assert image == set(validate_simplex(moved).vertices)
+        image = set(map(result.witness.image, validate_simplex(sys).points))
+        assert image == set(validate_simplex(moved).points)
     pool = []
     for delta in range(1, 5):
         for n in range(1, 5):

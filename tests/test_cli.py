@@ -659,6 +659,37 @@ def test_readers_reject_a_non_object(reader, message):
         getattr(deltasimplex, reader)([1])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda data: record_from_dict({**data, "provenance": [1]}), r"provenance must be a JSON object, got \[1\]"),
+        (lambda data: record_from_dict({**data, "family": 7}), "family must be a JSON string, got 7"),
+        (lambda data: enumerate_atlas(1, 1, "other"), "unknown family 'other'"),
+    ],
+    ids=["provenance-not-object", "family-not-string", "unknown-family"],
+)
+def test_input_errors_are_precondition_errors(call, message, atlas_cache):
+    # Every reader and argument check raises PreconditionError, a caller's
+    # violated precondition; the CLI catches its base class either way.
+    data = record_to_dict(atlas_cache(1, 1)[0])
+    with pytest.raises(PreconditionError, match=message):
+        call(data)
+
+
+@pytest.mark.parametrize(
+    "delta, dim, family, up_to", [(4, 5, "both", False), (3, 8, "lattice", True)], ids=["both-d4n5", "lattice-upto3-n8"]
+)
+def test_block_walk_is_the_same_at_two_job_counts(delta, dim, family, up_to):
+    # The pool only partitions the blocks: the candidate stream before dedup
+    # is the same list, in the same order and with the same provenance.
+    from deltasimplex.atlas import candidate_records
+
+    serial = candidate_records(delta, dim, family, up_to, jobs=1)
+    parallel = candidate_records(delta, dim, family, up_to, jobs=2)
+    assert [(r.ns, r.family, r.provenance) for r in parallel] == [(r.ns, r.family, r.provenance) for r in serial]
+    assert serial
+
+
 def test_module_entry_point_is_warning_free(tmp_path):
     # The package must not import its CLI module: `python -m` would then find
     # it in sys.modules before running it, and runpy warns (an error here).

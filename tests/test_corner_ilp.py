@@ -386,13 +386,14 @@ def test_one_table_read_per_minimum(monkeypatch):
 
 def test_one_cone_per_h_c_pair(monkeypatch):
     # A block builds one cone per c it reads, however many right-hand sides
-    # h read it: enumerate_families(4, 5) without the lattice family builds
+    # h read it: candidate_records(4, 5, "empty") builds
     # det(H) = 4 cones in each of its 75 blocks, one per distinct (H, c). The
     # paral weights are computed once per cone; the only other caller is the
     # record validator, which recomputes them for the candidate it checks.
     from collections import Counter
 
-    from deltasimplex import corner_ilp, enumerate_H, enumerate_families, enumeration, normal_form
+    from deltasimplex import corner_ilp, enumerate_H, enumeration, normal_form
+    from deltasimplex.atlas import candidate_records
 
     builds, weights, ranges, validating = [], [], [0], [False]
     real_build, real_weights, real_validate = corner_ilp.path_table, normal_form.paral_weights, enumeration.validate_normalized
@@ -423,7 +424,7 @@ def test_one_cone_per_h_c_pair(monkeypatch):
     monkeypatch.setattr(enumeration, "path_table", recording_build)
     monkeypatch.setattr(enumeration, "validate_normalized", validate)
     monkeypatch.setattr(enumeration, "c0_candidates", counting_c0)
-    enumerate_families(4, 5, want_lattice=False)
+    candidate_records(4, 5, "empty")
     assert len(builds) == len(set(builds)) == len(weights) == 300
     assert Counter(h_mat for h_mat, _ in builds) == {block.H: 4 for block in enumerate_H(4, 5)}
     assert ranges[0] > len(builds)

@@ -14,12 +14,12 @@ from deltasimplex import (
     divisor_tuples,
     enumerate_H,
     enumerate_c,
-    enumerate_families,
     enumerate_h,
     hnf,
     identity,
     validate_normalized,
 )
+from deltasimplex.atlas import candidate_records
 from deltasimplex.corner_ilp import path_table
 from deltasimplex.equivalence import dedup_families
 
@@ -197,10 +197,9 @@ def test_c0_candidates_segment_cases():
 
 def test_families_delta_one():
     for n in (1, 2, 3, 4):
-        empties, lattices = enumerate_families(1, n)
-        assert empties == []
-        assert len(lattices) == 1
-        ns = lattices[0].ns
+        records = candidate_records(1, n)
+        assert [rec.family for rec in records] == ["lattice_empty"]
+        ns = records[0].ns
         assert ns.H == identity(n)
         assert ns.h == (0,) * n
         assert ns.c == (-1,) * n
@@ -208,22 +207,19 @@ def test_families_delta_one():
 
 
 def test_families_delta_two_dim_two():
-    empties, lattices = enumerate_families(2, 2)
-    assert empties == [] and lattices == []
+    assert candidate_records(2, 2) == []
 
 
 def test_families_delta_three_dim_one():
-    empties, lattices = enumerate_families(3, 1)
-    assert lattices == []
-    assert len(empties) == 2
-    survivors = dedup_families(empties)
+    records = candidate_records(3, 1)
+    assert [rec.family for rec in records] == ["empty", "empty"]
+    survivors = dedup_families(records)
     assert len(survivors) == 2
 
 
 def test_family_records_validate():
     for delta, n in ((3, 2), (4, 2), (4, 3)):
-        empties, lattices = enumerate_families(delta, n)
-        for rec in empties + lattices:
+        for rec in candidate_records(delta, n):
             ok, violated = validate_normalized(rec.ns)
             assert ok, violated
             assert delta_value(rec.ns.full_matrix()) == delta
@@ -232,26 +228,22 @@ def test_family_records_validate():
 
 def test_family_ground_truth_small():
     for delta, n in ((3, 2), (4, 2)):
-        empties, lattices = enumerate_families(delta, n)
-        for rec in empties:
-            assert count_integer_points_bruteforce(rec.system()) == 0
-        for rec in lattices:
-            assert count_integer_points_bruteforce(rec.system()) == n + 1
+        for rec in candidate_records(delta, n):
+            expected = 0 if rec.family == "empty" else n + 1
+            assert count_integer_points_bruteforce(rec.system()) == expected
 
 
 def test_families_deterministic():
-    a = enumerate_families(3, 3)
-    b = enumerate_families(3, 3)
-    assert [(r.ns, r.family, r.provenance) for r in a[0] + a[1]] == [
-        (r.ns, r.family, r.provenance) for r in b[0] + b[1]
-    ]
+    a = candidate_records(3, 3)
+    b = candidate_records(3, 3)
+    assert [(r.ns, r.family, r.provenance) for r in a] == [(r.ns, r.family, r.provenance) for r in b]
 
 
 def test_family_flags():
-    empties, lattices = enumerate_families(4, 3, want_lattice=False)
-    assert lattices == [] and empties
-    empties, lattices = enumerate_families(4, 3, want_empty=False)
-    assert empties == [] and len(lattices) == 1
+    records = candidate_records(4, 3, "empty")
+    assert records and {rec.family for rec in records} == {"empty"}
+    records = candidate_records(4, 3, "lattice")
+    assert [rec.family for rec in records] == ["lattice_empty"]
 
 
 def test_dropped_family_costs_no_cone_minimum(monkeypatch):
@@ -273,11 +265,11 @@ def test_dropped_family_costs_no_cone_minimum(monkeypatch):
 
     monkeypatch.setattr(corner_ilp.Cone, "minimum", counting_minimum)
     monkeypatch.setattr(enumeration, "corner_minimum_excluding_vertex", counting_excluding)
-    enumerate_families(4, 3, want_empty=False)
+    candidate_records(4, 3, "lattice")
     # Every plain minimum is one of the n = 3 targets of a vertex-excluding one.
     assert calls["excluding"] > 0 and calls["minimum"] == 3 * calls["excluding"]
     calls.update(minimum=0, excluding=0)
-    enumerate_families(4, 3, want_lattice=False)
+    candidate_records(4, 3, "empty")
     assert calls["excluding"] == 0 and calls["minimum"] > 0
 
 
@@ -286,13 +278,10 @@ def test_single_family_streams_match_both(delta, n):
     def rows(records):
         return [(r.ns, r.family, r.provenance) for r in records]
 
-    both_empties, both_lattices = enumerate_families(delta, n)
-    empties, no_lattices = enumerate_families(delta, n, want_lattice=False)
-    no_empties, lattices = enumerate_families(delta, n, want_empty=False)
-    assert no_lattices == [] and no_empties == []
-    assert rows(empties) == rows(both_empties)
-    assert rows(lattices) == rows(both_lattices)
-    assert both_empties or both_lattices
+    both = candidate_records(delta, n)
+    for family, tag in (("empty", "empty"), ("lattice", "lattice_empty")):
+        assert rows(candidate_records(delta, n, family)) == rows(rec for rec in both if rec.family == tag)
+    assert both
 
 
 def test_c0_candidates_requires_reduced_rhs():
@@ -330,7 +319,7 @@ def test_lattice_verification_routes_agree():
                         meta = validate_simplex(ns.system())
                     except NotASimplexError:
                         continue
-                    if any(x.denominator != 1 for v in meta.vertices for x in v):
+                    if any(den != 1 for _, den in meta.points):
                         continue
                     by_count = count_integer_points_bruteforce(ns.system()) == n + 1
                     by_facet = count_minimum_attainers(cone, f) == n
@@ -436,11 +425,11 @@ def test_families_match_old_check_order(delta, n):
     def rows(records):
         return [(r.ns, r.family, r.provenance) for r in records]
 
-    new_empties, new_lattices = enumerate_families(delta, n)
+    new = candidate_records(delta, n)
     old_empties, old_lattices = _families_in_old_check_order(delta, n)
-    assert rows(new_empties) == rows(old_empties)
-    assert rows(new_lattices) == rows(old_lattices)
-    assert new_empties or new_lattices
+    assert rows(rec for rec in new if rec.family == "empty") == rows(old_empties)
+    assert rows(rec for rec in new if rec.family == "lattice_empty") == rows(old_lattices)
+    assert new
 
 
 def _white_tetrahedron(p, q):
@@ -471,8 +460,7 @@ def test_closed_form_lattice_stream_matches_per_c_loop(delta, n):
     def rows(records):
         return [(r.ns, r.family, r.provenance) for r in records]
 
-    no_empties, lattices = enumerate_families(delta, n, want_empty=False)
-    assert no_empties == []
+    lattices = candidate_records(delta, n, "lattice")
     assert rows(lattices) == rows(_families_in_old_check_order(delta, n, want_empty=False)[1])
 
 
@@ -617,9 +605,9 @@ def test_lattice_only_run_skips_the_h_and_c_walks(monkeypatch, delta, n):
         return sol
 
     monkeypatch.setattr(enumeration, "corner_minimum_excluding_vertex", recording_minimum)
-    empties, lattices = enumerate_families(delta, n, want_empty=False)
+    lattices = candidate_records(delta, n, "lattice")
     kept = sum(_closed_form_qs(h_mat) == [f_star] for h_mat, f_star in minima)
-    assert empties == [] and kept >= len(lattices) and kept > 0
+    assert all(rec.family == "lattice_empty" for rec in lattices) and kept >= len(lattices) and kept > 0
     assert calls == {"enumerate_h": 0, "enumerate_c": len(lattices)}
 
 

@@ -11,9 +11,7 @@ from deltasimplex import (
     check_equivalence,
     compose,
     dedup_families,
-    enumerate_families,
     equivalent_normalized_set,
-    identity_map,
     inverse,
     key_tuple,
     normalize,
@@ -21,10 +19,12 @@ from deltasimplex import (
     reduced_permutations,
     validate_simplex,
 )
+from deltasimplex.atlas import candidate_records
 from deltasimplex.exact_linalg import hnf
 from deltasimplex.normal_form import _normalize_primitive, key_step
 
 from helpers import (
+    identity_map,
     max_minors,
     random_simplex,
     random_unimodular_map,
@@ -64,11 +64,11 @@ def test_equivalent_set_maps_are_sound():
     for _ in range(6):
         n = rng.randint(1, 3)
         sys = random_simplex(rng, n, entry_bound=4)
-        source_vertices = frozenset(validate_simplex(sys).vertices)
+        source_points = validate_simplex(sys).points
         eq = equivalent_normalized_set(sys)
         for ns, stored in eq.records.values():
-            image = frozenset(stored.apply(v) for v in source_vertices)
-            assert image == frozenset(validate_simplex(ns.system()).vertices)
+            image = frozenset(map(stored.image, source_points))
+            assert image == frozenset(validate_simplex(ns.system()).points)
 
 
 def test_equivalent_set_contains_normalizations_of_mapped_system():
@@ -416,9 +416,8 @@ def test_check_equivalence_round_trip():
         moved = apply_map(sys, m)
         result = check_equivalence(sys, moved)
         assert result.equivalent
-        verts = validate_simplex(sys).vertices
-        image = {result.witness.apply(v) for v in verts}
-        assert image == set(validate_simplex(moved).vertices)
+        image = set(map(result.witness.image, validate_simplex(sys).points))
+        assert image == set(validate_simplex(moved).points)
 
 
 def test_check_equivalence_symmetry():
@@ -476,20 +475,19 @@ def test_segment_classes_equivalent_forms():
 
 
 def test_dedup_exact_duplicates():
-    empties, _ = enumerate_families(3, 1)
+    empties = candidate_records(3, 1, "empty")
     doubled = empties + empties
     assert len(dedup_families(doubled)) == len(dedup_families(empties)) == 2
 
 
 def test_dedup_idempotent():
-    empties, lattices = enumerate_families(3, 2)
-    once = dedup_families(empties + lattices)
+    once = dedup_families(candidate_records(3, 2))
     twice = dedup_families(once)
     assert [r.ns for r in once] == [r.ns for r in twice]
 
 
 def test_dedup_survivor_is_least_key():
-    empties, _ = enumerate_families(3, 2)
+    empties = candidate_records(3, 2, "empty")
     survivors = dedup_families(empties)
     keys = [key_tuple(r.ns) for r in survivors]
     assert keys == sorted(keys)
@@ -501,8 +499,7 @@ def test_dedup_survivor_is_least_key():
 
 def test_dedup_survivors_pairwise_inequivalent():
     for delta, n in ((3, 1), (3, 2), (4, 2)):
-        empties, lattices = enumerate_families(delta, n)
-        survivors = dedup_families(empties + lattices)
+        survivors = dedup_families(candidate_records(delta, n))
         for i in range(len(survivors)):
             for j in range(i + 1, len(survivors)):
                 result = check_equivalence(survivors[i].system(), survivors[j].system())
@@ -535,11 +532,8 @@ def test_vertex_bijection_oracle():
         a = random_simplex(rng, n, entry_bound=4)
         b = apply_map(a, random_unimodular_map(rng, n, entry_bound=6, trans_bound=5))
         u, x0 = vertex_bijection_equivalent(a, b)
-        image = {
-            tuple(sum(u[i][j] * v[j] for j in range(n)) + x0[i] for i in range(n))
-            for v in validate_simplex(a).vertices
-        }
-        assert image == set(validate_simplex(b).vertices)
+        image = set(map(AffineUnimodularMap(u, x0).image, validate_simplex(a).points))
+        assert image == set(validate_simplex(b).points)
     found = 0
     for _ in range(60):
         n = rng.randint(1, 2)
@@ -723,7 +717,7 @@ def _equivalence_queries(rng, count):
         pairs += [(sys, moved), (sys, shuffled), (sys, other), (sys, sys)]
     # Distinct classes that share (n, delta, minor multiset) reach the search and miss.
     groups = {}
-    for rec in dedup_families(sum(enumerate_families(4, 3), [])):
+    for rec in dedup_families(candidate_records(4, 3)):
         minors = sorted(abs(m) for _, m in max_minors(rec.ns.full_matrix()))
         groups.setdefault(tuple(minors), []).append(rec.system())
     for group in groups.values():
@@ -773,8 +767,7 @@ def test_dedup_builds_no_map(monkeypatch):
 
     monkeypatch.setattr(AffineUnimodularMap, "__new__", counting_new)
     monkeypatch.setattr(AffineUnimodularMap, "_trusted", classmethod(counting_trusted))
-    empties, lattices = enumerate_families(4, 4)
-    records = empties + lattices
+    records = candidate_records(4, 4)
     kept = dedup_families(records)
     assert built["count"] == 0
     assert len(records) > len(kept) > 0
@@ -801,10 +794,10 @@ def test_dedup_validates_only_the_starting_forms(monkeypatch):
         counts["expanded"] += 1
         return permutations(h_mat)
 
-    empties, lattices = enumerate_families(4, 5)
+    records = candidate_records(4, 5)
     monkeypatch.setattr(normal_form, "validate_normalized", counting_validate)
     monkeypatch.setattr(equivalence, "reduced_permutations", counting_permutations)
-    kept = dedup_families(empties + lattices)
+    kept = dedup_families(records)
     assert counts["validate"] == counts["expanded"] > len(kept) > 0
 
 
@@ -813,8 +806,7 @@ def test_dedup_searches_each_record_as_it_is(monkeypatch):
     # each record's own system and calls no primitivize.
     from deltasimplex import equivalence
 
-    empties, lattices = enumerate_families(4, 4)
-    records = empties + lattices
+    records = candidate_records(4, 4)
     assert all(primitivize(rec.system()) == rec.system() for rec in records)
 
     def no_primitivize(sys):

@@ -1,8 +1,8 @@
 """The package's value records: checked constructors, equality, immutability and pickling.
 
 Every record is a named tuple except `Cone`, which caches its shortest
-paths. `CandidateRecord` overrides its equality and hash to ignore its
-provenance.
+paths. `CandidateRecord` keeps tuple equality, which compares its
+provenance too.
 A record that checks its fields does so in `__new__`, which also runs when a
 pickled record is loaded, so a record that crosses a worker pipe
 (`--jobs 2`) is checked again on arrival.
@@ -24,15 +24,16 @@ from deltasimplex import (
     check_equivalence,
     compose,
     corner_minimum,
-    enumerate_families,
     enumerate_H,
     equivalent_normalized_set,
     group_table,
-    identity_map,
     inverse,
     validate_simplex,
 )
+from deltasimplex.atlas import candidate_records
 from deltasimplex.normal_form import key_step
+
+from helpers import identity_map
 
 TRIANGLE = InequalitySystem(2, ((-1, 0), (0, -1), (1, 1)), (0, 0, 1))
 NS = NormalizedSystem(n=1, s=0, k=1, H=((3,),), h=(1,), c=(-1,), c0=0, delta=3)
@@ -105,22 +106,11 @@ def test_records_are_immutable():
         del rec.family
 
 
-def test_candidate_record_equality_and_hash_ignore_provenance():
-    a = CandidateRecord(NS, "empty", {"c0": 0, "h_index": 1})
-    b = CandidateRecord(NS, "empty", {"c0": 0, "h_index": 2})
-    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != CandidateRecord(NS, "lattice_empty", a.provenance)
-    other = NormalizedSystem(n=1, s=0, k=1, H=((3,),), h=(2,), c=(-1,), c0=0, delta=3)
-    assert a != CandidateRecord(other, "empty", a.provenance)
-    assert a != (NS, "empty", a.provenance)
-    assert repr(a) == f"CandidateRecord(ns={NS!r}, family='empty', provenance={a.provenance!r})"
-
-
 def _records():
     """One instance of every picklable record type, built the way the package builds it."""
     meta = validate_simplex(TRIANGLE)
     m = AffineUnimodularMap(((1, 1), (0, 1)), (2, -1))
-    empties, lattices = enumerate_families(4, 3)
+    records = candidate_records(4, 3)
     return [
         TRIANGLE,
         meta,
@@ -129,8 +119,8 @@ def _records():
         inverse(m),
         NS,
         next(iter(enumerate_H(4, 3))),
-        empties[0],
-        lattices[0],
+        next(rec for rec in records if rec.family == "empty"),
+        next(rec for rec in records if rec.family == "lattice_empty"),
         EmptyRange(l_star=-1, f_star=2),
         group_table(((1, 0), (1, 2))),
         corner_minimum(((2,),), (1,), (-1,)),

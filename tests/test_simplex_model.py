@@ -16,7 +16,6 @@ from deltasimplex import (
     apply_map,
     compose,
     count_integer_points_bruteforce,
-    identity_map,
     inverse,
     matrix,
     system_from_dict,
@@ -24,9 +23,10 @@ from deltasimplex import (
     validate_simplex,
     vector,
 )
+from deltasimplex import simplex_model
 from deltasimplex.exact_linalg import solve_rational
 
-from helpers import cofactor_det, max_minors, random_simplex, random_unimodular_map
+from helpers import cofactor_det, identity_map, max_minors, random_simplex, random_unimodular_map, vertices
 
 
 def test_shapes_enforced():
@@ -66,7 +66,7 @@ def test_non_integer_entries_rejected(bad):
 def test_validate_standard_triangle(triangle):
     meta = validate_simplex(triangle)
     assert meta.delta == 1
-    assert set(meta.vertices) == {(0, 0), (1, 0), (0, 1)}
+    assert set(vertices(meta)) == {(0, 0), (1, 0), (0, 1)}
     assert meta.max_det_bases == ((1, 2), (0, 2), (0, 1))
 
 
@@ -125,14 +125,30 @@ def test_compose_and_inverse_stay_unimodular():
         n = rng.randint(1, 5)
         m1 = random_unimodular_map(rng, n)
         m2 = random_unimodular_map(rng, n)
-        point = tuple(rng.randint(-9, 9) for _ in range(n))
+        point = (tuple(rng.randint(-9, 9) for _ in range(n)), 1)
         both = compose(m2, m1)
-        assert both.apply(point) == m2.apply(m1.apply(point))
+        assert both.image(point) == m2.image(m1.image(point))
         for m in (both, inverse(m1), inverse(both)):
             assert abs(cofactor_det(m.U)) == 1
-        assert inverse(m1).apply(m1.apply(point)) == point
+        assert inverse(m1).image(m1.image(point)) == point
         assert compose(m1, inverse(m1)) == identity_map(n)
         assert compose(inverse(both), both) == identity_map(n)
+
+
+def test_image_maps_reduced_points():
+    # image((nums, d)) is (U nums + d x0) / d in lowest terms, which is
+    # U v + x0 for the point v = nums / d.
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        m = random_unimodular_map(rng, n)
+        d = rng.randint(1, 6)
+        point = simplex_model.reduced_point(tuple(rng.randint(-9, 9) for _ in range(n)), d)
+        nums, den = m.image(point)
+        assert den > 0 and math.gcd(*nums, den) == 1
+        v = [Fraction(x, point[1]) for x in point[0]]
+        expected = [sum(a * x for a, x in zip(row, v)) + t for row, t in zip(m.U, m.x0)]
+        assert [Fraction(x, den) for x in nums] == expected
 
 
 def test_count_triangle(triangle):
@@ -149,10 +165,11 @@ def test_count_lattice_corner():
     assert count_integer_points_bruteforce(sys) == 3
 
 
-def test_count_cap():
+def test_count_cap(monkeypatch):
+    monkeypatch.setattr(simplex_model, "POINT_COUNT_CAP", 1000)
     big = InequalitySystem(2, ((-1, 0), (0, -1), (1, 1)), (0, 0, 1000))
-    with pytest.raises(ScaleExceededError):
-        count_integer_points_bruteforce(big, cap=1000)
+    with pytest.raises(ScaleExceededError, match="> cap 1000$"):
+        count_integer_points_bruteforce(big)
 
 
 def test_invariants_under_maps():
@@ -169,7 +186,7 @@ def test_invariants_under_maps():
             abs(x) for _, x in max_minors(sys.A)
         )
         inv = inverse(m)
-        assert set(meta2.vertices) == {inv.apply(v) for v in meta.vertices}
+        assert set(meta2.points) == set(map(inv.image, meta.points))
 
 
 def test_minor_multiset_invariant_under_row_permutation():
@@ -186,15 +203,16 @@ def test_minor_multiset_invariant_under_row_permutation():
     )
 
 
-def test_count_invariant_under_maps():
+def test_count_invariant_under_maps(monkeypatch):
+    monkeypatch.setattr(simplex_model, "POINT_COUNT_CAP", 500_000)
     rng = random.Random(13)
     for _ in range(8):
         n = rng.randint(1, 2)
         sys = random_simplex(rng, n, entry_bound=4)
         m = random_unimodular_map(rng, n, entry_bound=4, trans_bound=3)
         try:
-            before = count_integer_points_bruteforce(sys, cap=500_000)
-            after = count_integer_points_bruteforce(apply_map(sys, m), cap=500_000)
+            before = count_integer_points_bruteforce(sys)
+            after = count_integer_points_bruteforce(apply_map(sys, m))
         except ScaleExceededError:
             continue
         assert before == after
@@ -209,13 +227,13 @@ def test_json_round_trip(triangle):
 def test_vertices_are_exact_fractions(triangle):
     sys = InequalitySystem(1, ((2,), (-3,)), (1, -1))
     meta = validate_simplex(sys)
-    assert set(meta.vertices) == {(Fraction(1, 2),), (Fraction(1, 3),)}
+    assert set(vertices(meta)) == {(Fraction(1, 2),), (Fraction(1, 3),)}
 
 
 def test_vertex_points_are_reduced_cramer_solutions():
     # Vertex i is stored as an integer point (nums, den) in lowest terms with
     # den > 0; it must solve the base that omits row i (Cramer's rule with the
-    # test-side cofactor determinant), and `vertices` must be its Fraction view.
+    # test-side cofactor determinant).
     rng = random.Random(84)
     fractional = 0
     for n in [1, 2, 3, 4, 5] * 30:
@@ -232,7 +250,6 @@ def test_vertex_points_are_reduced_cramer_solutions():
                 d_j = cofactor_det(tuple(row[:j] + (bi,) + row[j + 1 :] for row, bi in zip(a, b)))
                 assert nums[j] * d == d_j * den
             fractional += den > 1
-        assert meta.vertices == tuple(tuple(Fraction(x, den) for x in nums) for nums, den in meta.points)
     assert fractional > 100
 
 
@@ -285,7 +302,7 @@ def test_validate_simplex_agrees_with_reference(seed):
         else:
             outcomes.add("simplex")
             meta = validate_simplex(sys)
-            assert (meta.minors, meta.vertices, meta.max_det_bases) == expected
+            assert (meta.minors, vertices(meta), meta.max_det_bases) == expected
             assert meta.delta == max(abs(m) for m in meta.minors)
     assert outcomes == {"simplex", "zero-minor", "tight", "violated"}
 
