@@ -182,14 +182,17 @@ _FAMILY_FLAGS = {"empty": (True, False), "lattice": (False, True), "both": (True
 
 
 def candidate_records(delta: int, dim: int, family: str = "both", up_to: bool = False, jobs: int = 1):
-    """Every verified candidate record for (delta, dim), in block order, before dedup.
+    """Every candidate record for (delta, dim), in block order, before dedup; none is checked yet.
 
     The block walk: with `up_to`, the blocks of every delta' <= delta go into
     one task list; each block gives its empty-family records, then its
     lattice one. With `jobs` > 1 and more than one block, one worker pool
     maps the whole list; otherwise none is started and `multiprocessing` is
     not imported. The list is the same, order and provenance included, for
-    every `jobs`.
+    every `jobs`. The record check runs in `dedup_families`, on every record
+    it walks: every survivor, and every dropped candidate's key lies in the
+    searched set of a record already checked, so it is a form of a checked
+    simplex of the same family (see `enumeration._record`).
     """
     if family not in _FAMILY_FLAGS:
         raise PreconditionError(f"unknown family {family!r}")
@@ -217,7 +220,7 @@ def candidate_records(delta: int, dim: int, family: str = "both", up_to: bool = 
 
 
 def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = False, jobs: int = 1):
-    """Deduplicated, key-sorted atlas records for (delta, dim): `candidate_records`, then dedup.
+    """Checked, deduplicated, key-sorted atlas records for (delta, dim): `candidate_records`, then dedup.
 
     delta is part of the canonical key and a class invariant, so with
     `up_to` no equivalence search crosses delta values.
@@ -246,7 +249,7 @@ def eq1_bound(delta: int, n: int) -> float:
 def verify_atlas(records, max_pairs: int = 100) -> list[str]:
     """Re-validate every record; returns a list of human-readable problems.
 
-    Checks, per record: the generator's own record check,
+    Checks, per record: the record check that the dedup walk runs,
     `enumeration.record_problem` (the normal form, which recomputes delta;
     a simplex; a known family; integral vertices for the lattice family),
     then in every dimension the point-count oracle for the claimed family,

@@ -17,8 +17,10 @@ only possible (c, c0), and one cone minimum and one facet count decide it
 Only two rules drop a candidate: a row gcd > 1 (the class it describes comes
 from the run with its true, smaller delta) and, for the lattice family, an
 integer point besides the vertices. All else holds by construction, so the
-record builder `_record` raises InvariantViolation when `record_problem`,
-the record check that `atlas.verify_atlas` runs too, finds a problem.
+stream is unchecked: the record builder `_record` only builds, and
+`record_problem`, the one record check, runs where its meta is needed: in
+`equivalence.dedup_families` on every record it walks, every survivor
+among them, and in `atlas.verify_atlas` on every record read.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ def c0_candidates(cone: Cone, h) -> EmptyRange:
 
 
 def candidates_for_block(block: HnfBlock, want_empty: bool, want_lattice: bool):
-    """All verified candidate records generated by one H block, as (empties, lattices).
+    """All candidate records generated by one H block, as (empties, lattices); unchecked, see `_record`.
 
     One `Cone` per c, shared by both families, so each (H, c) runs Dijkstra
     at most once. The empty family loops over every reduced h != 0 that
@@ -302,7 +304,15 @@ def _lattice_record(block: HnfBlock, delta: int, cones: dict[Vec, Cone]) -> Cand
 
 
 def _record(block, delta, family, h_index, h, c_index, c, c0) -> CandidateRecord:
-    """The verified record of one generated candidate; InvariantViolation if `record_problem` finds one.
+    """The record of one generated candidate, with its provenance; it is not checked here.
+
+    `equivalence.dedup_families` runs `record_problem` on each record it
+    walks and raises InvariantViolation on a problem. That checks every
+    written record: the walk visits keys in ascending order and walks every
+    survivor. A candidate is dropped unwalked only when its key is in the
+    searched set of a record already checked; the key is injective on forms,
+    so the candidate is a form of a checked simplex, and its family cannot
+    differ, as an empty simplex is never equivalent to a lattice one.
 
     Every check holds by construction, so a failure is a generator bug:
     - H and h: `enumerate_H` gives Hermite form, det(H) = delta, the identity
@@ -320,9 +330,6 @@ def _record(block, delta, family, h_index, h, c_index, c, c0) -> CandidateRecord
       the lattice one, whose vertices `_lattice_vertices_integral` passed.
     """
     ns = NormalizedSystem(n=block.s + block.k, s=block.s, k=block.k, H=block.H, h=h, c=c, c0=c0, delta=delta)
-    problem, _ = record_problem(ns, family)
-    if problem is not None:
-        raise InvariantViolation(f"{family} candidate {(block.diag, h, c, c0)}: {problem}")
     provenance = dict(
         delta=delta, diag=list(block.diag), tuple_index=block.tuple_index, t_index=block.t_index,
         b_index=block.b_index, h_index=h_index, c_index=c_index, c0=c0,
@@ -333,11 +340,11 @@ def _record(block, delta, family, h_index, h, c_index, c, c0) -> CandidateRecord
 def record_problem(ns: NormalizedSystem, family: str) -> tuple[str | None, SimplexMeta | None]:
     """The first claim of a record that fails, as text, or None; with the record's SimplexMeta.
 
-    The one record check, run by the generator (`_record`) and by
-    `atlas.verify_atlas`, in this order: the normal form (with it, every row
-    of (A | b) is primitive), that the system is a simplex, a known family,
-    and integral vertices for the lattice family. The point count is the
-    caller's. The meta is None when the simplex check was not reached.
+    The one record check, run by the dedup walk (`equivalence.dedup_families`)
+    and by `atlas.verify_atlas`, in this order: the normal form (with it,
+    every row of (A | b) is primitive), that the system is a simplex, a known
+    family, and integral vertices for the lattice family. The point count is
+    the caller's. The meta is None when the simplex check was not reached.
     """
     ok, violated = validate_normalized(ns)
     if not ok:

@@ -27,7 +27,9 @@ Each caller builds only what it reads. `equivalent_normalized_set` builds
 every form and map. `check_equivalence` reads the first simplex's keys and
 legs through a bounded memo (`MEMO_CACHE_SIZE` entries, keyed by the
 primitive system and its meta), so a repeated reference simplex is searched
-once, and builds the one map a hit needs. `dedup_families` reads the keys.
+once, and builds the one map a hit needs. `dedup_families` reads the keys,
+and runs the one record check (`enumeration.record_problem`) on each
+record it walks, whose meta the search then reuses.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
+from .enumeration import record_problem
 from .errors import InvariantViolation
 from .exact_linalg import MEMO_CACHE_SIZE, Mat
-from .normal_form import key_step, key_tuple, leg_map, primitivize
+from .normal_form import canonical_key, key_step, key_tuple, leg_map, primitivize
 from .simplex_model import (
     AffineUnimodularMap,
     InequalitySystem,
@@ -282,26 +285,40 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
 
 
 def dedup_families(records: list) -> list:
-    """Collapse a stream of `CandidateRecord`s to one representative per equivalence class.
+    """Check a stream of `CandidateRecord`s and collapse it to one representative per equivalence class.
 
     Records are indexed by canonical key; walking the keys in ascending
-    order, each still-present record runs the equivalent-set search and
-    every other member found in the index is removed. Only the keys are
-    read, so no map is built and no form beyond the search's starting
-    forms: each key acted on names a record validated when it was made,
-    whose system is primitive (`enumeration.record_problem` checks the
-    row gcds) and is searched as it is.
-    Nothing is memoized, so memory stays flat however long the stream. The
-    survivor of each class is the record with the least key present.
+    order, each still-present record gets the one record check,
+    `enumeration.record_problem` (InvariantViolation on a problem, with the
+    record's provenance), runs the equivalent-set search with the meta that
+    check returned, and every other member found in the index is removed.
+    Only the keys are read, so no map is built and no form beyond the
+    search's starting forms; a checked system is primitive (the check covers
+    the row gcds) and is searched as it is.
+
+    Every survivor is walked, so every record returned is checked. A record
+    is dropped unwalked only when its key is in the searched set of a record
+    already checked; the key is injective on forms, so it is a form of a
+    checked simplex, and its family cannot differ, as an empty simplex is
+    never equivalent to a lattice one.
+
+    Nothing is memoized, so memory stays flat however long the stream. A
+    walked record is removed again when a later record's search reaches
+    its key although its own search missed the later one, which the
+    incomplete search allows (see the module docstring): at (4, 5) both,
+    17 of the 74 records walked. So the survivor of a class is not always
+    the record with its least key present.
     """
     index: dict = {}
     for rec in records:
         index.setdefault(key_tuple(rec.ns), rec)
-    for key in sorted(index):
+    for key, rec in sorted(index.items()):  # keys are unique, so no record is compared
         if key not in index:
             continue
-        sys = index[key].system()
-        found = class_keys(sys, validate_simplex(sys))
+        problem, meta = record_problem(rec.ns, rec.family)
+        if problem is not None:
+            raise InvariantViolation(f"record {canonical_key(rec.ns)}: {problem} [provenance {rec.provenance}]")
+        found = class_keys(rec.system(), meta)
         if key not in found:
             raise InvariantViolation("record's own canonical form missing from its equivalent set")
         for other in found:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,10 @@ from deltasimplex import (
     enumerate_h,
     hnf,
     identity,
+    key_tuple,
     validate_normalized,
 )
-from deltasimplex.atlas import candidate_records
+from deltasimplex.atlas import candidate_records, enumerate_atlas
 from deltasimplex.corner_ilp import path_table
 from deltasimplex.equivalence import dedup_families
 
@@ -484,14 +486,14 @@ def test_closed_form_invariants_raise(monkeypatch):
 
 def test_failed_record_check_raises_instead_of_dropping(monkeypatch):
     # Every record check holds by construction, so a candidate that fails
-    # one is a generator bug: candidates_for_block raises InvariantViolation
-    # rather than drop the candidate, in both families.
+    # one is a generator bug: the dedup walk, which checks every record it
+    # keeps, raises InvariantViolation rather than drop the candidate, in
+    # both families. The generator itself checks nothing.
     from deltasimplex import NotASimplexError, enumeration
 
-    cases = [(next(enumerate_H(3, 1)), True, False), (next(enumerate_H(1, 2)), False, True)]
-    for block, want_empty, want_lattice in cases:
-        empties, lattices = enumeration.candidates_for_block(block, want_empty, want_lattice)
-        assert len(empties if want_empty else lattices) > 0
+    cases = [(3, 1, "empty"), (1, 2, "lattice")]
+    for delta, dim, family in cases:
+        assert len(enumerate_atlas(delta, dim, family)) > 0
 
     def not_a_simplex(sys):
         raise NotASimplexError("zero minor")
@@ -502,28 +504,69 @@ def test_failed_record_check_raises_instead_of_dropping(monkeypatch):
     ]
     for name, fake, message in patches:
         monkeypatch.setattr(enumeration, name, fake)
-        for block, want_empty, want_lattice in cases:
+        for delta, dim, family in cases:
+            candidates = candidate_records(delta, dim, family)
+            assert len(candidates) > 0
             with pytest.raises(InvariantViolation, match=message):
-                enumeration.candidates_for_block(block, want_empty, want_lattice)
+                dedup_families(candidates)
+            with pytest.raises(InvariantViolation, match=message):
+                enumerate_atlas(delta, dim, family)
         monkeypatch.undo()
 
 
 def test_generator_and_verify_share_one_record_check(monkeypatch):
     # `record_problem` is the one record check: a problem it reports makes
-    # candidates_for_block raise and verify_atlas report the record.
-    from deltasimplex import atlas, enumeration
+    # the dedup walk raise, naming the first record it walks and its
+    # provenance, and makes verify_atlas report every record.
+    from deltasimplex import atlas, equivalence
 
-    block = next(enumerate_H(3, 1))
-    records = atlas.enumerate_atlas(3, 1)
+    records = enumerate_atlas(3, 1)
     fake = lambda ns, family: ("planted problem", None)
-    for mod in (enumeration, atlas):
+    for mod in (equivalence, atlas):
         monkeypatch.setattr(mod, "record_problem", fake)
-    with pytest.raises(InvariantViolation, match="planted problem"):
-        enumeration.candidates_for_block(block, True, True)
+    first = records[0]  # at (3, 1) the least candidate key survives; the walk checks it first
+    message = f"record {canonical_key(first.ns)}: planted problem [provenance {first.provenance}]"
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        enumerate_atlas(3, 1)
     assert atlas.verify_atlas(records) == [
         f"record {i} (key {canonical_key(rec.ns)}): planted problem [provenance {rec.provenance}]"
         for i, rec in enumerate(records)
     ]
+
+
+def test_record_check_runs_once_per_walked_record(monkeypatch):
+    # The generator checks nothing; the walk checks each key it visits once,
+    # in ascending order, and every written record is among them. At (4, 5)
+    # both, 132 candidates give 74 checks and 57 written records: 58
+    # candidates are dropped unchecked as forms of a checked record, and 17
+    # checked records are removed by a later record's search, which reaches
+    # them although their own search missed it (the search is incomplete).
+    from deltasimplex import equivalence
+
+    calls = []
+    check = equivalence.record_problem
+
+    def counting(ns, family):
+        calls.append(ns)
+        return check(ns, family)
+
+    candidates = candidate_records(4, 5)
+    monkeypatch.setattr(equivalence, "record_problem", counting)
+    records = dedup_families(candidates)
+    keys = [key_tuple(ns) for ns in calls]
+    assert keys == sorted(set(keys))
+    assert {rec.ns for rec in records} <= set(calls) <= {rec.ns for rec in candidates}
+    assert (len(candidates), len(calls), len(records)) == (132, 74, 57)
+
+
+def test_dedup_rejects_a_record_of_unknown_family():
+    # The walk checks the family claim too: a record tagged with neither
+    # family is an error, not a class representative.
+    candidates = candidate_records(3, 2)
+    least = min(range(len(candidates)), key=lambda i: key_tuple(candidates[i].ns))
+    candidates[least] = candidates[least]._replace(family="other")
+    with pytest.raises(InvariantViolation, match="unknown family 'other'"):
+        dedup_families(candidates)
 
 
 def test_record_check_requires_integral_lattice_vertices():

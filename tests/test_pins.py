@@ -5,8 +5,9 @@ with the hashes recorded in the benchmark's reference file, so a change to
 the canonical form, the dedup survivors or the record format shows up here
 and not only in a benchmark run; a two-worker run must write the same
 bytes. The two cells where dedup does the most work are pinned by hashes of
-their own. The benchmark's tracer wraps package functions by name from
-outside the package; every name it lists must keep resolving.
+their own, and the cheap cells of the class-count table by their counts.
+The benchmark's tracer wraps package functions by name from outside the
+package; every name it lists must keep resolving.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from deltasimplex.atlas import enumerate_atlas, eq1_bound
 from deltasimplex.atlas_cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -93,6 +95,31 @@ def test_dedup_heavy_atlas_is_pinned(tmp_path, cell):
     assert main(["enumerate", *args, "--out", str(out)]) == 0
     data = out.read_bytes()
     assert (len(data.splitlines()), hashlib.sha256(data).hexdigest()) == (lines, sha256)
+
+
+# Classes per (delta, n) as (empty, lattice) counts: the cheap cells of the
+# class-count table, which no hash pin covers. The delta 3 empty counts
+# equal ceil(3n / 2) for n = 1..10, an observation, not a theorem.
+CLASS_COUNTS = {
+    1: {n: (0, 1) for n in range(1, 11)},
+    2: {n: (0, 0) for n in range(1, 11)},
+    3: {n: (empty, 0) for n, empty in enumerate([2, 3, 5, 6, 8, 9, 11, 12, 14, 15], start=1)},
+    4: {1: (4, 0), 2: (13, 0), 3: (24, 1)},
+}
+
+
+@pytest.mark.parametrize("delta", sorted(CLASS_COUNTS))
+def test_class_counts_are_pinned(delta):
+    """Each cell keeps its class counts, and each count is within `eq1_bound`.
+
+    A completeness or soundness slip in generation, the record check or
+    dedup moves a count in some cell, even where no atlas hash is pinned.
+    """
+    for n, expected in CLASS_COUNTS[delta].items():
+        records = enumerate_atlas(delta, n)
+        counts = tuple(sum(rec.family == family for rec in records) for family in ("empty", "lattice_empty"))
+        assert counts == expected, (delta, n)
+        assert max(counts) <= eq1_bound(delta, n), (delta, n)
 
 
 def test_traced_names_resolve():
