@@ -27,7 +27,11 @@ Each caller builds only what it reads. `equivalent_normalized_set` builds
 every form and map. `check_equivalence` reads the first simplex's keys and
 legs through a bounded memo (`MEMO_CACHE_SIZE` entries, keyed by the
 primitive system and its meta), so a repeated reference simplex is searched
-once, and builds the one map a hit needs. `dedup_families` reads the keys,
+once, and builds the one map a hit needs. Before it searches, it compares
+an exact class invariant read off the two metas (`_lattice_invariant`:
+volume, facet pairs and edge lattice lengths, a few dozen integer
+operations), which rejects most inequivalent pairs that share the
+|minor| multiset without a search. `dedup_families` reads the keys,
 and runs the one record check (`enumeration.record_problem`) on each
 record it walks, whose meta the search then reuses.
 """
@@ -35,6 +39,7 @@ record it walks, whose meta the search then reuses.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -229,6 +234,41 @@ def _search_legs(prim: InequalitySystem, meta: SimplexMeta) -> MappingProxyType:
     return MappingProxyType({step.key: legs for step, legs in _search(prim, meta)})
 
 
+def _lattice_invariant(prim: InequalitySystem, meta: SimplexMeta) -> tuple:
+    """Exact class invariant of primitive `prim`, with `meta = validate_simplex(prim)`.
+
+    Returns (volume, facet pairs, edge lengths); equivalent simplices give
+    equal values. A map x -> U x + x0 turns the primitive rows [A | b] into
+    the primitive rows [A U | b - A x0], in the same order, and a row order
+    only permutes indices, which the sorted tuples forget.
+
+    - Volume, |det [A | b]|: [A U | b - A x0] = [A | b] [[U, -x0], [0, 1]],
+      a factor of determinant +-1. It is read off the meta: the slack of
+      row 0 at vertex 0 is det [A | b] / minor_0 up to sign, so
+      |det| = |minor_0| |b_0 d_0 - a_0 . nums_0| / d_0.
+    - Facet pairs, the sorted (|minor_i|, d_i), d_i the denominator of
+      vertex i (opposite row i): U keeps |minors|, and the integral affine
+      map between the simplices keeps a point's reduced denominator.
+    - Edge lengths, the sorted lattice lengths of p_i - p_j as reduced
+      (numerator, denominator): content(D (p_i - p_j)) / D in lowest terms,
+      for D = d_i d_j or any other common denominator. U keeps the content
+      of an integer vector, and the translation cancels.
+
+    Integers throughout: one pass over the n + 1 vertices and two gcds per edge.
+    """
+    points = meta.points
+    nums0, d0 = points[0]
+    volume = abs(meta.minors[0] * (prim.b[0] * d0 - sum(a * x for a, x in zip(prim.A[0], nums0)))) // d0
+    facets = sorted(zip(map(abs, meta.minors), (d for _, d in points)))
+    edges = []
+    for (nums_i, d_i), (nums_j, d_j) in itertools.combinations(points, 2):
+        den = d_i * d_j
+        content = math.gcd(*(x * d_j - y * d_i for x, y in zip(nums_i, nums_j)))
+        g = math.gcd(content, den)
+        edges.append((content // g, den // g))
+    return volume, tuple(facets), tuple(sorted(edges))
+
+
 class EquivalenceResult(NamedTuple):
     equivalent: bool
     witness: AffineUnimodularMap | None = None
@@ -238,15 +278,29 @@ class EquivalenceResult(NamedTuple):
 def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> EquivalenceResult:
     """Decide unimodular equivalence of two simplices, with a verified witness.
 
-    Cheap invariants (dimension, delta, the multiset of |maximal minors|)
-    reject most non-equivalent pairs outright. Otherwise the second simplex
-    is normalized once and looked up in the first simplex's equivalent set,
-    which is searched once per distinct first simplex while it stays in the
-    memo (`_search_legs`). On a hit the one witness map is built; it
-    carries the first simplex onto the second and is verified on the vertex
-    sets before being returned: each point of `SimplexMeta.points` is mapped
-    by `AffineUnimodularMap.image`, and the sets of reduced integer points
-    are compared.
+    The checks, in order, each with its certificate on a rejection:
+
+    1. Dimension, delta and the multiset of |maximal minors|, all read off
+       the two validations (`dimension-mismatch`, `delta-mismatch`,
+       `minor-multiset-mismatch`).
+    2. The second simplex is normalized once at its least maximal base; its
+       form is built and validated on every path past step 1. If the first
+       simplex's least-base key equals it, the pair is equivalent (the fast
+       path: one key step and two maps).
+    3. Otherwise the two `_lattice_invariant`s are compared
+       (`invariant-mismatch`): a pass over the vertices and two gcds per
+       edge, against a full search. It is placed after step 2, so a
+       fast-path hit pays nothing for it.
+    4. Otherwise the second simplex's key is looked up in the first
+       simplex's equivalent set (`search-exhausted` on a miss), which is
+       searched once per distinct first simplex while it stays in the memo
+       (`_search_legs`).
+
+    On a hit the one witness map is built; it carries the first simplex onto
+    the second and is verified on the vertex sets before being returned:
+    each point of `SimplexMeta.points` is mapped by
+    `AffineUnimodularMap.image`, and the sets of reduced integer points are
+    compared.
     """
     prim_s = primitivize(sys_s)
     prim_t = primitivize(sys_t)
@@ -267,12 +321,15 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
     # Fast path: if the least-base normalizations already coincide, the two
     # direct maps compose to a witness (the identity when S and T are equal).
     # S's form is then T's, field for field (the key is injective), and
-    # already validated, so only its map is built. On a miss the search
-    # below builds and validates S's starting form itself, once per
-    # distinct S while it stays in the memo.
+    # already validated, so only its map is built. On a miss the two lattice
+    # invariants are compared, and only if they agree does the search below
+    # build and validate S's starting form itself, once per distinct S while
+    # it stays in the memo.
     step_s = key_step(prim_s, min(meta_s.max_det_bases), meta_s.delta)
     if step_s.key == step_t.key:
         stored_s = inverse(step_s.map())
+    elif _lattice_invariant(prim_s, meta_s) != _lattice_invariant(prim_t, meta_t):
+        return EquivalenceResult(False, certificate="invariant-mismatch")
     else:
         legs = _search_legs(prim_s, meta_s).get(step_t.key)
         if legs is None:

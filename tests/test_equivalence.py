@@ -20,6 +20,7 @@ from deltasimplex import (
     validate_simplex,
 )
 from deltasimplex.atlas import candidate_records
+from deltasimplex.equivalence import _lattice_invariant
 from deltasimplex.exact_linalg import hnf
 from deltasimplex.normal_form import _normalize_primitive, key_step
 
@@ -375,6 +376,38 @@ def test_row_reordered_simplex_is_equivalent(pair):
     assert check_equivalence(*pair).equivalent
 
 
+def _shuffled_image(rng, sys):
+    """A unimodular image of `sys` with its rows in a random order."""
+    n = sys.n
+    moved = apply_map(sys, random_unimodular_map(rng, n, entry_bound=6, trans_bound=5))
+    order = rng.sample(range(n + 1), n + 1)
+    return InequalitySystem(n, tuple(moved.A[i] for i in order), tuple(moved.b[i] for i in order))
+
+
+def test_lattice_invariant_agrees_on_equivalent_pairs(atlas_cache):
+    # Every pair is equivalent: seeded simplices and the (4, 5) both atlas,
+    # each against a row-shuffled unimodular image, and the pinned S/T pair,
+    # which the search calls inequivalent. The invariant must agree on each,
+    # so check_equivalence never answers invariant-mismatch on them.
+    rng = random.Random(89)
+    pairs = []
+    for n in [2, 3, 4] * 300 + [5] * 100:  # rejection sampling is slow at n = 5
+        sys = random_simplex(rng, n, entry_bound=4 if n < 5 else 3)
+        pairs.append((sys, _shuffled_image(rng, sys)))
+    records = atlas_cache(4, 5)
+    assert len(records) == 57
+    pairs += [(rec.system(), _shuffled_image(rng, rec.system())) for rec in records]
+    pairs += [(_INCOMPLETE_S, _INCOMPLETE_T), (_INCOMPLETE_T, _INCOMPLETE_S)]
+    certificates = {}
+    for sys_s, sys_t in pairs:
+        prim_s, prim_t = primitivize(sys_s), primitivize(sys_t)
+        inv_s = _lattice_invariant(prim_s, validate_simplex(prim_s))
+        assert inv_s == _lattice_invariant(prim_t, validate_simplex(prim_t))
+        certificate = check_equivalence(sys_s, sys_t).certificate
+        certificates[certificate] = certificates.get(certificate, 0) + 1
+    assert set(certificates) == {None, "search-exhausted"}  # never invariant-mismatch
+
+
 def test_witness_check_rejects_a_shifted_witness(monkeypatch):
     # The vertex-set check runs on integer points: a witness moved by e_1
     # must fail it, for S against itself and against a unimodular image of S
@@ -453,14 +486,28 @@ def test_check_equivalence_minor_multiset_mismatch():
 
 
 def test_check_equivalence_same_invariants_not_equivalent():
-    # [1/3, 2/3] vs [-1/3, 1/3]: same dimension, delta, and |minor| multiset
-    # {3, 3}, but the second contains the origin, so only the full search can
-    # separate them.
+    # [1/5, 2/5] vs [2/5, 3/5]: same dimension, delta, |minor| multiset
+    # {5, 5}, volume 5, facet pairs (5, 5) twice and edge length 1/5, but
+    # the end points are {1, 2} / 5 against {2, 3} / 5 modulo 1 and x -> -x,
+    # so only the full search can separate them.
+    a = InequalitySystem(1, ((5,), (-5,)), (2, -1))
+    b = InequalitySystem(1, ((5,), (-5,)), (3, -2))
+    for s, t in ((a, b), (b, a)):
+        result = check_equivalence(s, t)
+        assert not result.equivalent
+        assert result.certificate == "search-exhausted"
+
+
+def test_check_equivalence_volume_mismatch():
+    # [1/3, 2/3] vs [-1/3, 1/3]: same dimension, delta and |minor| multiset
+    # {3, 3}, but |det [A | b]| is 3 against 6 (the second contains the
+    # origin), so the lattice invariant separates them before the search.
     a = InequalitySystem(1, ((3,), (-3,)), (2, -1))
     b = InequalitySystem(1, ((3,), (-3,)), (1, 1))
-    result = check_equivalence(a, b)
-    assert not result.equivalent
-    assert result.certificate == "search-exhausted"
+    for s, t in ((a, b), (b, a)):
+        result = check_equivalence(s, t)
+        assert not result.equivalent
+        assert result.certificate == "invariant-mismatch"
 
 
 def test_segment_classes_equivalent_forms():
@@ -715,11 +762,13 @@ def _equivalence_queries(rng, count):
         shuffled = InequalitySystem(n, tuple(moved.A[i] for i in order), tuple(moved.b[i] for i in order))
         other = random_simplex(rng, n, entry_bound=4 if n < 4 else 3)
         pairs += [(sys, moved), (sys, shuffled), (sys, other), (sys, sys)]
-    # Distinct classes that share (n, delta, minor multiset) reach the search and miss.
+    # Records that share the full lattice invariant get past it to the search,
+    # which misses: at (5, 3) they are distinct classes, or one class that
+    # the incomplete search split (see the module docstring of equivalence).
     groups = {}
-    for rec in dedup_families(candidate_records(4, 3)):
-        minors = sorted(abs(m) for _, m in max_minors(rec.ns.full_matrix()))
-        groups.setdefault(tuple(minors), []).append(rec.system())
+    for rec in dedup_families(candidate_records(5, 3)):
+        prim = rec.system()
+        groups.setdefault(_lattice_invariant(prim, validate_simplex(prim)), []).append(prim)
     for group in groups.values():
         pairs += [(a, b) for a, b in zip(group, group[1:])]
     return pairs
