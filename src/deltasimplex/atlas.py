@@ -186,13 +186,14 @@ def candidate_records(delta: int, dim: int, family: str = "both", up_to: bool = 
 
     The block walk: with `up_to`, the blocks of every delta' <= delta go into
     one task list; each block gives its empty-family records, then its
-    lattice one. With `jobs` > 1 and more than one block, one worker pool
-    maps the whole list; otherwise none is started and `multiprocessing` is
-    not imported. The list is the same, order and provenance included, for
-    every `jobs`. The record check runs in `dedup_families`, on every record
-    it walks: every survivor, and every dropped candidate's key lies in the
-    searched set of a record already checked, so it is a form of a checked
-    simplex of the same family (see `enumeration._record`).
+    lattice one. With `jobs` > 1 and more than one block, one worker pool of
+    at most one worker per block maps the whole list; otherwise none is
+    started and `multiprocessing` is not imported. The list is the same,
+    order and provenance included, for every `jobs`. The record check runs
+    in `dedup_families`, on every record it walks: every survivor, and every
+    dropped candidate's key lies in the searched set of a record already
+    checked, so it is a form of a checked simplex of the same family (see
+    `enumeration._record`).
     """
     if family not in _FAMILY_FLAGS:
         raise PreconditionError(f"unknown family {family!r}")
@@ -208,7 +209,7 @@ def candidate_records(delta: int, dim: int, family: str = "both", up_to: bool = 
     if jobs > 1 and len(tasks) > 1:
         import multiprocessing  # not at module level: the import adds about 11 ms to every CLI start
 
-        with multiprocessing.Pool(processes=jobs) as pool:
+        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
             results = pool.map(_block_task, tasks)
     else:
         results = map(_block_task, tasks)

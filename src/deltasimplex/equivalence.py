@@ -20,34 +20,31 @@ that differs from one already reached by swapping two adjacent unit-pivot
 rows is not keyed. The identity row order of an expanded base reuses the
 starting form's key step, since it renormalizes that form onto itself.
 
-One loop (`_search`) runs that search. It builds and validates each
+One generator (`_search`) runs that search. It builds and validates each
 expanded base's starting form and nothing else: per new key it yields the
-`KeyStep` and the (U, x0) legs from which the map to the form is built.
-Each caller builds only what it reads. `equivalent_normalized_set` builds
-every form and map. `check_equivalence` reads the first simplex's keys and
-legs through a bounded memo (`MEMO_CACHE_SIZE` entries, keyed by the
-primitive system and its meta), so a repeated reference simplex is searched
-once, and builds the one map a hit needs. Before it searches, it compares
-an exact class invariant read off the two metas (`_lattice_invariant`:
-volume, facet pairs and edge lattice lengths, a few dozen integer
-operations), which rejects most inequivalent pairs that share the
-|minor| multiset without a search. `dedup_families` reads the keys,
-and runs the one record check (`enumeration.record_problem`) on each
-record it walks, whose meta the search then reuses.
+`KeyStep` and its base's starting `KeyStep`, from which the map to the
+form is built. Each caller builds only what it reads.
+`equivalent_normalized_set` builds every form and map. `check_equivalence`
+reads the first simplex's search only up to the second simplex's key and
+builds the one map a hit needs. Before it searches, it compares an exact
+class invariant read off the two metas (`_lattice_invariant`: volume,
+facet pairs and edge lattice lengths, a few dozen integer operations),
+which rejects most inequivalent pairs that share the |minor| multiset
+without a search. `dedup_families` reads the keys, and runs the one record
+check (`enumeration.record_problem`) on each record it walks, whose meta
+the search then reuses.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .enumeration import record_problem
 from .errors import InvariantViolation
-from .exact_linalg import MEMO_CACHE_SIZE, Mat
-from .normal_form import canonical_key, key_step, key_tuple, leg_map, primitivize
+from .exact_linalg import Mat
+from .normal_form import KeyStep, canonical_key, key_step, key_tuple, primitivize
 from .simplex_model import (
     AffineUnimodularMap,
     InequalitySystem,
@@ -171,18 +168,18 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
         meta = validate_simplex(prim)
     else:
         prim = sys
-    return EquivalentSet({step.key: (step.form(), _stored_map(legs)) for step, legs in _search(prim, meta)})
+    return EquivalentSet({step.key: (step.form(), _stored_map(step, start)) for step, start in _search(prim, meta)})
 
 
 def _search(prim: InequalitySystem, meta: SimplexMeta):
-    """The equivalent-set search: yield (step, legs) for each new key, in set order.
+    """The equivalent-set search: yield (step, start) for each new key, in set order.
 
     `prim` is primitive with `meta = validate_simplex(prim)`. Only each
-    expanded base's starting form is built (and validated). `legs` is
-    (leg0, leg), the (U, x0) of the base's starting key step and of
-    `step`, with leg None for the starting form itself (rule 3 of
-    `equivalent_normalized_set`). `step.form()` is the validated form and
-    `_stored_map(legs)` the map from the source to it.
+    expanded base's starting form is built (and validated). `start` is the
+    base's starting key step, and `step is start` for the starting form
+    itself (rule 3 of `equivalent_normalized_set`). `step.form()` is the
+    validated form and `_stored_map(step, start)` the map from the source
+    to it. A generator: a caller that stops early skips the rest.
     """
     seen: set = set()
     starts: set = set()
@@ -204,34 +201,27 @@ def _search(prim: InequalitySystem, meta: SimplexMeta):
                 units[perm] = frozenset(range(ns0.s))
                 if start.key not in seen:
                     seen.add(start.key)
-                    yield start, (start.leg, None)
+                    yield start, start
                 continue
             step = key_step(sys0, perm, meta.delta)
             units[perm] = frozenset(step.row_src[: step.s])
             if step.key not in seen:
                 seen.add(step.key)
-                yield step, (start.leg, step.leg)
+                yield step, start
 
 
-def _stored_map(legs) -> AffineUnimodularMap:
-    """The map from the source simplex to a searched form, from its `_search` legs."""
-    leg0, leg = legs
-    m0 = leg_map(leg0)  # starting form -> source
-    if leg is None:
+def _stored_map(step: KeyStep, start: KeyStep) -> AffineUnimodularMap:
+    """The map from the source simplex to a searched form, from its `_search` pair."""
+    m0 = start.map()  # starting form -> source
+    if step is start:
         return inverse(m0)
-    # m0 and m1 both point record -> source; store source -> record.
-    return inverse(compose(m0, leg_map(leg)))
+    # m0 and step's map both point record -> source; store source -> record.
+    return inverse(compose(m0, step.map()))
 
 
 def class_keys(prim: InequalitySystem, meta: SimplexMeta) -> set:
     """The canonical key tuples `_search` reaches from primitive `prim`, with `meta = validate_simplex(prim)`."""
     return {step.key for step, _ in _search(prim, meta)}
-
-
-@lru_cache(maxsize=MEMO_CACHE_SIZE)
-def _search_legs(prim: InequalitySystem, meta: SimplexMeta) -> MappingProxyType:
-    """Memo of `_search` for `check_equivalence`: a read-only canonical key -> legs mapping."""
-    return MappingProxyType({step.key: legs for step, legs in _search(prim, meta)})
 
 
 def _lattice_invariant(prim: InequalitySystem, meta: SimplexMeta) -> tuple:
@@ -291,10 +281,11 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
        (`invariant-mismatch`): a pass over the vertices and two gcds per
        edge, against a full search. It is placed after step 2, so a
        fast-path hit pays nothing for it.
-    4. Otherwise the second simplex's key is looked up in the first
-       simplex's equivalent set (`search-exhausted` on a miss), which is
-       searched once per distinct first simplex while it stays in the memo
-       (`_search_legs`).
+    4. Otherwise the first simplex's equivalent-set search runs until it
+       yields the second simplex's key (`search-exhausted` if it never
+       does). The search yields each key once, so the step it stops at is
+       the one `equivalent_normalized_set` stores under that key, and the
+       witness is the same. Nothing is kept between calls.
 
     On a hit the one witness map is built; it carries the first simplex onto
     the second and is verified on the vertex sets before being returned:
@@ -313,7 +304,7 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
     if sorted(map(abs, meta_s.minors)) != sorted(map(abs, meta_t.minors)):
         return EquivalenceResult(False, certificate="minor-multiset-mismatch")
 
-    # T's form is built and validated on every path; its map, the last leg
+    # T's form is built and validated on every path; its map, the last factor
     # of the witness (record -> T), only on a hit.
     step_t = key_step(prim_t, min(meta_t.max_det_bases), meta_t.delta)
     step_t.form()
@@ -323,18 +314,17 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
     # S's form is then T's, field for field (the key is injective), and
     # already validated, so only its map is built. On a miss the two lattice
     # invariants are compared, and only if they agree does the search below
-    # build and validate S's starting form itself, once per distinct S while
-    # it stays in the memo.
+    # build and validate S's starting forms itself.
     step_s = key_step(prim_s, min(meta_s.max_det_bases), meta_s.delta)
     if step_s.key == step_t.key:
         stored_s = inverse(step_s.map())
     elif _lattice_invariant(prim_s, meta_s) != _lattice_invariant(prim_t, meta_t):
         return EquivalenceResult(False, certificate="invariant-mismatch")
     else:
-        legs = _search_legs(prim_s, meta_s).get(step_t.key)
-        if legs is None:
+        found = next((pair for pair in _search(prim_s, meta_s) if pair[0].key == step_t.key), None)
+        if found is None:
             return EquivalenceResult(False, certificate="search-exhausted")
-        stored_s = _stored_map(legs)  # S -> record
+        stored_s = _stored_map(*found)  # S -> record
     witness = compose(step_t.map(), stored_s)  # S -> record -> T
     if frozenset(map(witness.image, meta_s.points)) != frozenset(meta_t.points):
         raise InvariantViolation("equivalence witness failed vertex-set verification")

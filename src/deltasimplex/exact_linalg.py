@@ -22,10 +22,6 @@ FracVec = tuple["Fraction", ...]
 # Entry bound of every memo cache in the package. The largest working set in
 # the benchmark cells is about 1,000 entries. Cones of `corner_ilp` are not
 # memoized: each block of the enumeration keeps its own.
-# The equivalence memo holds one reference simplex's searched keys and
-# (U, x0) legs per entry: on the benchmark query stream at most 8 forms
-# and 1.5 KB pickled, and about 6.5 KB in memory on average, so a full memo
-# of such entries takes about 27 MB.
 MEMO_CACHE_SIZE = 4096
 
 

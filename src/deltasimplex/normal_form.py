@@ -179,9 +179,9 @@ class KeyStep(NamedTuple):
 
     `key` is the canonical key tuple of the form; n, delta, s, H, h, c and
     c0 are the form's fields; U and x0 are the coordinate change and the
-    translation that the form's map is built from (`leg`); row i of the
-    form came from source row row_src[i]. `form()` and `map()` build the
-    validated `NormalizedSystem` and its map. Fields are read by name.
+    translation that the form's map is built from; row i of the form came
+    from source row row_src[i]. `form()` and `map()` build the validated
+    `NormalizedSystem` and its map. Fields are read by name.
 
     A named tuple, like every value record of the package: the search makes
     one per key step, and a named tuple is built about five times faster
@@ -202,11 +202,6 @@ class KeyStep(NamedTuple):
     x0: Vec
     row_src: tuple[int, ...]
 
-    @property
-    def leg(self) -> tuple[Mat, Vec]:
-        """(U, x0): all that the form's map is built from (`leg_map`)."""
-        return self.U, self.x0
-
     def form(self) -> NormalizedSystem:
         """The `NormalizedSystem`, validated; key_tuple of it equals `key`."""
         ns = NormalizedSystem(
@@ -218,8 +213,8 @@ class KeyStep(NamedTuple):
         return ns
 
     def map(self) -> AffineUnimodularMap:
-        """The map carrying the form onto its source."""
-        return leg_map(self.leg)
+        """The map x -> U x + U x0 carrying the form onto its source."""
+        return AffineUnimodularMap(self.U, mat_vec(self.U, self.x0))
 
 
 def key_step(prim: InequalitySystem, base: tuple[int, ...], delta: int) -> KeyStep:
@@ -258,12 +253,6 @@ def key_step(prim: InequalitySystem, base: tuple[int, ...], delta: int) -> KeySt
 
     key = _flat_key(n, delta, h_mat + (c,), h + (c0,))
     return KeyStep(key, n, delta, len(unit), h_mat, h, c, c0, u, x0, row_src)
-
-
-def leg_map(leg: tuple[Mat, Vec]) -> AffineUnimodularMap:
-    """The map x -> U x + U x0 of a key step's leg (U, x0), carrying its form onto its source."""
-    u, x0 = leg
-    return AffineUnimodularMap(u, mat_vec(u, x0))
 
 
 def normalize(sys: InequalitySystem, base) -> tuple[NormalizedSystem, AffineUnimodularMap, tuple[int, ...]]:

@@ -3,8 +3,11 @@
 A simplex is given by n+1 inequalities A x <= b in n variables. The module
 validates that a system really defines a bounded full-dimensional simplex,
 computes its vertices and maximal minors exactly, and applies unimodular
-coordinate changes. The direction convention for `apply_map` is pinned
-below and used consistently by the normalization pipeline.
+coordinate changes. `apply_map` pins the direction convention: it returns
+the preimage system. The normalization pipeline does not call it, but each
+map it returns carries the normalized simplex onto its source, so
+`apply_map(source, map)` gives the normalized system up to row order and
+row scaling.
 """
 
 from __future__ import annotations

@@ -430,6 +430,38 @@ def test_enumerate_atlas_starts_one_pool_per_call(monkeypatch):
     assert pools["count"] == 1
 
 
+def test_pool_has_no_more_workers_than_blocks(monkeypatch):
+    # (3, 3) has 6 blocks, so --jobs 64 starts 6 workers, not 64; --jobs 2
+    # starts 2. The fake pool maps in this process and starts none.
+    import multiprocessing
+
+    from deltasimplex.atlas import candidate_records
+    from deltasimplex.enumeration import enumerate_H
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return list(map(func, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    serial = candidate_records(3, 3, jobs=1)
+    assert started == []
+    for jobs in (64, 2):
+        parallel = candidate_records(3, 3, jobs=jobs)
+        assert [(r.ns, r.family, r.provenance) for r in parallel] == [(r.ns, r.family, r.provenance) for r in serial]
+    assert started == [len(list(enumerate_H(3, 3))), 2] == [6, 2]
+
+
 def test_cli_import_leaves_out_multiprocessing():
     # enumerate_atlas imports multiprocessing only when it starts a pool.
     code = "import sys, deltasimplex.atlas_cli; print('multiprocessing' in sys.modules)"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -7,7 +8,9 @@ import pytest
 
 from deltasimplex import (
     EmptyRange,
+    InequalitySystem,
     InvariantViolation,
+    NotASimplexError,
     PreconditionError,
     c0_candidates,
     canonical_key,
@@ -20,12 +23,20 @@ from deltasimplex import (
     identity,
     key_tuple,
     validate_normalized,
+    validate_simplex,
 )
 from deltasimplex.atlas import candidate_records, enumerate_atlas
 from deltasimplex.corner_ilp import path_table
 from deltasimplex.equivalence import dedup_families
 
-from helpers import delta_value, gauss_inverse, random_hnf
+from helpers import (
+    cofactor_det,
+    delta_value,
+    gauss_inverse,
+    gauss_solve,
+    random_hnf,
+    vertex_bijection_equivalent,
+)
 
 
 def test_divisor_tuples_one():
@@ -706,3 +717,94 @@ def test_white_theorem_lattice_tetrahedra_to_64():
     # Up to q = 8 (Delta = 64): 11 classes, two each at Delta = 25, 49 and 64.
     assert [len(_white_orbits(q)) for q in range(1, 9)] == [1, 1, 1, 1, 2, 1, 2, 2]
     _check_white_theorem(8)
+
+
+def _sorted_abs_minors(a):
+    """The sorted |maximal minors| of an (n + 1) x n matrix, by cofactor expansion."""
+    return sorted(abs(cofactor_det([row for i, row in enumerate(a) if i != omit])) for omit in range(len(a)))
+
+
+def _has_no_integer_point(sys):
+    """Scan the integer box around the vertices, each solved by Gaussian elimination over Fractions."""
+    n = sys.n
+    verts = [
+        gauss_solve([sys.A[i] for i in range(n + 1) if i != omit], [sys.b[i] for i in range(n + 1) if i != omit])
+        for omit in range(n + 1)
+    ]
+    box = [range(math.floor(min(v[j] for v in verts)), math.ceil(max(v[j] for v in verts)) + 1) for j in range(n)]
+    rows = list(zip(sys.A, sys.b))
+    return not any(all(sum(a * x for a, x in zip(row, point)) <= b0 for row, b0 in rows) for point in itertools.product(*box))
+
+
+def _bounds_a_simplex(a, delta_max):
+    """Whether the (n + 1) x n matrix `a` bounds a simplex of delta <= delta_max.
+
+    The weights lambda_i = (-1)^i det(a without row i) satisfy lambda^T a = 0,
+    so {a x <= b} is bounded iff they are nonzero and of one sign; their
+    largest |value| is delta. Stops at the first weight that fails.
+    """
+    first = None
+    for i in range(len(a)):
+        w = (-1) ** i * cofactor_det([row for j, row in enumerate(a) if j != i])
+        first = first or w
+        if w == 0 or abs(w) > delta_max or (w > 0) != (first > 0):
+            return False
+    return True
+
+
+def _random_empty_simplex(rng, n, entry_bound, delta_max):
+    """A seeded random empty simplex with delta <= delta_max and primitive rows, with its sorted |minors|.
+
+    Entries of A and b are drawn from [-entry_bound, entry_bound]; rows are
+    divided by their gcd, and delta and emptiness are computed here. Several
+    b are tried for each A that bounds a simplex.
+    """
+    while True:
+        a = [[rng.randint(-entry_bound, entry_bound) for _ in range(n)] for _ in range(n + 1)]
+        if not _bounds_a_simplex(a, delta_max):
+            continue
+        for _ in range(8):
+            rows = [(*row, rng.randint(-entry_bound, entry_bound)) for row in a]
+            rows = [tuple(x // math.gcd(*row) for x in row) for row in rows]
+            sys = InequalitySystem(n, tuple(row[:n] for row in rows), tuple(row[n] for row in rows))
+            try:
+                validate_simplex(sys)
+            except NotASimplexError:
+                continue
+            if _has_no_integer_point(sys):
+                return sys, _sorted_abs_minors(sys.A)
+
+
+def _check_random_empty_simplices(atlas_cache, seed, dims, entry_bound, count):
+    """Seeded random empty simplices with delta <= 6 each have their class in the (delta, n) empty atlas.
+
+    A record is accepted by the vertex-bijection oracle, not by the package's
+    equivalence test. Records are first filtered by their sorted |minors|, a
+    class invariant. Returns the (delta, n) of the samples.
+    """
+    rng = random.Random(seed)
+    cells = []
+    for n in dims:
+        for _ in range(count):
+            sys, minors = _random_empty_simplex(rng, n, entry_bound, delta_max=6)
+            records = atlas_cache(minors[-1], n, "empty")
+            same = [rec for rec in records if _sorted_abs_minors(rec.ns.full_matrix()) == minors]
+            assert any(vertex_bijection_equivalent(sys, rec.system()) for rec in same), (sys, minors[-1])
+            cells.append((minors[-1], n))
+    return cells
+
+
+def test_random_empty_simplices_have_their_class_in_the_atlas(atlas_cache):
+    # Completeness of the empty family against an independent sampler and
+    # oracle, n <= 3: the class of every drawn empty simplex is in the atlas.
+    cells = _check_random_empty_simplices(atlas_cache, seed=97, dims=(1, 2, 3), entry_bound=3, count=20)
+    assert len(set(cells)) >= 6
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, entry_bound, count", [(3, 4, 20), (4, 2, 20)])
+def test_random_empty_simplices_have_their_class_in_the_atlas_slow(atlas_cache, n, entry_bound, count):
+    # The same at n = 3 with larger entries, and at n = 4, where entries in
+    # [-2, 2] give delta <= 6 often enough to draw 20 samples in seconds.
+    cells = _check_random_empty_simplices(atlas_cache, seed=98 + n, dims=(n,), entry_bound=entry_bound, count=count)
+    assert len(set(cells)) >= 2

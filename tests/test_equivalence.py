@@ -5,6 +5,7 @@ import pytest
 
 from deltasimplex import (
     AffineUnimodularMap,
+    EquivalenceResult,
     InequalitySystem,
     InvariantViolation,
     apply_map,
@@ -618,9 +619,8 @@ def test_check_equivalence_validates_each_system_once(monkeypatch):
     # check validates S and T once each, also when the fast path misses.
     from deltasimplex import equivalence
 
-    equivalence._search_legs.cache_clear()
     counts = {"validate": 0, "search": 0}
-    validate, search = equivalence.validate_simplex, equivalence._search_legs
+    validate, search = equivalence.validate_simplex, equivalence._search
 
     def counting_validate(sys):
         counts["validate"] += 1
@@ -631,7 +631,7 @@ def test_check_equivalence_validates_each_system_once(monkeypatch):
         return search(prim, meta)
 
     monkeypatch.setattr(equivalence, "validate_simplex", counting_validate)
-    monkeypatch.setattr(equivalence, "_search_legs", counting_search)
+    monkeypatch.setattr(equivalence, "_search", counting_search)
     rng = random.Random(74)
     for _ in range(30):
         n = rng.randint(2, 3)
@@ -649,13 +649,15 @@ def test_check_equivalence_builds_the_fast_path_form_only_on_a_hit(monkeypatch):
     # T's least-base form is built and validated first, on every path. S's
     # least-base step is keyed next and builds only its map, and only when
     # its key equals T's: its form is then T's, already validated. On a miss
-    # nothing of S is built before the search, which builds S's forms itself.
+    # nothing of S is built before the search, which builds S's forms itself;
+    # after it only the witness's maps are built: S's stored map from the
+    # step the search stopped at, then T's map.
     from deltasimplex import equivalence
     from deltasimplex.normal_form import KeyStep
 
-    equivalence._search_legs.cache_clear()
     events = []
-    form, leg_map, search = KeyStep.form, KeyStep.map, equivalence._search_legs
+    stopped = []  # the (step, start) pair the search yielded last
+    form, key_map, search = KeyStep.form, KeyStep.map, equivalence._search
 
     def counting_form(step):
         events.append(("form", step.key))
@@ -663,18 +665,23 @@ def test_check_equivalence_builds_the_fast_path_form_only_on_a_hit(monkeypatch):
 
     def counting_map(step):
         events.append(("map", step.key))
-        return leg_map(step)
+        return key_map(step)
 
     def counting_search(prim, meta):
-        before = len(events)
-        result = search(prim, meta)
-        del events[before:]
         events.append("search")
-        return result
+        pairs = search(prim, meta)
+        while True:
+            before = len(events)
+            pair = next(pairs, None)
+            del events[before:]  # the starting forms the search builds itself
+            if pair is None:
+                return
+            stopped[:] = [pair]
+            yield pair
 
     monkeypatch.setattr(KeyStep, "form", counting_form)
     monkeypatch.setattr(KeyStep, "map", counting_map)
-    monkeypatch.setattr(equivalence, "_search_legs", counting_search)
+    monkeypatch.setattr(equivalence, "_search", counting_search)
     rng = random.Random(76)
     outcomes = set()
     for _ in range(30):
@@ -689,7 +696,13 @@ def test_check_equivalence_builds_the_fast_path_form_only_on_a_hit(monkeypatch):
         assert kind == "form"
         if "search" in events:
             assert events[1] == "search"  # nothing of S built before the search on a miss
-            assert events[2:] == ([("map", key_t)] if result.equivalent else [])
+            if result.equivalent:
+                step, start = stopped[0]
+                assert step.key == key_t
+                stored = [("map", start.key)] + ([] if step is start else [("map", step.key)])
+                assert events[2:] == stored + [("map", key_t)]
+            else:
+                assert events[2:] == []
         else:
             assert events[1:] == [("map", key_t), ("map", key_t)]  # S's map, then T's
         outcomes.add("search" in events)
@@ -774,29 +787,65 @@ def _equivalence_queries(rng, count):
     return pairs
 
 
-def test_warm_and_cold_memo_give_the_same_answer():
-    # check_equivalence reads S's search through a memo: a warm memo must give
-    # the answer, certificate and witness of a cold one, and it must be read.
+def _answer_from_the_full_set(sys_s, sys_t):
+    """check_equivalence's answer with its search step read off S's whole equivalent set.
+
+    The gates past the dimension check (both simplices share n here), the
+    fast path and T's least-base map are those of `check_equivalence`;
+    past them, T's key is looked up in
+    `equivalent_normalized_set(S).records` and its stored map composed
+    with T's map.
+    """
+    prim_s, prim_t = primitivize(sys_s), primitivize(sys_t)
+    meta_s, meta_t = validate_simplex(prim_s), validate_simplex(prim_t)
+    if meta_s.delta != meta_t.delta:
+        return EquivalenceResult(False, certificate="delta-mismatch")
+    if sorted(map(abs, meta_s.minors)) != sorted(map(abs, meta_t.minors)):
+        return EquivalenceResult(False, certificate="minor-multiset-mismatch")
+    step_t = key_step(prim_t, min(meta_t.max_det_bases), meta_t.delta)
+    step_s = key_step(prim_s, min(meta_s.max_det_bases), meta_s.delta)
+    if step_s.key == step_t.key:
+        return EquivalenceResult(True, witness=compose(step_t.map(), inverse(step_s.map())))
+    if _lattice_invariant(prim_s, meta_s) != _lattice_invariant(prim_t, meta_t):
+        return EquivalenceResult(False, certificate="invariant-mismatch")
+    records = equivalent_normalized_set(prim_s, meta_s).records
+    if step_t.key not in records:
+        return EquivalenceResult(False, certificate="search-exhausted")
+    return EquivalenceResult(True, witness=compose(step_t.map(), records[step_t.key][1]))
+
+
+def test_lazy_search_answers_what_the_full_set_stores(monkeypatch):
+    # check_equivalence reads S's search only up to T's key. Each key is
+    # yielded once, so it stops at the step the full set stores under that
+    # key: answer, certificate and witness equal those read off the set, and
+    # on a hit the search has yielded exactly the keys up to T's.
     from deltasimplex import equivalence
 
-    pairs = _equivalence_queries(random.Random(87), 25)
-    cold = []
-    for sys_s, sys_t in pairs:
-        equivalence._search_legs.cache_clear()
-        cold.append(check_equivalence(sys_s, sys_t))
-    equivalence._search_legs.cache_clear()
-    warm = [check_equivalence(sys_s, sys_t) for sys_s, sys_t in pairs]
-    warm += [check_equivalence(sys_s, sys_t) for sys_s, sys_t in pairs]
-    assert warm == cold + cold
-    assert equivalence._search_legs.cache_info().hits > 0
-    assert {r.certificate for r in cold} >= {None, "search-exhausted"}
+    yielded = []
+    search = equivalence._search
 
+    def counting_search(prim, meta):
+        for pair in search(prim, meta):
+            yielded.append(pair[0].key)
+            yield pair
 
-def test_equivalence_memo_is_bounded_by_the_package_size():
-    from deltasimplex import equivalence
-    from deltasimplex.exact_linalg import MEMO_CACHE_SIZE
-
-    assert equivalence._search_legs.cache_info().maxsize == MEMO_CACHE_SIZE
+    monkeypatch.setattr(equivalence, "_search", counting_search)
+    outcomes = []
+    for sys_s, sys_t in _equivalence_queries(random.Random(87), 25):
+        yielded.clear()
+        got = check_equivalence(sys_s, sys_t)
+        searched = list(yielded)  # the full set below runs the search too
+        assert got == _answer_from_the_full_set(sys_s, sys_t)
+        if searched:
+            full = list(equivalent_normalized_set(sys_s).records)
+            prim_t = primitivize(sys_t)
+            meta_t = validate_simplex(prim_t)
+            key_t = key_step(prim_t, min(meta_t.max_det_bases), meta_t.delta).key
+            assert searched == (full[: full.index(key_t) + 1] if got.equivalent else full)
+        outcomes.append((bool(searched), got.certificate))
+    assert (True, None) in outcomes  # a positive found by the search, past the fast path
+    assert (True, "search-exhausted") in outcomes
+    assert (False, None) in outcomes  # a fast-path positive
 
 
 def test_dedup_builds_no_map(monkeypatch):
