@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .enumeration import record_problem
 from .errors import InvariantViolation
-from .exact_linalg import Mat
+from .exact_linalg import Mat, dot
 from .normal_form import KeyStep, canonical_key, key_step, key_tuple, primitivize
 from .simplex_model import (
     AffineUnimodularMap,
@@ -248,7 +248,7 @@ def _lattice_invariant(prim: InequalitySystem, meta: SimplexMeta) -> tuple:
     """
     points = meta.points
     nums0, d0 = points[0]
-    volume = abs(meta.minors[0] * (prim.b[0] * d0 - sum(a * x for a, x in zip(prim.A[0], nums0)))) // d0
+    volume = abs(meta.minors[0] * (prim.b[0] * d0 - dot(prim.A[0], nums0))) // d0
     facets = sorted(zip(map(abs, meta.minors), (d for _, d in points)))
     edges = []
     for (nums_i, d_i), (nums_j, d_j) in itertools.combinations(points, 2):

@@ -10,6 +10,7 @@ this module ever touches floating point.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .errors import InvariantViolation, PreconditionError, RankError, ShapeError, SingularityError
 
@@ -70,7 +71,7 @@ def identity(n: int) -> Mat:
 
 
 def transpose(m: Mat) -> Mat:
-    return tuple(tuple(col) for col in zip(*m)) if m else ()
+    return tuple(zip(*m))
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -79,20 +80,20 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     if ca != rb:
         raise ShapeError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: Mat, x) -> tuple:
     ra, ca = shape(a)
     if ca != len(x):
         raise ShapeError(f"cannot apply {ra}x{ca} to a vector of length {len(x)}")
-    return tuple(sum(e * v for e, v in zip(row, x)) for row in a)
+    return tuple(sum(map(mul, row, x)) for row in a)
 
 
 def dot(u, v):
     if len(u) != len(v):
         raise ShapeError("dot product of vectors with different lengths")
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def det(m: Mat) -> int:
@@ -187,7 +188,7 @@ def _cofactor_adjugate(m: Mat) -> Mat:
 
 def _det_from_adjugate(m: Mat, adj: Mat) -> int:
     """det(m) as row 0 of m times column 0 of adj(m), since m @ adj(m) == det(m) * I."""
-    return sum(x * row[0] for x, row in zip(m[0], adj)) if m else 1
+    return dot(m[0], [row[0] for row in adj]) if m else 1
 
 
 def is_unimodular(u: Mat) -> bool:
@@ -282,5 +283,5 @@ def solve_rational(m: Mat, b) -> FracVec:
     d = _det_from_adjugate(m, adj)
     if d == 0:
         raise SingularityError("cannot solve a singular system")
-    return tuple(Fraction(sum(adj[i][j] * b[j] for j in range(len(b))), d) for i in range(len(b)))
+    return tuple(Fraction(x, d) for x in mat_vec(adj, b))
 

@@ -106,13 +106,13 @@ def _primitive_row(row: Vec, rhs: int) -> tuple[Vec, int]:
 
 
 def primitivize(sys: InequalitySystem) -> InequalitySystem:
-    """Divide every row of (A | b) by the gcd of its n+1 entries."""
-    rows = []
-    rhs = []
-    for a, b0 in sys.rows():
-        ra, rb = _primitive_row(a, b0)
-        rows.append(ra)
-        rhs.append(rb)
+    """Divide every row of (A | b) by the gcd of its n+1 entries.
+
+    A system whose rows are all primitive already is returned as it is.
+    """
+    if all(math.gcd(*a, b0) == 1 for a, b0 in zip(sys.A, sys.b)):
+        return sys
+    rows, rhs = zip(*(_primitive_row(a, b0) for a, b0 in zip(sys.A, sys.b)))
     return InequalitySystem(sys.n, rows, rhs)
 
 
@@ -121,14 +121,10 @@ def is_hnf_matrix(m: Mat) -> bool:
     n = len(m)
     if any(len(row) != n for row in m):
         return False
-    for i in range(n):
-        if m[i][i] <= 0:
+    for i, row in enumerate(m):
+        d = row[i]
+        if d <= 0 or any(row[i + 1 :]) or not all(0 <= x < d for x in row[:i]):
             return False
-        for j in range(n):
-            if j > i and m[i][j] != 0:
-                return False
-            if j < i and not 0 <= m[i][j] < m[i][i]:
-                return False
     return True
 
 
@@ -231,25 +227,28 @@ def key_step(prim: InequalitySystem, base: tuple[int, ...], delta: int) -> KeySt
     # Base block to Hermite form: A_base @ u == h_mat, so the coordinate
     # change x -> u x takes it there; the omitted row rides along as c.
     h_mat, u = hnf(tuple(prim.A[i] for i in base))
-    a_omitted = prim.A[omitted]
-    c = [sum(a_omitted[i] * u[i][j] for i in range(n)) for j in range(n)]
+    c = mat_vec(transpose(u), prim.A[omitted])
 
     # One coordinate permutation, applied to rows and columns of H alike:
     # unit-diagonal coordinates in front, sorted by the canonical (B column,
     # c entry) tie-break; the non-unit coordinates keep their relative order
-    # so the T block stays lower triangular.
+    # so the T block stays lower triangular. The identity leaves H, c and U
+    # as they are.
     unit = [i for i in range(n) if h_mat[i][i] == 1]
     rest = [i for i in range(n) if h_mat[i][i] != 1]
     unit.sort(key=lambda j: (tuple(h_mat[r][j] for r in rest), c[j]))
     sigma = unit + rest
-    h_mat = tuple(tuple(h_mat[a][b] for b in sigma) for a in sigma)
-    c = tuple(c[j] for j in sigma)
-    u = tuple(tuple(row[j] for j in sigma) for row in u)
-    row_src = tuple(base[a] for a in sigma) + (omitted,)
+    if sigma == list(range(n)):
+        row_src = tuple(base) + (omitted,)
+    else:
+        h_mat = tuple(tuple(h_mat[a][b] for b in sigma) for a in sigma)
+        c = tuple(c[j] for j in sigma)
+        u = tuple(tuple(row[j] for j in sigma) for row in u)
+        row_src = tuple(base[a] for a in sigma) + (omitted,)
 
     # Right-hand-side reduction by the unique integer translation.
     h, x0 = reduce_rhs(h_mat, [prim.b[i] for i in row_src[:n]])
-    c0 = prim.b[omitted] - sum(ci * xi for ci, xi in zip(c, x0))
+    c0 = prim.b[omitted] - dot(c, x0)
 
     key = _flat_key(n, delta, h_mat + (c,), h + (c0,))
     return KeyStep(key, n, delta, len(unit), h_mat, h, c, c0, u, x0, row_src)
@@ -274,7 +273,8 @@ def normalize(sys: InequalitySystem, base) -> tuple[NormalizedSystem, AffineUnim
     """
     prim = primitivize(sys)
     meta = validate_simplex(prim)
-    base = tuple(sorted(int(i) for i in base))
+    # `vector` rejects an entry that is not an int (0.9, True) instead of truncating it.
+    base = tuple(sorted(vector(base)))
     if len(base) != sys.n or len(set(base)) != sys.n or not all(0 <= i <= sys.n for i in base):
         raise PreconditionError(f"base must be {sys.n} distinct row indices in 0..{sys.n}")
     if base not in meta.max_det_bases:
@@ -294,9 +294,13 @@ def validate_normalized(ns: NormalizedSystem) -> tuple[bool, tuple[str, ...]]:
     n, s, k = ns.n, ns.s, ns.k
     h_mat, h, c = ns.H, ns.h, ns.c
 
-    if not is_hnf_matrix(h_mat):
+    # A Hermite matrix is lower triangular, so its determinant is the
+    # product of its diagonal; otherwise Bareiss computes it.
+    if is_hnf_matrix(h_mat):
+        det_h = math.prod(h_mat[i][i] for i in range(n))
+    else:
         bad.append("hnf-form")
-    det_h = det(h_mat)
+        det_h = det(h_mat)
     if ns.delta <= 0 or det_h != ns.delta:
         bad.append("determinant")
     # The maximal minors of [H; c] are det(H) and -w_i (c in place of row i).

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import neg
 from typing import NamedTuple
 
 from .errors import NotASimplexError, PreconditionError, ScaleExceededError, ShapeError
@@ -70,8 +71,8 @@ class AffineUnimodularMap(_AffineUnimodularMapFields):
     __slots__ = ()
 
     def __new__(cls, U, x0):
-        U = tuple(tuple(row) for row in U)
-        x0 = tuple(x0)
+        U = matrix(U)
+        x0 = vector(x0)
         if not is_unimodular(U):
             raise PreconditionError("map matrix is not unimodular")
         if len(x0) != len(U):
@@ -94,9 +95,7 @@ class AffineUnimodularMap(_AffineUnimodularMapFields):
     def image(self, point: Point) -> Point:
         """The image of the point nums / d, (U nums + d x0) / d, as a reduced point (`reduced_point`)."""
         nums, d = point
-        return reduced_point(
-            tuple(sum(a * x for a, x in zip(row, nums)) + d * t for row, t in zip(self.U, self.x0)), d
-        )
+        return reduced_point(tuple(ux + d * t for ux, t in zip(mat_vec(self.U, nums), self.x0)), d)
 
 
 def compose(m2: AffineUnimodularMap, m1: AffineUnimodularMap) -> AffineUnimodularMap:
@@ -182,20 +181,25 @@ def validate_simplex(sys: InequalitySystem) -> SimplexMeta:
     adj = adjugate(tuple(row + (bi,) for row, bi in zip(sys.A, sys.b)))
     last = adj[n]
     det_m = dot(sys.b, last)
-    minors = tuple((-1) ** (i + n) * x for i, x in enumerate(last))
-    bases = tuple(tuple(r for r in range(n + 1) if r != i) for i in range(n + 1))
-    for base, minor in zip(bases, minors):
-        if minor == 0:
-            raise NotASimplexError(f"not a simplex (rank/degeneracy): zero minor at base {base}")
+    # (-1)^(i+n) is -1 exactly when i + n is odd.
+    minors = tuple(-x if (i + n) & 1 else x for i, x in enumerate(last))
+    if 0 in minors:
+        base = _omitting(minors.index(0), n)
+        raise NotASimplexError(f"not a simplex (rank/degeneracy): zero minor at base {base}")
     for omit, x in enumerate(last):
         if det_m * x <= 0:
             raise NotASimplexError(
                 f"empty or unbounded or lower-dimensional: row {omit} not strictly satisfied"
             )
     delta = max(map(abs, minors))
-    points = tuple(reduced_point(tuple(-adj[j][i] for j in range(n)), last[i]) for i in range(n + 1))
-    max_bases = tuple(base for base, minor in zip(bases, minors) if abs(minor) == delta)
+    points = tuple(reduced_point(tuple(map(neg, col[:n])), col[n]) for col in zip(*adj))
+    max_bases = tuple(_omitting(i, n) for i, minor in enumerate(minors) if abs(minor) == delta)
     return SimplexMeta(delta=delta, points=points, max_det_bases=max_bases, minors=minors)
+
+
+def _omitting(i: int, n: int) -> tuple[int, ...]:
+    """The base of the rows 0..n other than row i, in ascending order."""
+    return tuple(r for r in range(n + 1) if r != i)
 
 
 # Largest bounding box, in integer points, that `count_integer_points_bruteforce` scans.

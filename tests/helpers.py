@@ -3,10 +3,16 @@
 The oracles here deliberately avoid the package's own algorithms: the
 determinant oracle is plain cofactor expansion, rational solving is textbook
 Gaussian elimination over Fractions, and the equivalence oracle is an exact
-search over vertex bijections. The test references at the end (the box-scan
+search over vertex bijections. The test references after them (the box-scan
 cone minimum, the maximal minors, the vertex opposite the c-row, the residue
 and key readers, the Fraction view of the vertices and the identity map)
 are built on the package's primitives; no package module calls them.
+
+The reference kernels at the end (`ref_*`) are the plain versions of the
+package's hot kernels that the leaner ones replaced: generator sums of
+products, a rebuilt permutation, Bareiss for det(H) and a sign from
+(-1) ** (i + n). `test_kernel_references.py` checks that the package
+returns the same values, exceptions and labels.
 """
 
 from __future__ import annotations
@@ -33,8 +39,10 @@ from deltasimplex import (
     solve_rational,
     validate_simplex,
 )
-from deltasimplex.exact_linalg import shape
-from deltasimplex.normal_form import is_hnf_matrix
+from deltasimplex.errors import InvalidSystemError
+from deltasimplex.exact_linalg import adjugate, hnf, shape
+from deltasimplex.normal_form import KeyStep, _flat_key, _reduce_hnf_rhs, is_hnf_matrix
+from deltasimplex.simplex_model import SimplexMeta, reduced_point
 
 
 def cofactor_det(m) -> int:
@@ -281,3 +289,143 @@ def vertices(meta) -> tuple[tuple[Fraction, ...], ...]:
 def identity_map(n: int) -> AffineUnimodularMap:
     """The identity x -> I x + 0 of Z^n."""
     return AffineUnimodularMap(identity(n), (0,) * n)
+
+
+# Reference kernels: the plain versions that the package's kernels replaced.
+
+
+def ref_transpose(m):
+    return tuple(tuple(col) for col in zip(*m)) if m else ()
+
+
+def ref_mat_mul(a, b):
+    ra, ca = shape(a)
+    rb, cb = shape(b)
+    if ca != rb:
+        raise ShapeError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
+    bt = ref_transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def ref_mat_vec(a, x):
+    ra, ca = shape(a)
+    if ca != len(x):
+        raise ShapeError(f"cannot apply {ra}x{ca} to a vector of length {len(x)}")
+    return tuple(sum(e * v for e, v in zip(row, x)) for row in a)
+
+
+def ref_dot(u, v):
+    if len(u) != len(v):
+        raise ShapeError("dot product of vectors with different lengths")
+    return sum(x * y for x, y in zip(u, v))
+
+
+def ref_primitivize(sys: InequalitySystem) -> InequalitySystem:
+    """Divide every row of (A | b) by its gcd, always building a new system."""
+    rows = []
+    rhs = []
+    for a, b0 in sys.rows():
+        g = math.gcd(*a, b0)
+        if g == 0:
+            raise InvalidSystemError("system contains an all-zero row")
+        rows.append(tuple(x // g for x in a))
+        rhs.append(b0 // g)
+    return InequalitySystem(sys.n, rows, rhs)
+
+
+def ref_validate_simplex(sys: InequalitySystem) -> SimplexMeta:
+    """`validate_simplex` with every base built and signs from (-1) ** (i + n)."""
+    n = sys.n
+    adj = adjugate(tuple(row + (bi,) for row, bi in zip(sys.A, sys.b)))
+    last = adj[n]
+    det_m = ref_dot(sys.b, last)
+    minors = tuple((-1) ** (i + n) * x for i, x in enumerate(last))
+    bases = tuple(tuple(r for r in range(n + 1) if r != i) for i in range(n + 1))
+    for base, minor in zip(bases, minors):
+        if minor == 0:
+            raise NotASimplexError(f"not a simplex (rank/degeneracy): zero minor at base {base}")
+    for omit, x in enumerate(last):
+        if det_m * x <= 0:
+            raise NotASimplexError(f"empty or unbounded or lower-dimensional: row {omit} not strictly satisfied")
+    delta = max(map(abs, minors))
+    points = tuple(reduced_point(tuple(-adj[j][i] for j in range(n)), last[i]) for i in range(n + 1))
+    max_bases = tuple(base for base, minor in zip(bases, minors) if abs(minor) == delta)
+    return SimplexMeta(delta=delta, points=points, max_det_bases=max_bases, minors=minors)
+
+
+def ref_is_hnf_matrix(m) -> bool:
+    n = len(m)
+    if any(len(row) != n for row in m):
+        return False
+    for i in range(n):
+        if m[i][i] <= 0:
+            return False
+        for j in range(n):
+            if j > i and m[i][j] != 0:
+                return False
+            if j < i and not 0 <= m[i][j] < m[i][i]:
+                return False
+    return True
+
+
+def ref_key_step(prim: InequalitySystem, base, delta: int) -> KeyStep:
+    """`key_step` with c and c0 as generator sums and H, c and U rebuilt under every sigma."""
+    n = prim.n
+    omitted = next(i for i in range(n + 1) if i not in base)
+    h_mat, u = hnf(tuple(prim.A[i] for i in base))
+    a_omitted = prim.A[omitted]
+    c = [sum(a_omitted[i] * u[i][j] for i in range(n)) for j in range(n)]
+    unit = [i for i in range(n) if h_mat[i][i] == 1]
+    rest = [i for i in range(n) if h_mat[i][i] != 1]
+    unit.sort(key=lambda j: (tuple(h_mat[r][j] for r in rest), c[j]))
+    sigma = unit + rest
+    h_mat = tuple(tuple(h_mat[a][b] for b in sigma) for a in sigma)
+    c = tuple(c[j] for j in sigma)
+    u = tuple(tuple(row[j] for j in sigma) for row in u)
+    row_src = tuple(base[a] for a in sigma) + (omitted,)
+    if not ref_is_hnf_matrix(h_mat):
+        raise PreconditionError("matrix is not in Hermite form")
+    h, x0 = _reduce_hnf_rhs(h_mat, [prim.b[i] for i in row_src[:n]])
+    c0 = prim.b[omitted] - sum(ci * xi for ci, xi in zip(c, x0))
+    key = _flat_key(n, delta, h_mat + (c,), h + (c0,))
+    return KeyStep(key, n, delta, len(unit), h_mat, h, c, c0, u, x0, row_src)
+
+
+def ref_validate_normalized(ns: NormalizedSystem) -> tuple[bool, tuple[str, ...]]:
+    """`validate_normalized` with det(H) by Bareiss on every path."""
+    bad = []
+    n, s, k = ns.n, ns.s, ns.k
+    h_mat, h, c = ns.H, ns.h, ns.c
+    if not ref_is_hnf_matrix(h_mat):
+        bad.append("hnf-form")
+    det_h = det(h_mat)
+    if ns.delta <= 0 or det_h != ns.delta:
+        bad.append("determinant")
+    w = tuple(-ref_dot(col, c) for col in ref_transpose(adjugate(h_mat)))
+    full = ns.full_matrix()
+    if max(abs(det_h), *map(abs, w)) != ns.delta:
+        bad.append("delta-of-full-matrix")
+    for i in range(s):
+        if any(h_mat[i][j] != (1 if j == i else 0) for j in range(n)):
+            bad.append("identity-block")
+            break
+    if any(h_mat[s + i][s + i] < 2 for i in range(k)):
+        bad.append("t-diagonal")
+    if 2**k > ns.delta:
+        bad.append("k-bound")
+    cols = [tuple(h_mat[s + i][j] for i in range(k)) for j in range(s)]
+    if any(cols[j] > cols[j + 1] for j in range(s - 1)):
+        bad.append("b-columns-sorted")
+    pairs = [(cols[j], c[j]) for j in range(s)]
+    if any(pairs[j] > pairs[j + 1] for j in range(s - 1)):
+        bad.append("tie-break")
+    if any(not 0 <= h[i] < h_mat[i][i] for i in range(n)):
+        bad.append("rhs-range")
+    rhs = ns.full_rhs()
+    if any(math.gcd(*row, b0) != 1 for row, b0 in zip(full, rhs)):
+        bad.append("row-gcd")
+    if any(not 0 < wi <= ns.delta for wi in w):
+        bad.append("paral-membership")
+    if any(abs(x) > ns.delta for row in full for x in row):
+        bad.append("entry-bound")
+    return (not bad, tuple(bad))

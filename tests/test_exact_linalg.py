@@ -204,6 +204,13 @@ def test_solve_rational_singular():
         solve_rational(((1, 2), (2, 4)), (1, 1))
 
 
+@pytest.mark.parametrize("b", [(1,), (1, 2, 3)])
+def test_solve_rational_rejects_a_right_hand_side_of_the_wrong_length(b):
+    # A short b must not give a truncated solution, such as (1/2,) for (1,).
+    with pytest.raises(ShapeError):
+        solve_rational(((2, 0), (0, 3)), b)
+
+
 def test_solve_rational_against_gauss_oracle():
     rng = random.Random(11)
     for _ in range(25):

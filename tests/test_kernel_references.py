@@ -1,0 +1,176 @@
+"""The exact kernels against the plain reference versions in helpers.py.
+
+Seeded random systems (n = 1..6), the normal forms of their maximal bases
+and corrupted copies of those forms go through each kernel and its
+reference (`helpers.ref_*`). Each pair must return equal values, or raise
+the same exception with the same message, or give the same violation
+labels.
+"""
+
+import random
+
+import pytest
+
+from deltasimplex import DeltaSimplexError, InequalitySystem, NormalizedSystem, validate_normalized
+from deltasimplex.exact_linalg import dot, mat_mul, mat_vec, transpose
+from deltasimplex.normal_form import is_hnf_matrix, key_step, primitivize
+from deltasimplex.simplex_model import validate_simplex
+
+from helpers import (
+    random_int_matrix,
+    ref_dot,
+    ref_is_hnf_matrix,
+    ref_key_step,
+    ref_mat_mul,
+    ref_mat_vec,
+    ref_primitivize,
+    ref_transpose,
+    ref_validate_normalized,
+    ref_validate_simplex,
+)
+
+SYSTEMS_PER_DIM = 200  # 1,200 systems over n = 1..6
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the type and message of the package error it raises."""
+    try:
+        return ("value", f(*args))
+    except DeltaSimplexError as exc:
+        return ("raise", type(exc), str(exc))
+
+
+def same(f, ref, *args):
+    got, want = outcome(f, *args), outcome(ref, *args)
+    assert got == want, (f.__name__, args)
+    return got
+
+
+def _random_simplex(rng: random.Random, n: int) -> InequalitySystem:
+    """A simplex by construction, since rejection sampling is slow at n = 6.
+
+    The last row is minus a positive combination of n independent random
+    rows, so the rows positively span R^n, and b puts a random integer point
+    strictly inside every half-space.
+    """
+    while True:
+        a = random_int_matrix(rng, n, n, 4)
+        weights = [rng.randint(1, 2) for _ in range(n)]
+        last = tuple(-sum(w * row[j] for w, row in zip(weights, a)) for j in range(n))
+        point = [rng.randint(-3, 3) for _ in range(n)]
+        rows = a + (last,)
+        b = [sum(x * p for x, p in zip(row, point)) + rng.randint(1, 4) for row in rows]
+        sys = InequalitySystem(n, rows, b)
+        if outcome(validate_simplex, sys)[0] == "value":
+            return sys
+
+
+def _random_system(rng: random.Random, n: int, i: int) -> InequalitySystem:
+    """Every third draw each: a raw random system (mostly not a simplex), a simplex, a simplex with a scaled row."""
+    kind = i % 3
+    if kind == 0:
+        return InequalitySystem(n, random_int_matrix(rng, n + 1, n, 3), [rng.randint(-3, 3) for _ in range(n + 1)])
+    sys = _random_simplex(rng, n)
+    if kind == 1:
+        return sys
+    r = rng.randrange(n + 1)
+    k = rng.choice((2, 3, -1))
+    a = tuple(tuple(k * x for x in row) if j == r else row for j, row in enumerate(sys.A))
+    b = tuple(k * x if j == r else x for j, x in enumerate(sys.b))
+    return InequalitySystem(n, a, b)
+
+
+def _corrupted(rng: random.Random, ns: NormalizedSystem):
+    """Copies of a valid form with one defect each: a non-Hermite H, a wrong delta, a non-primitive row, a zero minor."""
+    n = ns.n
+    fields = ns._asdict()
+
+    def with_(**changes):
+        return NormalizedSystem(**{**fields, **changes})
+
+    def set_h(i, j, x):
+        return tuple(tuple(x if (r, col) == (i, j) else v for col, v in enumerate(row)) for r, row in enumerate(ns.H))
+
+    i = rng.randrange(n)
+    j = rng.randrange(n)
+    if j > i:
+        yield with_(H=set_h(i, j, rng.choice((1, -1, 2))))  # above the diagonal
+    elif j < i:
+        yield with_(H=set_h(i, j, rng.choice((-1, ns.H[i][i], ns.H[i][i] + 1))))  # not reduced
+    yield with_(H=set_h(i, i, rng.choice((0, -1, -ns.H[i][i]))))  # diagonal not positive
+    yield with_(delta=ns.delta + 1)
+    yield with_(delta=ns.delta - 1)
+    yield with_(delta=2 * ns.delta)
+    # Row i of (H | h) or the c row doubled.
+    yield with_(H=tuple(tuple(2 * x for x in row) if r == i else row for r, row in enumerate(ns.H)),
+                h=tuple(2 * x if r == i else x for r, x in enumerate(ns.h)))
+    yield with_(c=tuple(2 * x for x in ns.c), c0=2 * ns.c0)
+    # c equal to a row of H: n - 1 of the minors w vanish (all of them at n = 1 with c = 0).
+    yield with_(c=ns.H[i] if n > 1 else (0,), c0=ns.h[i] + 1)
+    if ns.s != ns.k:
+        yield with_(s=ns.k, k=ns.s)  # block sizes swapped
+
+
+def _check_corrupted(rng: random.Random, ns: NormalizedSystem) -> None:
+    for bad in _corrupted(rng, ns):
+        same(is_hnf_matrix, ref_is_hnf_matrix, bad.H)
+        assert same(validate_normalized, ref_validate_normalized, bad)[1][0] is False, bad
+        same(validate_simplex, ref_validate_simplex, bad.system())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kernels_match_their_references_on_random_systems(n):
+    rng = random.Random(2400 + n)
+    simplices = 0
+    for i in range(SYSTEMS_PER_DIM):
+        sys = _random_system(rng, n, i)
+        same(validate_simplex, ref_validate_simplex, sys)
+        kind, prim, *_ = same(primitivize, ref_primitivize, sys)
+        if kind != "value":
+            continue
+        kind, meta, *_ = same(validate_simplex, ref_validate_simplex, prim)
+        if kind != "value":
+            continue
+        simplices += 1
+        for base in meta.max_det_bases:
+            step = same(key_step, ref_key_step, prim, base, meta.delta)[1]
+            ns = step.form()
+            same(validate_normalized, ref_validate_normalized, ns)
+            if base == meta.max_det_bases[0]:
+                _check_corrupted(rng, ns)
+            # The base in another order, and the form under a row order of the search.
+            shuffled = tuple(rng.sample(base, n))
+            same(key_step, ref_key_step, prim, shuffled, meta.delta)
+            same(key_step, ref_key_step, ns.system(), tuple(rng.sample(range(n), n)), meta.delta)
+            same(key_step, ref_key_step, ns.system(), tuple(range(n)), meta.delta)
+    assert simplices >= SYSTEMS_PER_DIM // 2
+
+
+def test_linear_algebra_kernels_match_their_references():
+    rng = random.Random(24)
+    fixed = [
+        ((), ()),
+        (((5,),), ((-3,),)),
+        (((),), ()),
+        (((), ()), ()),
+        (((1, 2),), ((3,), (4,))),
+        (((1, 2),), ((3,),)),
+    ]
+    for a, b in fixed:
+        same(mat_mul, ref_mat_mul, a, b)
+        same(transpose, ref_transpose, a)
+    for u, v in (((), ()), ((7,), (-2,)), ((1,), ()), ((1, 2), (3,))):
+        same(dot, ref_dot, u, v)
+        same(mat_vec, ref_mat_vec, (u,), v)
+    same(mat_vec, ref_mat_vec, (), ())
+    for _ in range(1000):
+        rows, inner, cols = (rng.randint(0, 4) for _ in range(3))
+        bound = rng.choice((1, 9, 10**20))
+        a = random_int_matrix(rng, rows, inner, bound)
+        b = random_int_matrix(rng, inner + rng.choice((0, 0, 0, 1)), cols, bound)
+        same(mat_mul, ref_mat_mul, a, b)
+        same(transpose, ref_transpose, a)
+        x = tuple(rng.randint(-bound, bound) for _ in range(inner + rng.choice((0, 0, -1))))
+        same(mat_vec, ref_mat_vec, a, x)
+        u = tuple(rng.randint(-bound, bound) for _ in range(inner))
+        same(dot, ref_dot, u, x)

@@ -123,6 +123,13 @@ def test_normalize_rejects_non_maximal_base():
         normalize(sys, (1,))  # |det| = 2 < 3
 
 
+@pytest.mark.parametrize("base", [(0.9, 1.2), (0, 1.0), (True, 1), (0, False), ("0", 1)])
+def test_normalize_rejects_base_entries_that_are_not_ints(triangle, base):
+    # Truncating them would normalize (0.9, 1.2) over base (0, 1).
+    with pytest.raises(PreconditionError, match="integers"):
+        normalize(triangle, base)
+
+
 def test_normalize_apply_map_identity_up_to_row_scaling():
     rng = random.Random(42)
     for _ in range(25):

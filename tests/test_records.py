@@ -52,6 +52,11 @@ NS = NormalizedSystem(n=1, s=0, k=1, H=((3,),), h=(1,), c=(-1,), c0=0, delta=3)
         (lambda: AffineUnimodularMap(((2, 0), (0, 1)), (0, 0)), PreconditionError),
         (lambda: AffineUnimodularMap(((1, 1), (1, 1)), (0, 0)), PreconditionError),
         (lambda: AffineUnimodularMap(((1, 0), (0, 1)), (0,)), ShapeError),
+        (lambda: AffineUnimodularMap(((1, 0), (0, 1)), (0.5, 0)), PreconditionError),
+        (lambda: AffineUnimodularMap(((1.0, 0), (0, 1)), (0, 0)), PreconditionError),
+        (lambda: AffineUnimodularMap(((True, 0), (0, 1)), (0, 0)), PreconditionError),
+        (lambda: AffineUnimodularMap(((1, 0), (0, 1)), (0, False)), PreconditionError),
+        (lambda: AffineUnimodularMap(((1, 0), (0,)), (0, 0)), ShapeError),
         (lambda: NormalizedSystem(n=1, s=0, k=1, H=((3,),), h=(1.5,), c=(-1,), c0=0, delta=3), PreconditionError),
         (lambda: NormalizedSystem(n=1, s=0, k=1, H=((3,),), h=(1,), c=("1",), c0=0, delta=3), PreconditionError),
         (lambda: NormalizedSystem(n=1, s=1, k=1, H=((3,),), h=(1,), c=(-1,), c0=0, delta=3), ShapeError),
@@ -72,6 +77,11 @@ NS = NormalizedSystem(n=1, s=0, k=1, H=((3,),), h=(1,), c=(-1,), c0=0, delta=3)
         "map-det-2",
         "map-singular",
         "map-short-translation",
+        "map-float-translation",
+        "map-float-matrix-entry",
+        "map-bool-matrix-entry",
+        "map-bool-translation",
+        "map-ragged-matrix",
         "normalized-float-h",
         "normalized-string-c",
         "normalized-block-sizes",
