@@ -15,7 +15,7 @@ import math
 
 from .enumeration import FAMILY_EMPTY, CandidateRecord, candidates_for_block, enumerate_H, record_problem
 from .equivalence import class_keys, dedup_families
-from .errors import PreconditionError, ScaleExceededError
+from .errors import DeltaSimplexError, PreconditionError, ScaleExceededError
 from .normal_form import NormalizedSystem, canonical_key, key_tuple
 from .simplex_model import AffineUnimodularMap, InequalitySystem, count_integer_points_bruteforce
 
@@ -148,16 +148,21 @@ def write_atlas(records, stream) -> None:
 def read_atlas(stream, problems: list[str] | None = None) -> list[CandidateRecord]:
     """The records of an atlas file, in file order; blank lines are skipped.
 
-    With a `problems` list, each record whose stored `canonical_key` does
-    not match its system is reported there (the record is still returned).
+    A line that is not valid JSON or not a valid record raises
+    `PreconditionError` naming its 1-based line number. With a `problems`
+    list, each record whose stored `canonical_key` does not match its system
+    is reported there (the record is still returned).
     """
     records = []
-    for line in stream:
+    for number, line in enumerate(stream, 1):
         line = line.strip()
         if not line:
             continue
-        data = json.loads(line)
-        rec = record_from_dict(data)
+        try:
+            data = json.loads(line)
+            rec = record_from_dict(data)
+        except (ValueError, DeltaSimplexError) as exc:
+            raise PreconditionError(f"line {number}: {exc}") from None
         if problems is not None and data.get("canonical_key") != canonical_key(rec.ns):
             problems.append(
                 f"record {len(records)}: stored canonical key {data.get('canonical_key')!r} does not "

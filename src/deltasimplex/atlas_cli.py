@@ -69,15 +69,18 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_normalize(args) -> int:
     sys_in = load_system(args.file)
+    # Base selection works on the primitive representation, like normalize.
+    bases = validate_simplex(primitivize(sys_in)).max_det_bases
     if args.base == "auto":
-        # Base selection works on the primitive representation, like normalize.
-        meta = validate_simplex(primitivize(sys_in))
-        base = min(meta.max_det_bases)
+        base = min(bases)
     else:
-        base = tuple(int(x) - 1 for x in args.base.split(","))
+        base = tuple(sorted(int(x) - 1 for x in args.base.split(",")))
         n = sys_in.n
         if len(set(base)) != n or len(base) != n or not all(0 <= i <= n for i in base):
             raise PreconditionError(f"--base must be {n} distinct row indices in 1..{n + 1}, got {args.base!r}")
+        if base not in bases:
+            valid = " ".join(",".join(str(i + 1) for i in b) for b in sorted(bases))
+            raise PreconditionError(f"--base {args.base} does not attain the maximal minor; valid bases: {valid}")
     ns, amap, row_perm = normalize(sys_in, base)
     payload = {
         "normalized": normalized_to_dict(ns),

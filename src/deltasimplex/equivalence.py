@@ -17,22 +17,26 @@ steps whose key provably repeats one the same search has already stored
 (`equivalent_normalized_set` gives the proofs): a maximal base whose
 starting form an earlier base already gave is not expanded, and a row order
 that differs from one already reached by swapping two adjacent unit-pivot
-rows is not keyed. The identity row order of an expanded base reuses the
-starting form's key step, since it renormalizes that form onto itself.
+rows is not keyed. The identity row order of an expanded base is not keyed
+either: it renormalizes the starting form onto itself, and the starting
+form's own key step comes first.
 
-One generator (`_search`) runs that search. It builds and validates each
-expanded base's starting form and nothing else: per new key it yields the
-`KeyStep` and its base's starting `KeyStep`, from which the map to the
-form is built. Each caller builds only what it reads.
-`equivalent_normalized_set` builds every form and map. `check_equivalence`
-reads the first simplex's search only up to the second simplex's key and
-builds the one map a hit needs. Before it searches, it compares an exact
-class invariant read off the two metas (`_lattice_invariant`: volume,
-facet pairs and edge lattice lengths, a few dozen integer operations),
-which rejects most inequivalent pairs that share the |minor| multiset
-without a search. `dedup_families` reads the keys, and runs the one record
-check (`enumeration.record_problem`) on each record it walks, whose meta
-the search then reuses.
+One generator (`_search`) runs that search, over the maximal bases least
+first. It builds and validates each expanded base's starting form and
+nothing else. It yields the base's starting `KeyStep` first, if its key is
+new, before that form is built; per other new key it yields the `KeyStep`
+and its base's starting `KeyStep`, from which the map to the form is
+built. Each caller builds only what it reads. `equivalent_normalized_set`
+builds every form and map. `check_equivalence` reads the first simplex's
+search only up to the second simplex's key and builds the one map a hit
+needs; the search's first step, the least base's starting form, is its
+fast path. Past that first step, it compares an exact class invariant read
+off the two metas (`_lattice_invariant`: volume, facet pairs and edge
+lattice lengths, a few dozen integer operations), which rejects most
+inequivalent pairs that share the |minor| multiset without a search.
+`dedup_families` reads the keys, and runs the one record check
+(`enumeration.record_problem`) on each record it walks, whose meta the
+search then reuses.
 """
 
 from __future__ import annotations
@@ -116,19 +120,21 @@ class EquivalentSet(NamedTuple):
 def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = None) -> EquivalentSet:
     """Generate the canonical normalized systems the reduced permutations reach.
 
-    For each base of maximal |det| the system is normalized once, and that
-    normalized system is renormalized over every reduced row permutation of
-    its block matrix, taken as an ordered base. Each permutation first gets
-    only its key, since a repeat key names a form already stored. The
-    search itself is `_search`, which builds no form of a key and no map;
-    this function builds the form and the map of every key it yields.
+    For each base of maximal |det|, least first, the system is normalized
+    once, and that normalized system is renormalized over every reduced row
+    permutation of its block matrix, taken as an ordered base. Each
+    permutation first gets only its key, since a repeat key names a form
+    already stored. The search itself is `_search`, which builds no form of
+    a key and no map; this function builds the form and the map of every
+    key it yields.
     The set is not always the whole class: identity-block row orders that
     `reduced_permutations` skips can give further forms (see the module
     docstring).
 
     Two rules skip key steps whose key is already in the set, and a third
-    reuses the starting form's key step; none skips a check, and the set,
-    its order and its maps are those of the full loop.
+    skips the identity order, whose form is the starting form; none skips
+    a check, and the set, its order and its maps are those of the full
+    loop that stores each base's starting form first.
 
     1. Each starting form is expanded once. The keys a base reaches, and
        their order, depend on its starting form alone, so a base whose
@@ -155,53 +161,57 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
        already satisfy the tie-break, so the stable sort keeps them in
        place (sigma = id); and its right-hand side is already reduced, so
        x0 = 0. Its key is the starting key, its form the starting form,
-       its map the identity, and its unit rows are rows 0..s-1. So when
-       the loop reaches the identity it yields the starting key step, whose
-       stored map is inverse(m0), if the key is new, at the same point in
-       the loop, and makes no key step.
+       its map the identity, and its unit rows are rows 0..s-1. The base
+       yields its starting key step, whose stored map is inverse(m0),
+       before its loop if the key is new, so the loop enters the identity
+       as reached with unit rows 0..s-1 and makes no key step for it.
+       (No other reduced permutation is a rule-2 twin of the identity: a
+       twin would swap two identity-block rows, whose canonical order
+       `reduced_permutations` keeps.)
 
     A caller that already holds `meta = validate_simplex(sys)` for a
     primitive `sys` passes it, and the system is used as given.
     """
     if meta is None:
-        prim = primitivize(sys)
-        meta = validate_simplex(prim)
-    else:
-        prim = sys
-    return EquivalentSet({step.key: (step.form(), _stored_map(step, start)) for step, start in _search(prim, meta)})
+        sys = primitivize(sys)
+        meta = validate_simplex(sys)
+    return EquivalentSet({step.key: (step.form(), _stored_map(step, start)) for step, start in _search(sys, meta)})
 
 
 def _search(prim: InequalitySystem, meta: SimplexMeta):
     """The equivalent-set search: yield (step, start) for each new key, in set order.
 
-    `prim` is primitive with `meta = validate_simplex(prim)`. Only each
-    expanded base's starting form is built (and validated). `start` is the
-    base's starting key step, and `step is start` for the starting form
-    itself (rule 3 of `equivalent_normalized_set`). `step.form()` is the
-    validated form and `_stored_map(step, start)` the map from the source
-    to it. A generator: a caller that stops early skips the rest.
+    `prim` is primitive with `meta = validate_simplex(prim)`. The maximal
+    bases are walked least first, so the first pair is the least base's
+    starting step. Only each expanded base's starting form is built (and
+    validated), after the base has yielded `(start, start)` if its key is
+    new; so a caller that stops at the first pair builds no form. `start`
+    is the base's starting key step, and `step is start` for the starting
+    form itself (rule 3 of `equivalent_normalized_set`). `step.form()` is
+    the validated form and `_stored_map(step, start)` the map from the
+    source to it. A generator: a caller that stops early skips the rest.
     """
     seen: set = set()
     starts: set = set()
-    identity = tuple(range(prim.n))
-    for base in meta.max_det_bases:
+    for base in sorted(meta.max_det_bases):
         start = key_step(prim, base, meta.delta)
         if start.key in starts:
             continue  # an earlier base with this starting form reached every key it can
         starts.add(start.key)
+        if start.key not in seen:
+            seen.add(start.key)
+            yield start, start
         ns0 = start.form()
         sys0 = ns0.system()
-        units: dict = {}  # permutation reached -> the rows of sys0 that got unit pivots
+        # permutation reached -> the rows of sys0 that got unit pivots; the
+        # identity, yielded above as the starting form (rule 3), is reached
+        units = {tuple(range(prim.n)): frozenset(range(ns0.s))}
         for perm in reduced_permutations(ns0.H):
+            if perm in units:
+                continue  # the identity
             twin = _unit_swap_twin(perm, units)
             if twin is not None:
                 units[perm] = units[twin]  # same key as twin's, already seen
-                continue
-            if perm == identity:  # renormalizes ns0 onto itself (rule 3)
-                units[perm] = frozenset(range(ns0.s))
-                if start.key not in seen:
-                    seen.add(start.key)
-                    yield start, start
                 continue
             step = key_step(sys0, perm, meta.delta)
             units[perm] = frozenset(step.row_src[: step.s])
@@ -213,10 +223,8 @@ def _search(prim: InequalitySystem, meta: SimplexMeta):
 def _stored_map(step: KeyStep, start: KeyStep) -> AffineUnimodularMap:
     """The map from the source simplex to a searched form, from its `_search` pair."""
     m0 = start.map()  # starting form -> source
-    if step is start:
-        return inverse(m0)
     # m0 and step's map both point record -> source; store source -> record.
-    return inverse(compose(m0, step.map()))
+    return inverse(m0 if step is start else compose(m0, step.map()))
 
 
 def class_keys(prim: InequalitySystem, meta: SimplexMeta) -> set:
@@ -274,24 +282,27 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
        the two validations (`dimension-mismatch`, `delta-mismatch`,
        `minor-multiset-mismatch`).
     2. The second simplex is normalized once at its least maximal base; its
-       form is built and validated on every path past step 1. If the first
-       simplex's least-base key equals it, the pair is equivalent (the fast
-       path: one key step and two maps).
+       form is built and validated on every path past step 1. The first
+       simplex's equivalent-set search opens, and its first pair is the
+       first simplex's least-base starting step, yielded before any form is
+       built. If its key is the second simplex's, the pair is equivalent
+       (the fast path: one key step and two maps of the first simplex).
     3. Otherwise the two `_lattice_invariant`s are compared
        (`invariant-mismatch`): a pass over the vertices and two gcds per
        edge, against a full search. It is placed after step 2, so a
        fast-path hit pays nothing for it.
-    4. Otherwise the first simplex's equivalent-set search runs until it
-       yields the second simplex's key (`search-exhausted` if it never
-       does). The search yields each key once, so the step it stops at is
-       the one `equivalent_normalized_set` stores under that key, and the
-       witness is the same. Nothing is kept between calls.
+    4. Otherwise the same search goes on until it yields the second
+       simplex's key (`search-exhausted` if it never does). The search
+       yields each key once, so the step it stops at is the one
+       `equivalent_normalized_set` stores under that key, and the witness
+       is the same. Nothing is kept between calls.
 
-    On a hit the one witness map is built; it carries the first simplex onto
-    the second and is verified on the vertex sets before being returned:
-    each point of `SimplexMeta.points` is mapped by
-    `AffineUnimodularMap.image`, and the sets of reduced integer points are
-    compared.
+    On a hit, on either path, the one witness map is built: the second
+    simplex's map composed with `_stored_map` of the pair the search
+    stopped at. It carries the first simplex onto the second and is
+    verified on the vertex sets before being returned: each point of
+    `SimplexMeta.points` is mapped by `AffineUnimodularMap.image`, and the
+    sets of reduced integer points are compared.
     """
     prim_s = primitivize(sys_s)
     prim_t = primitivize(sys_t)
@@ -309,23 +320,21 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
     step_t = key_step(prim_t, min(meta_t.max_det_bases), meta_t.delta)
     step_t.form()
 
-    # Fast path: if the least-base normalizations already coincide, the two
-    # direct maps compose to a witness (the identity when S and T are equal).
-    # S's form is then T's, field for field (the key is injective), and
-    # already validated, so only its map is built. On a miss the two lattice
-    # invariants are compared, and only if they agree does the search below
-    # build and validate S's starting forms itself.
-    step_s = key_step(prim_s, min(meta_s.max_det_bases), meta_s.delta)
-    if step_s.key == step_t.key:
-        stored_s = inverse(step_s.map())
-    elif _lattice_invariant(prim_s, meta_s) != _lattice_invariant(prim_t, meta_t):
-        return EquivalenceResult(False, certificate="invariant-mismatch")
-    else:
-        found = next((pair for pair in _search(prim_s, meta_s) if pair[0].key == step_t.key), None)
+    # Fast path: S's search yields its least base's starting step first, before
+    # it builds any form. If that key is T's, S's form is T's, field for field
+    # (the key is injective), and already validated, so only S's map is built
+    # (the witness is the identity when S and T are equal). On a miss the two
+    # lattice invariants are compared, and only if they agree does the same
+    # search go on, building and validating S's starting forms itself.
+    pairs = _search(prim_s, meta_s)
+    found = next(pairs)
+    if found[0].key != step_t.key:
+        if _lattice_invariant(prim_s, meta_s) != _lattice_invariant(prim_t, meta_t):
+            return EquivalenceResult(False, certificate="invariant-mismatch")
+        found = next((pair for pair in pairs if pair[0].key == step_t.key), None)
         if found is None:
             return EquivalenceResult(False, certificate="search-exhausted")
-        stored_s = _stored_map(*found)  # S -> record
-    witness = compose(step_t.map(), stored_s)  # S -> record -> T
+    witness = compose(step_t.map(), _stored_map(*found))  # S -> record -> T
     if frozenset(map(witness.image, meta_s.points)) != frozenset(meta_t.points):
         raise InvariantViolation("equivalence witness failed vertex-set verification")
     return EquivalenceResult(True, witness=witness)

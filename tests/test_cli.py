@@ -150,11 +150,18 @@ def test_normalize_cli_explicit_base(triangle_file, capsys):
 
 
 def test_normalize_cli_bad_base(tmp_path, capsys):
+    # The error names the given base and the valid ones in the 1-based
+    # numbering of --base, in the option's own syntax.
     seg = InequalitySystem(1, ((-3,), (2,)), (-1, 1))
     f = write_system(tmp_path / "seg.json", seg)
     assert run(["normalize", f, "--base", "2"]) == 2
     err = capsys.readouterr().err
-    assert "valid bases" in err
+    assert err == "error: --base 2 does not attain the maximal minor; valid bases: 1\n"
+    wide = write_system(tmp_path / "wide.json", InequalitySystem(2, ((-1, 0), (0, -1), (2, 3)), (0, 0, 1)))
+    assert run(["normalize", wide, "--base", "1,2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --base 1,2 does not attain the maximal minor; valid bases: 1,3\n"
+    assert run(["normalize", wide, "--base", "3,1"]) == 0
 
 
 def test_normalize_cli_base_is_one_based(triangle_file, capsys):
@@ -621,6 +628,32 @@ def test_malformed_record_is_one_error_line(tmp_path, command, mutate):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "stats"])
+@pytest.mark.parametrize(
+    "last_line, message",
+    [
+        pytest.param('{"format": "delta-simplex/atlas-v1", "n": 2', "Expecting ',' delimiter", id="truncated"),
+        pytest.param('{"format": "delta-simplex/atlas-v1", "n": 2}', "input is missing the key 's'", id="missing-key"),
+    ],
+)
+def test_atlas_input_error_names_its_line(tmp_path, capsys, command, last_line, message):
+    # A line that is not JSON, or not a record, is an input error (exit 2)
+    # whose message starts with the 1-based line of the file, blank lines
+    # counted.
+    out = tmp_path / "atlas.jsonl"
+    assert run(["enumerate", "--delta", "3", "--dim", "2", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3
+    out.write_text("\n".join(lines) + "\n" + last_line + "\n")
+    capsys.readouterr()
+    assert run([command, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 4: {message}") and len(err.splitlines()) == 1
+    out.write_text("\n".join(lines[:1] + [""] + lines[1:]) + "\n" + last_line + "\n")
+    assert run([command, str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line 5: {message}")
 
 
 def test_stats_rejects_delta_below_one(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -91,13 +92,18 @@ def test_equivalent_set_contains_normalizations_of_mapped_system():
 
 
 def _two_stage_equivalent_set(sys):
-    """Reference loop: rebuild each row-permuted block system, renormalize it over range(n)."""
+    """Reference loop: rebuild each row-permuted block system, renormalize it over range(n).
+
+    Maximal bases are taken least first, and each base's starting form is
+    stored, if new, before the forms of its permutations.
+    """
     prim = primitivize(sys)
     meta = validate_simplex(prim)
     n = prim.n
     out = {}
-    for base in meta.max_det_bases:
+    for base in sorted(meta.max_det_bases):
         ns0, m0, _ = _normalize_primitive(prim, base, meta.delta)
+        out.setdefault(key_tuple(ns0), (ns0, inverse(m0)))
         for perm in reduced_permutations(ns0.H):
             rows = [ns0.H[p] for p in perm] + [ns0.c]
             rhs = [ns0.h[p] for p in perm] + [ns0.c0]
@@ -188,19 +194,20 @@ def test_key_step_key_matches_built_form():
     assert checked > 300
 
 
-def _search_without_identity_reuse(prim, meta):
-    """The search as it was before the identity order reused the starting form.
+def _search_keying_the_identity(prim, meta):
+    """The search with the identity row order keyed like every other one.
 
-    Every reached row order that is not a unit-pivot swap twin is keyed, the
-    identity included. Returns (records, key steps, expanded bases, forms
-    first stored at their own base's identity order).
+    Bases least first; each expanded base stores its starting form first, if
+    new, and then keys every reached row order that is not a unit-pivot swap
+    twin, the identity included. Returns (records, key steps, expanded
+    bases, forms first stored as their base's starting form).
     """
     from deltasimplex.equivalence import _unit_swap_twin
 
     out = {}
     starts = set()
-    steps = expanded = at_identity = 0
-    for base in meta.max_det_bases:
+    steps = expanded = at_start = 0
+    for base in sorted(meta.max_det_bases):
         start = key_step(prim, base, meta.delta)
         steps += 1
         if start.key in starts:
@@ -208,6 +215,9 @@ def _search_without_identity_reuse(prim, meta):
         starts.add(start.key)
         expanded += 1
         ns0, m0 = start.form(), start.map()
+        if start.key not in out:
+            at_start += 1
+            out[start.key] = (ns0, inverse(m0))
         sys0 = ns0.system()
         units = {}
         for perm in reduced_permutations(ns0.H):
@@ -219,17 +229,16 @@ def _search_without_identity_reuse(prim, meta):
             steps += 1
             units[perm] = frozenset(step.row_src[: step.s])
             if step.key not in out:
-                at_identity += perm == tuple(range(prim.n))
                 out[step.key] = (step.form(), inverse(compose(m0, step.map())))
-    return out, steps, expanded, at_identity
+    return out, steps, expanded, at_start
 
 
 def test_equivalent_set_validates_once_per_new_key(monkeypatch):
     # A repeat key is never built or validated again: one validation per
     # distinct starting form of the maximal bases, in the search, plus one
-    # per stored form, when the set is built. A form first stored at its own
-    # base's identity order is the starting form, built again from its key
-    # step, so the sample must hold such forms too.
+    # per stored form, when the set is built. A form first stored as its
+    # base's starting form is built again from its key step, so the sample
+    # must hold such forms too.
     from deltasimplex import normal_form
 
     calls = {"count": 0}
@@ -253,11 +262,11 @@ def test_equivalent_set_validates_once_per_new_key(monkeypatch):
             permutations += len(list(reduced_permutations(ns0.H)))
         starts = len(_starting_keys(prim, meta))
         repeated_starts += starts < len(meta.max_det_bases)
-        *_, at_identity = _search_without_identity_reuse(prim, meta)
+        *_, at_start = _search_keying_the_identity(prim, meta)
         calls["count"] = 0
         eq = equivalent_normalized_set(prim, meta)
         assert calls["count"] == starts + len(eq.records)
-        reused += at_identity
+        reused += at_start
     assert permutations > 40
     assert repeated_starts > 0
     assert reused > 0
@@ -265,9 +274,10 @@ def test_equivalent_set_validates_once_per_new_key(monkeypatch):
 
 def test_identity_order_reuses_the_starting_form(monkeypatch):
     # The identity row order of an expanded base renormalizes its starting
-    # form onto itself (U = I, sigma = id, x0 = 0), so the search skips its
-    # key step: exactly one key step fewer per expanded base than the search
-    # that keys it, with the same keys in the same order, forms and maps.
+    # form onto itself (U = I, sigma = id, x0 = 0), and the search yields
+    # that form before its loop, so it skips the identity's key step: exactly
+    # one key step fewer per expanded base than the search that keys it,
+    # with the same keys in the same order, forms and maps.
     from deltasimplex import equivalence
 
     calls = {"count": 0}
@@ -288,7 +298,7 @@ def test_identity_order_reuses_the_starting_form(monkeypatch):
             assert step.U == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
             assert step.x0 == (0,) * n
             identities += 1
-        want, steps, expanded, _ = _search_without_identity_reuse(prim, meta)
+        want, steps, expanded, _ = _search_keying_the_identity(prim, meta)
         calls["count"] = 0
         got = equivalent_normalized_set(prim, meta).records
         assert calls["count"] == steps - expanded
@@ -330,10 +340,11 @@ def test_adjacent_unit_pivot_swap_keeps_the_key():
 
 @pytest.mark.parametrize("entry_bound", [3, 9], ids=["small-entries", "large-entries"])
 def test_pruned_search_matches_unpruned_reference(monkeypatch, entry_bound):
-    # Skipping repeated starting forms and unit-pivot swaps must not change
-    # the set: same keys in the same order, same forms, same maps as the
-    # reference loop that renormalizes every reduced permutation of every
-    # maximal base. The counting key step shows that the pruning fires.
+    # Skipping repeated starting forms, unit-pivot swaps and the identity
+    # order must not change the set: same keys in the same order, same forms,
+    # same maps as the reference loop that renormalizes every reduced
+    # permutation of every maximal base. The counting key step shows that
+    # the pruning fires.
     from deltasimplex import equivalence
 
     calls = {"count": 0}
@@ -360,6 +371,80 @@ def test_pruned_search_matches_unpruned_reference(monkeypatch, entry_bound):
         deep += any(ns.k >= 2 for ns, _ in want.values())
     assert deep > 0
     assert 0 < calls["count"] < permutations
+
+
+def _search_shape_cases(atlas_cache):
+    """Primitive systems for the search-shape test: seeded ones up to n = 5 and two atlases' records."""
+    from deltasimplex import enumerate_atlas
+
+    rng = random.Random(83)
+    systems = [random_simplex(rng, n, entry_bound=5 if n < 5 else 3) for n in [1, 2, 3, 4, 5] * 6]
+    records = atlas_cache(4, 5) + enumerate_atlas(3, 8, "lattice", up_to=True)
+    return [primitivize(sys) for sys in systems] + [rec.system() for rec in records]
+
+
+def test_search_starts_at_the_least_base_and_each_base_at_its_starting_form(monkeypatch, atlas_cache):
+    # The search walks the maximal bases least first and yields each expanded
+    # base's starting step, if its key is new, before its other keys and
+    # before that base builds its starting form; so its first pair is the
+    # least base's starting step, which check_equivalence's fast path reads.
+    # A unimodular image T of S with the same row order has S's least-base
+    # key, and its witness is the composite of the two least-base maps. Each
+    # expanded base makes at most sum_{j <= log2 delta} n!/(n-j)! key steps.
+    from deltasimplex import equivalence
+    from deltasimplex.equivalence import _search
+    from deltasimplex.normal_form import KeyStep
+
+    built = set()  # keys of the forms built
+    form = KeyStep.form
+
+    def recording_form(step):
+        built.add(step.key)
+        return form(step)
+
+    monkeypatch.setattr(KeyStep, "form", recording_form)
+    rng = random.Random(84)
+    expanded = moved_witnesses = 0
+    for prim in _search_shape_cases(atlas_cache):
+        meta = validate_simplex(prim)
+        n, least = prim.n, min(meta.max_det_bases)
+        bases = []  # the expanded bases' starting steps, in walk order
+        seen = set()
+        built.clear()
+        for step, start in _search(prim, meta):
+            if not bases or start is not bases[-1]:
+                assert all(start is not s for s in bases)  # one contiguous run per base
+                bases.append(start)
+                if start.key not in seen:
+                    assert step is start and start.key not in built
+            else:
+                assert step is not start
+            seen.add(step.key)
+        first, first_start = next(_search(prim, meta))
+        assert first is first_start and first == key_step(prim, least, meta.delta)
+        base_of = [tuple(sorted(start.row_src[:n])) for start in bases]
+        assert base_of[0] == least and base_of == sorted(base_of)
+        expanded += len(bases)
+
+        moved = apply_map(prim, random_unimodular_map(rng, n, entry_bound=4, trans_bound=4))
+        witness = compose(key_step(moved, least, meta.delta).map(), inverse(key_step(prim, least, meta.delta).map()))
+        assert check_equivalence(prim, moved).witness == witness
+        moved_witnesses += witness != identity_map(n)
+
+        steps = []  # per key step: whether it keys the source system (a base's starting step)
+        real_key_step = equivalence.key_step
+
+        def counting_key_step(sys, base, delta):
+            steps.append(sys is prim)
+            return real_key_step(sys, base, delta)
+
+        monkeypatch.setattr(equivalence, "key_step", counting_key_step)
+        list(_search(prim, meta))
+        monkeypatch.setattr(equivalence, "key_step", real_key_step)
+        per_base = [1 + len(list(run)) for on_source, run in itertools.groupby(steps) if not on_source]
+        bound = sum(math.perm(n, j) for j in range(meta.delta.bit_length()))
+        assert len(per_base) <= len(bases) and max(per_base, default=1) <= bound
+    assert expanded > 100 and moved_witnesses > 50
 
 
 # Row orders of one simplex that the reduced-permutation search judges
@@ -647,16 +732,16 @@ def test_check_equivalence_validates_each_system_once(monkeypatch):
 
 def test_check_equivalence_builds_the_fast_path_form_only_on_a_hit(monkeypatch):
     # T's least-base form is built and validated first, on every path. S's
-    # least-base step is keyed next and builds only its map, and only when
-    # its key equals T's: its form is then T's, already validated. On a miss
-    # nothing of S is built before the search, which builds S's forms itself;
-    # after it only the witness's maps are built: S's stored map from the
-    # step the search stopped at, then T's map.
+    # search then yields its least base's starting step before it builds any
+    # form; if that key is T's (the fast path), only S's map is built, since
+    # its form is T's, already validated. On a miss the same search goes on
+    # and builds S's forms itself; after it only the witness's maps are
+    # built: T's map, then S's stored map from the step the search stopped at.
     from deltasimplex import equivalence
     from deltasimplex.normal_form import KeyStep
 
     events = []
-    stopped = []  # the (step, start) pair the search yielded last
+    yields = []  # per pair the search yielded: (pair, what it built before yielding it)
     form, key_map, search = KeyStep.form, KeyStep.map, equivalence._search
 
     def counting_form(step):
@@ -673,10 +758,11 @@ def test_check_equivalence_builds_the_fast_path_form_only_on_a_hit(monkeypatch):
         while True:
             before = len(events)
             pair = next(pairs, None)
+            built = events[before:]
             del events[before:]  # the starting forms the search builds itself
             if pair is None:
                 return
-            stopped[:] = [pair]
+            yields.append((pair, built))
             yield pair
 
     monkeypatch.setattr(KeyStep, "form", counting_form)
@@ -691,53 +777,56 @@ def test_check_equivalence_builds_the_fast_path_form_only_on_a_hit(monkeypatch):
         order = rng.sample(range(n + 1), n + 1)
         moved = InequalitySystem(n, tuple(moved.A[i] for i in order), tuple(moved.b[i] for i in order))
         events.clear()
+        yields.clear()
         result = check_equivalence(sys, moved)  # the search is incomplete (see the module docstring)
         kind, key_t = events[0]
-        assert kind == "form"
-        if "search" in events:
-            assert events[1] == "search"  # nothing of S built before the search on a miss
-            if result.equivalent:
-                step, start = stopped[0]
-                assert step.key == key_t
-                stored = [("map", start.key)] + ([] if step is start else [("map", step.key)])
-                assert events[2:] == stored + [("map", key_t)]
-            else:
-                assert events[2:] == []
+        assert kind == "form" and events[1] == "search"
+        (step, start), built = yields[0]
+        assert step is start and built == []  # the least base's starting step, before any form
+        fast = step.key == key_t
+        if fast:
+            assert len(yields) == 1 and result.equivalent
+            assert events[2:] == [("map", key_t), ("map", key_t)]  # T's map, then S's
+        elif result.equivalent:
+            (step, start), _ = yields[-1]
+            assert step.key == key_t
+            stored = [("map", start.key)] + ([] if step is start else [("map", step.key)])
+            assert events[2:] == [("map", key_t)] + stored
         else:
-            assert events[1:] == [("map", key_t), ("map", key_t)]  # S's map, then T's
-        outcomes.add("search" in events)
-    assert outcomes == {True, False}
+            assert events[2:] == []
+        outcomes.add((fast, result.equivalent))
+    assert {(True, True), (False, True)} <= outcomes
 
 
 def _equivalent_set_before_the_split(prim, meta):
     """The equivalent-set search as one loop that builds a map for every new key.
 
-    This is the search before the map-free `_search` was split out of it:
-    same rules, same keying order, and each new form is built with its map
-    by its `KeyStep` and stored with the map source -> form.
+    This is the search without the map-free `_search` split out of it: same
+    rules, same keying order (bases least first, each expanded base's
+    starting form first), and each new form is built with its map by its
+    `KeyStep` and stored with the map source -> form.
     """
     from deltasimplex.equivalence import _unit_swap_twin
 
     out = {}
     starts = set()
     identity = tuple(range(prim.n))
-    for base in meta.max_det_bases:
+    for base in sorted(meta.max_det_bases):
         start = key_step(prim, base, meta.delta)
         if start.key in starts:
             continue
         starts.add(start.key)
         ns0, m0 = start.form(), start.map()
+        if start.key not in out:
+            out[start.key] = (ns0, inverse(m0))
         sys0 = ns0.system()
-        units = {}
+        units = {identity: frozenset(range(ns0.s))}
         for perm in reduced_permutations(ns0.H):
+            if perm == identity:
+                continue
             twin = _unit_swap_twin(perm, units)
             if twin is not None:
                 units[perm] = units[twin]
-                continue
-            if perm == identity:
-                units[perm] = frozenset(range(ns0.s))
-                if start.key not in out:
-                    out[start.key] = (ns0, inverse(m0))
                 continue
             step = key_step(sys0, perm, meta.delta)
             units[perm] = frozenset(step.row_src[: step.s])
@@ -818,7 +907,9 @@ def test_lazy_search_answers_what_the_full_set_stores(monkeypatch):
     # check_equivalence reads S's search only up to T's key. Each key is
     # yielded once, so it stops at the step the full set stores under that
     # key: answer, certificate and witness equal those read off the set, and
-    # on a hit the search has yielded exactly the keys up to T's.
+    # on a hit the search has yielded exactly the keys up to T's. The first
+    # key is the fast path's: a hit there, or an invariant mismatch after
+    # it, reads one key.
     from deltasimplex import equivalence
 
     yielded = []
@@ -841,11 +932,16 @@ def test_lazy_search_answers_what_the_full_set_stores(monkeypatch):
             prim_t = primitivize(sys_t)
             meta_t = validate_simplex(prim_t)
             key_t = key_step(prim_t, min(meta_t.max_det_bases), meta_t.delta).key
-            assert searched == (full[: full.index(key_t) + 1] if got.equivalent else full)
-        outcomes.append((bool(searched), got.certificate))
-    assert (True, None) in outcomes  # a positive found by the search, past the fast path
-    assert (True, "search-exhausted") in outcomes
-    assert (False, None) in outcomes  # a fast-path positive
+            if got.equivalent:
+                assert searched == full[: full.index(key_t) + 1]
+            elif got.certificate == "invariant-mismatch":
+                assert searched == full[:1]
+            else:
+                assert searched == full
+        outcomes.append((len(searched), got.certificate))
+    assert (1, None) in outcomes  # a fast-path positive
+    assert any(count > 1 and cert is None for count, cert in outcomes)  # a positive past the fast path
+    assert any(cert == "search-exhausted" for _, cert in outcomes)
 
 
 def test_dedup_builds_no_map(monkeypatch):
