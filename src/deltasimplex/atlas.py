@@ -149,18 +149,22 @@ def read_atlas(stream, problems: list[str] | None = None) -> list[CandidateRecor
     """The records of an atlas file, in file order; blank lines are skipped.
 
     A line that is not valid JSON or not a valid record raises
-    `PreconditionError` naming its 1-based line number. With a `problems`
+    `PreconditionError` naming its 1-based line number, and for invalid
+    JSON the 1-based column of the error in that line. With a `problems`
     list, each record whose stored `canonical_key` does not match its system
     is reported there (the record is still returned).
     """
     records = []
     for number, line in enumerate(stream, 1):
-        line = line.strip()
+        # Leading blanks stay, so that a JSON error's column is the file's.
+        line = line.rstrip()
         if not line:
             continue
         try:
             data = json.loads(line)
             rec = record_from_dict(data)
+        except json.JSONDecodeError as exc:
+            raise PreconditionError(f"line {number} column {exc.colno}: {exc.msg}") from None
         except (ValueError, DeltaSimplexError) as exc:
             raise PreconditionError(f"line {number}: {exc}") from None
         if problems is not None and data.get("canonical_key") != canonical_key(rec.ns):

@@ -26,8 +26,8 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import InvariantViolation, PreconditionError
-from .exact_linalg import MEMO_CACHE_SIZE, Mat, Vec, dot, matrix, vector
-from .normal_form import _reduce_hnf_rhs, is_hnf_matrix, paral_weights
+from .exact_linalg import MEMO_CACHE_SIZE, Mat, Vec, dot, is_hnf_matrix, matrix, vector
+from .normal_form import _reduce_hnf_rhs, paral_weights
 
 
 class GroupTable(NamedTuple):

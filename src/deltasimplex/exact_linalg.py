@@ -235,6 +235,11 @@ def hnf(a: Mat) -> tuple[Mat, Mat]:
     matrix [a; I], whose lower block ends as u, so it requires every row
     prefix of `a` to have full rank (callers choose the row order).
 
+    Each distinct `a` is eliminated once (an LRU memo) and its result checked
+    there: the readback a @ u == h_full, the Hermite shape of the top block
+    (`is_hnf_matrix`) and |det u| = 1, read off the elimination. Callers of
+    the memo trust all three and re-check none.
+
     Returns:
         (h_full, u) with a @ u == h_full exactly.
     """
@@ -247,6 +252,9 @@ def _hnf_cached(a: Mat) -> tuple[Mat, Mat]:
     if n == 0 or m < n:
         raise ShapeError(f"hermite form needs an m x n matrix with m >= n >= 1, got {m}x{n}")
     work = [list(row) for row in a] + [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # det(u) as the product of the column operations' determinants: x p + y qq
+    # per 2 x 2 step (1 for a Bezout-exact _xgcd), -1 per negation, 1 per shear.
+    det_u = 1
     for i in range(n):
         if all(work[i][j] == 0 for j in range(i, n)):
             raise RankError(f"rows 0..{i} are linearly dependent")
@@ -256,11 +264,13 @@ def _hnf_cached(a: Mat) -> tuple[Mat, Mat]:
             piv, other = work[i][i], work[i][j]
             g, x, y = _xgcd(piv, other)
             p, qq = piv // g, other // g
+            det_u *= x * p + y * qq
             for row in work:
                 ci, cj = row[i], row[j]
                 row[i] = x * ci + y * cj
                 row[j] = p * cj - qq * ci
         if work[i][i] < 0:
+            det_u = -det_u
             for row in work:
                 row[i] = -row[i]
         for j in range(i):
@@ -272,7 +282,23 @@ def _hnf_cached(a: Mat) -> tuple[Mat, Mat]:
     u = tuple(tuple(row) for row in work[m:])
     if mat_mul(a, u) != h_full:
         raise InvariantViolation("hermite decomposition readback failed")
+    if not is_hnf_matrix(h_full[:n]):
+        raise InvariantViolation("hermite elimination left its top block out of Hermite form")
+    if abs(det_u) != 1:
+        raise InvariantViolation(f"hermite transform has determinant {det_u}, not +-1")
     return h_full, u
+
+
+def is_hnf_matrix(m: Mat) -> bool:
+    """Square, lower triangular, positive diagonal, rows reduced mod the diagonal."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        return False
+    for i, row in enumerate(m):
+        d = row[i]
+        if d <= 0 or any(row[i + 1 :]) or not all(0 <= x < d for x in row[:i]):
+            return False
+    return True
 
 
 def solve_rational(m: Mat, b) -> FracVec:

@@ -42,6 +42,7 @@ from .exact_linalg import (
     det,
     dot,
     hnf,
+    is_hnf_matrix,
     mat_vec,
     matrix,
     transpose,
@@ -86,6 +87,15 @@ class NormalizedSystem(_NormalizedSystemFields):
             raise ShapeError("h and c must have length n")
         return super().__new__(cls, n, s, k, H, h, c, c0, delta)
 
+    @classmethod
+    def _trusted(cls, n: int, s: int, k: int, H: Mat, h: Vec, c: Vec, c0: int, delta: int) -> NormalizedSystem:
+        """Build from int tuples of the right shapes, skipping the public constructor's checks.
+
+        Only `KeyStep.form` comes through here, and it runs the full
+        `validate_normalized` on the result, so every form is still checked.
+        """
+        return _NormalizedSystemFields.__new__(cls, n, s, k, H, h, c, c0, delta)
+
     def full_matrix(self) -> Mat:
         return self.H + (self.c,)
 
@@ -114,18 +124,6 @@ def primitivize(sys: InequalitySystem) -> InequalitySystem:
         return sys
     rows, rhs = zip(*(_primitive_row(a, b0) for a, b0 in zip(sys.A, sys.b)))
     return InequalitySystem(sys.n, rows, rhs)
-
-
-def is_hnf_matrix(m: Mat) -> bool:
-    """Square, lower triangular, positive diagonal, rows reduced mod the diagonal."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        return False
-    for i, row in enumerate(m):
-        d = row[i]
-        if d <= 0 or any(row[i + 1 :]) or not all(0 <= x < d for x in row[:i]):
-            return False
-    return True
 
 
 def reduce_rhs(h_mat: Mat, b) -> tuple[Vec, Vec]:
@@ -200,26 +198,34 @@ class KeyStep(NamedTuple):
 
     def form(self) -> NormalizedSystem:
         """The `NormalizedSystem`, validated; key_tuple of it equals `key`."""
-        ns = NormalizedSystem(
-            n=self.n, s=self.s, k=self.n - self.s, H=self.H, h=self.h, c=self.c, c0=self.c0, delta=self.delta
-        )
+        ns = NormalizedSystem._trusted(self.n, self.s, self.n - self.s, self.H, self.h, self.c, self.c0, self.delta)
         ok, violated = validate_normalized(ns)
         if not ok:
             raise InvariantViolation(f"normalization produced an invalid system: {violated}")
         return ns
 
     def map(self) -> AffineUnimodularMap:
-        """The map x -> U x + U x0 carrying the form onto its source."""
-        return AffineUnimodularMap(self.U, mat_vec(self.U, self.x0))
+        """The map x -> U x + U x0 carrying the form onto its source; `hnf` checked |det U| = 1."""
+        return AffineUnimodularMap._trusted(self.U, mat_vec(self.U, self.x0))
 
 
 def key_step(prim: InequalitySystem, base: tuple[int, ...], delta: int) -> KeyStep:
     """Key step of `_normalize_primitive`: the canonical key and everything the form and map need.
 
     Runs the Hermite elimination, the coordinate permutation and the
-    right-hand-side reduction, with their own checks, but builds no
-    `NormalizedSystem`, validation or map; the returned `KeyStep` builds
-    those on demand.
+    right-hand-side reduction, but builds no `NormalizedSystem`, validation
+    or map; the returned `KeyStep` builds those on demand.
+
+    Nothing here re-checks what `hnf` checked once per distinct base block:
+    H in Hermite form and |det U| = 1. The permutation sigma keeps both. A
+    unit-diagonal row of a Hermite matrix is e_i (its entries left of the
+    diagonal are reduced mod 1), so moving the unit coordinates first, rows
+    and columns alike, leaves those rows e_i; a non-unit row keeps its
+    diagonal and meets, left of it, only its old left entries or zeros from
+    right of its old diagonal, since the non-unit coordinates keep their
+    order. So H stays lower triangular and reduced, and `_reduce_hnf_rhs`
+    runs unchecked. Permuting the columns of U only flips the sign of its
+    determinant. `KeyStep.form()` validates every form it builds.
     """
     n = prim.n
     omitted = next(i for i in range(n + 1) if i not in base)
@@ -247,7 +253,7 @@ def key_step(prim: InequalitySystem, base: tuple[int, ...], delta: int) -> KeySt
         row_src = tuple(base[a] for a in sigma) + (omitted,)
 
     # Right-hand-side reduction by the unique integer translation.
-    h, x0 = reduce_rhs(h_mat, [prim.b[i] for i in row_src[:n]])
+    h, x0 = _reduce_hnf_rhs(h_mat, [prim.b[i] for i in row_src[:n]])
     c0 = prim.b[omitted] - dot(c, x0)
 
     key = _flat_key(n, delta, h_mat + (c,), h + (c0,))

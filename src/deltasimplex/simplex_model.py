@@ -84,7 +84,8 @@ class AffineUnimodularMap(_AffineUnimodularMapFields):
         """Build from tuples known to hold a unimodular U and an x0 of matching length.
 
         Skips the `det` check of the public constructor; only results that are
-        unimodular by construction (`compose`, `inverse`) come through here.
+        unimodular by construction come through here: `compose`, `inverse`,
+        and `KeyStep.map`, whose U `hnf` checked once per distinct base block.
         """
         return _AffineUnimodularMapFields.__new__(cls, U, x0)
 

@@ -32,6 +32,7 @@ from deltasimplex import (
     NotASimplexError,
     PreconditionError,
     ShapeError,
+    apply_map,
     det,
     identity,
     matrix,
@@ -124,6 +125,31 @@ def random_unimodular_map(rng: random.Random, n: int, entry_bound: int = 10, tra
         if max(abs(x) for row in u for x in row) <= entry_bound:
             x0 = tuple(rng.randint(-trans_bound, trans_bound) for _ in range(n))
             return AffineUnimodularMap(tuple(tuple(row) for row in u), x0)
+
+
+def constructed_simplex(rng: random.Random, diag, lam_bound: int = 2, rhs_bound: int = 3) -> InequalitySystem:
+    """A simplex built around a Hermite block with diagonal `diag`, then moved and its rows shuffled.
+
+    H is lower triangular with diagonal `diag` and each entry left of the
+    diagonal reduced mod its row's diagonal entry. The last row is c = -lam^T H
+    with every lam_i in 1..lam_bound, so the n + 1 rows are positively
+    dependent and bound whatever they cut out; the maximal minors are det(H)
+    and lam_i det(H), none zero. With h random, the vertex H^-1 h has
+    c^T H^-1 h = -lam^T h, so c0 = -lam^T h + t with t >= 1 puts it strictly
+    inside the last half-space and the simplex is full-dimensional. No draw
+    is rejected, unlike `random_simplex`, so n = 12 costs no more than n = 3
+    per draw. A random unimodular map (`apply_map`) and a row shuffle then
+    hide the block.
+    """
+    n = len(diag)
+    h_mat = tuple(tuple(rng.randrange(diag[i]) if j < i else diag[i] if j == i else 0 for j in range(n)) for i in range(n))
+    lam = [rng.randint(1, lam_bound) for _ in range(n)]
+    c = tuple(-sum(l * row[j] for l, row in zip(lam, h_mat)) for j in range(n))
+    h = tuple(rng.randint(-rhs_bound, rhs_bound) for _ in range(n))
+    c0 = -sum(l * x for l, x in zip(lam, h)) + rng.randint(1, rhs_bound)
+    moved = apply_map(InequalitySystem(n, h_mat + (c,), h + (c0,)), random_unimodular_map(rng, n))
+    order = rng.sample(range(n + 1), n + 1)
+    return InequalitySystem(n, tuple(moved.A[i] for i in order), tuple(moved.b[i] for i in order))
 
 
 def random_hnf(rng: random.Random, n: int, delta_max: int):

@@ -634,14 +634,16 @@ def test_malformed_record_is_one_error_line(tmp_path, command, mutate):
 @pytest.mark.parametrize(
     "last_line, message",
     [
-        pytest.param('{"format": "delta-simplex/atlas-v1", "n": 2', "Expecting ',' delimiter", id="truncated"),
-        pytest.param('{"format": "delta-simplex/atlas-v1", "n": 2}', "input is missing the key 's'", id="missing-key"),
+        pytest.param(
+            '{"format": "delta-simplex/atlas-v1", "n": 2', "line {} column 44: Expecting ',' delimiter", id="truncated"
+        ),
+        pytest.param('{"format": "delta-simplex/atlas-v1", "n": 2}', "line {}: input is missing the key 's'", id="missing-key"),
     ],
 )
 def test_atlas_input_error_names_its_line(tmp_path, capsys, command, last_line, message):
     # A line that is not JSON, or not a record, is an input error (exit 2)
     # whose message starts with the 1-based line of the file, blank lines
-    # counted.
+    # counted, and for invalid JSON the 1-based column in that line.
     out = tmp_path / "atlas.jsonl"
     assert run(["enumerate", "--delta", "3", "--dim", "2", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
@@ -650,10 +652,25 @@ def test_atlas_input_error_names_its_line(tmp_path, capsys, command, last_line, 
     capsys.readouterr()
     assert run([command, str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: line 4: {message}") and len(err.splitlines()) == 1
+    assert err.startswith("error: " + message.format(4)) and len(err.splitlines()) == 1
     out.write_text("\n".join(lines[:1] + [""] + lines[1:]) + "\n" + last_line + "\n")
     assert run([command, str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: line 5: {message}")
+    assert capsys.readouterr().err.startswith("error: " + message.format(5))
+
+
+def test_atlas_json_error_names_the_column_of_its_line(tmp_path, capsys):
+    # The position of a JSON error is the file's: the line and the column in
+    # that line, not the decoder's "line 1 column C (char C-1)" of the record
+    # alone. A record cut inside a string on the 3rd line, and the same line
+    # indented by two blanks, which move the column by two.
+    out = tmp_path / "atlas.jsonl"
+    assert run(["enumerate", "--delta", "3", "--dim", "2", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    for indent, column in (("", 40), ("  ", 42)):
+        out.write_text("\n".join(lines[:2] + [indent + lines[2][:40]]) + "\n")
+        capsys.readouterr()
+        assert run(["verify", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: line 3 column {column}: Unterminated string starting at\n"
 
 
 def test_stats_rejects_delta_below_one(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltasimplex import (
+    InvariantViolation,
     RankError,
     ShapeError,
     SingularityError,
@@ -17,6 +18,7 @@ from deltasimplex import (
     solve_rational,
     unimodular_inverse,
 )
+from deltasimplex import exact_linalg
 from deltasimplex.exact_linalg import _adjugate_cached, mat_mul, shape, transpose
 from fractions import Fraction
 
@@ -188,6 +190,38 @@ def test_hnf_random_properties():
 def test_hnf_rank_deficient():
     with pytest.raises(RankError):
         hnf(((1, 2), (2, 4), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "scale_g, message",
+    [
+        # (g, 2x, 2y): every 2 x 2 step has determinant x p + y qq = 2, yet the
+        # readback a @ u == h holds and h is in Hermite form.
+        pytest.param(1, "determinant", id="unimodular"),
+        # (2g, 2x, 2y) with g = 1: qq = other // 2 leaves a nonzero entry above
+        # the diagonal, which the Hermite-shape check reports (it runs before
+        # the determinant check, which would fail too).
+        pytest.param(2, "out of Hermite form", id="hermite-shape"),
+    ],
+)
+def test_hnf_checks_its_elimination_on_each_new_matrix(monkeypatch, scale_g, message):
+    # The checks that the key step trusts run once per distinct matrix, on
+    # the cache miss that eliminates it: a broken extended gcd must not get
+    # a result into the memo.
+    xgcd = exact_linalg._xgcd
+
+    def broken_xgcd(a, b):
+        g, x, y = xgcd(a, b)
+        return scale_g * g, 2 * x, 2 * y
+
+    a = ((2, 3), (5, 7))
+    exact_linalg._hnf_cached.cache_clear()
+    monkeypatch.setattr(exact_linalg, "_xgcd", broken_xgcd)
+    with pytest.raises(InvariantViolation, match=message):
+        hnf(a)
+    monkeypatch.undo()
+    h_full, u = hnf(a)
+    assert h_full == identity(2) and abs(det(u)) == 1
 
 
 def test_solve_rational_identity():

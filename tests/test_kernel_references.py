@@ -11,12 +11,21 @@ import random
 
 import pytest
 
-from deltasimplex import DeltaSimplexError, InequalitySystem, NormalizedSystem, validate_normalized
+from deltasimplex import (
+    AffineUnimodularMap,
+    DeltaSimplexError,
+    InequalitySystem,
+    NormalizedSystem,
+    apply_map,
+    validate_normalized,
+)
 from deltasimplex.exact_linalg import dot, mat_mul, mat_vec, transpose
 from deltasimplex.normal_form import is_hnf_matrix, key_step, primitivize
 from deltasimplex.simplex_model import validate_simplex
 
 from helpers import (
+    cofactor_det,
+    constructed_simplex,
     random_int_matrix,
     ref_dot,
     ref_is_hnf_matrix,
@@ -144,6 +153,37 @@ def test_kernels_match_their_references_on_random_systems(n):
             same(key_step, ref_key_step, ns.system(), tuple(rng.sample(range(n), n)), meta.delta)
             same(key_step, ref_key_step, ns.system(), tuple(range(n)), meta.delta)
     assert simplices >= SYSTEMS_PER_DIM // 2
+
+
+# Non-unit pivots of the constructed Hermite blocks, placed among unit ones.
+PIVOTS = ((2,), (3,), (2, 2), (4,), (2, 3))
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_key_step_builds_what_the_checked_constructors_build(n):
+    # `key_step` trusts the Hermite form and |det U| = 1 that `hnf` checked,
+    # and `form()` and `map()` skip the public constructors' checks. On
+    # constructed simplices with non-unit pivots each step must equal the
+    # reference step, which checks the Hermite form itself; the form and the
+    # map must equal what the checked constructors build from the same
+    # fields; |det U| must be 1 by cofactor expansion; and the map must carry
+    # the form onto its source, row by row.
+    rng = random.Random(2600 + n)
+    for pivots in PIVOTS:
+        diag = [1] * n
+        for p, i in zip(pivots, rng.sample(range(n), len(pivots))):
+            diag[i] = p
+        prim = primitivize(constructed_simplex(rng, diag))
+        meta = validate_simplex(prim)
+        for base in meta.max_det_bases:
+            step = same(key_step, ref_key_step, prim, base, meta.delta)[1]
+            form, amap = step.form(), step.map()
+            assert type(form) is NormalizedSystem and type(amap) is AffineUnimodularMap
+            assert form == NormalizedSystem(n, step.s, n - step.s, step.H, step.h, step.c, step.c0, meta.delta)
+            assert amap == AffineUnimodularMap(step.U, mat_vec(step.U, step.x0))
+            assert abs(cofactor_det(amap.U)) == 1
+            moved = apply_map(prim, amap)
+            assert tuple(moved.rows()[i] for i in step.row_src) == form.system().rows()
 
 
 def test_linear_algebra_kernels_match_their_references():
