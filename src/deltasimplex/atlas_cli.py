@@ -74,7 +74,10 @@ def _cmd_normalize(args) -> int:
     if args.base == "auto":
         base = min(bases)
     else:
-        base = tuple(sorted(int(x) - 1 for x in args.base.split(",")))
+        try:
+            base = tuple(sorted(int(x) - 1 for x in args.base.split(",")))
+        except ValueError:  # an entry that is not an integer: rejected below with the other bad bases
+            base = ()
         n = sys_in.n
         if len(set(base)) != n or len(base) != n or not all(0 <= i <= n for i in base):
             raise PreconditionError(f"--base must be {n} distinct row indices in 1..{n + 1}, got {args.base!r}")

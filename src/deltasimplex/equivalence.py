@@ -33,7 +33,9 @@ needs; the search's first step, the least base's starting form, is its
 fast path. Past that first step, it compares an exact class invariant read
 off the two metas (`_lattice_invariant`: volume, facet pairs and edge
 lattice lengths, a few dozen integer operations), which rejects most
-inequivalent pairs that share the |minor| multiset without a search.
+inequivalent pairs that share the |minor| multiset without a search. The
+volume and facet pairs are compared first, and the edge lengths, which
+cost C(n+1, 2) pairs of gcds, only when those agree.
 `dedup_families` reads the keys, and runs the one record check
 (`enumeration.record_problem`) on each record it walks, whose meta the
 search then reuses.
@@ -238,7 +240,14 @@ def _lattice_invariant(prim: InequalitySystem, meta: SimplexMeta) -> tuple:
     Returns (volume, facet pairs, edge lengths); equivalent simplices give
     equal values. A map x -> U x + x0 turns the primitive rows [A | b] into
     the primitive rows [A U | b - A x0], in the same order, and a row order
-    only permutes indices, which the sorted tuples forget.
+    only permutes indices, which the sorted tuples forget. The first two
+    are `_volume_and_facets`, the third `_edge_lengths`.
+    """
+    return (*_volume_and_facets(prim, meta), _edge_lengths(meta))
+
+
+def _volume_and_facets(prim: InequalitySystem, meta: SimplexMeta) -> tuple:
+    """The volume and the sorted facet pairs of `_lattice_invariant`: one dot product and a sort.
 
     - Volume, |det [A | b]|: [A U | b - A x0] = [A | b] [[U, -x0], [0, 1]],
       a factor of determinant +-1. It is read off the meta: the slack of
@@ -247,24 +256,28 @@ def _lattice_invariant(prim: InequalitySystem, meta: SimplexMeta) -> tuple:
     - Facet pairs, the sorted (|minor_i|, d_i), d_i the denominator of
       vertex i (opposite row i): U keeps |minors|, and the integral affine
       map between the simplices keeps a point's reduced denominator.
-    - Edge lengths, the sorted lattice lengths of p_i - p_j as reduced
-      (numerator, denominator): content(D (p_i - p_j)) / D in lowest terms,
-      for D = d_i d_j or any other common denominator. U keeps the content
-      of an integer vector, and the translation cancels.
-
-    Integers throughout: one pass over the n + 1 vertices and two gcds per edge.
     """
     points = meta.points
     nums0, d0 = points[0]
     volume = abs(meta.minors[0] * (prim.b[0] * d0 - dot(prim.A[0], nums0))) // d0
-    facets = sorted(zip(map(abs, meta.minors), (d for _, d in points)))
+    return volume, tuple(sorted(zip(map(abs, meta.minors), (d for _, d in points))))
+
+
+def _edge_lengths(meta: SimplexMeta) -> tuple:
+    """The sorted edge lengths of `_lattice_invariant`: two gcds for each of the C(n+1, 2) edges.
+
+    The lattice length of p_i - p_j as reduced (numerator, denominator):
+    content(D (p_i - p_j)) / D in lowest terms, for D = d_i d_j or any other
+    common denominator. U keeps the content of an integer vector, and the
+    translation cancels.
+    """
     edges = []
-    for (nums_i, d_i), (nums_j, d_j) in itertools.combinations(points, 2):
+    for (nums_i, d_i), (nums_j, d_j) in itertools.combinations(meta.points, 2):
         den = d_i * d_j
         content = math.gcd(*(x * d_j - y * d_i for x, y in zip(nums_i, nums_j)))
         g = math.gcd(content, den)
         edges.append((content // g, den // g))
-    return volume, tuple(facets), tuple(sorted(edges))
+    return tuple(sorted(edges))
 
 
 class EquivalenceResult(NamedTuple):
@@ -288,9 +301,12 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
        built. If its key is the second simplex's, the pair is equivalent
        (the fast path: one key step and two maps of the first simplex).
     3. Otherwise the two `_lattice_invariant`s are compared
-       (`invariant-mismatch`): a pass over the vertices and two gcds per
-       edge, against a full search. It is placed after step 2, so a
-       fast-path hit pays nothing for it.
+       (`invariant-mismatch`), cheapest part first: the volume and the
+       facet pairs (`_volume_and_facets`, one dot product and a sort), and
+       only if those agree the edge lengths (`_edge_lengths`, two gcds per
+       edge), against a full search. It is placed after step 2, so a
+       fast-path hit pays nothing for it, and step 2 fills the Hermite memo
+       entry that a later `normalize` of the second simplex reads.
     4. Otherwise the same search goes on until it yields the second
        simplex's key (`search-exhausted` if it never does). The search
        yields each key once, so the step it stops at is the one
@@ -324,12 +340,16 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
     # it builds any form. If that key is T's, S's form is T's, field for field
     # (the key is injective), and already validated, so only S's map is built
     # (the witness is the identity when S and T are equal). On a miss the two
-    # lattice invariants are compared, and only if they agree does the same
-    # search go on, building and validating S's starting forms itself.
+    # lattice invariants are compared, edge lengths last, and only if they
+    # agree does the same search go on, building and validating S's starting
+    # forms itself.
     pairs = _search(prim_s, meta_s)
     found = next(pairs)
     if found[0].key != step_t.key:
-        if _lattice_invariant(prim_s, meta_s) != _lattice_invariant(prim_t, meta_t):
+        if (
+            _volume_and_facets(prim_s, meta_s) != _volume_and_facets(prim_t, meta_t)
+            or _edge_lengths(meta_s) != _edge_lengths(meta_t)
+        ):
             return EquivalenceResult(False, certificate="invariant-mismatch")
         found = next((pair for pair in pairs if pair[0].key == step_t.key), None)
         if found is None:

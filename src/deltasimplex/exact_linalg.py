@@ -140,19 +140,31 @@ def adjugate(m: Mat) -> Mat:
 
 @lru_cache(maxsize=MEMO_CACHE_SIZE)
 def _adjugate_cached(m: Mat) -> Mat:
-    """One fraction-free (Bareiss) Gauss-Jordan pass on [m | I].
+    """One fraction-free (Bareiss) Gauss-Jordan pass on [m | I], in an n x n tableau.
 
-    After step k every entry is, up to sign, a (k+1) x (k+1) minor of
-    [m | I], so each row operation divides exactly by the previous pivot.
+    After step k every entry of [m | I] is, up to sign, a (k+1) x (k+1)
+    minor, so each row operation divides exactly by the previous pivot.
     With P the row swaps made, the left block ends as det(P m) * I and the
     right block as det(P m) * m^-1 = sign(P) * adj(m). A column without a
     pivot means m is singular; only then are the n^2 cofactors computed.
+
+    The tableau holds the right block's columns 0..k-1 and the left block's
+    columns k..n-1, and step k runs the row operation on all n of them.
+    After step k, column k of the left block is p e_k, which nothing reads
+    again, and column k of the right block, `prev * e_k` before the step,
+    is -f in each row i != k (the row operation on 0 and `prev`) and `prev`
+    in row k; the step writes the second in place of the first. The right
+    block's columns past k are unit columns that are never stored, so a row
+    swap of rows k and i, which should swap their entries, swaps columns k
+    and i of the right block instead. The right block so ends as that of
+    P m times those column swaps, and they are undone in reverse order.
     """
     r, c = shape(m)
     if r != c:
         raise ShapeError(f"adjugate of a non-square {r}x{c} matrix")
     n = r
-    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
+    a = [list(row) for row in m]
+    swaps = []
     sign = 1
     prev = 1
     for k in range(n):
@@ -160,20 +172,27 @@ def _adjugate_cached(m: Mat) -> Mat:
             for i in range(k + 1, n):
                 if a[i][k]:
                     a[k], a[i] = a[i], a[k]
+                    swaps.append((k, i))
                     sign = -sign
                     break
             else:
                 return _cofactor_adjugate(m)
         pivot_row = a[k]
         pivot = pivot_row[k]
-        tail = pivot_row[k + 1 :]
         for i in range(n):
             if i != k:
                 row = a[i]
                 f = row[k]
-                row[k + 1 :] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+                row[:] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
+                row[k] = -f
+        pivot_row[k] = prev
         prev = pivot
-    return tuple(tuple(sign * x for x in row[n:]) for row in a)
+    for k, i in reversed(swaps):
+        for row in a:
+            row[k], row[i] = row[i], row[k]
+    if sign < 0:
+        return tuple(tuple(-x for x in row) for row in a)
+    return tuple(map(tuple, a))
 
 
 def _cofactor_adjugate(m: Mat) -> Mat:

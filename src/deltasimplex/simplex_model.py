@@ -138,9 +138,12 @@ def reduced_point(nums: Vec, den: int) -> Point:
 
     The one definition of a vertex's integer form: `validate_simplex` stores
     its vertices through it, and `AffineUnimodularMap.image` reduces the
-    images of points through it, so equal points compare equal.
+    images of points through it, so equal points compare equal. A point
+    already in lowest terms is returned as it is.
     """
     g = math.gcd(*nums, den)
+    if g == 1 and den > 0:
+        return nums, den
     if den < 0:
         g = -g
     return tuple(x // g for x in nums), den // g

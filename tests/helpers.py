@@ -5,13 +5,14 @@ determinant oracle is plain cofactor expansion, rational solving is textbook
 Gaussian elimination over Fractions, and the equivalence oracle is an exact
 search over vertex bijections. The test references after them (the box-scan
 cone minimum, the maximal minors, the vertex opposite the c-row, the residue
-and key readers, the Fraction view of the vertices and the identity map)
-are built on the package's primitives; no package module calls them.
+and key readers, the Fraction view of the vertices, the identity map and
+the equivalent-set search as one plain loop) are built on the package's
+primitives; no package module calls them.
 
 The reference kernels at the end (`ref_*`) are the plain versions of the
 package's hot kernels that the leaner ones replaced: generator sums of
-products, a rebuilt permutation, Bareiss for det(H) and a sign from
-(-1) ** (i + n). `test_kernel_references.py` checks that the package
+products, the adjugate on an n x 2n tableau, a rebuilt permutation,
+Bareiss for det(H) and a sign from (-1) ** (i + n). `test_kernel_references.py` checks that the package
 returns the same values, exceptions and labels.
 """
 
@@ -22,6 +23,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from deltasimplex import (
     AffineUnimodularMap,
@@ -33,16 +35,21 @@ from deltasimplex import (
     PreconditionError,
     ShapeError,
     apply_map,
+    compose,
     det,
     identity,
+    inverse,
     matrix,
+    primitivize,
     reduce_rhs,
+    reduced_permutations,
     solve_rational,
     validate_simplex,
 )
+from deltasimplex.equivalence import _unit_swap_twin
 from deltasimplex.errors import InvalidSystemError
-from deltasimplex.exact_linalg import adjugate, hnf, shape
-from deltasimplex.normal_form import KeyStep, _flat_key, _reduce_hnf_rhs, is_hnf_matrix
+from deltasimplex.exact_linalg import _cofactor_adjugate, adjugate, hnf, shape
+from deltasimplex.normal_form import KeyStep, _flat_key, _reduce_hnf_rhs, is_hnf_matrix, key_step
 from deltasimplex.simplex_model import SimplexMeta, reduced_point
 
 
@@ -317,6 +324,72 @@ def identity_map(n: int) -> AffineUnimodularMap:
     return AffineUnimodularMap(identity(n), (0,) * n)
 
 
+class RefSearch(NamedTuple):
+    """What `ref_equivalent_set` found: the records and how it got them."""
+
+    records: dict  # key -> (form, map source -> form), in the order first stored
+    key_steps: int  # normalizations run, each base's starting one included
+    expanded: int  # bases whose row orders were keyed
+    at_start: int  # records first stored as their base's starting form
+
+
+def ref_equivalent_set(sys: InequalitySystem, rules=(1, 2, 3), rebuild: bool = False) -> RefSearch:
+    """The equivalent-set search as one loop that builds the form and the map of every new key.
+
+    The maximal bases are taken least first. Each expanded base stores its
+    starting form, if new, and then normalizes the reduced row permutations
+    of that form's block matrix, in order, storing each new key's form with
+    the map source -> form. `rules` names the skips of
+    `equivalent_normalized_set` that the loop applies: 1, a base whose
+    starting form an earlier base gave is not expanded; 2, a row order that
+    an adjacent swap of two unit-pivot rows turns into one already reached
+    is not normalized; 3, the identity order is not normalized.
+
+    A row order is normalized by a key step of the starting form's system
+    over that order, or with `rebuild` by building the row-permuted block
+    system and normalizing it over range(n).
+    """
+    prim = primitivize(sys)
+    meta = validate_simplex(prim)
+    n = prim.n
+    in_order = tuple(range(n))
+    records = {}
+    starts = set()
+    steps = expanded = at_start = 0
+    for base in sorted(meta.max_det_bases):
+        start = key_step(prim, base, meta.delta)
+        steps += 1
+        if 1 in rules and start.key in starts:
+            continue
+        starts.add(start.key)
+        expanded += 1
+        ns0, m0 = start.form(), start.map()
+        if start.key not in records:
+            at_start += 1
+            records[start.key] = (ns0, inverse(m0))
+        sys0 = ns0.system()
+        units = {in_order: frozenset(range(ns0.s))} if 3 in rules else {}
+        for perm in reduced_permutations(ns0.H):
+            if 3 in rules and perm == in_order:
+                continue
+            twin = _unit_swap_twin(perm, units) if 2 in rules else None
+            if twin is not None:
+                units[perm] = units[twin]
+                continue
+            if rebuild:
+                rows = [ns0.H[p] for p in perm] + [ns0.c]
+                rhs = [ns0.h[p] for p in perm] + [ns0.c0]
+                step = key_step(InequalitySystem(n, rows, rhs), in_order, meta.delta)
+                units[perm] = frozenset(perm[r] for r in step.row_src[: step.s])
+            else:
+                step = key_step(sys0, perm, meta.delta)
+                units[perm] = frozenset(step.row_src[: step.s])
+            steps += 1
+            if step.key not in records:
+                records[step.key] = (step.form(), inverse(compose(m0, step.map())))
+    return RefSearch(records, steps, expanded, at_start)
+
+
 # Reference kernels: the plain versions that the package's kernels replaced.
 
 
@@ -344,6 +417,36 @@ def ref_dot(u, v):
     if len(u) != len(v):
         raise ShapeError("dot product of vectors with different lengths")
     return sum(x * y for x, y in zip(u, v))
+
+
+def ref_adjugate(m):
+    """`adjugate` as one Bareiss Gauss-Jordan pass on the n x 2n tableau [m | I]."""
+    r, c = shape(m)
+    if r != c:
+        raise ShapeError(f"adjugate of a non-square {r}x{c} matrix")
+    n = r
+    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return _cofactor_adjugate(m)
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        tail = pivot_row[k + 1 :]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                row[k + 1 :] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = pivot
+    return tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 def ref_primitivize(sys: InequalitySystem) -> InequalitySystem:

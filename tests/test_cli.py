@@ -162,6 +162,10 @@ def test_normalize_cli_bad_base(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: --base 1,2 does not attain the maximal minor; valid bases: 1,3\n"
     assert run(["normalize", wide, "--base", "3,1"]) == 0
+    # Entries that are not integers get the malformed-base error, not int()'s.
+    for bad in ("1,x", "", "1.0,3"):
+        assert run(["normalize", wide, "--base", bad]) == 2
+        assert capsys.readouterr().err == f"error: --base must be 2 distinct row indices in 1..3, got {bad!r}\n"
 
 
 def test_normalize_cli_base_is_one_based(triangle_file, capsys):

@@ -31,6 +31,7 @@ from helpers import (
     max_minors,
     random_simplex,
     random_unimodular_map,
+    ref_equivalent_set,
     vertex_bijection_equivalent,
 )
 
@@ -91,27 +92,6 @@ def test_equivalent_set_contains_normalizations_of_mapped_system():
             assert key_tuple(ns) in eq_keys
 
 
-def _two_stage_equivalent_set(sys):
-    """Reference loop: rebuild each row-permuted block system, renormalize it over range(n).
-
-    Maximal bases are taken least first, and each base's starting form is
-    stored, if new, before the forms of its permutations.
-    """
-    prim = primitivize(sys)
-    meta = validate_simplex(prim)
-    n = prim.n
-    out = {}
-    for base in sorted(meta.max_det_bases):
-        ns0, m0, _ = _normalize_primitive(prim, base, meta.delta)
-        out.setdefault(key_tuple(ns0), (ns0, inverse(m0)))
-        for perm in reduced_permutations(ns0.H):
-            rows = [ns0.H[p] for p in perm] + [ns0.c]
-            rhs = [ns0.h[p] for p in perm] + [ns0.c0]
-            ns1, m1, _ = _normalize_primitive(InequalitySystem(n, rows, rhs), tuple(range(n)), meta.delta)
-            out.setdefault(key_tuple(ns1), (ns1, inverse(compose(m0, m1))))
-    return out
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_equivalent_set_matches_two_stage_reference(seed):
     # Renormalizing one system over each permutation as an ordered base must
@@ -125,7 +105,7 @@ def test_equivalent_set_matches_two_stage_reference(seed):
         order = rng.sample(range(n + 1), n + 1)
         shuffled = InequalitySystem(n, [sys.A[i] for i in order], [sys.b[i] for i in order])
         got = equivalent_normalized_set(shuffled).records
-        want = _two_stage_equivalent_set(shuffled)
+        want = ref_equivalent_set(shuffled, rules=(), rebuild=True).records
         assert list(got) == list(want)
         for key, (ns, m) in want.items():
             assert got[key] == (ns, m)
@@ -194,45 +174,6 @@ def test_key_step_key_matches_built_form():
     assert checked > 300
 
 
-def _search_keying_the_identity(prim, meta):
-    """The search with the identity row order keyed like every other one.
-
-    Bases least first; each expanded base stores its starting form first, if
-    new, and then keys every reached row order that is not a unit-pivot swap
-    twin, the identity included. Returns (records, key steps, expanded
-    bases, forms first stored as their base's starting form).
-    """
-    from deltasimplex.equivalence import _unit_swap_twin
-
-    out = {}
-    starts = set()
-    steps = expanded = at_start = 0
-    for base in sorted(meta.max_det_bases):
-        start = key_step(prim, base, meta.delta)
-        steps += 1
-        if start.key in starts:
-            continue
-        starts.add(start.key)
-        expanded += 1
-        ns0, m0 = start.form(), start.map()
-        if start.key not in out:
-            at_start += 1
-            out[start.key] = (ns0, inverse(m0))
-        sys0 = ns0.system()
-        units = {}
-        for perm in reduced_permutations(ns0.H):
-            twin = _unit_swap_twin(perm, units)
-            if twin is not None:
-                units[perm] = units[twin]
-                continue
-            step = key_step(sys0, perm, meta.delta)
-            steps += 1
-            units[perm] = frozenset(step.row_src[: step.s])
-            if step.key not in out:
-                out[step.key] = (step.form(), inverse(compose(m0, step.map())))
-    return out, steps, expanded, at_start
-
-
 def test_equivalent_set_validates_once_per_new_key(monkeypatch):
     # A repeat key is never built or validated again: one validation per
     # distinct starting form of the maximal bases, in the search, plus one
@@ -262,7 +203,7 @@ def test_equivalent_set_validates_once_per_new_key(monkeypatch):
             permutations += len(list(reduced_permutations(ns0.H)))
         starts = len(_starting_keys(prim, meta))
         repeated_starts += starts < len(meta.max_det_bases)
-        *_, at_start = _search_keying_the_identity(prim, meta)
+        at_start = ref_equivalent_set(prim, rules=(1, 2)).at_start
         calls["count"] = 0
         eq = equivalent_normalized_set(prim, meta)
         assert calls["count"] == starts + len(eq.records)
@@ -298,7 +239,7 @@ def test_identity_order_reuses_the_starting_form(monkeypatch):
             assert step.U == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
             assert step.x0 == (0,) * n
             identities += 1
-        want, steps, expanded, _ = _search_keying_the_identity(prim, meta)
+        want, steps, expanded, _ = ref_equivalent_set(prim, rules=(1, 2))
         calls["count"] = 0
         got = equivalent_normalized_set(prim, meta).records
         assert calls["count"] == steps - expanded
@@ -363,7 +304,7 @@ def test_pruned_search_matches_unpruned_reference(monkeypatch, entry_bound):
         for base in meta.max_det_bases:
             ns0, _, _ = _normalize_primitive(prim, base, meta.delta)
             permutations += len(list(reduced_permutations(ns0.H)))
-        want = _two_stage_equivalent_set(sys)
+        want = ref_equivalent_set(sys, rules=(), rebuild=True).records
         got = equivalent_normalized_set(sys).records
         assert list(got) == list(want)
         for key, (ns, m) in want.items():
@@ -596,6 +537,21 @@ def test_check_equivalence_volume_mismatch():
         assert result.certificate == "invariant-mismatch"
 
 
+# Triangles that share delta 3, the |minor| multiset, volume 3 and the facet
+# pairs (3, 1), (3, 3), (3, 3); only their edge lengths differ: 1/3 three
+# times against 1, 1/3, 1/3.
+_EDGE_ONLY_S = InequalitySystem(2, ((-3, -1), (0, -1), (3, 2)), (0, -2, 3))
+_EDGE_ONLY_T = InequalitySystem(2, ((2, -1), (-3, 3), (1, -2)), (-3, 1, 3))
+
+
+def test_check_equivalence_edge_lengths_mismatch():
+    for s, t in ((_EDGE_ONLY_S, _EDGE_ONLY_T), (_EDGE_ONLY_T, _EDGE_ONLY_S)):
+        inv_s, inv_t = (_lattice_invariant(p, validate_simplex(p)) for p in (primitivize(s), primitivize(t)))
+        assert inv_s[:2] == inv_t[:2] == (3, ((3, 1), (3, 3), (3, 3)))
+        assert inv_s[2] != inv_t[2]
+        assert check_equivalence(s, t) == EquivalenceResult(False, certificate="invariant-mismatch")
+
+
 def test_segment_classes_equivalent_forms():
     # [1/2, 2/3] and [1/3, 1/2] are the same class (x -> 1 - x)
     a = InequalitySystem(1, ((3,), (-2,)), (2, -1))
@@ -798,43 +754,6 @@ def test_check_equivalence_builds_the_fast_path_form_only_on_a_hit(monkeypatch):
     assert {(True, True), (False, True)} <= outcomes
 
 
-def _equivalent_set_before_the_split(prim, meta):
-    """The equivalent-set search as one loop that builds a map for every new key.
-
-    This is the search without the map-free `_search` split out of it: same
-    rules, same keying order (bases least first, each expanded base's
-    starting form first), and each new form is built with its map by its
-    `KeyStep` and stored with the map source -> form.
-    """
-    from deltasimplex.equivalence import _unit_swap_twin
-
-    out = {}
-    starts = set()
-    identity = tuple(range(prim.n))
-    for base in sorted(meta.max_det_bases):
-        start = key_step(prim, base, meta.delta)
-        if start.key in starts:
-            continue
-        starts.add(start.key)
-        ns0, m0 = start.form(), start.map()
-        if start.key not in out:
-            out[start.key] = (ns0, inverse(m0))
-        sys0 = ns0.system()
-        units = {identity: frozenset(range(ns0.s))}
-        for perm in reduced_permutations(ns0.H):
-            if perm == identity:
-                continue
-            twin = _unit_swap_twin(perm, units)
-            if twin is not None:
-                units[perm] = units[twin]
-                continue
-            step = key_step(sys0, perm, meta.delta)
-            units[perm] = frozenset(step.row_src[: step.s])
-            if step.key not in out:
-                out[step.key] = (step.form(), inverse(compose(m0, step.map())))
-    return out
-
-
 def test_equivalent_set_matches_the_loop_that_maps_every_key():
     # The public set is built from the map-free search: same keys in the same
     # order, same forms and same maps as the loop that built every map itself.
@@ -843,7 +762,7 @@ def test_equivalent_set_matches_the_loop_that_maps_every_key():
     for n in [1, 2, 3, 4, 5] * 8:
         prim = primitivize(random_simplex(rng, n, entry_bound=5 if n < 5 else 3))
         meta = validate_simplex(prim)
-        want = _equivalent_set_before_the_split(prim, meta)
+        want = ref_equivalent_set(prim).records
         got = equivalent_normalized_set(prim, meta).records
         assert list(got) == list(want)
         for key, (ns, m) in want.items():
@@ -942,6 +861,71 @@ def test_lazy_search_answers_what_the_full_set_stores(monkeypatch):
     assert (1, None) in outcomes  # a fast-path positive
     assert any(count > 1 and cert is None for count, cert in outcomes)  # a positive past the fast path
     assert any(cert == "search-exhausted" for _, cert in outcomes)
+
+
+def _invariant_cases(rng, atlas_cache):
+    """Seeded pairs for the invariant's order: constructed simplices that share a Hermite diagonal, atlas records that share their |minor| multiset, and row-shuffled images of both."""
+    from helpers import constructed_simplex
+
+    pairs = [(_EDGE_ONLY_S, _EDGE_ONLY_T)]
+    for n in (2, 3, 4, 5):
+        for pivots in ((2,), (3,), (2, 2), (4,)):
+            diag = list(pivots) + [1] * (n - len(pivots))
+            systems = [constructed_simplex(rng, diag) for _ in range(6)]
+            pairs += [(a, b) for a, b in itertools.combinations(systems, 2)]
+            pairs += [(a, _shuffled_image(rng, a)) for a in systems[:2]]
+    for delta, n in ((5, 3), (4, 5)):
+        groups = {}
+        for rec in atlas_cache(delta, n):
+            prim = rec.system()
+            groups.setdefault(tuple(sorted(map(abs, validate_simplex(prim).minors))), []).append(prim)
+        for group in groups.values():
+            pairs += rng.sample(list(itertools.combinations(group, 2)), min(12, len(group) * (len(group) - 1) // 2))
+            pairs += [(a, _shuffled_image(rng, a)) for a in group[:2]]
+    return pairs
+
+
+def test_invariant_compares_edge_lengths_last(monkeypatch, atlas_cache):
+    # check_equivalence compares the volume and facet pairs first and reads
+    # the edge lengths only when those agree. Its answer, certificate and
+    # witness must be those of the compare of the whole `_lattice_invariant`
+    # (`_answer_from_the_full_set`), and the edge stage must run, once per
+    # simplex, exactly on the pairs past the fast path whose volume and
+    # facet pairs agree.
+    from deltasimplex import equivalence
+    from deltasimplex.equivalence import _volume_and_facets
+
+    edge_calls = []
+    edge_lengths = equivalence._edge_lengths
+
+    def counting_edge_lengths(meta):
+        edge_calls.append(meta)
+        return edge_lengths(meta)
+
+    monkeypatch.setattr(equivalence, "_edge_lengths", counting_edge_lengths)
+    seen = {"skipped": 0, "edges-agree": 0, "edges-differ": 0}
+    for sys_s, sys_t in _invariant_cases(random.Random(88), atlas_cache):
+        edge_calls.clear()
+        got = check_equivalence(sys_s, sys_t)
+        ran = len(edge_calls)
+        assert got == _answer_from_the_full_set(sys_s, sys_t)
+        prim_s, prim_t = primitivize(sys_s), primitivize(sys_t)
+        meta_s, meta_t = validate_simplex(prim_s), validate_simplex(prim_t)
+        past_fast_path = (
+            meta_s.delta == meta_t.delta
+            and sorted(map(abs, meta_s.minors)) == sorted(map(abs, meta_t.minors))
+            and key_step(prim_s, min(meta_s.max_det_bases), meta_s.delta).key
+            != key_step(prim_t, min(meta_t.max_det_bases), meta_t.delta).key
+        )
+        if not past_fast_path:
+            assert ran == 0
+        elif _volume_and_facets(prim_s, meta_s) != _volume_and_facets(prim_t, meta_t):
+            assert ran == 0 and got.certificate == "invariant-mismatch"
+            seen["skipped"] += 1
+        else:
+            assert ran == 2
+            seen["edges-differ" if got.certificate == "invariant-mismatch" else "edges-agree"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_dedup_builds_no_map(monkeypatch):

@@ -1,7 +1,8 @@
 """The exact kernels against the plain reference versions in helpers.py.
 
 Seeded random systems (n = 1..6), the normal forms of their maximal bases
-and corrupted copies of those forms go through each kernel and its
+and corrupted copies of those forms, and seeded square matrices built to
+make the adjugate's elimination swap rows, go through each kernel and its
 reference (`helpers.ref_*`). Each pair must return equal values, or raise
 the same exception with the same message, or give the same violation
 labels.
@@ -19,7 +20,7 @@ from deltasimplex import (
     apply_map,
     validate_normalized,
 )
-from deltasimplex.exact_linalg import dot, mat_mul, mat_vec, transpose
+from deltasimplex.exact_linalg import adjugate, dot, mat_mul, mat_vec, transpose
 from deltasimplex.normal_form import is_hnf_matrix, key_step, primitivize
 from deltasimplex.simplex_model import validate_simplex
 
@@ -27,6 +28,7 @@ from helpers import (
     cofactor_det,
     constructed_simplex,
     random_int_matrix,
+    ref_adjugate,
     ref_dot,
     ref_is_hnf_matrix,
     ref_key_step,
@@ -214,3 +216,70 @@ def test_linear_algebra_kernels_match_their_references():
         same(mat_vec, ref_mat_vec, a, x)
         u = tuple(rng.randint(-bound, bound) for _ in range(inner))
         same(dot, ref_dot, u, x)
+
+
+def _swapping_matrices(rng: random.Random, n: int, bound: int):
+    """Square matrices whose elimination swaps rows, by construction, and singular ones.
+
+    The rows of an upper triangular matrix U with a nonzero diagonal, in
+    some order: at step k the rows below the pivot that are not yet
+    eliminated have 0 in column k, except U_k, so the pass swaps exactly
+    when U_k is not already in row k. With a 0 at U_kk the pivot column k
+    vanishes, after the swaps before it, and the cofactor fallback runs.
+    """
+
+    def nonzero():
+        return rng.choice((-1, 1)) * rng.randint(1, bound)
+
+    def upper(order, zero_at=None):
+        rows = [
+            tuple(0 if j < r else (0 if r == zero_at else nonzero()) if j == r else rng.randint(-bound, bound) for j in range(n))
+            for r in range(n)
+        ]
+        return tuple(rows[r] for r in order)
+
+    ident = list(range(n))
+    yield upper(ident)  # no swap
+    if n >= 2:
+        j = rng.randrange(n - 1)
+        yield upper(ident[:j] + [j + 1, j] + ident[j + 2 :])  # a swap at step j
+        yield upper([n - 1] + ident[:-1])  # a swap at every step but the last, which has no row below
+        yield upper([1, 0] + ident[2:], zero_at=rng.randrange(1, n))  # singular after the swap at step 0
+        yield tuple(tuple(nonzero() if i + j == n - 1 else 0 for j in range(n)) for i in range(n))  # anti-diagonal
+        # Banded, zero diagonal: swaps at every other step; singular for odd n.
+        yield tuple(tuple(nonzero() if abs(i - j) == 1 else 0 for j in range(n)) for i in range(n))
+        # Dense, with column k a combination of columns 0..k-1 and a 0 pivot at step 0.
+        a = [list(row) for row in random_int_matrix(rng, n, n, bound)]
+        k = rng.randrange(1, n)
+        weights = [rng.randint(-2, 2) for _ in range(k)]
+        for row in a:
+            row[k] = sum(w * x for w, x in zip(weights, row))
+        a[0][0] = 0
+        yield tuple(map(tuple, a))
+    if n >= 3:
+        j = rng.randrange(n - 2)
+        yield upper(ident[:j] + [j + 1, j + 2, j] + ident[j + 3 :])  # swaps at steps j and j + 1
+    if n >= 4:
+        yield upper([1, 0] + ident[2:-2] + [n - 1, n - 2])  # swaps at steps 0 and n - 2
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_adjugate_matches_the_two_block_pass(n):
+    # The adjugate runs its Bareiss pass in an n x n tableau and undoes its row
+    # swaps as column swaps; the reference runs it on [m | I]. Matrices built
+    # to swap at one, two and every step, singular ones whose pivot column
+    # vanishes after a swap, and dense random ones with entries up to 10^20.
+    rng = random.Random(2700 + n)
+    cases = 0
+    for bound in (1, 9, 10**20):
+        for _ in range(8):
+            for m in _swapping_matrices(rng, n, bound):
+                same(adjugate, ref_adjugate, m)
+                cases += 1
+            m = random_int_matrix(rng, n, n, bound)
+            if n:
+                m = tuple(tuple(x if rng.random() < 0.6 else 0 for x in row) for row in m)
+            same(adjugate, ref_adjugate, m)
+    for m in (((1, 2),), ((1,), (2,)), ((1, 2), (3, 4), (5, 6))):
+        same(adjugate, ref_adjugate, m)
+    assert cases >= 24
