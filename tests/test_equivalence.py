@@ -864,7 +864,12 @@ def test_lazy_search_answers_what_the_full_set_stores(monkeypatch):
 
 
 def _invariant_cases(rng, atlas_cache):
-    """Seeded pairs for the invariant's order: constructed simplices that share a Hermite diagonal, atlas records that share their |minor| multiset, and row-shuffled images of both."""
+    """Seeded pairs for the invariant's order.
+
+    Constructed simplices that share a Hermite diagonal, records of the
+    (5, 3) and (4, 5) atlases that share their |minor| multiset, row-shuffled
+    images of both, and the triangles that only edge lengths separate.
+    """
     from helpers import constructed_simplex
 
     pairs = [(_EDGE_ONLY_S, _EDGE_ONLY_T)]

@@ -232,10 +232,12 @@ def _swapping_matrices(rng: random.Random, n: int, bound: int):
         return rng.choice((-1, 1)) * rng.randint(1, bound)
 
     def upper(order, zero_at=None):
-        rows = [
-            tuple(0 if j < r else (0 if r == zero_at else nonzero()) if j == r else rng.randint(-bound, bound) for j in range(n))
-            for r in range(n)
-        ]
+        def entry(r, j):
+            if j == r:
+                return 0 if r == zero_at else nonzero()
+            return 0 if j < r else rng.randint(-bound, bound)
+
+        rows = [tuple(entry(r, j) for j in range(n)) for r in range(n)]
         return tuple(rows[r] for r in order)
 
     ident = list(range(n))
@@ -245,16 +247,17 @@ def _swapping_matrices(rng: random.Random, n: int, bound: int):
         yield upper(ident[:j] + [j + 1, j] + ident[j + 2 :])  # a swap at step j
         yield upper([n - 1] + ident[:-1])  # a swap at every step but the last, which has no row below
         yield upper([1, 0] + ident[2:], zero_at=rng.randrange(1, n))  # singular after the swap at step 0
-        yield tuple(tuple(nonzero() if i + j == n - 1 else 0 for j in range(n)) for i in range(n))  # anti-diagonal
+        # Anti-diagonal: swaps at steps 0 .. n // 2 - 1.
+        yield tuple(tuple(nonzero() if i + j == n - 1 else 0 for j in range(n)) for i in range(n))
         # Banded, zero diagonal: swaps at every other step; singular for odd n.
         yield tuple(tuple(nonzero() if abs(i - j) == 1 else 0 for j in range(n)) for i in range(n))
         # Dense, with column k a combination of columns 0..k-1 and a 0 pivot at step 0.
         a = [list(row) for row in random_int_matrix(rng, n, n, bound)]
+        a[0][0] = 0
         k = rng.randrange(1, n)
         weights = [rng.randint(-2, 2) for _ in range(k)]
         for row in a:
             row[k] = sum(w * x for w, x in zip(weights, row))
-        a[0][0] = 0
         yield tuple(map(tuple, a))
     if n >= 3:
         j = rng.randrange(n - 2)
