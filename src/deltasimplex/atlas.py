@@ -14,7 +14,7 @@ import json
 import math
 
 from .enumeration import FAMILY_EMPTY, CandidateRecord, candidates_for_block, enumerate_H, record_problem
-from .equivalence import class_keys, dedup_families
+from .equivalence import _lattice_invariant, class_keys, dedup_families
 from .errors import DeltaSimplexError, PreconditionError, ScaleExceededError
 from .normal_form import NormalizedSystem, canonical_key, key_tuple
 from .simplex_model import AffineUnimodularMap, InequalitySystem, count_integer_points_bruteforce
@@ -256,7 +256,7 @@ def eq1_bound(delta: int, n: int) -> float:
         return math.inf
 
 
-def verify_atlas(records, max_pairs: int = 100) -> list[str]:
+def verify_atlas(records) -> list[str]:
     """Re-validate every record; returns a list of human-readable problems.
 
     Checks, per record: the record check that the dedup walk runs,
@@ -267,15 +267,16 @@ def verify_atlas(records, max_pairs: int = 100) -> list[str]:
     the oracle's cap is reported as "emptiness not checked" rather than
     passed.
     Canonical keys must be strictly ascending, as the file contract says, so
-    a repeated or misplaced record is reported with its neighbour. A
-    deterministic sample of same-(n, delta) record pairs must also be
-    mutually inequivalent; `max_pairs` caps that sample, and a negative cap
-    is an error rather than an unchecked sample. A valid record is primitive
-    and is its own form at its least base, so a pair is equivalent iff the
-    later key is in the earlier record's `class_keys`, searched once each.
+    a repeated or misplaced record is reported with its neighbour. Every
+    pair of valid records must be inequivalent. The valid records are
+    grouped by `equivalence._lattice_invariant`, an exact class invariant
+    that fixes n (one facet pair per row) and delta (the largest |minor|),
+    so records of different groups are inequivalent without a search. A
+    valid record is primitive and is its own form at its least base, so
+    within a group a pair is equivalent iff the later key is in the earlier
+    record's `class_keys`: every record but the group's last is searched
+    once, with the meta its record check returned.
     """
-    if max_pairs < 0:
-        raise PreconditionError(f"max_pairs must be at least 0, got {max_pairs}")
     problems = []
     keys = [key_tuple(rec.ns) for rec in records]
     for i in range(1, len(keys)):
@@ -285,7 +286,7 @@ def verify_atlas(records, max_pairs: int = 100) -> list[str]:
                 f"records {i - 1} and {i}: {what} "
                 f"({canonical_key(records[i - 1].ns)} then {canonical_key(records[i].ns)})"
             )
-    groups: dict = {}  # (n, delta) -> [(key, record, system, meta)] of the valid records
+    groups: dict = {}  # class invariant -> [(key, record, system, meta)] of the valid records
     for i, rec in enumerate(records):
         label = f"record {i} (key {canonical_key(rec.ns)})"
         problem, meta = record_problem(rec.ns, rec.family)
@@ -305,21 +306,13 @@ def verify_atlas(records, max_pairs: int = 100) -> list[str]:
                 f"expected {expected} [provenance {rec.provenance}]"
             )
             continue
-        groups.setdefault((rec.ns.n, rec.ns.delta), []).append((keys[i], rec, sys, meta))
-    # Pairwise non-equivalence sampling: the first `max_pairs` pairs (i, j),
-    # i < j, of each group in turn.
-    budget = max_pairs
-    for n_delta in sorted(groups):
-        group = groups[n_delta]
-        for i, (_, rec, sys, meta) in enumerate(group):
-            later = group[i + 1 : i + 1 + budget]
-            if not later:
-                continue
-            budget -= len(later)
+        groups.setdefault(_lattice_invariant(sys, meta), []).append((keys[i], rec, sys, meta))
+    for group in groups.values():
+        for i, (_, rec, sys, meta) in enumerate(group[:-1]):
             reached = class_keys(sys, meta)
             problems.extend(
                 f"records with keys {canonical_key(rec.ns)} and {canonical_key(other.ns)} are unimodular equivalent"
-                for key, other, _, _ in later
+                for key, other, _, _ in group[i + 1 :]
                 if key in reached
             )
     return problems

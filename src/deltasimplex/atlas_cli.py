@@ -108,7 +108,7 @@ def _cmd_verify(args) -> int:
     problems: list[str] = []
     with open(args.file, encoding="utf-8") as fh:
         records = read_atlas(fh, problems)
-    problems.extend(verify_atlas(records, max_pairs=args.max_pairs))
+    problems.extend(verify_atlas(records))
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
@@ -168,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-validate an atlas file")
     p.add_argument("file")
-    p.add_argument("--max-pairs", type=int, default=100, help="cap on pairwise non-equivalence checks (>= 0)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("stats", help="atlas counts with the class-count bound")

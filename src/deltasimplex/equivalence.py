@@ -38,7 +38,8 @@ volume and facet pairs are compared first, and the edge lengths, which
 cost C(n+1, 2) pairs of gcds, only when those agree.
 `dedup_families` reads the keys, and runs the one record check
 (`enumeration.record_problem`) on each record it walks, whose meta the
-search then reuses.
+search then reuses. `atlas.verify_atlas` groups an atlas's records by the
+same invariant and searches only within a group.
 """
 
 from __future__ import annotations
@@ -241,7 +242,10 @@ def _lattice_invariant(prim: InequalitySystem, meta: SimplexMeta) -> tuple:
     equal values. A map x -> U x + x0 turns the primitive rows [A | b] into
     the primitive rows [A U | b - A x0], in the same order, and a row order
     only permutes indices, which the sorted tuples forget. The first two
-    are `_volume_and_facets`, the third `_edge_lengths`.
+    are `_volume_and_facets`, the third `_edge_lengths`; `check_equivalence`
+    compares the parts in that order. `atlas.verify_atlas` groups an atlas's
+    records by the whole value, which fixes n (one facet pair per row) and
+    delta (the largest |minor|).
     """
     return (*_volume_and_facets(prim, meta), _edge_lengths(meta))
 

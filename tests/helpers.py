@@ -6,7 +6,8 @@ Gaussian elimination over Fractions, and the equivalence oracle is an exact
 search over vertex bijections. The test references after them (the box-scan
 cone minimum, the maximal minors, the vertex opposite the c-row, the residue
 and key readers, the Fraction view of the vertices, the identity map and
-the equivalent-set search as one plain loop) are built on the package's
+the equivalent-set search as one plain loop, and the class's key set over
+every row order of every maximal base) are built on the package's
 primitives; no package module calls them.
 
 The reference kernels at the end (`ref_*`) are the plain versions of the
@@ -388,6 +389,21 @@ def ref_equivalent_set(sys: InequalitySystem, rules=(1, 2, 3), rebuild: bool = F
             if step.key not in records:
                 records[step.key] = (step.form(), inverse(compose(m0, step.map())))
     return RefSearch(records, steps, expanded, at_start)
+
+
+def ref_row_order_keys(prim: InequalitySystem, meta: SimplexMeta) -> set:
+    """The `key_step` keys of primitive `prim` over every maximal base in every row order.
+
+    With `meta = validate_simplex(prim)`. Every form of the class is one of
+    these: a unimodular map keeps the rows' order and their maximal bases,
+    and a form is the key step at some ordered maximal base. So this is the
+    whole class's key set, at n! key steps per maximal base.
+    """
+    return {
+        key_step(prim, order, meta.delta).key
+        for base in meta.max_det_bases
+        for order in itertools.permutations(base)
+    }
 
 
 # Reference kernels: the plain versions that the package's kernels replaced.

@@ -22,7 +22,7 @@ from deltasimplex import (
     validate_simplex,
 )
 from deltasimplex.atlas import candidate_records
-from deltasimplex.equivalence import _lattice_invariant
+from deltasimplex.equivalence import _lattice_invariant, class_keys
 from deltasimplex.exact_linalg import hnf
 from deltasimplex.normal_form import _normalize_primitive, key_step
 
@@ -32,6 +32,7 @@ from helpers import (
     random_simplex,
     random_unimodular_map,
     ref_equivalent_set,
+    ref_row_order_keys,
     vertex_bijection_equivalent,
 )
 
@@ -433,6 +434,35 @@ def test_lattice_invariant_agrees_on_equivalent_pairs(atlas_cache):
         certificate = check_equivalence(sys_s, sys_t).certificate
         certificates[certificate] = certificates.get(certificate, 0) + 1
     assert set(certificates) == {None, "search-exhausted"}  # never invariant-mismatch
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_class_keys_lie_in_the_row_order_oracle(n):
+    # The search keys some row orders of each maximal base and the oracle
+    # keys them all, so every key the search reaches is the oracle's.
+    rng = random.Random(2026 + n)
+    for _ in range(15):
+        prim = primitivize(random_simplex(rng, n, entry_bound=4 if n < 5 else 3))
+        meta = validate_simplex(prim)
+        assert class_keys(prim, meta) <= ref_row_order_keys(prim, meta)
+
+
+def test_row_order_oracle_classes_are_the_lattice_invariant_groups(atlas_cache):
+    # Records that the oracle puts in one class share the invariant that
+    # verify groups by, and the invariant separates the oracle's classes:
+    # 38 in the 39 records of the (4, 4) both atlas (ROADMAP item 1).
+    records = atlas_cache(4, 4)
+    keys = [key_tuple(rec.ns) for rec in records]
+    invariants, oracles = [], []
+    for rec in records:
+        prim = rec.system()
+        meta = validate_simplex(prim)
+        invariants.append(_lattice_invariant(prim, meta))
+        oracles.append(ref_row_order_keys(prim, meta))
+    cls = [next(i for i in range(j + 1) if keys[j] in oracles[i]) for j in range(len(records))]
+    for j, i in enumerate(cls):
+        assert oracles[i] == oracles[j] and invariants[i] == invariants[j]
+    assert len(set(cls)) == len(set(invariants)) == len(set(zip(cls, invariants))) == 38
 
 
 def test_witness_check_rejects_a_shifted_witness(monkeypatch):
