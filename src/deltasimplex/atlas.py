@@ -93,8 +93,14 @@ def map_to_dict(m: AffineUnimodularMap) -> dict:
 
 
 def _load_json(path: str):
+    """The JSON value in the file at `path`; a file that is not UTF-8 or not JSON is an input error naming it."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise PreconditionError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:  # the whole file is decoded at once, so the position is the file's
+            raise PreconditionError(f"{path}: {exc}") from None
 
 
 def load_system(path: str) -> InequalitySystem:
@@ -148,9 +154,12 @@ def write_atlas(records, stream) -> None:
 def read_atlas(stream, problems: list[str] | None = None) -> list[CandidateRecord]:
     """The records of an atlas file, in file order; blank lines are skipped.
 
-    A line that is not valid JSON or not a valid record raises
+    A line that is not UTF-8, not valid JSON or not a valid record raises
     `PreconditionError` naming its 1-based line number, and for invalid
-    JSON the 1-based column of the error in that line. With a `problems`
+    JSON the 1-based column of the error in that line. A stream opened with
+    `errors="surrogateescape"` hands a byte that is not UTF-8 on as a lone
+    surrogate, so such a line is reported here, by its number, rather than
+    by the stream's decoder at an offset into its read chunk. With a `problems`
     list, each record whose stored `canonical_key` does not match its system
     is reported there (the record is still returned).
     """
@@ -161,6 +170,7 @@ def read_atlas(stream, problems: list[str] | None = None) -> list[CandidateRecor
         if not line:
             continue
         try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")  # raises on a lone surrogate
             data = json.loads(line)
             rec = record_from_dict(data)
         except json.JSONDecodeError as exc:

@@ -106,7 +106,7 @@ def _cmd_check_equiv(args) -> int:
 
 def _cmd_verify(args) -> int:
     problems: list[str] = []
-    with open(args.file, encoding="utf-8") as fh:
+    with open(args.file, encoding="utf-8", errors="surrogateescape") as fh:
         records = read_atlas(fh, problems)
     problems.extend(verify_atlas(records))
     if problems:
@@ -119,7 +119,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
+    with open(args.file, encoding="utf-8", errors="surrogateescape") as fh:
         records = read_atlas(fh)
     rows, any_violation = stats_atlas(records)
     for row in rows:

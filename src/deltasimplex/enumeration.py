@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .corner_ilp import Cone, corner_minimum_excluding_vertex, count_minimum_attainers, path_table
 from .errors import InvariantViolation, NotASimplexError, PreconditionError
-from .exact_linalg import Mat, Vec, adjugate, det, dot, matrix
+from .exact_linalg import Mat, Vec, adjugate, dot, matrix
 from .normal_form import NormalizedSystem, validate_normalized
 from .simplex_model import SimplexMeta, validate_simplex
 
@@ -161,13 +161,17 @@ def enumerate_c(h_mat: Mat) -> tuple[Vec, ...]:
     coordinate upward: at each level the partial solution pins c_i to an
     interval of length H_ii, so exactly det(H) vectors come out.
 
-    The descent runs on T = D t with D = det(H) and t = -H^-T c, which is
-    integral (it is `paral_weights(H, c)`), so every bound is an integer
-    floor division and every new T_i an exact one. For a lower-triangular
-    H a remainder cannot occur; one raises InvariantViolation.
+    The descent runs on T = D t with D = det(H), the product of the
+    diagonal, and t = -H^-T c, which is integral (it is
+    `paral_weights(H, c)`), so every bound is an integer floor division and
+    every new T_i an exact one. H must be lower triangular, since the
+    descent reads only its lower triangle; an entry above the diagonal
+    raises InvariantViolation.
     """
     n = len(h_mat)
-    d = det(h_mat)
+    if any(h_mat[i][j] for i in range(n) for j in range(i + 1, n)):
+        raise InvariantViolation("enumerate_c requires a lower-triangular H")
+    d = math.prod(h_mat[i][i] for i in range(n))
     out: list[Vec] = []
     t_vals = [0] * n  # D * t, filled from the last coordinate up
     c_vals = [0] * n
@@ -182,10 +186,7 @@ def enumerate_c(h_mat: Mat) -> tuple[Vec, ...]:
         first = -((shift + h_ii * d) // d)
         last = -(shift // d) - 1
         for ci in range(first, last + 1):
-            t_i, rem = divmod(-ci * d - shift, h_ii)
-            if rem:
-                raise InvariantViolation(f"det(H) * t_{i} is not integral")
-            t_vals[i] = t_i
+            t_vals[i] = (-ci * d - shift) // h_ii
             c_vals[i] = ci
             descend(i - 1)
 

@@ -146,8 +146,7 @@ def constructed_simplex(rng: random.Random, diag, lam_bound: int = 2, rhs_bound:
     c^T H^-1 h = -lam^T h, so c0 = -lam^T h + t with t >= 1 puts it strictly
     inside the last half-space and the simplex is full-dimensional. No draw
     is rejected, unlike `random_simplex`, so n = 12 costs no more than n = 3
-    per draw. A random unimodular map (`apply_map`) and a row shuffle then
-    hide the block.
+    per draw. `shuffled_image` then hides the block.
     """
     n = len(diag)
     h_mat = tuple(tuple(rng.randrange(diag[i]) if j < i else diag[i] if j == i else 0 for j in range(n)) for i in range(n))
@@ -155,9 +154,18 @@ def constructed_simplex(rng: random.Random, diag, lam_bound: int = 2, rhs_bound:
     c = tuple(-sum(l * row[j] for l, row in zip(lam, h_mat)) for j in range(n))
     h = tuple(rng.randint(-rhs_bound, rhs_bound) for _ in range(n))
     c0 = -sum(l * x for l, x in zip(lam, h)) + rng.randint(1, rhs_bound)
-    moved = apply_map(InequalitySystem(n, h_mat + (c,), h + (c0,)), random_unimodular_map(rng, n))
-    order = rng.sample(range(n + 1), n + 1)
-    return InequalitySystem(n, tuple(moved.A[i] for i in order), tuple(moved.b[i] for i in order))
+    return shuffled_image(rng, InequalitySystem(n, h_mat + (c,), h + (c0,)))
+
+
+def shuffled_rows(rng: random.Random, sys: InequalitySystem) -> InequalitySystem:
+    """`sys` with its rows in a random order, drawn by one `rng.sample`."""
+    order = rng.sample(range(sys.n + 1), sys.n + 1)
+    return InequalitySystem(sys.n, tuple(sys.A[i] for i in order), tuple(sys.b[i] for i in order))
+
+
+def shuffled_image(rng: random.Random, sys: InequalitySystem, entry_bound: int = 10, trans_bound: int = 10) -> InequalitySystem:
+    """A random unimodular image of `sys` (`random_unimodular_map`, then `apply_map`) with its rows shuffled."""
+    return shuffled_rows(rng, apply_map(sys, random_unimodular_map(rng, sys.n, entry_bound, trans_bound)))
 
 
 def random_hnf(rng: random.Random, n: int, delta_max: int):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from bisect import bisect
@@ -144,6 +145,62 @@ def test_check_equiv_accepts_normalized_input(tmp_path, capsys):
     f = tmp_path / "ns.json"
     f.write_text(json.dumps(normalized_to_dict(ns)))
     assert run(["check-equiv", str(f), str(f)]) == 0
+
+
+def test_check_equiv_reads_the_normalized_object_of_normalize(tmp_path, triangle_file, capsys):
+    # Both input formats: the "normalized" object that normalize prints is a
+    # normalized-v1 file, equivalent to the system-v1 file it came from.
+    assert run(["normalize", triangle_file]) == 0
+    normalized = tmp_path / "normalized.json"
+    normalized.write_text(json.dumps(json.loads(capsys.readouterr().out)["normalized"]))
+    assert run(["check-equiv", triangle_file, str(normalized)]) == 0
+    assert capsys.readouterr().out == '{"equivalent": true, "witness": {"U": [[-1, 0], [0, -1]], "x0": [0, 0]}}\n'
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize(
+    "sys_a, sys_b, status, printed",
+    [
+        # [1/3, 2/3] and [-1/3, 1/3] share delta and the |minor| multiset but
+        # not the volume (3 against 6): the lattice invariant separates them.
+        (
+            InequalitySystem(1, ((3,), (-3,)), (2, -1)),
+            InequalitySystem(1, ((3,), (-3,)), (1, 1)),
+            1,
+            '{"certificate": "invariant-mismatch", "equivalent": false}',
+        ),
+        # [1/5, 2/5] and [2/5, 3/5] share every invariant; only the search
+        # tells them apart.
+        (
+            InequalitySystem(1, ((5,), (-5,)), (2, -1)),
+            InequalitySystem(1, ((5,), (-5,)), (3, -2)),
+            1,
+            '{"certificate": "search-exhausted", "equivalent": false}',
+        ),
+        # Two triangles that share delta 3, the |minor| multiset, volume 3
+        # and the facet pairs; only their edge lattice lengths differ.
+        (
+            InequalitySystem(2, ((-3, -1), (0, -1), (3, 2)), (0, -2, 3)),
+            InequalitySystem(2, ((2, -1), (-3, 3), (1, -2)), (-3, 1, 3)),
+            1,
+            '{"certificate": "invariant-mismatch", "equivalent": false}',
+        ),
+        # The (2, 3)-triangle and its rows in order (1, 2, 0) have different
+        # least-base keys, so the fast path misses and the search must reach
+        # the other key; the witness is the identity.
+        (
+            InequalitySystem(2, ((-1, 0), (0, -1), (2, 3)), (0, 0, 1)),
+            InequalitySystem(2, ((0, -1), (2, 3), (-1, 0)), (0, 1, 0)),
+            0,
+            '{"equivalent": true, "witness": {"U": [[1, 0], [0, 1]], "x0": [0, 0]}}',
+        ),
+    ],
+    ids=["segments-volume", "segments-search", "triangles-edge-lengths", "triangle-rows-witness"],
+)
+def test_check_equiv_prints_one_line(tmp_path, capsys, sys_a, sys_b, status, printed, reverse):
+    files = [write_system(tmp_path / "a.json", sys_a), write_system(tmp_path / "b.json", sys_b)]
+    assert run(["check-equiv", *(files[::-1] if reverse else files)]) == status
+    assert capsys.readouterr() == (printed + "\n", "")
 
 
 def test_normalize_cli(triangle_file, capsys):
@@ -323,6 +380,18 @@ def test_verify_reports_an_unchecked_emptiness(tmp_path, capsys):
         "oracle scale exceeded: 100000001 candidates > cap 10000000 [provenance {}]"
     ]
     assert captured.out == "FAIL: 1 problem(s) in 1 record(s)\n"
+
+
+def test_verify_passes_the_atlas_enumerate_writes(tmp_path, capsys):
+    # enumerate | verify on the (4, 4) both atlas: every record passes its
+    # check, and no pair that shares a class invariant is equivalent. Of its
+    # 39 records, two are one class that the incomplete search splits
+    # (ROADMAP item 1); the complete search makes this count 38.
+    assert run(["enumerate", "--family", "both", "--delta", "4", "--dim", "4"]) == 0
+    out = tmp_path / "d4n4.jsonl"
+    out.write_text(capsys.readouterr().out)
+    assert run(["verify", str(out)]) == 0
+    assert capsys.readouterr() == ("OK: 39 record(s) verified\n", "")
 
 
 def _twin_of_the_first_record(records):
@@ -555,6 +624,16 @@ HEAVY_MODULES = ("dataclasses", "inspect", "logging", "fractions", "decimal", "m
 
 ENUMERATE_3_3 = "atlas_cli.main(['enumerate', '--delta', '3', '--dim', '3', '--jobs', '1', '--out', sys.argv[1]])"
 
+# The two calls the benchmark's query client times. The (2, 3)-triangle
+# against its rows in order (1, 2, 0): the fast path misses, so the search
+# runs and the witness is checked.
+QUERY = (
+    "from deltasimplex import InequalitySystem, check_equivalence, normalize\n"
+    "s = InequalitySystem(2, ((-1, 0), (0, -1), (2, 3)), (0, 0, 1))\n"
+    "t = InequalitySystem(2, ((0, -1), (2, 3), (-1, 0)), (0, 1, 0))\n"
+    "print(check_equivalence(s, t).equivalent, normalize(t, (1, 2))[0].delta)"
+)
+
 
 @pytest.mark.parametrize(
     "run_cli, printed",
@@ -562,8 +641,9 @@ ENUMERATE_3_3 = "atlas_cli.main(['enumerate', '--delta', '3', '--dim', '3', '--j
         ("", ""),
         (ENUMERATE_3_3, ""),
         (f"{ENUMERATE_3_3}\natlas_cli.main(['verify', sys.argv[1]])", "OK: 5 record(s) verified\n"),
+        (QUERY, "True 3\n"),
     ],
-    ids=["import", "enumerate", "verify"],
+    ids=["import", "enumerate", "verify", "query"],
 )
 def test_cli_start_up_imports_only_what_it_runs(tmp_path, run_cli, printed):
     code = (
@@ -578,8 +658,23 @@ def test_cli_start_up_imports_only_what_it_runs(tmp_path, run_cli, printed):
         [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=child_env(), timeout=120
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{printed}[]\n", "")
-    if run_cli:
+    if ENUMERATE_3_3 in run_cli:
         assert len(read_file(out)) > 0
+
+
+def test_readme_library_example_prints_the_key_in_its_comment(tmp_path):
+    # The first python block under "## Library" in README.md, run in a child
+    # interpreter outside the checkout, prints the canonical key that its
+    # comment names, so the documented API cannot drift from the code.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    library = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    expected = re.search(r"print\(canonical_key\(ns\)\)\s*# '([^']*)'", block).group(1)
+    assert expected == "2:1:1,0,0,0,1,0,-1,-1,1"
+    proc = subprocess.run(
+        [sys.executable, "-c", block], capture_output=True, text=True, env=child_env(), cwd=tmp_path, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected + "\n", "")
 
 
 def test_stats_output(tmp_path, capsys):
@@ -705,27 +800,32 @@ def test_malformed_record_is_one_error_line(tmp_path, command, mutate):
     "last_line, message",
     [
         pytest.param(
-            '{"format": "delta-simplex/atlas-v1", "n": 2', "line {} column 44: Expecting ',' delimiter", id="truncated"
+            b'{"format": "delta-simplex/atlas-v1", "n": 2', "line {} column 44: Expecting ',' delimiter", id="truncated"
         ),
-        pytest.param('{"format": "delta-simplex/atlas-v1", "n": 2}', "line {}: input is missing the key 's'", id="missing-key"),
+        pytest.param(b'{"format": "delta-simplex/atlas-v1", "n": 2}', "line {}: input is missing the key 's'", id="missing-key"),
+        pytest.param(
+            b"\xff\xfe garbage",
+            "line {}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            id="not-utf8",
+        ),
     ],
 )
 def test_atlas_input_error_names_its_line(tmp_path, capsys, command, last_line, message):
-    # A line that is not JSON, or not a record, is an input error (exit 2)
-    # whose message starts with the 1-based line of the file, blank lines
-    # counted, and for invalid JSON the 1-based column in that line.
+    # A line that is not UTF-8, not JSON or not a record is an input error
+    # (exit 2) whose message starts with the 1-based line of the file, blank
+    # lines counted, and for invalid JSON the 1-based column in that line; a
+    # byte that is not UTF-8 is placed in its line, not in a read chunk.
     out = tmp_path / "atlas.jsonl"
     assert run(["enumerate", "--delta", "3", "--dim", "2", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 3
-    out.write_text("\n".join(lines) + "\n" + last_line + "\n")
+    out.write_bytes(("\n".join(lines) + "\n").encode() + last_line + b"\n")
     capsys.readouterr()
     assert run([command, str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: " + message.format(4)) and len(err.splitlines()) == 1
-    out.write_text("\n".join(lines[:1] + [""] + lines[1:]) + "\n" + last_line + "\n")
+    assert capsys.readouterr() == ("", f"error: {message.format(4)}\n")
+    out.write_bytes(("\n".join(lines[:1] + [""] + lines[1:]) + "\n").encode() + last_line + b"\n")
     assert run([command, str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: " + message.format(5))
+    assert capsys.readouterr() == ("", f"error: {message.format(5)}\n")
 
 
 def test_atlas_json_error_names_the_column_of_its_line(tmp_path, capsys):
@@ -777,21 +877,32 @@ def test_stats_prints_a_bound_past_the_float_range_as_inf(tmp_path, capsys, atla
     assert capsys.readouterr() == ("delta=8589934592 n=4 family=empty count=1 bound=inf\ntotal=1\n", "")
 
 
+TRUNCATED = (b'{"format": ', "{path}: line 1 column 12: Expecting value")
+NOT_UTF8 = (b"\xff\xfe{}", "{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")
+
+
 @pytest.mark.parametrize(
     "command, content, message",
     [
-        ("check-equiv", "[1, 2]", "{path}: expected a JSON object"),
-        ("check-equiv", '{"format": "x"}', "unsupported input format 'x'"),
-        ("normalize", "[1, 2]", "{path}: expected a JSON object"),
-        ("normalize", '{"format": "x"}', "unsupported input format 'x'"),
-        ("corner", "[1, 2]", "a normalized system must be a JSON object"),
-        ("corner", '{"format": "x"}', "expected format 'delta-simplex/normalized-v1', got 'x'"),
+        ("check-equiv", b"[1, 2]", "{path}: expected a JSON object"),
+        ("check-equiv", b'{"format": "x"}', "unsupported input format 'x'"),
+        ("normalize", b"[1, 2]", "{path}: expected a JSON object"),
+        ("normalize", b'{"format": "x"}', "unsupported input format 'x'"),
+        ("corner", b"[1, 2]", "a normalized system must be a JSON object"),
+        ("corner", b'{"format": "x"}', "expected format 'delta-simplex/normalized-v1', got 'x'"),
+        *[(command, *error) for error in (TRUNCATED, NOT_UTF8) for command in ("check-equiv", "normalize", "corner")],
     ],
-    ids=["check-equiv-list", "check-equiv-format", "normalize-list", "normalize-format", "corner-list", "corner-format"],
+    ids=[
+        "check-equiv-list", "check-equiv-format", "normalize-list", "normalize-format", "corner-list", "corner-format",
+        "check-equiv-truncated", "normalize-truncated", "corner-truncated",
+        "check-equiv-not-utf8", "normalize-not-utf8", "corner-not-utf8",
+    ],
 )
 def test_input_errors_keep_their_messages(tmp_path, capsys, triangle_file, command, content, message):
+    # A JSON or UTF-8 error names the file, so a check-equiv user can tell
+    # which of the two inputs is bad, and gives its position in that file.
     bad = tmp_path / "bad.json"
-    bad.write_text(content)
+    bad.write_bytes(content)
     args = [command, triangle_file, str(bad)] if command == "check-equiv" else [command, str(bad)]
     assert run(args) == 2
     assert capsys.readouterr().err == f"error: {message.format(path=bad)}\n"

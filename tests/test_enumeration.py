@@ -184,9 +184,10 @@ def test_enumerate_c_matches_fraction_descent():
 
 
 def test_enumerate_c_rejects_inexact_division():
-    # The descent reads only the lower triangle of H. For this symmetric H,
-    # det(H) = 3 does not scale its t-values to integers, and the descent
-    # raises rather than truncate.
+    # The descent reads only the lower triangle of H, whose diagonal product
+    # scales every t-value to an integer, so no division is ever inexact. An
+    # H with an entry above the diagonal, like this symmetric one, raises
+    # rather than be read as its lower triangle.
     with pytest.raises(InvariantViolation):
         enumerate_c(((2, 1), (1, 2)))
 

@@ -33,6 +33,8 @@ from helpers import (
     random_unimodular_map,
     ref_equivalent_set,
     ref_row_order_keys,
+    shuffled_image,
+    shuffled_rows,
     vertex_bijection_equivalent,
 )
 
@@ -103,8 +105,7 @@ def test_equivalent_set_matches_two_stage_reference(seed):
     for _ in range(15):
         n = rng.randint(1, 4)
         sys = random_simplex(rng, n, entry_bound=4 if n < 4 else 3)
-        order = rng.sample(range(n + 1), n + 1)
-        shuffled = InequalitySystem(n, [sys.A[i] for i in order], [sys.b[i] for i in order])
+        shuffled = shuffled_rows(rng, sys)
         got = equivalent_normalized_set(shuffled).records
         want = ref_equivalent_set(shuffled, rules=(), rebuild=True).records
         assert list(got) == list(want)
@@ -404,14 +405,6 @@ def test_row_reordered_simplex_is_equivalent(pair):
     assert check_equivalence(*pair).equivalent
 
 
-def _shuffled_image(rng, sys):
-    """A unimodular image of `sys` with its rows in a random order."""
-    n = sys.n
-    moved = apply_map(sys, random_unimodular_map(rng, n, entry_bound=6, trans_bound=5))
-    order = rng.sample(range(n + 1), n + 1)
-    return InequalitySystem(n, tuple(moved.A[i] for i in order), tuple(moved.b[i] for i in order))
-
-
 def test_lattice_invariant_agrees_on_equivalent_pairs(atlas_cache):
     # Every pair is equivalent: seeded simplices and the (4, 5) both atlas,
     # each against a row-shuffled unimodular image, and the pinned S/T pair,
@@ -421,10 +414,10 @@ def test_lattice_invariant_agrees_on_equivalent_pairs(atlas_cache):
     pairs = []
     for n in [2, 3, 4] * 300 + [5] * 100:  # rejection sampling is slow at n = 5
         sys = random_simplex(rng, n, entry_bound=4 if n < 5 else 3)
-        pairs.append((sys, _shuffled_image(rng, sys)))
+        pairs.append((sys, shuffled_image(rng, sys, entry_bound=6, trans_bound=5)))
     records = atlas_cache(4, 5)
     assert len(records) == 57
-    pairs += [(rec.system(), _shuffled_image(rng, rec.system())) for rec in records]
+    pairs += [(rec.system(), shuffled_image(rng, rec.system(), entry_bound=6, trans_bound=5)) for rec in records]
     pairs += [(_INCOMPLETE_S, _INCOMPLETE_T), (_INCOMPLETE_T, _INCOMPLETE_S)]
     certificates = {}
     for sys_s, sys_t in pairs:
@@ -707,9 +700,7 @@ def test_check_equivalence_validates_each_system_once(monkeypatch):
     for _ in range(30):
         n = rng.randint(2, 3)
         sys = random_simplex(rng, n, entry_bound=4)
-        moved = apply_map(sys, random_unimodular_map(rng, n, entry_bound=6, trans_bound=5))
-        order = rng.sample(range(n + 1), n + 1)  # a row order that can miss the fast path
-        moved = InequalitySystem(n, tuple(moved.A[i] for i in order), tuple(moved.b[i] for i in order))
+        moved = shuffled_image(rng, sys, entry_bound=6, trans_bound=5)  # a row order that can miss the fast path
         before = counts["validate"]
         check_equivalence(sys, moved)
         assert counts["validate"] - before == 2
@@ -759,9 +750,7 @@ def test_check_equivalence_builds_the_fast_path_form_only_on_a_hit(monkeypatch):
     for _ in range(30):
         n = rng.randint(2, 3)
         sys = random_simplex(rng, n, entry_bound=4)
-        moved = apply_map(sys, random_unimodular_map(rng, n, entry_bound=6, trans_bound=5))
-        order = rng.sample(range(n + 1), n + 1)
-        moved = InequalitySystem(n, tuple(moved.A[i] for i in order), tuple(moved.b[i] for i in order))
+        moved = shuffled_image(rng, sys, entry_bound=6, trans_bound=5)
         events.clear()
         yields.clear()
         result = check_equivalence(sys, moved)  # the search is incomplete (see the module docstring)
@@ -809,8 +798,7 @@ def _equivalence_queries(rng, count):
         n = rng.randint(2, 4)
         sys = random_simplex(rng, n, entry_bound=4 if n < 4 else 3)
         moved = apply_map(sys, random_unimodular_map(rng, n, entry_bound=6, trans_bound=5))
-        order = rng.sample(range(n + 1), n + 1)
-        shuffled = InequalitySystem(n, tuple(moved.A[i] for i in order), tuple(moved.b[i] for i in order))
+        shuffled = shuffled_rows(rng, moved)
         other = random_simplex(rng, n, entry_bound=4 if n < 4 else 3)
         pairs += [(sys, moved), (sys, shuffled), (sys, other), (sys, sys)]
     # Records that share the full lattice invariant get past it to the search,
@@ -908,7 +896,7 @@ def _invariant_cases(rng, atlas_cache):
             diag = list(pivots) + [1] * (n - len(pivots))
             systems = [constructed_simplex(rng, diag) for _ in range(6)]
             pairs += [(a, b) for a, b in itertools.combinations(systems, 2)]
-            pairs += [(a, _shuffled_image(rng, a)) for a in systems[:2]]
+            pairs += [(a, shuffled_image(rng, a, entry_bound=6, trans_bound=5)) for a in systems[:2]]
     for delta, n in ((5, 3), (4, 5)):
         groups = {}
         for rec in atlas_cache(delta, n):
@@ -916,7 +904,7 @@ def _invariant_cases(rng, atlas_cache):
             groups.setdefault(tuple(sorted(map(abs, validate_simplex(prim).minors))), []).append(prim)
         for group in groups.values():
             pairs += rng.sample(list(itertools.combinations(group, 2)), min(12, len(group) * (len(group) - 1) // 2))
-            pairs += [(a, _shuffled_image(rng, a)) for a in group[:2]]
+            pairs += [(a, shuffled_image(rng, a, entry_bound=6, trans_bound=5)) for a in group[:2]]
     return pairs
 
 

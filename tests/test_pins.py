@@ -122,6 +122,24 @@ def test_class_counts_are_pinned(delta):
         assert max(counts) <= eq1_bound(delta, n), (delta, n)
 
 
+# CLI runs whose class count is pinned: (enumerate arguments, lines). The
+# first re-validates its atlas before writing it (--verify); the second is
+# White's theorem through the closed-form lattice step, one class of empty
+# lattice tetrahedra at each of delta 1, 4 and 9.
+CLI_COUNTS = {
+    "verify-d3n10": (["--delta", "3", "--dim", "10", "--verify"], 15),
+    "lattice-upto9-n3": (["--family", "lattice", "--up-to", "--delta", "9", "--dim", "3"], 3),
+}
+
+
+@pytest.mark.parametrize("cell", list(CLI_COUNTS))
+def test_cli_class_counts_are_pinned(capsys, cell):
+    args, lines = CLI_COUNTS[cell]
+    assert main(["enumerate", *args, "--out", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert (len(out.splitlines()), err) == (lines, "")
+
+
 def test_traced_names_resolve():
     tracer = _load_tracer()
     for mod_name, fn_name in tracer.TRACED:
