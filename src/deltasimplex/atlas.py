@@ -5,18 +5,22 @@ Every JSON object the package reads or writes is coded here: systems
 (`atlas-v1`) and maps; readers accept JSON integers only. Atlas files are
 JSON Lines, one record per line, sorted by canonical key; identical
 arguments always produce byte-identical files, and `jobs` only changes how
-the candidate blocks are partitioned, never the output.
+the candidate blocks and the dedup shards are partitioned over forked
+processes, never the output.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 
 from .enumeration import FAMILY_EMPTY, CandidateRecord, candidates_for_block, enumerate_H, record_problem
 from .equivalence import _lattice_invariant, class_keys, dedup_families
 from .errors import DeltaSimplexError, PreconditionError, ScaleExceededError
-from .normal_form import NormalizedSystem, canonical_key, key_tuple
+from .exact_linalg import dot
+from .normal_form import NormalizedSystem, canonical_key, key_tuple, paral_weights
 from .simplex_model import AffineUnimodularMap, InequalitySystem, count_integer_points_bruteforce
 
 SYSTEM_FORMAT = "delta-simplex/system-v1"
@@ -103,11 +107,17 @@ def _load_json(path: str):
             raise PreconditionError(f"{path}: {exc}") from None
 
 
-def load_system(path: str) -> InequalitySystem:
-    """The simplex in a `system-v1` or `normalized-v1` JSON file."""
+def _load_object(path: str) -> dict:
+    """The JSON object in the file at `path`; any other JSON value is an input error naming the file."""
     data = _load_json(path)
     if not isinstance(data, dict):
         raise PreconditionError(f"{path}: expected a JSON object")
+    return data
+
+
+def load_system(path: str) -> InequalitySystem:
+    """The simplex in a `system-v1` or `normalized-v1` JSON file."""
+    data = _load_object(path)
     fmt = data.get("format")
     if fmt == SYSTEM_FORMAT:
         return system_from_dict(data)
@@ -118,7 +128,7 @@ def load_system(path: str) -> InequalitySystem:
 
 def load_normalized(path: str) -> NormalizedSystem:
     """The normalized system in a `normalized-v1` JSON file."""
-    return normalized_from_dict(_load_json(path))
+    return normalized_from_dict(_load_object(path))
 
 
 def record_to_dict(rec: CandidateRecord) -> dict:
@@ -190,30 +200,111 @@ def read_atlas(stream, problems: list[str] | None = None) -> list[CandidateRecor
 # Enumeration orchestration
 
 
+def _stripe(func, tasks: list, start: int, step: int):
+    """(results, failure) of `func` over tasks[start::step] in order; it stops at a failure, (index, exception)."""
+    results = []
+    for i in range(start, len(tasks), step):
+        try:
+            results.append(func(tasks[i]))
+        except Exception as exc:  # raised by `_parallel_map` if no task before it failed
+            return results, (i, exc)
+    return results, None
+
+
+def _parallel_map(func, tasks: list, jobs: int) -> list:
+    """`list(map(func, tasks))`, with the tasks striped over min(jobs, len(tasks)) processes.
+
+    Process j runs tasks[j::jobs] in order: this process stripe 0, and one
+    `os.fork` child each of the others. A child inherits `func` and the
+    tasks, pickles only its stripe's `_stripe` pair to a pipe and leaves by
+    `os._exit`, so the parent's buffers and exit handlers never run twice.
+    The failure with the least task index is raised: every task before it
+    ran and passed, so it is the error a serial map raises. A child that
+    ends without sending its stripe raises ChildProcessError. Every child
+    is reaped, and on any other exit (KeyboardInterrupt included) killed
+    first. Without `os.fork`, or with other threads running (a fork copies
+    only the calling thread, so a lock another thread holds stays held in
+    the child), the map runs in this process.
+    """
+    jobs = min(jobs, len(tasks))
+    threading = sys.modules.get("threading")
+    if jobs < 2 or not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return list(map(func, tasks))
+    import pickle  # not at module level: only a map with children reads it
+    import signal
+
+    pids: list[int] = []
+    pipes = []  # the read end of each child's pipe
+    reaped = set()
+    try:
+        for start in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        pickle.dump(_stripe(func, tasks, start, jobs), writer)
+                        writer.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            pids.append(pid)
+        stripes = [_stripe(func, tasks, 0, jobs)]
+        for pid, pipe in zip(pids, pipes):
+            sent = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise ChildProcessError(f"worker process {pid} ended with exit code {code} before sending its results")
+            stripes.append(pickle.loads(sent))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    failures = [failure for _, failure in stripes if failure is not None]
+    if failures:
+        raise min(failures)[1]
+    results = [None] * len(tasks)
+    for start, (done, _) in enumerate(stripes):
+        results[start::jobs] = done
+    return results
+
+
+def _shard_key(ns: NormalizedSystem) -> tuple:
+    """(delta, volume, sorted cone weights w) of a candidate: the class invariant that `enumerate_atlas` shards by.
+
+    w = `paral_weights(H, c)`, and the |maximal minors| of (A | b) are
+    delta and the w_i; the volume |det (A | b)| is |delta c0 + w . h|, since
+    det [[H, h], [c, c0]] = delta c0 - c adj(H) h and c adj(H) h = -w . h.
+    Both are unimodular invariants (`equivalence._volume_and_facets`), so no
+    class crosses a shard. The key is read off the record alone, so
+    records with one canonical key share a shard.
+    """
+    w = paral_weights(ns.H, ns.c)
+    return ns.delta, abs(ns.delta * ns.c0 + dot(w, ns.h)), tuple(sorted(w))
+
+
 def _block_task(args):
     # `candidates_for_block` is looked up here at each call, so a rebinding
     # of the module's name (a tracer's timing wrapper) is what runs.
-    block, want_empty, want_lattice = args
-    return candidates_for_block(block, want_empty, want_lattice)
+    block, want_empty, want_lattice, keyed = args
+    empties, lattices = candidates_for_block(block, want_empty, want_lattice)
+    records = empties + lattices
+    # In the process that generated the block, whose adj(H) is then in the memo.
+    return records, ([_shard_key(rec.ns) for rec in records] if keyed else None)
 
 
 _FAMILY_FLAGS = {"empty": (True, False), "lattice": (False, True), "both": (True, True)}  # (want_empty, want_lattice)
 
 
-def candidate_records(delta: int, dim: int, family: str = "both", up_to: bool = False, jobs: int = 1):
-    """Every candidate record for (delta, dim), in block order, before dedup; none is checked yet.
-
-    The block walk: with `up_to`, the blocks of every delta' <= delta go into
-    one task list; each block gives its empty-family records, then its
-    lattice one. With `jobs` > 1 and more than one block, one worker pool of
-    at most one worker per block maps the whole list; otherwise none is
-    started and `multiprocessing` is not imported. The list is the same,
-    order and provenance included, for every `jobs`. The record check runs
-    in `dedup_families`, on every record it walks: every survivor, and every
-    dropped candidate's key lies in the searched set of a record already
-    checked, so it is a form of a checked simplex of the same family (see
-    `enumeration._record`).
-    """
+def _block_results(delta: int, dim: int, family: str, up_to: bool, jobs: int, keyed: bool) -> list:
+    """The `_block_task` pair (records, shard keys or None) of every block, in block order; see `candidate_records`."""
     if family not in _FAMILY_FLAGS:
         raise PreconditionError(f"unknown family {family!r}")
     want_empty, want_lattice = _FAMILY_FLAGS[family]
@@ -221,22 +312,28 @@ def candidate_records(delta: int, dim: int, family: str = "both", up_to: bool = 
         if value < 1:
             raise PreconditionError(f"{name} must be at least 1, got {value}")
     tasks = [
-        (block, want_empty, want_lattice)
+        (block, want_empty, want_lattice, keyed)
         for d in (range(1, delta + 1) if up_to else [delta])
         for block in enumerate_H(d, dim)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        import multiprocessing  # not at module level: the import adds about 11 ms to every CLI start
+    return _parallel_map(_block_task, tasks, jobs)
 
-        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-            results = pool.map(_block_task, tasks)
-    else:
-        results = map(_block_task, tasks)
-    candidates: list[CandidateRecord] = []
-    for empties, lattices in results:
-        candidates.extend(empties)
-        candidates.extend(lattices)
-    return candidates
+
+def candidate_records(delta: int, dim: int, family: str = "both", up_to: bool = False, jobs: int = 1):
+    """Every candidate record for (delta, dim), in block order, before dedup; none is checked yet.
+
+    The block walk: with `up_to`, the blocks of every delta' <= delta go into
+    one task list; each block gives its empty-family records, then its
+    lattice one. With `jobs` > 1 and more than one block, `_parallel_map`
+    stripes the whole list over min(jobs, blocks) processes, this one and
+    forked children; otherwise the list is mapped here and nothing is
+    forked. The list is the same, order and provenance included, for every
+    `jobs`. The record check runs in `dedup_families`, on every record it
+    walks: every survivor, and every dropped candidate's key lies in the
+    searched set of a record already checked, so it is a form of a checked
+    simplex of the same family (see `enumeration._record`).
+    """
+    return [rec for records, _ in _block_results(delta, dim, family, up_to, jobs, keyed=False) for rec in records]
 
 
 def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = False, jobs: int = 1):
@@ -244,8 +341,34 @@ def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = Fa
 
     delta is part of the canonical key and a class invariant, so with
     `up_to` no equivalence search crosses delta values.
+
+    With `jobs` > 1, dedup is sharded by `_shard_key`, computed where each
+    block was generated. No class crosses a shard, so every removal of the
+    walk is shard-local, and each shard's ascending walk makes the same
+    decisions as the one walk over all keys. The shards are packed, largest
+    first, into min(jobs, shards) bins of about equal candidate counts;
+    `_parallel_map` runs `dedup_families` once per bin, in forked children
+    that inherit the candidates, and the survivors are merged by key: the
+    records of `jobs` = 1. The shards share no memo entries, so the bins
+    together do more Hermite work than the one walk. A failed walk is a
+    generator bug; the one walk is then rerun here, so the error raised is
+    that of the least failing key, as at `jobs` = 1.
     """
-    return dedup_families(candidate_records(delta, dim, family, up_to, jobs))  # survivors in ascending key order
+    if jobs == 1:
+        return dedup_families(candidate_records(delta, dim, family, up_to))  # survivors in ascending key order
+    blocks = _block_results(delta, dim, family, up_to, jobs, keyed=True)
+    shards: dict = {}  # shard key -> its records, in stream order, so a repeated key keeps its first record
+    for records, keys in blocks:
+        for rec, key in zip(records, keys):
+            shards.setdefault(key, []).append(rec)
+    bins: list[list] = [[] for _ in range(min(jobs, len(shards)))]
+    for shard in sorted(shards.values(), key=len, reverse=True):
+        min(bins, key=len).extend(shard)
+    try:
+        survivors = _parallel_map(dedup_families, bins, jobs)
+    except DeltaSimplexError:
+        return dedup_families([rec for records, _ in blocks for rec in records])
+    return sorted((rec for done in survivors for rec in done), key=lambda rec: key_tuple(rec.ns))
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DeltaSimplexError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (DeltaSimplexError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

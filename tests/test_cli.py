@@ -1,9 +1,12 @@
+import contextlib
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
 from bisect import bisect
 from pathlib import Path
 
@@ -555,68 +558,200 @@ def test_enumerate_atlas_rejects_delta_and_dim_below_one(delta, dim, up_to, monk
         enumerate_atlas(delta, dim, up_to=up_to)
 
 
-def test_enumerate_atlas_starts_one_pool_per_call(monkeypatch):
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child that `os.fork` starts in this process from now on."""
+    real_fork = os.fork
+    pids = []
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block if it runs longer than `seconds` (a hang fails, and does not stall the run)."""
+
+    def expire(*_):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_enumerate_atlas_starts_one_pool_per_call(forks):
     # With --up-to, delta' = 1 has one block and delta' = 2, 3 have four each:
-    # one pool serves both, and a call with no multi-block delta' starts none.
-    import multiprocessing
-
-    pools = {"count": 0}
-    real_pool = multiprocessing.Pool
-
-    def counting_pool(*args, **kwargs):
-        pools["count"] += 1
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    # the nine blocks form one task list, striped over this process and one
+    # forked child. Their one candidate is one dedup shard, which forks
+    # nothing, and so does a call with no multi-block delta'.
     parallel = enumerate_atlas(3, 4, "lattice", up_to=True, jobs=2)
-    assert pools["count"] == 1
+    assert len(forks) == 1
     assert parallel == enumerate_atlas(3, 4, "lattice", up_to=True, jobs=1)
-    assert pools["count"] == 1
+    assert len(forks) == 1
     enumerate_atlas(1, 4, "lattice", up_to=True, jobs=2)
-    assert pools["count"] == 1
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
-def test_pool_has_no_more_workers_than_blocks(monkeypatch):
-    # (3, 3) has 6 blocks, so --jobs 64 starts 6 workers, not 64; --jobs 2
-    # starts 2. The fake pool maps in this process and starts none.
-    import multiprocessing
-
+def test_pool_has_no_more_workers_than_blocks(forks):
+    # (3, 3) has 6 blocks, so --jobs 64 forks 5 children, not 63, and --jobs 2
+    # forks one; this process runs the first stripe itself.
     from deltasimplex.atlas import candidate_records
     from deltasimplex.enumeration import enumerate_H
 
-    started = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, tasks):
-            return list(map(func, tasks))
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     serial = candidate_records(3, 3, jobs=1)
-    assert started == []
+    assert forks == []
+    counts = []
     for jobs in (64, 2):
         parallel = candidate_records(3, 3, jobs=jobs)
         assert [(r.ns, r.family, r.provenance) for r in parallel] == [(r.ns, r.family, r.provenance) for r in serial]
-    assert started == [len(list(enumerate_H(3, 3))), 2] == [6, 2]
+        counts.append(len(forks))
+        del forks[:]
+    assert counts == [len(list(enumerate_H(3, 3))) - 1, 1] == [5, 1]
+    assert_no_child_left()
+
+
+def test_a_block_that_fails_in_a_child_raises_the_serial_error(monkeypatch, forks):
+    # The six (3, 3) blocks have b_index 0..5, their task indices. Blocks 1
+    # and 4 raise: at --jobs 2 block 1 fails in the child and block 4 in this
+    # process, and at --jobs 3 both lie in one child's stripe, which stops at
+    # block 1. The error of the least index, block 1's, is the one a serial
+    # map raises.
+    from deltasimplex import atlas
+    from deltasimplex.errors import InvariantViolation
+
+    real = atlas.candidates_for_block
+
+    def failing(block, *flags):
+        if block.b_index in (1, 4):
+            raise InvariantViolation(f"block {block.b_index} failed")
+        return real(block, *flags)
+
+    monkeypatch.setattr(atlas, "candidates_for_block", failing)
+    errors = []
+    for jobs in (1, 2, 3):
+        with deadline(60), pytest.raises(InvariantViolation) as exc:
+            atlas.candidate_records(3, 3, jobs=jobs)
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors == [(InvariantViolation, "block 1 failed")] * 3
+    assert len(forks) == 1 + 2
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_mid_stripe_is_an_error_not_a_hang(monkeypatch, capsys, forks):
+    # At --jobs 2 the child runs blocks 1, 3 and 5 of (3, 3), and exits on
+    # block 3 without sending anything; the CLI reports it as an error.
+    from deltasimplex import atlas
+
+    real = atlas.candidates_for_block
+    parent = os.getpid()
+
+    def dying(block, *flags):
+        if block.b_index == 3:
+            assert os.getpid() != parent, "block 3 ran in the parent"
+            os._exit(3)
+        return real(block, *flags)
+
+    monkeypatch.setattr(atlas, "candidates_for_block", dying)
+    with deadline(60), pytest.raises(ChildProcessError, match="ended with exit code 3 before sending its results"):
+        atlas.candidate_records(3, 3, jobs=2)
+    with deadline(60):
+        assert run(["enumerate", "--delta", "3", "--dim", "3", "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: worker process \d+ ended with exit code 3 before sending its results\n", err)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("unsafe", ["no-fork", "other-thread"])
+def test_without_a_safe_fork_the_map_runs_in_process(monkeypatch, forks, unsafe):
+    # Where `os.fork` does not exist, or while another thread runs (a fork
+    # copies only the calling thread), --jobs forks nothing and only names an
+    # upper bound.
+    from deltasimplex.atlas import candidate_records
+
+    serial = candidate_records(4, 3, jobs=1)
+    expected = enumerate_atlas(4, 3, jobs=1)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    if unsafe == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        waiter.start()
+    try:
+        parallel = candidate_records(4, 3, jobs=2)
+        assert enumerate_atlas(4, 3, jobs=3) == expected
+    finally:
+        release.set()
+        if waiter.is_alive():
+            waiter.join(timeout=60)
+    assert not waiter.is_alive()
+    assert [(r.ns, r.family, r.provenance) for r in parallel] == [(r.ns, r.family, r.provenance) for r in serial]
+    assert forks == []
+
+
+def test_sharded_dedup_raises_the_serial_error(monkeypatch, forks):
+    # Two records of the (3, 4) empty candidates get an unknown family: the
+    # least of the second shard (shards in order of their least keys), and
+    # the last survivor of the first shard, which its walk reaches after the
+    # second shard's failing key. The first shard is the largest, so it is
+    # packed into bin 0 at every --jobs, and the map's rule, the failure of
+    # the least task index, would raise the later key's error. The serial
+    # walk fails at the second shard's key, and so must every --jobs.
+    from deltasimplex import atlas
+    from deltasimplex.errors import InvariantViolation
+
+    shards: dict = {}  # shard key -> its candidates in key order, shards in order of their least keys
+    for rec in sorted(atlas.candidate_records(3, 4, "empty"), key=lambda rec: key_tuple(rec.ns)):
+        shards.setdefault(atlas._shard_key(rec.ns), []).append(rec)
+    first, second, *rest = shards.values()
+    survivors = enumerate_atlas(3, 4, "empty")
+    late = [rec for rec in first if rec in survivors][-1]
+    assert all(len(first) > len(shard) for shard in [second, *rest]) and key_tuple(second[0].ns) < key_tuple(late.ns)
+    bad = {key_tuple(second[0].ns), key_tuple(late.ns)}
+    real = atlas.candidates_for_block
+
+    def corrupting(block, *flags):
+        empties, lattices = real(block, *flags)
+        return [rec._replace(family="bogus") if key_tuple(rec.ns) in bad else rec for rec in empties], lattices
+
+    monkeypatch.setattr(atlas, "candidates_for_block", corrupting)
+    messages = []
+    for jobs in (1, 2, 3):
+        with deadline(60), pytest.raises(InvariantViolation) as exc:
+            enumerate_atlas(3, 4, "empty", jobs=jobs)
+        messages.append(str(exc.value))
+    assert len(forks) == 2 * (1 + 2)  # a generation map and a dedup map at each of --jobs 2 and 3
+    assert messages == [messages[0]] * 3
+    assert messages[0].startswith(f"record {canonical_key(second[0].ns)}: unknown family 'bogus' [provenance")
+    assert_no_child_left()
 
 
 def test_cli_import_leaves_out_multiprocessing():
-    # enumerate_atlas imports multiprocessing only when it starts a pool.
+    # No path of the package imports multiprocessing: --jobs forks its workers.
     code = "import sys, deltasimplex.atlas_cli; print('multiprocessing' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 # Modules that no CLI path runs: `dataclasses` (with `inspect`), `logging`,
-# `fractions` (with `decimal`), and `multiprocessing` unless a pool starts.
+# `fractions` (with `decimal`), and `multiprocessing` (`--jobs` forks).
 # Only modules the package loads count: some interpreters load `inspect`
 # at start-up.
 HEAVY_MODULES = ("dataclasses", "inspect", "logging", "fractions", "decimal", "multiprocessing")
@@ -640,10 +775,11 @@ QUERY = (
     [
         ("", ""),
         (ENUMERATE_3_3, ""),
+        (ENUMERATE_3_3.replace("'--jobs', '1'", "'--jobs', '2'"), ""),
         (f"{ENUMERATE_3_3}\natlas_cli.main(['verify', sys.argv[1]])", "OK: 5 record(s) verified\n"),
         (QUERY, "True 3\n"),
     ],
-    ids=["import", "enumerate", "verify", "query"],
+    ids=["import", "enumerate", "enumerate-jobs2", "verify", "query"],
 )
 def test_cli_start_up_imports_only_what_it_runs(tmp_path, run_cli, printed):
     code = (
@@ -658,7 +794,7 @@ def test_cli_start_up_imports_only_what_it_runs(tmp_path, run_cli, printed):
         [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=child_env(), timeout=120
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{printed}[]\n", "")
-    if ENUMERATE_3_3 in run_cli:
+    if "'enumerate'" in run_cli:
         assert len(read_file(out)) > 0
 
 
@@ -888,7 +1024,7 @@ NOT_UTF8 = (b"\xff\xfe{}", "{path}: 'utf-8' codec can't decode byte 0xff in posi
         ("check-equiv", b'{"format": "x"}', "unsupported input format 'x'"),
         ("normalize", b"[1, 2]", "{path}: expected a JSON object"),
         ("normalize", b'{"format": "x"}', "unsupported input format 'x'"),
-        ("corner", b"[1, 2]", "a normalized system must be a JSON object"),
+        ("corner", b"[1, 2]", "{path}: expected a JSON object"),
         ("corner", b'{"format": "x"}', "expected format 'delta-simplex/normalized-v1', got 'x'"),
         *[(command, *error) for error in (TRUNCATED, NOT_UTF8) for command in ("check-equiv", "normalize", "corner")],
     ],

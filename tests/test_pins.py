@@ -3,9 +3,10 @@
 The atlas bytes of the smoke cell and of both benchmark cells are compared
 with the hashes recorded in the benchmark's reference file, so a change to
 the canonical form, the dedup survivors or the record format shows up here
-and not only in a benchmark run; a two-worker run must write the same
-bytes. The two cells where dedup does the most work are pinned by hashes of
-their own, and the cheap cells of the class-count table by their counts.
+and not only in a benchmark run; runs at two and three jobs must write the
+same bytes. The two cells where dedup does the most work are pinned by
+hashes of their own, at one, two and three jobs, and the cheap cells of the
+class-count table by their counts.
 The benchmark's tracer wraps package functions by name from outside the
 package; every name it lists must keep resolving.
 """
@@ -61,8 +62,10 @@ def test_benchmark_atlas_matches_reference(tmp_path, cell):
 
 
 def test_atlas_bytes_do_not_depend_on_jobs(tmp_path):
-    for cell in ["both-d4n5", "lattice-upto3-n8"]:
-        assert _atlas_bytes(tmp_path, cell, jobs=2) == _atlas_bytes(tmp_path, cell, jobs=1), cell
+    for cell in CELLS:
+        serial = _atlas_bytes(tmp_path, cell, jobs=1)
+        for jobs in (2, 3):
+            assert _atlas_bytes(tmp_path, cell, jobs=jobs) == serial, (cell, jobs)
 
 
 # The cells where dedup does the most work: (enumerate arguments, lines, sha256).
@@ -82,7 +85,7 @@ DEDUP_CELLS = {
 
 @pytest.mark.parametrize("cell", ["both-d6n4", pytest.param("empty-d10n3", marks=pytest.mark.slow)])
 def test_dedup_heavy_atlas_is_pinned(tmp_path, cell):
-    """The atlas of a dedup-heavy cell keeps its bytes.
+    """The atlas of a dedup-heavy cell keeps its bytes, at every job count.
 
     These bytes still hold ROADMAP item 1's known duplicates: classes that
     the search splits because `reduced_permutations` skips identity-block
@@ -91,10 +94,11 @@ def test_dedup_heavy_atlas_is_pinned(tmp_path, cell):
     both, and 1,929 lines and ba12740e... at (10, 3) empty.
     """
     args, lines, sha256 = DEDUP_CELLS[cell]
-    out = tmp_path / f"{cell}.jsonl"
-    assert main(["enumerate", *args, "--out", str(out)]) == 0
-    data = out.read_bytes()
-    assert (len(data.splitlines()), hashlib.sha256(data).hexdigest()) == (lines, sha256)
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"{cell}-jobs{jobs}.jsonl"
+        assert main(["enumerate", *args, "--jobs", jobs, "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert (len(data.splitlines()), hashlib.sha256(data).hexdigest()) == (lines, sha256), jobs
 
 
 # Classes per (delta, n) as (empty, lattice) counts: the cheap cells of the
