@@ -4,9 +4,11 @@ Every JSON object the package reads or writes is coded here: systems
 (`system-v1`), normalized systems (`normalized-v1`), atlas records
 (`atlas-v1`) and maps; readers accept JSON integers only. Atlas files are
 JSON Lines, one record per line, sorted by canonical key; identical
-arguments always produce byte-identical files, and `jobs` only changes how
-the candidate blocks and the dedup shards are partitioned over forked
-processes, never the output.
+arguments always produce byte-identical files. Enumeration runs one path at
+every `jobs`: generate the blocks, shard the candidates by a class
+invariant, and walk the shards in bins; `jobs` only changes how the blocks
+and the bins are partitioned over forked processes (one bin, walked in this
+process, at `jobs` = 1), never the output.
 """
 
 from __future__ import annotations
@@ -292,19 +294,20 @@ def _shard_key(ns: NormalizedSystem) -> tuple:
 
 def _block_task(args):
     # `candidates_for_block` is looked up here at each call, so a rebinding
-    # of the module's name (a tracer's timing wrapper) is what runs.
-    block, want_empty, want_lattice, keyed = args
+    # of the module's name (a tracer's timing wrapper) is what runs. The
+    # shard keys are computed here, in the process that generated the block,
+    # whose adj(H) is then in the memo.
+    block, want_empty, want_lattice = args
     empties, lattices = candidates_for_block(block, want_empty, want_lattice)
     records = empties + lattices
-    # In the process that generated the block, whose adj(H) is then in the memo.
-    return records, ([_shard_key(rec.ns) for rec in records] if keyed else None)
+    return records, [_shard_key(rec.ns) for rec in records]
 
 
 _FAMILY_FLAGS = {"empty": (True, False), "lattice": (False, True), "both": (True, True)}  # (want_empty, want_lattice)
 
 
-def _block_results(delta: int, dim: int, family: str, up_to: bool, jobs: int, keyed: bool) -> list:
-    """The `_block_task` pair (records, shard keys or None) of every block, in block order; see `candidate_records`."""
+def _block_results(delta: int, dim: int, family: str, up_to: bool, jobs: int) -> list:
+    """The `_block_task` pair (records, their shard keys) of every block, in block order; see `candidate_records`."""
     if family not in _FAMILY_FLAGS:
         raise PreconditionError(f"unknown family {family!r}")
     want_empty, want_lattice = _FAMILY_FLAGS[family]
@@ -312,7 +315,7 @@ def _block_results(delta: int, dim: int, family: str, up_to: bool, jobs: int, ke
         if value < 1:
             raise PreconditionError(f"{name} must be at least 1, got {value}")
     tasks = [
-        (block, want_empty, want_lattice, keyed)
+        (block, want_empty, want_lattice)
         for d in (range(1, delta + 1) if up_to else [delta])
         for block in enumerate_H(d, dim)
     ]
@@ -328,12 +331,13 @@ def candidate_records(delta: int, dim: int, family: str = "both", up_to: bool = 
     stripes the whole list over min(jobs, blocks) processes, this one and
     forked children; otherwise the list is mapped here and nothing is
     forked. The list is the same, order and provenance included, for every
-    `jobs`. The record check runs in `dedup_families`, on every record it
-    walks: every survivor, and every dropped candidate's key lies in the
-    searched set of a record already checked, so it is a form of a checked
-    simplex of the same family (see `enumeration._record`).
+    `jobs`. Each block also gives its records' shard keys, which only
+    `enumerate_atlas` reads. The record check runs in `dedup_families`, on
+    every record it walks: every survivor, and every dropped candidate's
+    key lies in the searched set of a record already checked, so it is a
+    form of a checked simplex of the same family (see `enumeration._record`).
     """
-    return [rec for records, _ in _block_results(delta, dim, family, up_to, jobs, keyed=False) for rec in records]
+    return [rec for records, _ in _block_results(delta, dim, family, up_to, jobs) for rec in records]
 
 
 def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = False, jobs: int = 1):
@@ -342,21 +346,20 @@ def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = Fa
     delta is part of the canonical key and a class invariant, so with
     `up_to` no equivalence search crosses delta values.
 
-    With `jobs` > 1, dedup is sharded by `_shard_key`, computed where each
-    block was generated. No class crosses a shard, so every removal of the
-    walk is shard-local, and each shard's ascending walk makes the same
-    decisions as the one walk over all keys. The shards are packed, largest
-    first, into min(jobs, shards) bins of about equal candidate counts;
+    Dedup is sharded by `_shard_key`, computed where each block was
+    generated. No class crosses a shard, so every removal of the walk is
+    shard-local, and each shard's ascending walk makes the same decisions
+    as the one walk over all keys. The shards are packed, largest first,
+    into min(jobs, shards) bins of about equal candidate counts;
     `_parallel_map` runs `dedup_families` once per bin, in forked children
-    that inherit the candidates, and the survivors are merged by key: the
-    records of `jobs` = 1. The shards share no memo entries, so the bins
-    together do more Hermite work than the one walk. A failed walk is a
-    generator bug; the one walk is then rerun here, so the error raised is
-    that of the least failing key, as at `jobs` = 1.
+    that inherit the candidates, and the survivors are merged by key. At
+    `jobs` = 1 the one bin holds every candidate and is walked here: the
+    one walk. The shards share no memo entries, so more bins together do
+    more Hermite work than the one walk. A failed walk is a generator bug;
+    the one walk is then rerun here, so the error raised is that of the
+    least failing key at every `jobs`.
     """
-    if jobs == 1:
-        return dedup_families(candidate_records(delta, dim, family, up_to))  # survivors in ascending key order
-    blocks = _block_results(delta, dim, family, up_to, jobs, keyed=True)
+    blocks = _block_results(delta, dim, family, up_to, jobs)
     shards: dict = {}  # shard key -> its records, in stream order, so a repeated key keeps its first record
     for records, keys in blocks:
         for rec, key in zip(records, keys):

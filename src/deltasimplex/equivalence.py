@@ -12,14 +12,14 @@ rows can give a new form. For S = (rows (1,0,0), (0,1,0), (1,2,7),
 B = (3,4) and B = (1,5), only the first is emitted, and `check_equivalence`
 calls S and T inequivalent in both directions.
 
-Each permutation is keyed before anything is built. Two rules skip key
-steps whose key provably repeats one the same search has already stored
-(`equivalent_normalized_set` gives the proofs): a maximal base whose
+Each permutation gets its key step before anything is built. Two rules
+skip key steps whose key provably repeats one the same search has already
+stored (`equivalent_normalized_set` gives the proofs): a maximal base whose
 starting form an earlier base already gave is not expanded, and a row order
 that differs from one already reached by swapping two adjacent unit-pivot
-rows is not keyed. The identity row order of an expanded base is not keyed
-either: it renormalizes the starting form onto itself, and the starting
-form's own key step comes first.
+rows gets no key step. The identity row order of an expanded base gets
+none either: it renormalizes the starting form onto itself, and the
+starting form's own key step comes first.
 
 One generator (`_search`) runs that search, over the maximal bases least
 first. It builds and validates each expanded base's starting form and
@@ -154,10 +154,10 @@ def equivalent_normalized_set(sys: InequalitySystem, meta: SimplexMeta | None = 
        the key is the same. (If the two pairs tie, the coordinates have
        equal columns of [H; c], and both unit rows reduce to right-hand
        side 0, so their order does not show in the form.) So a permutation
-       is not keyed when swapping two adjacent positions gives a permutation
-       already reached in this base's loop under which both swapped rows got
-       unit pivots; it inherits that permutation's unit rows, so chains of
-       swaps prune too.
+       gets no key step when swapping two adjacent positions gives a
+       permutation already reached in this base's loop under which both
+       swapped rows got unit pivots; it inherits that permutation's unit
+       rows, so chains of swaps prune too.
     3. The identity order renormalizes the starting form onto itself. Its
        rows are already in Hermite form, so the elimination gives U = I
        (`hnf` leaves a Hermite matrix as it is); its unit coordinates

@@ -65,9 +65,11 @@ def test_enumerate_delta_one(tmp_path):
     assert records[0].ns.c0 == 1
 
 
-def test_enumerate_delta_two_empty(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_enumerate_delta_two_empty(tmp_path, jobs):
+    # Delta 2 has no candidates, so dedup has no shard and makes no bin.
     out = tmp_path / "atlas.jsonl"
-    assert run(["enumerate", "--delta", "2", "--dim", "2", "--out", str(out)]) == 0
+    assert run(["enumerate", "--delta", "2", "--dim", "2", "--jobs", str(jobs), "--out", str(out)]) == 0
     assert out.read_text() == ""
 
 
@@ -741,6 +743,28 @@ def test_sharded_dedup_raises_the_serial_error(monkeypatch, forks):
     assert messages == [messages[0]] * 3
     assert messages[0].startswith(f"record {canonical_key(second[0].ns)}: unknown family 'bogus' [provenance")
     assert_no_child_left()
+
+
+def test_one_job_walks_every_candidate_in_one_dedup_call(monkeypatch, forks):
+    # At --jobs 1 every shard goes into the one bin, walked in this process:
+    # one `dedup_families` call over every candidate, as a plain dedup of the
+    # candidate stream, which the tracer's per-layer dedup counts read.
+    from deltasimplex import atlas
+
+    candidates = atlas.candidate_records(4, 5)
+    expected = atlas.dedup_families(candidates)
+    real = atlas.dedup_families
+    calls = []
+
+    def recording(records):
+        calls.append(sorted(key_tuple(rec.ns) for rec in records))
+        return real(records)
+
+    monkeypatch.setattr(atlas, "dedup_families", recording)
+    assert enumerate_atlas(4, 5, jobs=1) == expected
+    assert len(candidates) == 132
+    assert calls == [sorted(key_tuple(rec.ns) for rec in candidates)]
+    assert forks == []
 
 
 def test_cli_import_leaves_out_multiprocessing():

@@ -21,7 +21,7 @@ from deltasimplex import (
     reduced_permutations,
     validate_simplex,
 )
-from deltasimplex.atlas import candidate_records
+from deltasimplex.atlas import _shard_key, candidate_records
 from deltasimplex.equivalence import _lattice_invariant, class_keys
 from deltasimplex.exact_linalg import hnf
 from deltasimplex.normal_form import _normalize_primitive, key_step
@@ -409,7 +409,9 @@ def test_lattice_invariant_agrees_on_equivalent_pairs(atlas_cache):
     # Every pair is equivalent: seeded simplices and the (4, 5) both atlas,
     # each against a row-shuffled unimodular image, and the pinned S/T pair,
     # which the search calls inequivalent. The invariant must agree on each,
-    # so check_equivalence never answers invariant-mismatch on them.
+    # so check_equivalence never answers invariant-mismatch on them. So must
+    # the dedup shard key of the two forms at their least maximal bases, or
+    # a class could cross a shard.
     rng = random.Random(89)
     pairs = []
     for n in [2, 3, 4] * 300 + [5] * 100:  # rejection sampling is slow at n = 5
@@ -422,8 +424,10 @@ def test_lattice_invariant_agrees_on_equivalent_pairs(atlas_cache):
     certificates = {}
     for sys_s, sys_t in pairs:
         prim_s, prim_t = primitivize(sys_s), primitivize(sys_t)
-        inv_s = _lattice_invariant(prim_s, validate_simplex(prim_s))
-        assert inv_s == _lattice_invariant(prim_t, validate_simplex(prim_t))
+        meta_s, meta_t = validate_simplex(prim_s), validate_simplex(prim_t)
+        assert _lattice_invariant(prim_s, meta_s) == _lattice_invariant(prim_t, meta_t)
+        shard_s = _shard_key(normalize(sys_s, min(meta_s.max_det_bases))[0])
+        assert shard_s == _shard_key(normalize(sys_t, min(meta_t.max_det_bases))[0])
         certificate = check_equivalence(sys_s, sys_t).certificate
         certificates[certificate] = certificates.get(certificate, 0) + 1
     assert set(certificates) == {None, "search-exhausted"}  # never invariant-mismatch
