@@ -5,10 +5,12 @@ Every JSON object the package reads or writes is coded here: systems
 (`atlas-v1`) and maps; readers accept JSON integers only. Atlas files are
 JSON Lines, one record per line, sorted by canonical key; identical
 arguments always produce byte-identical files. Enumeration runs one path at
-every `jobs`: generate the blocks, shard the candidates by a class
-invariant, and walk the shards in bins; `jobs` only changes how the blocks
-and the bins are partitioned over forked processes (one bin, walked in this
-process, at `jobs` = 1), never the output.
+every `jobs`: `candidate_records` maps the blocks to their records, and
+`enumerate_atlas`, the one place that knows shards exist, keys the
+candidates by a class invariant, shards them and walks the shards in
+bins; `jobs` only changes how the blocks and the bins are partitioned over
+forked processes (one bin, walked in this process, at `jobs` = 1), never
+the output.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import os
 import sys
 
 from .enumeration import FAMILY_EMPTY, CandidateRecord, candidates_for_block, enumerate_H, record_problem
-from .equivalence import _lattice_invariant, class_keys, dedup_families
+from .equivalence import _lattice_invariant, _shard_key, class_keys, dedup_families
 from .errors import DeltaSimplexError, PreconditionError, ScaleExceededError
-from .exact_linalg import dot
-from .normal_form import NormalizedSystem, canonical_key, key_tuple, paral_weights
+from .normal_form import NormalizedSystem, canonical_key, key_tuple
 from .simplex_model import AffineUnimodularMap, InequalitySystem, count_integer_points_bruteforce
 
 SYSTEM_FORMAT = "delta-simplex/system-v1"
@@ -278,48 +279,15 @@ def _parallel_map(func, tasks: list, jobs: int) -> list:
     return results
 
 
-def _shard_key(ns: NormalizedSystem) -> tuple:
-    """(delta, volume, sorted cone weights w) of a candidate: the class invariant that `enumerate_atlas` shards by.
-
-    w = `paral_weights(H, c)`, and the |maximal minors| of (A | b) are
-    delta and the w_i; the volume |det (A | b)| is |delta c0 + w . h|, since
-    det [[H, h], [c, c0]] = delta c0 - c adj(H) h and c adj(H) h = -w . h.
-    Both are unimodular invariants (`equivalence._volume_and_facets`), so no
-    class crosses a shard. The key is read off the record alone, so
-    records with one canonical key share a shard.
-    """
-    w = paral_weights(ns.H, ns.c)
-    return ns.delta, abs(ns.delta * ns.c0 + dot(w, ns.h)), tuple(sorted(w))
-
-
 def _block_task(args):
     # `candidates_for_block` is looked up here at each call, so a rebinding
-    # of the module's name (a tracer's timing wrapper) is what runs. The
-    # shard keys are computed here, in the process that generated the block,
-    # whose adj(H) is then in the memo.
-    block, want_empty, want_lattice = args
-    empties, lattices = candidates_for_block(block, want_empty, want_lattice)
-    records = empties + lattices
-    return records, [_shard_key(rec.ns) for rec in records]
+    # of the module's name (a tracer's timing wrapper) is what runs. A block
+    # gives its records only: the shard keys are `enumerate_atlas`'s.
+    empties, lattices = candidates_for_block(*args)  # args = (block, want_empty, want_lattice)
+    return empties + lattices
 
 
 _FAMILY_FLAGS = {"empty": (True, False), "lattice": (False, True), "both": (True, True)}  # (want_empty, want_lattice)
-
-
-def _block_results(delta: int, dim: int, family: str, up_to: bool, jobs: int) -> list:
-    """The `_block_task` pair (records, their shard keys) of every block, in block order; see `candidate_records`."""
-    if family not in _FAMILY_FLAGS:
-        raise PreconditionError(f"unknown family {family!r}")
-    want_empty, want_lattice = _FAMILY_FLAGS[family]
-    for name, value in (("delta", delta), ("dim", dim), ("jobs", jobs)):
-        if value < 1:
-            raise PreconditionError(f"{name} must be at least 1, got {value}")
-    tasks = [
-        (block, want_empty, want_lattice)
-        for d in (range(1, delta + 1) if up_to else [delta])
-        for block in enumerate_H(d, dim)
-    ]
-    return _parallel_map(_block_task, tasks, jobs)
 
 
 def candidate_records(delta: int, dim: int, family: str = "both", up_to: bool = False, jobs: int = 1):
@@ -331,13 +299,23 @@ def candidate_records(delta: int, dim: int, family: str = "both", up_to: bool = 
     stripes the whole list over min(jobs, blocks) processes, this one and
     forked children; otherwise the list is mapped here and nothing is
     forked. The list is the same, order and provenance included, for every
-    `jobs`. Each block also gives its records' shard keys, which only
-    `enumerate_atlas` reads. The record check runs in `dedup_families`, on
-    every record it walks: every survivor, and every dropped candidate's
-    key lies in the searched set of a record already checked, so it is a
-    form of a checked simplex of the same family (see `enumeration._record`).
+    `jobs`. The record check runs in `dedup_families`, on every record it
+    walks: every survivor, and every dropped candidate's key lies in the
+    searched set of a record already checked, so it is a form of a checked
+    simplex of the same family (see `enumeration._record`).
     """
-    return [rec for records, _ in _block_results(delta, dim, family, up_to, jobs) for rec in records]
+    if family not in _FAMILY_FLAGS:
+        raise PreconditionError(f"unknown family {family!r}")
+    want_empty, want_lattice = _FAMILY_FLAGS[family]
+    for name, value in (("delta", delta), ("dim", dim), ("jobs", jobs)):
+        if value < 1:
+            raise PreconditionError(f"{name} must be at least 1, got {value}")
+    tasks = [
+        (block, want_empty, want_lattice)
+        for d in (range(1, delta + 1) if up_to else [delta])
+        for block in enumerate_H(d, dim)
+    ]
+    return [rec for records in _parallel_map(_block_task, tasks, jobs) for rec in records]
 
 
 def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = False, jobs: int = 1):
@@ -346,31 +324,30 @@ def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = Fa
     delta is part of the canonical key and a class invariant, so with
     `up_to` no equivalence search crosses delta values.
 
-    Dedup is sharded by `_shard_key`, computed where each block was
-    generated. No class crosses a shard, so every removal of the walk is
-    shard-local, and each shard's ascending walk makes the same decisions
-    as the one walk over all keys. The shards are packed, largest first,
-    into min(jobs, shards) bins of about equal candidate counts;
-    `_parallel_map` runs `dedup_families` once per bin, in forked children
-    that inherit the candidates, and the survivors are merged by key. At
-    `jobs` = 1 the one bin holds every candidate and is walked here: the
-    one walk. The shards share no memo entries, so more bins together do
-    more Hermite work than the one walk. A failed walk is a generator bug;
-    the one walk is then rerun here, so the error raised is that of the
-    least failing key at every `jobs`.
+    Dedup is sharded by `equivalence._shard_key`, computed here, in this
+    process, for every candidate. No class crosses a shard, so every
+    removal of the walk is shard-local, and each shard's ascending walk
+    makes the same decisions as the one walk over all keys. The shards are
+    packed, largest first, into min(jobs, shards) bins of about equal
+    candidate counts; `_parallel_map` runs `dedup_families` once per bin,
+    in forked children that inherit the candidates, and the survivors are
+    merged by key. At `jobs` = 1 the one bin holds every candidate and is
+    walked here: the one walk. The shards share no memo entries, so more
+    bins together do more Hermite work than the one walk. A failed walk is
+    a generator bug; the one walk is then rerun here, so the error raised
+    is that of the least failing key at every `jobs`.
     """
-    blocks = _block_results(delta, dim, family, up_to, jobs)
+    records = candidate_records(delta, dim, family, up_to, jobs)
     shards: dict = {}  # shard key -> its records, in stream order, so a repeated key keeps its first record
-    for records, keys in blocks:
-        for rec, key in zip(records, keys):
-            shards.setdefault(key, []).append(rec)
+    for rec in records:
+        shards.setdefault(_shard_key(rec.ns), []).append(rec)
     bins: list[list] = [[] for _ in range(min(jobs, len(shards)))]
     for shard in sorted(shards.values(), key=len, reverse=True):
         min(bins, key=len).extend(shard)
     try:
         survivors = _parallel_map(dedup_families, bins, jobs)
     except DeltaSimplexError:
-        return dedup_families([rec for records, _ in blocks for rec in records])
+        return dedup_families(records)
     return sorted((rec for done in survivors for rec in done), key=lambda rec: key_tuple(rec.ns))
 
 
@@ -460,11 +437,9 @@ def stats_atlas(records) -> tuple[list[dict], bool]:
     for rec in records:
         counts[(rec.ns.delta, rec.ns.n, rec.family)] = counts.get((rec.ns.delta, rec.ns.n, rec.family), 0) + 1
     rows = []
-    any_violation = False
     for (delta, n, family) in sorted(counts):
         bound = eq1_bound(delta, n)
         violated = family == FAMILY_EMPTY and counts[(delta, n, family)] > bound
-        any_violation = any_violation or violated
         rows.append(
             {
                 "delta": delta,
@@ -475,4 +450,4 @@ def stats_atlas(records) -> tuple[list[dict], bool]:
                 "bound_exceeded": violated,
             }
         )
-    return rows, any_violation
+    return rows, any(row["bound_exceeded"] for row in rows)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .atlas import (
@@ -184,7 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a reader who left fails a short output too
+        return code
+    except BrokenPipeError:
+        # The reader of stdout left (`| head`): exit as a shell reports a
+        # SIGPIPE death, 128 + 13, and point stdout at the null device, so
+        # the interpreter's exit flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DeltaSimplexError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

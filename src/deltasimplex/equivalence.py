@@ -51,7 +51,7 @@ from typing import NamedTuple
 from .enumeration import record_problem
 from .errors import InvariantViolation
 from .exact_linalg import Mat, dot
-from .normal_form import KeyStep, canonical_key, key_step, key_tuple, primitivize
+from .normal_form import KeyStep, NormalizedSystem, canonical_key, key_step, key_tuple, paral_weights, primitivize
 from .simplex_model import (
     AffineUnimodularMap,
     InequalitySystem,
@@ -265,6 +265,23 @@ def _volume_and_facets(prim: InequalitySystem, meta: SimplexMeta) -> tuple:
     nums0, d0 = points[0]
     volume = abs(meta.minors[0] * (prim.b[0] * d0 - dot(prim.A[0], nums0))) // d0
     return volume, tuple(sorted(zip(map(abs, meta.minors), (d for _, d in points))))
+
+
+def _shard_key(ns: NormalizedSystem) -> tuple:
+    """(delta, volume, sorted cone weights w) of a candidate: the class invariant that `atlas.enumerate_atlas` shards by.
+
+    w = `paral_weights(H, c)`, and the |maximal minors| of (A | b) are
+    delta and the w_i; the volume |det (A | b)| is |delta c0 + w . h|, since
+    det [[H, h], [c, c0]] = delta c0 - c adj(H) h and c adj(H) h = -w . h.
+    Both are the unimodular invariants of `_volume_and_facets` above, so no
+    class crosses a shard. The key is read off the record alone, so
+    records with one canonical key share a shard. Its one `adjugate(H)` is
+    a memo hit in the process that generated the block, which is this one
+    at `jobs` = 1, and a miss per distinct H for blocks generated in a
+    forked child.
+    """
+    w = paral_weights(ns.H, ns.c)
+    return ns.delta, abs(ns.delta * ns.c0 + dot(w, ns.h)), tuple(sorted(w))
 
 
 def _edge_lengths(meta: SimplexMeta) -> tuple:

@@ -717,11 +717,12 @@ def test_sharded_dedup_raises_the_serial_error(monkeypatch, forks):
     # the least task index, would raise the later key's error. The serial
     # walk fails at the second shard's key, and so must every --jobs.
     from deltasimplex import atlas
+    from deltasimplex.equivalence import _shard_key
     from deltasimplex.errors import InvariantViolation
 
     shards: dict = {}  # shard key -> its candidates in key order, shards in order of their least keys
     for rec in sorted(atlas.candidate_records(3, 4, "empty"), key=lambda rec: key_tuple(rec.ns)):
-        shards.setdefault(atlas._shard_key(rec.ns), []).append(rec)
+        shards.setdefault(_shard_key(rec.ns), []).append(rec)
     first, second, *rest = shards.values()
     survivors = enumerate_atlas(3, 4, "empty")
     late = [rec for rec in first if rec in survivors][-1]
@@ -765,6 +766,45 @@ def test_one_job_walks_every_candidate_in_one_dedup_call(monkeypatch, forks):
     assert len(candidates) == 132
     assert calls == [sorted(key_tuple(rec.ns) for rec in candidates)]
     assert forks == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_shard_keys_are_computed_once_by_enumerate_atlas(monkeypatch, forks, jobs):
+    # The block walk gives records only; `enumerate_atlas` keys each of the
+    # 132 (4, 5) candidates once, in this process, also when a child
+    # generated its block.
+    from deltasimplex import atlas
+
+    expected = atlas.dedup_families(atlas.candidate_records(4, 5))
+    real = atlas._shard_key
+    calls = []
+
+    def counting(ns):
+        calls.append(ns)
+        return real(ns)
+
+    monkeypatch.setattr(atlas, "_shard_key", counting)
+    assert len(atlas.candidate_records(4, 5, jobs=jobs)) == 132
+    assert calls == []
+    assert enumerate_atlas(4, 5, jobs=jobs) == expected
+    assert len(calls) == 132
+    assert_no_child_left()
+
+
+def test_a_reader_that_leaves_stops_the_output_quietly():
+    # `enumerate --delta 6 --dim 4 --out - | head -c 100`: the atlas, 148,117
+    # bytes, outgrows a 64 KiB pipe buffer, so the write meets the closed
+    # pipe whatever the timing. The run exits as a shell reports a SIGPIPE
+    # death, 128 + 13, and prints nothing on stderr.
+    command = [sys.executable, "-m", "deltasimplex.atlas_cli", "enumerate", "--delta", "6", "--dim", "4", "--out", "-"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as proc:
+        try:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.communicate(timeout=120)[1]
+        finally:
+            proc.kill()  # a no-op once the child has been reaped
+    assert (len(head), proc.returncode, err) == (100, 141, b"")
 
 
 def test_cli_import_leaves_out_multiprocessing():
@@ -1035,6 +1075,22 @@ def test_stats_prints_a_bound_past_the_float_range_as_inf(tmp_path, capsys, atla
     out.write_text(json.dumps(data) + "\n")
     assert run(["stats", str(out)]) == 0
     assert capsys.readouterr() == ("delta=8589934592 n=4 family=empty count=1 bound=inf\ntotal=1\n", "")
+
+
+def test_stats_flags_an_empty_count_past_the_bound(tmp_path, capsys, atlas_cache):
+    # The bound binom(n + delta - 1, delta - 1) * delta^(log2(delta) + 2) is 1
+    # at delta = 1, so two empty-family records of n = 2 exceed it and stats
+    # exits 1; the lattice family is never held to the bound.
+    empty = {**record_to_dict(next(rec for rec in atlas_cache(3, 2) if rec.family == "empty")), "delta": 1}
+    lattice = record_to_dict(atlas_cache(1, 2)[0])
+    out = tmp_path / "atlas.jsonl"
+    out.write_text("".join(json.dumps(data) + "\n" for data in (empty, empty, lattice, lattice)))
+    assert run(["stats", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "delta=1 n=2 family=empty count=2 bound=1.000 BOUND-EXCEEDED\n"
+        "delta=1 n=2 family=lattice_empty count=2 bound=1.000\ntotal=4\n",
+        "",
+    )
 
 
 TRUNCATED = (b'{"format": ', "{path}: line 1 column 12: Expecting value")

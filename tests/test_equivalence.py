@@ -21,8 +21,8 @@ from deltasimplex import (
     reduced_permutations,
     validate_simplex,
 )
-from deltasimplex.atlas import _shard_key, candidate_records
-from deltasimplex.equivalence import _lattice_invariant, class_keys
+from deltasimplex.atlas import candidate_records
+from deltasimplex.equivalence import _lattice_invariant, _shard_key, class_keys
 from deltasimplex.exact_linalg import hnf
 from deltasimplex.normal_form import _normalize_primitive, key_step
 
