@@ -34,7 +34,7 @@ from .atlas import (
 from .corner_ilp import corner_minimum
 from .equivalence import check_equivalence
 from .errors import DeltaSimplexError, PreconditionError
-from .normal_form import canonical_key, normalize, primitivize
+from .normal_form import _normalize_primitive, canonical_key, primitivize
 from .simplex_model import validate_simplex
 
 
@@ -70,8 +70,11 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_normalize(args) -> int:
     sys_in = load_system(args.file)
-    # Base selection works on the primitive representation, like normalize.
-    bases = validate_simplex(primitivize(sys_in)).max_det_bases
+    # Base selection works on the primitive representation, like normalize,
+    # whose checks this handler makes in the 1-based terms of --base.
+    prim = primitivize(sys_in)
+    meta = validate_simplex(prim)
+    bases = meta.max_det_bases
     if args.base == "auto":
         base = min(bases)
     else:
@@ -85,7 +88,7 @@ def _cmd_normalize(args) -> int:
         if base not in bases:
             valid = " ".join(",".join(str(i + 1) for i in b) for b in sorted(bases))
             raise PreconditionError(f"--base {args.base} does not attain the maximal minor; valid bases: {valid}")
-    ns, amap, row_perm = normalize(sys_in, base)
+    ns, amap, row_perm = _normalize_primitive(prim, base, meta.delta)
     payload = {
         "normalized": normalized_to_dict(ns),
         "map": map_to_dict(amap),

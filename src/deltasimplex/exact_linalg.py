@@ -97,32 +97,11 @@ def dot(u, v):
 
 
 def det(m: Mat) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
+    """Exact determinant: the last pivot of `_bareiss` times the sign of its row swaps."""
     r, c = shape(m)
     if r != c:
         raise ShapeError(f"determinant of a non-square {r}x{c} matrix")
-    n = r
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss: the division by the previous pivot is exact.
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    return _bareiss(m)[0]
 
 
 def _drop(m: Mat, row: int, col: int) -> Mat:
@@ -140,13 +119,24 @@ def adjugate(m: Mat) -> Mat:
 
 @lru_cache(maxsize=MEMO_CACHE_SIZE)
 def _adjugate_cached(m: Mat) -> Mat:
-    """One fraction-free (Bareiss) Gauss-Jordan pass on [m | I], in an n x n tableau.
+    """adj(m) from `_bareiss`; only a singular m computes its n^2 cofactors."""
+    r, c = shape(m)
+    if r != c:
+        raise ShapeError(f"adjugate of a non-square {r}x{c} matrix")
+    adj = _bareiss(m)[1]
+    return _cofactor_adjugate(m) if adj is None else adj
+
+
+def _bareiss(m: Mat) -> tuple[int, Mat | None]:
+    """(det(m), adj(m)) by one fraction-free (Bareiss) Gauss-Jordan pass on [m | I], in an n x n tableau.
 
     After step k every entry of [m | I] is, up to sign, a (k+1) x (k+1)
     minor, so each row operation divides exactly by the previous pivot.
     With P the row swaps made, the left block ends as det(P m) * I and the
-    right block as det(P m) * m^-1 = sign(P) * adj(m). A column without a
-    pivot means m is singular; only then are the n^2 cofactors computed.
+    right block as det(P m) * m^-1 = sign(P) * adj(m). The last pivot is
+    det(P m), so det(m) = sign(P) times it; the empty matrix makes no step
+    and gets det 1 and adj (). A column without a pivot means m is
+    singular: the pass stops there and returns (0, None).
 
     The tableau holds the right block's columns 0..k-1 and the left block's
     columns k..n-1, and step k runs the row operation on all n of them.
@@ -159,10 +149,7 @@ def _adjugate_cached(m: Mat) -> Mat:
     and i of the right block instead. The right block so ends as that of
     P m times those column swaps, and they are undone in reverse order.
     """
-    r, c = shape(m)
-    if r != c:
-        raise ShapeError(f"adjugate of a non-square {r}x{c} matrix")
-    n = r
+    n = len(m)
     a = [list(row) for row in m]
     swaps = []
     sign = 1
@@ -176,7 +163,7 @@ def _adjugate_cached(m: Mat) -> Mat:
                     sign = -sign
                     break
             else:
-                return _cofactor_adjugate(m)
+                return 0, None
         pivot_row = a[k]
         pivot = pivot_row[k]
         for i in range(n):
@@ -191,8 +178,8 @@ def _adjugate_cached(m: Mat) -> Mat:
         for row in a:
             row[k], row[i] = row[i], row[k]
     if sign < 0:
-        return tuple(tuple(-x for x in row) for row in a)
-    return tuple(map(tuple, a))
+        return -prev, tuple(tuple(-x for x in row) for row in a)
+    return prev, tuple(map(tuple, a))
 
 
 def _cofactor_adjugate(m: Mat) -> Mat:

@@ -1,11 +1,12 @@
 """Shared test utilities: independent oracles and random instance generators.
 
 The oracles here deliberately avoid the package's own algorithms: the
-determinant oracle is plain cofactor expansion, rational solving is textbook
-Gaussian elimination over Fractions, and the equivalence oracle is an exact
-search over vertex bijections. The test references after them (the box-scan
-cone minimum, the maximal minors, the vertex opposite the c-row, the residue
-and key readers, the Fraction view of the vertices, the identity map and
+determinant and adjugate oracles are plain cofactor expansion, rational
+solving is textbook Gaussian elimination over Fractions, and the
+equivalence oracle is an exact search over vertex bijections. The test
+references after them (the box-scan cone minimum, the maximal minors, the
+vertex opposite the c-row, the residue and key readers, the Fraction view
+of the vertices, the identity map and
 the equivalent-set search as one plain loop, and the class's key set over
 every row order of every maximal base) are built on the package's
 primitives; no package module calls them.
@@ -49,7 +50,7 @@ from deltasimplex import (
 )
 from deltasimplex.equivalence import _unit_swap_twin
 from deltasimplex.errors import InvalidSystemError
-from deltasimplex.exact_linalg import _cofactor_adjugate, adjugate, hnf, shape
+from deltasimplex.exact_linalg import adjugate, hnf, shape
 from deltasimplex.normal_form import KeyStep, _flat_key, _reduce_hnf_rhs, is_hnf_matrix, key_step
 from deltasimplex.simplex_model import SimplexMeta, reduced_point
 
@@ -73,6 +74,18 @@ def cofactor_det(m) -> int:
         return total
 
     return expand(0, tuple(range(n)))
+
+
+def cofactor_adjugate(m):
+    """adj(m) entry by entry from its definition, each cofactor by `cofactor_det`."""
+    n = len(m)
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * cofactor_det([row[:i] + row[i + 1 :] for r, row in enumerate(m) if r != j])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
 
 
 def gauss_inverse(m) -> list[list[Fraction]]:
@@ -444,7 +457,10 @@ def ref_dot(u, v):
 
 
 def ref_adjugate(m):
-    """`adjugate` as one Bareiss Gauss-Jordan pass on the n x 2n tableau [m | I]."""
+    """`adjugate` as one Bareiss Gauss-Jordan pass on the n x 2n tableau [m | I].
+
+    A singular m gets `cofactor_adjugate`, which needs no package determinant.
+    """
     r, c = shape(m)
     if r != c:
         raise ShapeError(f"adjugate of a non-square {r}x{c} matrix")
@@ -460,7 +476,7 @@ def ref_adjugate(m):
                     sign = -sign
                     break
             else:
-                return _cofactor_adjugate(m)
+                return cofactor_adjugate(m)
         pivot_row = a[k]
         pivot = pivot_row[k]
         tail = pivot_row[k + 1 :]

@@ -14,7 +14,7 @@ import pytest
 
 import deltasimplex
 from deltasimplex import system_to_dict
-from deltasimplex.atlas import read_atlas, record_from_dict, record_to_dict
+from deltasimplex.atlas import map_to_dict, read_atlas, record_from_dict, record_to_dict
 from deltasimplex.atlas_cli import main
 from deltasimplex import (
     CandidateRecord,
@@ -251,6 +251,30 @@ def test_normalize_cli_base_is_one_based(triangle_file, capsys):
     assert run(["normalize", triangle_file, "--base", "2,2"]) == 2
     assert "in 1..3" in capsys.readouterr().err
     assert run(["normalize", triangle_file, "--base", "2,3"]) == 0
+
+
+@pytest.mark.parametrize("base_arg, base", [("auto", (0, 1)), ("2,3", (1, 2))], ids=["auto", "explicit"])
+def test_normalize_cli_validates_its_input_once(tmp_path, capsys, monkeypatch, base_arg, base):
+    # The handler checks the base on the primitive system and its meta, and
+    # normalizes those: one validate_simplex call, and the library's output.
+    from deltasimplex import atlas_cli, normal_form, simplex_model
+
+    sys_in = InequalitySystem(2, ((-2, 0), (0, -3), (1, 1)), (0, 0, 1))
+    f = write_system(tmp_path / "scaled.json", sys_in)
+    ns, amap, row_perm = normalize(sys_in, base)
+    expected = {
+        "normalized": normalized_to_dict(ns),
+        "map": map_to_dict(amap),
+        "row_permutation": [i + 1 for i in row_perm],
+        "canonical_key": canonical_key(ns),
+    }
+    calls = []
+    validate = simplex_model.validate_simplex
+    for mod in (atlas_cli, normal_form, simplex_model):
+        monkeypatch.setattr(mod, "validate_simplex", lambda sys: calls.append(sys) or validate(sys))
+    assert run(["normalize", f, "--base", base_arg]) == 0
+    assert json.loads(capsys.readouterr().out) == expected
+    assert len(calls) == 1
 
 
 def test_corner_cli(tmp_path, capsys):

@@ -22,7 +22,7 @@ from deltasimplex import exact_linalg
 from deltasimplex.exact_linalg import _adjugate_cached, mat_mul, shape, transpose
 from fractions import Fraction
 
-from helpers import cofactor_det, delta_value, gauss_solve, max_minors, random_int_matrix
+from helpers import cofactor_adjugate, cofactor_det, delta_value, gauss_solve, max_minors, random_int_matrix
 
 small_matrices = st.integers(2, 4).flatmap(
     lambda n: st.lists(
@@ -88,17 +88,6 @@ def test_adjugate_singular():
     assert mat_mul(m, adj) == ((0, 0), (0, 0))
 
 
-def _cofactor_adjugate(m):
-    n = len(m)
-    return tuple(
-        tuple(
-            (-1) ** (i + j) * cofactor_det([row[:i] + row[i + 1 :] for r, row in enumerate(m) if r != j])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
 def _random_rank(rng, n, rank):
     """Product of random n x rank and rank x n factors; rank <= `rank`."""
     x = random_int_matrix(rng, n, rank, 3)
@@ -110,7 +99,8 @@ def _random_rank(rng, n, rank):
 def test_adjugate_matches_cofactor_reference(seed):
     # Entry-by-entry comparison with the cofactor definition for full rank,
     # rank n-1 (adjugate of rank one) and rank <= n-2 (zero adjugate), so the
-    # Gauss-Jordan pass and its singular fallback both meet the reference.
+    # Gauss-Jordan pass and its singular fallback both meet the reference, and
+    # so does the determinant that the same pass returns.
     rng = random.Random(seed)
     for n in range(1, 10):
         cases = []
@@ -120,13 +110,14 @@ def test_adjugate_matches_cofactor_reference(seed):
                 cases.append(m)
         while len(cases) < 4:
             m = _random_rank(rng, n, n - 1)
-            if any(any(row) for row in _cofactor_adjugate(m)):
+            if any(any(row) for row in cofactor_adjugate(m)):
                 cases.append(m)
         if n >= 2:
             cases += [_random_rank(rng, n, rng.randint(0, n - 2)) for _ in range(2)]
         for m in cases:
             _adjugate_cached.cache_clear()
-            assert adjugate(m) == _cofactor_adjugate(m)
+            assert adjugate(m) == cofactor_adjugate(m)
+            assert det(m) == cofactor_det(m)
 
 
 @given(small_matrices)

@@ -20,7 +20,7 @@ from deltasimplex import (
     apply_map,
     validate_normalized,
 )
-from deltasimplex.exact_linalg import adjugate, dot, mat_mul, mat_vec, transpose
+from deltasimplex.exact_linalg import adjugate, det, dot, mat_mul, mat_vec, transpose
 from deltasimplex.normal_form import is_hnf_matrix, key_step, primitivize
 from deltasimplex.simplex_model import validate_simplex
 
@@ -269,20 +269,24 @@ def _swapping_matrices(rng: random.Random, n: int, bound: int):
 @pytest.mark.parametrize("n", range(10))
 def test_adjugate_matches_the_two_block_pass(n):
     # The adjugate runs its Bareiss pass in an n x n tableau and undoes its row
-    # swaps as column swaps; the reference runs it on [m | I]. Matrices built
-    # to swap at one, two and every step, singular ones whose pivot column
-    # vanishes after a swap, and dense random ones with entries up to 10^20.
+    # swaps as column swaps; the reference runs it on [m | I]. The determinant
+    # is the same pass's last pivot times the swaps' sign, and must equal the
+    # cofactor expansion. Matrices built to swap at one, two and every step,
+    # singular ones whose pivot column vanishes after a swap, and dense random
+    # ones with entries up to 10^20; n = 0 is the empty matrix, of det 1.
     rng = random.Random(2700 + n)
     cases = 0
     for bound in (1, 9, 10**20):
         for _ in range(8):
             for m in _swapping_matrices(rng, n, bound):
                 same(adjugate, ref_adjugate, m)
+                assert det(m) == cofactor_det(m)
                 cases += 1
             m = random_int_matrix(rng, n, n, bound)
             if n:
                 m = tuple(tuple(x if rng.random() < 0.6 else 0 for x in row) for row in m)
             same(adjugate, ref_adjugate, m)
+            assert det(m) == cofactor_det(m)
     for m in (((1, 2),), ((1,), (2,)), ((1, 2), (3, 4), (5, 6))):
         same(adjugate, ref_adjugate, m)
     assert cases >= 24
