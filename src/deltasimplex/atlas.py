@@ -287,6 +287,11 @@ def _block_task(args):
     return empties + lattices
 
 
+def _dedup_task(args):
+    # Looked up at each call, as in `_block_task`; args = (records, shard sizes).
+    return dedup_families(*args)
+
+
 _FAMILY_FLAGS = {"empty": (True, False), "lattice": (False, True), "both": (True, True)}  # (want_empty, want_lattice)
 
 
@@ -327,25 +332,29 @@ def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = Fa
     Dedup is sharded by `equivalence._shard_key`, computed here, in this
     process, for every candidate. No class crosses a shard, so every
     removal of the walk is shard-local, and each shard's ascending walk
-    makes the same decisions as the one walk over all keys. The shards are
+    makes the same decisions as one walk over all keys. The shards are
     packed, largest first, into min(jobs, shards) bins of about equal
     candidate counts; `_parallel_map` runs `dedup_families` once per bin,
-    in forked children that inherit the candidates, and the survivors are
-    merged by key. At `jobs` = 1 the one bin holds every candidate and is
-    walked here: the one walk. The shards share no memo entries, so more
-    bins together do more Hermite work than the one walk. A failed walk is
-    a generator bug; the one walk is then rerun here, so the error raised
-    is that of the least failing key at every `jobs`.
+    on the bin's records and shard sizes, in forked children that inherit
+    the candidates, and the survivors are merged by key. The walk stops
+    each search once its shard holds no other key. At `jobs` = 1 the one
+    bin holds every candidate and is walked here. The shards share no memo
+    entries, so more bins together do more Hermite work than one. A failed
+    walk is a generator bug; the walk of all candidates as one shard, in
+    ascending key order, is then rerun here, so the error raised is that of
+    the least failing key at every `jobs`.
     """
     records = candidate_records(delta, dim, family, up_to, jobs)
     shards: dict = {}  # shard key -> its records, in stream order, so a repeated key keeps its first record
     for rec in records:
         shards.setdefault(_shard_key(rec.ns), []).append(rec)
-    bins: list[list] = [[] for _ in range(min(jobs, len(shards)))]
+    bins = [([], []) for _ in range(min(jobs, len(shards)))]  # (records, shard sizes)
     for shard in sorted(shards.values(), key=len, reverse=True):
-        min(bins, key=len).extend(shard)
+        members, sizes = min(bins, key=lambda b: len(b[0]))
+        members.extend(shard)
+        sizes.append(len(shard))
     try:
-        survivors = _parallel_map(dedup_families, bins, jobs)
+        survivors = _parallel_map(_dedup_task, bins, jobs)
     except DeltaSimplexError:
         return dedup_families(records)
     return sorted((rec for done in survivors for rec in done), key=lambda rec: key_tuple(rec.ns))

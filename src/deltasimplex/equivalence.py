@@ -38,8 +38,12 @@ volume and facet pairs are compared first, and the edge lengths, which
 cost C(n+1, 2) pairs of gcds, only when those agree.
 `dedup_families` reads the keys, and runs the one record check
 (`enumeration.record_problem`) on each record it walks, whose meta the
-search then reuses. `atlas.verify_atlas` groups an atlas's records by the
-same invariant and searches only within a group.
+search then reuses. It walks each `_shard_key` shard on its own, takes the
+search's first pair as the record's own key, and stops the search once no
+other key of the shard is left to remove: the shard key is a class
+invariant, so a search reaches no other shard. `atlas.verify_atlas`
+groups an atlas's records by the same invariant and searches only within a
+group.
 """
 
 from __future__ import annotations
@@ -381,17 +385,29 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
     return EquivalenceResult(True, witness=witness)
 
 
-def dedup_families(records: list) -> list:
+def dedup_families(records: list, sizes: list[int] | None = None) -> list:
     """Check a stream of `CandidateRecord`s and collapse it to one representative per equivalence class.
 
-    Records are indexed by canonical key; walking the keys in ascending
-    order, each still-present record gets the one record check,
+    `records` is a run of shards of the given `sizes` (one shard of every
+    record by default), where no class crosses a shard. Each shard is walked
+    on its own: its records are indexed by canonical key; walking the keys
+    in ascending order, each still-present record gets the one record check,
     `enumeration.record_problem` (InvariantViolation on a problem, with the
     record's provenance), runs the equivalent-set search with the meta that
     check returned, and every other member found in the index is removed.
     Only the keys are read, so no map is built and no form beyond the
     search's starting forms; a checked system is primitive (the check covers
-    the row gcds) and is searched as it is.
+    the row gcds) and is searched as it is. The survivors of all shards come
+    back in key order.
+
+    The search's first pair is the record's own key: a checked record is
+    its own form at its least base (rule 3 of `equivalent_normalized_set`),
+    so any other first key is an error. The search then stops as soon as the
+    index holds no key of the shard but the record's own: a search reaches
+    only forms of the record's class, which lie in its shard, so nothing is
+    left for it to remove, and the last record of a shard gets only that
+    first step. Walked records count as held, since a later search can
+    still remove them (below).
 
     Every survivor is walked, so every record returned is checked. A record
     is dropped unwalked only when its key is in the searched set of a record
@@ -406,19 +422,27 @@ def dedup_families(records: list) -> list:
     17 of the 74 records walked. So the survivor of a class is not always
     the record with its least key present.
     """
-    index: dict = {}
-    for rec in records:
-        index.setdefault(key_tuple(rec.ns), rec)
-    for key, rec in sorted(index.items()):  # keys are unique, so no record is compared
-        if key not in index:
-            continue
-        problem, meta = record_problem(rec.ns, rec.family)
-        if problem is not None:
-            raise InvariantViolation(f"record {canonical_key(rec.ns)}: {problem} [provenance {rec.provenance}]")
-        found = class_keys(rec.system(), meta)
-        if key not in found:
-            raise InvariantViolation("record's own canonical form missing from its equivalent set")
-        for other in found:
-            if other != key and other in index:
-                del index[other]
-    return [index[key] for key in sorted(index)]
+    kept: dict = {}
+    start = 0
+    for size in [len(records)] if sizes is None else sizes:
+        index: dict = {}
+        for rec in records[start : start + size]:
+            index.setdefault(key_tuple(rec.ns), rec)
+        start += size
+        for key in sorted(index):
+            rec = index.get(key)
+            if rec is None:
+                continue
+            problem, meta = record_problem(rec.ns, rec.family)
+            if problem is not None:
+                raise InvariantViolation(f"record {canonical_key(rec.ns)}: {problem} [provenance {rec.provenance}]")
+            pairs = _search(rec.system(), meta)
+            if next(pairs)[0].key != key:
+                raise InvariantViolation("record is not its own form at its least base")
+            while len(index) > 1:  # another key of the shard is held
+                pair = next(pairs, None)
+                if pair is None:
+                    break
+                index.pop(pair[0].key, None)
+        kept.update(index)
+    return [kept[key] for key in sorted(kept)]

@@ -114,17 +114,21 @@ def _drop(m: Mat, row: int, col: int) -> Mat:
 
 def adjugate(m: Mat) -> Mat:
     """Adjugate matrix: m @ adjugate(m) == det(m) * I, also for singular m."""
-    return _adjugate_cached(matrix(m))
+    return _adjugate_cached(matrix(m))[1]
 
 
 @lru_cache(maxsize=MEMO_CACHE_SIZE)
-def _adjugate_cached(m: Mat) -> Mat:
-    """adj(m) from `_bareiss`; only a singular m computes its n^2 cofactors."""
+def _adjugate_cached(m: Mat) -> tuple[int, Mat]:
+    """(det(m), adj(m)) from `_bareiss`; only a singular m computes its n^2 cofactors.
+
+    The trusted entry: the caller passes a tuple of equal-length int tuples,
+    as `matrix` returns, or rows of a system or form already built from one.
+    """
     r, c = shape(m)
     if r != c:
         raise ShapeError(f"adjugate of a non-square {r}x{c} matrix")
-    adj = _bareiss(m)[1]
-    return _cofactor_adjugate(m) if adj is None else adj
+    d, adj = _bareiss(m)
+    return d, (_cofactor_adjugate(m) if adj is None else adj)
 
 
 def _bareiss(m: Mat) -> tuple[int, Mat | None]:
@@ -192,11 +196,6 @@ def _cofactor_adjugate(m: Mat) -> Mat:
     )
 
 
-def _det_from_adjugate(m: Mat, adj: Mat) -> int:
-    """det(m) as row 0 of m times column 0 of adj(m), since m @ adj(m) == det(m) * I."""
-    return dot(m[0], [row[0] for row in adj]) if m else 1
-
-
 def is_unimodular(u: Mat) -> bool:
     """True iff `u` is square with determinant +1 or -1."""
     r, c = shape(u)
@@ -207,8 +206,7 @@ def is_unimodular(u: Mat) -> bool:
 
 def unimodular_inverse(u: Mat) -> Mat:
     """Exact integer inverse of a unimodular matrix."""
-    adj = adjugate(u)
-    d = _det_from_adjugate(u, adj)
+    d, adj = _adjugate_cached(matrix(u))
     if abs(d) != 1:
         raise SingularityError("matrix is not unimodular, integer inverse undefined")
     if d == 1:
@@ -241,10 +239,12 @@ def hnf(a: Mat) -> tuple[Mat, Mat]:
     matrix [a; I], whose lower block ends as u, so it requires every row
     prefix of `a` to have full rank (callers choose the row order).
 
-    Each distinct `a` is eliminated once (an LRU memo) and its result checked
-    there: the readback a @ u == h_full, the Hermite shape of the top block
-    (`is_hnf_matrix`) and |det u| = 1, read off the elimination. Callers of
-    the memo trust all three and re-check none.
+    Each distinct `a` is eliminated once (an LRU memo, `_hnf_cached`) and its
+    result checked there: the readback a @ u == h_full, the Hermite shape of
+    the top block (`is_hnf_matrix`) and |det u| = 1, read off the
+    elimination. Callers of the memo trust all three and re-check none.
+    `normal_form.key_step` calls the memo directly, on rows of a built
+    system, which `matrix` checked when the system was built.
 
     Returns:
         (h_full, u) with a @ u == h_full exactly.
@@ -311,8 +311,7 @@ def solve_rational(m: Mat, b) -> FracVec:
     """Exact rational solution x of m @ x == b for nonsingular integer m."""
     from fractions import Fraction
 
-    adj = adjugate(m)
-    d = _det_from_adjugate(m, adj)
+    d, adj = _adjugate_cached(matrix(m))
     if d == 0:
         raise SingularityError("cannot solve a singular system")
     return tuple(Fraction(x, d) for x in mat_vec(adj, b))

@@ -27,6 +27,7 @@ rows in the elimination redundant (see the `equivalence` module).
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -38,10 +39,10 @@ from .errors import (
 from .exact_linalg import (
     Mat,
     Vec,
-    adjugate,
+    _adjugate_cached,
+    _hnf_cached,
     det,
     dot,
-    hnf,
     is_hnf_matrix,
     mat_vec,
     matrix,
@@ -217,29 +218,33 @@ def key_step(prim: InequalitySystem, base: tuple[int, ...], delta: int) -> KeySt
     or map; the returned `KeyStep` builds those on demand.
 
     Nothing here re-checks what `hnf` checked once per distinct base block:
-    H in Hermite form and |det U| = 1. The permutation sigma keeps both. A
-    unit-diagonal row of a Hermite matrix is e_i (its entries left of the
-    diagonal are reduced mod 1), so moving the unit coordinates first, rows
-    and columns alike, leaves those rows e_i; a non-unit row keeps its
-    diagonal and meets, left of it, only its old left entries or zeros from
-    right of its old diagonal, since the non-unit coordinates keep their
-    order. So H stays lower triangular and reduced, and `_reduce_hnf_rhs`
-    runs unchecked. Permuting the columns of U only flips the sign of its
-    determinant. `KeyStep.form()` validates every form it builds.
+    H in Hermite form and |det U| = 1. The base block is rows of `prim`,
+    whose constructor checked them, so it goes to the memo `_hnf_cached`
+    without `matrix`'s pass over its entries. The permutation sigma keeps
+    both. A unit-diagonal row of a Hermite matrix is e_i (its entries left
+    of the diagonal are reduced mod 1), so moving the unit coordinates
+    first, rows and columns alike, leaves those rows e_i; a non-unit row
+    keeps its diagonal and meets, left of it, only its old left entries or
+    zeros from right of its old diagonal, since the non-unit coordinates
+    keep their order. So H stays lower triangular and reduced, and
+    `_reduce_hnf_rhs` runs unchecked. Permuting the columns of U only flips
+    the sign of its determinant. `KeyStep.form()` validates every form it
+    builds.
     """
     n = prim.n
     omitted = next(i for i in range(n + 1) if i not in base)
 
     # Base block to Hermite form: A_base @ u == h_mat, so the coordinate
     # change x -> u x takes it there; the omitted row rides along as c.
-    h_mat, u = hnf(tuple(prim.A[i] for i in base))
+    h_mat, u = _hnf_cached(tuple(prim.A[i] for i in base))
     c = mat_vec(transpose(u), prim.A[omitted])
 
     # One coordinate permutation, applied to rows and columns of H alike:
     # unit-diagonal coordinates in front, sorted by the canonical (B column,
     # c entry) tie-break; the non-unit coordinates keep their relative order
     # so the T block stays lower triangular. The identity leaves H, c and U
-    # as they are.
+    # as they are; any other sigma moves at least two of n >= 2 coordinates,
+    # so one itemgetter of it returns tuples.
     unit = [i for i in range(n) if h_mat[i][i] == 1]
     rest = [i for i in range(n) if h_mat[i][i] != 1]
     unit.sort(key=lambda j: (tuple(h_mat[r][j] for r in rest), c[j]))
@@ -247,10 +252,11 @@ def key_step(prim: InequalitySystem, base: tuple[int, ...], delta: int) -> KeySt
     if sigma == list(range(n)):
         row_src = tuple(base) + (omitted,)
     else:
-        h_mat = tuple(tuple(h_mat[a][b] for b in sigma) for a in sigma)
-        c = tuple(c[j] for j in sigma)
-        u = tuple(tuple(row[j] for j in sigma) for row in u)
-        row_src = tuple(base[a] for a in sigma) + (omitted,)
+        pick = itemgetter(*sigma)
+        h_mat = tuple(map(pick, pick(h_mat)))
+        c = pick(c)
+        u = tuple(map(pick, u))
+        row_src = pick(base) + (omitted,)
 
     # Right-hand-side reduction by the unique integer translation.
     h, x0 = _reduce_hnf_rhs(h_mat, [prim.b[i] for i in row_src[:n]])
@@ -347,8 +353,12 @@ def validate_normalized(ns: NormalizedSystem) -> tuple[bool, tuple[str, ...]]:
 
 
 def paral_weights(h_mat: Mat, c) -> Vec:
-    """w = -adj(H)^T c; for det(H) > 0, c lies in paral(-H^T) iff every w_i is in (0, det H]."""
-    return tuple(-dot(col, c) for col in transpose(adjugate(h_mat)))
+    """w = -adj(H)^T c; for det(H) > 0, c lies in paral(-H^T) iff every w_i is in (0, det H].
+
+    H is a checked matrix (a form's, a block's or a memo's output), so it
+    goes to the memo `_adjugate_cached` without `matrix`'s re-check.
+    """
+    return tuple(-dot(col, c) for col in transpose(_adjugate_cached(h_mat)[1]))
 
 
 def key_tuple(ns: NormalizedSystem) -> tuple[int, ...]:

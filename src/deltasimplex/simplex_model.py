@@ -21,7 +21,7 @@ from .errors import NotASimplexError, PreconditionError, ScaleExceededError, Sha
 from .exact_linalg import (
     Mat,
     Vec,
-    adjugate,
+    _adjugate_cached,
     dot,
     is_unimodular,
     mat_mul,
@@ -170,21 +170,22 @@ def validate_simplex(sys: InequalitySystem) -> SimplexMeta:
     its omitted inequality strictly; together these force exactly n+1
     distinct vertices and a bounded interior.
 
-    Everything is read off one adjugate of M = [A | b]. Column i of adj(M)
-    is orthogonal to every row of M but row i, so it is vertex i in
-    homogeneous coordinates: v_i = -adj[0..n-1][i] / adj[n][i]. Its last
-    entry is adj[n][i] = (-1)^(i+n) det(A without row i), and the slack of
-    row i at v_i is det(M) / adj[n][i], with det(M) = b . adj[n]. Each
-    vertex is stored as that column, negated and put in lowest terms
-    (`reduced_point`): integers throughout, one gcd per vertex.
+    Everything is read off one (det, adjugate) pass over M = [A | b], the
+    memo `_adjugate_cached`, which the rows of a built system reach without
+    `matrix`'s re-check. Column i of adj(M) is orthogonal to every row of M
+    but row i, so it is vertex i in homogeneous coordinates:
+    v_i = -adj[0..n-1][i] / adj[n][i]. Its last entry is
+    adj[n][i] = (-1)^(i+n) det(A without row i), and the slack of row i at
+    v_i is det(M) / adj[n][i]. Each vertex is stored as that column,
+    negated and put in lowest terms (`reduced_point`): integers throughout,
+    one gcd per vertex.
 
     Raises:
         NotASimplexError: on a degenerate minor or a tight/violated omitted row.
     """
     n = sys.n
-    adj = adjugate(tuple(row + (bi,) for row, bi in zip(sys.A, sys.b)))
+    det_m, adj = _adjugate_cached(tuple(row + (bi,) for row, bi in zip(sys.A, sys.b)))
     last = adj[n]
-    det_m = dot(sys.b, last)
     # (-1)^(i+n) is -1 exactly when i + n is odd.
     minors = tuple(-x if (i + n) & 1 else x for i, x in enumerate(last))
     if 0 in minors:

@@ -7,9 +7,10 @@ equivalence oracle is an exact search over vertex bijections. The test
 references after them (the box-scan cone minimum, the maximal minors, the
 vertex opposite the c-row, the residue and key readers, the Fraction view
 of the vertices, the identity map and
-the equivalent-set search as one plain loop, and the class's key set over
-every row order of every maximal base) are built on the package's
-primitives; no package module calls them.
+the equivalent-set search as one plain loop, the class's key set over
+every row order of every maximal base, and the dedup walk that runs every
+search to its end) are built on the package's primitives; no package
+module calls them.
 
 The reference kernels at the end (`ref_*`) are the plain versions of the
 package's hot kernels that the leaner ones replaced: generator sums of
@@ -32,6 +33,7 @@ from deltasimplex import (
     CornerSolution,
     DeltaSimplexError,
     InequalitySystem,
+    InvariantViolation,
     NormalizedSystem,
     NotASimplexError,
     PreconditionError,
@@ -48,10 +50,11 @@ from deltasimplex import (
     solve_rational,
     validate_simplex,
 )
-from deltasimplex.equivalence import _unit_swap_twin
+from deltasimplex.enumeration import record_problem
+from deltasimplex.equivalence import _unit_swap_twin, class_keys
 from deltasimplex.errors import InvalidSystemError
 from deltasimplex.exact_linalg import adjugate, hnf, shape
-from deltasimplex.normal_form import KeyStep, _flat_key, _reduce_hnf_rhs, is_hnf_matrix, key_step
+from deltasimplex.normal_form import KeyStep, _flat_key, _reduce_hnf_rhs, canonical_key, is_hnf_matrix, key_step, key_tuple
 from deltasimplex.simplex_model import SimplexMeta, reduced_point
 
 
@@ -425,6 +428,31 @@ def ref_row_order_keys(prim: InequalitySystem, meta: SimplexMeta) -> set:
         for base in meta.max_det_bases
         for order in itertools.permutations(base)
     }
+
+
+def ref_dedup_families(records: list) -> list:
+    """`dedup_families` as one walk over all records, each search run to its end.
+
+    The keys are walked in ascending order; each still-indexed record gets
+    the record check and its whole `class_keys` set, which must hold its own
+    key, and every other key of that set is removed from the index.
+    """
+    index = {}
+    for rec in records:
+        index.setdefault(key_tuple(rec.ns), rec)
+    for key in sorted(index):
+        rec = index.get(key)
+        if rec is None:
+            continue
+        problem, meta = record_problem(rec.ns, rec.family)
+        if problem is not None:
+            raise InvariantViolation(f"record {canonical_key(rec.ns)}: {problem} [provenance {rec.provenance}]")
+        found = class_keys(rec.system(), meta)
+        if key not in found:
+            raise InvariantViolation("record's own canonical form missing from its equivalent set")
+        for other in found - {key}:
+            index.pop(other, None)
+    return [index[key] for key in sorted(index)]
 
 
 # Reference kernels: the plain versions that the package's kernels replaced.

@@ -772,8 +772,9 @@ def test_sharded_dedup_raises_the_serial_error(monkeypatch, forks):
 
 def test_one_job_walks_every_candidate_in_one_dedup_call(monkeypatch, forks):
     # At --jobs 1 every shard goes into the one bin, walked in this process:
-    # one `dedup_families` call over every candidate, as a plain dedup of the
-    # candidate stream, which the tracer's per-layer dedup counts read.
+    # one `dedup_families` call over every candidate, with the shard sizes,
+    # which gives what a plain dedup of the candidate stream gives and is
+    # what the tracer's per-layer dedup counts read.
     from deltasimplex import atlas
 
     candidates = atlas.candidate_records(4, 5)
@@ -781,9 +782,10 @@ def test_one_job_walks_every_candidate_in_one_dedup_call(monkeypatch, forks):
     real = atlas.dedup_families
     calls = []
 
-    def recording(records):
+    def recording(records, sizes):
         calls.append(sorted(key_tuple(rec.ns) for rec in records))
-        return real(records)
+        assert sum(sizes) == len(records) and len(sizes) > 1
+        return real(records, sizes)
 
     monkeypatch.setattr(atlas, "dedup_families", recording)
     assert enumerate_atlas(4, 5, jobs=1) == expected

@@ -21,7 +21,7 @@ from deltasimplex import (
     reduced_permutations,
     validate_simplex,
 )
-from deltasimplex.atlas import candidate_records
+from deltasimplex.atlas import candidate_records, enumerate_atlas
 from deltasimplex.equivalence import _lattice_invariant, _shard_key, class_keys
 from deltasimplex.exact_linalg import hnf
 from deltasimplex.normal_form import _normalize_primitive, key_step
@@ -31,6 +31,7 @@ from helpers import (
     max_minors,
     random_simplex,
     random_unimodular_map,
+    ref_dedup_families,
     ref_equivalent_set,
     ref_row_order_keys,
     shuffled_image,
@@ -1020,3 +1021,46 @@ def test_dedup_searches_each_record_as_it_is(monkeypatch):
     monkeypatch.setattr(equivalence, "primitivize", no_primitivize)
     kept = dedup_families(records)
     assert 0 < len(kept) < len(records)
+
+
+def _sharded(records: list) -> tuple[list, list]:
+    """`records` regrouped by `_shard_key`, with the shard sizes: a bin as `enumerate_atlas` passes it."""
+    shards: dict = {}
+    for rec in records:
+        shards.setdefault(_shard_key(rec.ns), []).append(rec)
+    return [rec for shard in shards.values() for rec in shard], [len(shard) for shard in shards.values()]
+
+
+@pytest.mark.parametrize("delta, n", [(3, 4), (4, 4), (4, 5), (5, 4)])
+def test_early_stop_walk_equals_the_full_search_walk(delta, n):
+    # A search of the walk stops once no other key of its shard is indexed,
+    # walked records included, since a later search can still remove them.
+    # The survivors must be those of the walk that runs every search to its
+    # end, whether the candidates come as one group or as their shards.
+    candidates = candidate_records(delta, n)
+    expected = ref_dedup_families(candidates)
+    assert dedup_families(candidates) == expected
+    records, sizes = _sharded(candidates)
+    assert len(sizes) > 1
+    assert dedup_families(records, sizes) == expected
+
+
+def test_early_stop_key_steps_are_pinned(monkeypatch):
+    # The dedup key steps of `enumerate_atlas(4, 5)`: 654 with the early
+    # stop, against 735 when every search runs to its end. The record check
+    # and the shard keys make no key step of the search module.
+    from deltasimplex import equivalence
+
+    steps = []
+    real = equivalence.key_step
+
+    def counting(*args):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(equivalence, "key_step", counting)
+    enumerate_atlas(4, 5)
+    assert len(steps) == 654
+    steps.clear()
+    ref_dedup_families(candidate_records(4, 5))
+    assert len(steps) == 735

@@ -22,7 +22,16 @@ from deltasimplex import exact_linalg
 from deltasimplex.exact_linalg import _adjugate_cached, mat_mul, shape, transpose
 from fractions import Fraction
 
-from helpers import cofactor_adjugate, cofactor_det, delta_value, gauss_solve, max_minors, random_int_matrix
+from helpers import (
+    cofactor_adjugate,
+    cofactor_det,
+    delta_value,
+    gauss_inverse,
+    gauss_solve,
+    max_minors,
+    random_int_matrix,
+    random_unimodular_map,
+)
 
 small_matrices = st.integers(2, 4).flatmap(
     lambda n: st.lists(
@@ -258,6 +267,52 @@ def test_is_unimodular():
 def test_unimodular_inverse_round_trip():
     u = ((2, 1), (1, 1))
     assert mat_mul(u, unimodular_inverse(u)) == identity(2)
+
+
+def test_unimodular_inverse_reads_the_determinant_of_the_adjugate_pass():
+    # det(u) comes with adj(u) from the one memoized elimination: +1 returns
+    # the adjugate, -1 its negation, anything else raises, also when the
+    # memo already holds the matrix.
+    rng = random.Random(33)
+    for _ in range(50):
+        u = random_unimodular_map(rng, rng.randint(1, 5)).U
+        adjugate(u)
+        assert unimodular_inverse(u) == tuple(tuple(map(int, row)) for row in gauss_inverse(u))
+        assert mat_mul(u, unimodular_inverse(u)) == identity(len(u))
+    for bad in (((2, 0), (0, 1)), ((1, 2), (2, 4)), ((0, 0), (0, 0))):
+        adjugate(bad)
+        with pytest.raises(SingularityError, match="not unimodular"):
+            unimodular_inverse(bad)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param(((1, 0), (0.5, 2)), id="float"),
+        pytest.param(((1, 0), (True, 2)), id="bool"),
+        pytest.param(((1, 0), (1, 2, 3)), id="ragged"),
+    ],
+)
+def test_public_entries_reject_rows_that_are_not_int_matrices(rows):
+    # The package's own callers reach the memos directly with rows that a
+    # constructor already checked; every public entry still checks its
+    # argument, and a bad one never reaches a memo.
+    from deltasimplex import InequalitySystem, NormalizedSystem, PreconditionError
+
+    error = ShapeError if len(rows[1]) != len(rows[0]) else PreconditionError
+    calls = [
+        lambda: hnf(rows),
+        lambda: adjugate(rows),
+        lambda: unimodular_inverse(rows),
+        lambda: solve_rational(rows, (1, 1)),
+        lambda: InequalitySystem(2, rows + ((-1, -1),), (0, 0, 1)),
+        lambda: NormalizedSystem(2, 1, 1, rows, (0, 0), (-1, -1), 2, 2),
+    ]
+    before = (exact_linalg._hnf_cached.cache_info().currsize, _adjugate_cached.cache_info().currsize)
+    for call in calls:
+        with pytest.raises(error):
+            call()
+    assert (exact_linalg._hnf_cached.cache_info().currsize, _adjugate_cached.cache_info().currsize) == before
 
 
 def test_max_minors_triangle():
