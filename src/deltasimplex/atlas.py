@@ -330,14 +330,18 @@ def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = Fa
     `up_to` no equivalence search crosses delta values.
 
     Dedup is sharded by `equivalence._shard_key`, computed here, in this
-    process, for every candidate. No class crosses a shard, so every
-    removal of the walk is shard-local, and each shard's ascending walk
-    makes the same decisions as one walk over all keys. The shards are
-    packed, largest first, into min(jobs, shards) bins of about equal
-    candidate counts; `_parallel_map` runs `dedup_families` once per bin,
-    on the bin's records and shard sizes, in forked children that inherit
-    the candidates, and the survivors are merged by key. The walk stops
-    each search once its shard holds no other key. At `jobs` = 1 the one
+    process, for every candidate: the exact class invariant
+    (`_lattice_invariant`), read off the candidate's form and the adjugate
+    of its H, with the edge contents memoized per cone (H, c). No class
+    crosses a shard, so every removal of the walk is shard-local, and each
+    shard's ascending walk makes the same decisions as one walk over all
+    keys; a finer partition by a class invariant changes no decision. The
+    shards are packed, largest first, into min(jobs, shards) bins of about
+    equal candidate counts; `_parallel_map` runs `dedup_families` once per
+    bin, on the bin's records and shard sizes, in forked children that
+    inherit the candidates, and the survivors are merged by key. The walk
+    stops each search once its shard holds no other key, which in a shard
+    of one class is after the search's first step. At `jobs` = 1 the one
     bin holds every candidate and is walked here. The shards share no memo
     entries, so more bins together do more Hermite work than one. A failed
     walk is a generator bug; the walk of all candidates as one shard, in

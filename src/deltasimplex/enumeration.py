@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .corner_ilp import Cone, corner_minimum_excluding_vertex, count_minimum_attainers, path_table
 from .errors import InvariantViolation, NotASimplexError, PreconditionError
-from .exact_linalg import Mat, Vec, adjugate, dot, matrix
+from .exact_linalg import Mat, Vec, _adjugate_cached, dot, matrix
 from .normal_form import NormalizedSystem, validate_normalized
 from .simplex_model import SimplexMeta, validate_simplex
 
@@ -280,7 +280,7 @@ def _lattice_record(block: HnfBlock, delta: int, cones: dict[Vec, Cone]) -> Cand
     """The closed-form lattice record (h = 0) of a block with primitive rows, or None; adds its cone to `cones`."""
     h_mat = block.H
     n = len(h_mat)
-    adj = adjugate(h_mat)
+    adj = _adjugate_cached(h_mat)[1]  # H is `enumerate_H`'s checked matrix
     g = [math.gcd(*col) for col in zip(*adj)]
     v = [dot(col, g) for col in zip(*h_mat)]  # H^T g
     m = delta // math.gcd(delta, *v)

@@ -40,8 +40,10 @@ cost C(n+1, 2) pairs of gcds, only when those agree.
 (`enumeration.record_problem`) on each record it walks, whose meta the
 search then reuses. It walks each `_shard_key` shard on its own, takes the
 search's first pair as the record's own key, and stops the search once no
-other key of the shard is left to remove: the shard key is a class
-invariant, so a search reaches no other shard. `atlas.verify_atlas`
+other key of the shard is left to remove. The shard key is the same
+`_lattice_invariant`, read off a candidate's form and the adjugate of its
+H without a validation, so a search reaches no other shard, and a shard
+holds one class or a few that share the invariant. `atlas.verify_atlas`
 groups an atlas's records by the same invariant and searches only within a
 group.
 """
@@ -50,11 +52,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .enumeration import record_problem
 from .errors import InvariantViolation
-from .exact_linalg import Mat, dot
+from .exact_linalg import MEMO_CACHE_SIZE, Mat, Vec, _adjugate_cached, dot
 from .normal_form import KeyStep, NormalizedSystem, canonical_key, key_step, key_tuple, paral_weights, primitivize
 from .simplex_model import (
     AffineUnimodularMap,
@@ -271,21 +275,69 @@ def _volume_and_facets(prim: InequalitySystem, meta: SimplexMeta) -> tuple:
     return volume, tuple(sorted(zip(map(abs, meta.minors), (d for _, d in points))))
 
 
-def _shard_key(ns: NormalizedSystem) -> tuple:
-    """(delta, volume, sorted cone weights w) of a candidate: the class invariant that `atlas.enumerate_atlas` shards by.
+def _shard_key(ns: NormalizedSystem) -> tuple | None:
+    """The `_lattice_invariant` of a candidate, read off its form: the key `atlas.enumerate_atlas` shards by.
 
-    w = `paral_weights(H, c)`, and the |maximal minors| of (A | b) are
-    delta and the w_i; the volume |det (A | b)| is |delta c0 + w . h|, since
-    det [[H, h], [c, c0]] = delta c0 - c adj(H) h and c adj(H) h = -w . h.
-    Both are the unimodular invariants of `_volume_and_facets` above, so no
-    class crosses a shard. The key is read off the record alone, so
-    records with one canonical key share a shard. Its one `adjugate(H)` is
-    a memo hit in the process that generated the block, which is this one
-    at `jobs` = 1, and a miss per distinct H for blocks generated in a
-    forked child.
+    With D = det H, a_i column i of adj(H), w_i = -a_i . c (the cone
+    weights, `paral_weights`), V = D c0 + w . h and Ah = adj(H) h:
+    - the volume |det [[H, h], [c, c0]]| is |D c0 - c adj(H) h| = |V|;
+    - the |maximal minors| are D and the |w_i|;
+    - vertex n solves H x = h, so it is Ah / D, and vertex i < n solves
+      H x = h + t e_i with c x = c0, so it is (w_i Ah - V a_i) / (D w_i);
+      the facet pairs take the reduced denominators of these;
+    - the edge from vertex i to vertex n is -V a_i / (D w_i), and that to
+      vertex j < n is V (w_i a_j - w_j a_i) / (D w_i w_j), of lattice
+      lengths |V| content(a_i) / |D w_i| and
+      |V| content(w_j a_i - w_i a_j) / |D w_i w_j|.
+    All but V, Ah and the vertex denominators depend on (H, c) alone and
+    come from the memo `_cone_edges`, shared by every candidate of one
+    cone, so a candidate costs w . h, adj(H) h, n + 1 gcds of n + 1
+    entries and one gcd per edge. For a candidate that is a simplex this is
+    `_lattice_invariant(sys, validate_simplex(sys))` without the
+    validation, so no class crosses a shard, and records with one
+    canonical key share a shard. A candidate with D, V or some w_i equal
+    to 0 is no simplex; it gets the key None, a shard apart, whose walk's
+    record check reports it. The adjugate of H is a memo hit in the
+    process that generated the block, which is this one at `jobs` = 1, and
+    a miss per distinct H for blocks generated in a forked child.
     """
-    w = paral_weights(ns.H, ns.c)
-    return ns.delta, abs(ns.delta * ns.c0 + dot(w, ns.h)), tuple(sorted(w))
+    d, adj, w, columns, edges = _cone_edges(ns.H, ns.c)
+    h = ns.h
+    v = d * ns.c0 + sum(map(mul, w, h))
+    if not (d and v and all(w)):
+        return None
+    ah = [sum(map(mul, row, h)) for row in adj]
+    facets = [(abs(d), abs(d) // math.gcd(d, *ah))]
+    for a_i, w_i, den in columns:
+        facets.append((abs(w_i), den // math.gcd(den, *[w_i * x - v * a for x, a in zip(ah, a_i)])))
+    volume = abs(v)
+    # Each edge's content / den is reduced, so gcd(volume * content, den) = gcd(volume, den).
+    lengths = [(volume // (g := math.gcd(volume, den)) * content, den // g) for content, den in edges]
+    return volume, tuple(sorted(facets)), tuple(sorted(lengths))
+
+
+@lru_cache(maxsize=MEMO_CACHE_SIZE)
+def _cone_edges(h_mat: Mat, c: Vec) -> tuple:
+    """(D, adj(H), w, columns, edges) of `_shard_key` for one cone (H, c); a memo, bounded like the kernel memos.
+
+    `columns` holds (a_i, w_i, |D w_i|) per column of adj(H). `edges`
+    holds, per edge of the simplex, its lattice length divided by |V| as a
+    reduced (numerator, denominator): content(a_i) / |D w_i| for the edges
+    at vertex n, then content(w_j a_i - w_i a_j) / |D w_i w_j| for
+    i < j < n. Both are empty when D or some w_i is 0. H is a checked
+    matrix, so it goes to `_adjugate_cached` as it is.
+    """
+    d, adj = _adjugate_cached(h_mat)
+    w = paral_weights(h_mat, c)
+    if not (d and all(w)):
+        return d, adj, w, (), ()  # no simplex: `_shard_key` gives None
+    columns = tuple((a_i, w_i, abs(d * w_i)) for a_i, w_i in zip(zip(*adj), w))
+    edges = [(math.gcd(*a_i), den) for a_i, _, den in columns]
+    edges += [
+        (math.gcd(*[w_j * x - w_i * y for x, y in zip(a_i, a_j)]), abs(d * w_i * w_j))
+        for (a_i, w_i, _), (a_j, w_j, _) in itertools.combinations(columns, 2)
+    ]
+    return d, adj, w, columns, tuple((content // (g := math.gcd(content, den)), den // g) for content, den in edges)
 
 
 def _edge_lengths(meta: SimplexMeta) -> tuple:
@@ -389,8 +441,10 @@ def dedup_families(records: list, sizes: list[int] | None = None) -> list:
     """Check a stream of `CandidateRecord`s and collapse it to one representative per equivalence class.
 
     `records` is a run of shards of the given `sizes` (one shard of every
-    record by default), where no class crosses a shard. Each shard is walked
-    on its own: its records are indexed by canonical key; walking the keys
+    record by default), where no class crosses a shard;
+    `atlas.enumerate_atlas` passes one shard per value of `_shard_key`, the
+    class invariant. Each shard is walked on its own: its records are
+    indexed by canonical key; walking the keys
     in ascending order, each still-present record gets the one record check,
     `enumeration.record_problem` (InvariantViolation on a problem, with the
     record's provenance), runs the equivalent-set search with the meta that
@@ -406,8 +460,8 @@ def dedup_families(records: list, sizes: list[int] | None = None) -> list:
     index holds no key of the shard but the record's own: a search reaches
     only forms of the record's class, which lie in its shard, so nothing is
     left for it to remove, and the last record of a shard gets only that
-    first step. Walked records count as held, since a later search can
-    still remove them (below).
+    first step, as does every record of a one-class shard. Walked records
+    count as held, since a later search can still remove them (below).
 
     Every survivor is walked, so every record returned is checked. A record
     is dropped unwalked only when its key is in the searched set of a record

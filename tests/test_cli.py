@@ -733,24 +733,25 @@ def test_without_a_safe_fork_the_map_runs_in_process(monkeypatch, forks, unsafe)
 
 
 def test_sharded_dedup_raises_the_serial_error(monkeypatch, forks):
-    # Two records of the (3, 4) empty candidates get an unknown family: the
-    # least of the second shard (shards in order of their least keys), and
-    # the last survivor of the first shard, which its walk reaches after the
-    # second shard's failing key. The first shard is the largest, so it is
-    # packed into bin 0 at every --jobs, and the map's rule, the failure of
-    # the least task index, would raise the later key's error. The serial
-    # walk fails at the second shard's key, and so must every --jobs.
+    # Two records of the (4, 3) empty candidates get an unknown family: the
+    # last survivor of the largest shard, and the least record of the other
+    # shard with the least least key, whose key comes before it. The
+    # largest shard is packed into bin 0 and walked first there at every
+    # --jobs, so the map's rule, the failure of the least task index, would
+    # raise the later key's error. The serial walk fails at the other
+    # shard's key, and so must every --jobs.
     from deltasimplex import atlas
     from deltasimplex.equivalence import _shard_key
     from deltasimplex.errors import InvariantViolation
 
-    shards: dict = {}  # shard key -> its candidates in key order, shards in order of their least keys
-    for rec in sorted(atlas.candidate_records(3, 4, "empty"), key=lambda rec: key_tuple(rec.ns)):
+    shards: dict = {}  # shard key -> its candidates in key order
+    for rec in sorted(atlas.candidate_records(4, 3, "empty"), key=lambda rec: key_tuple(rec.ns)):
         shards.setdefault(_shard_key(rec.ns), []).append(rec)
-    first, second, *rest = shards.values()
-    survivors = enumerate_atlas(3, 4, "empty")
+    first, *rest = sorted(shards.values(), key=len, reverse=True)
+    second = min(rest, key=lambda shard: key_tuple(shard[0].ns))
+    survivors = enumerate_atlas(4, 3, "empty")
     late = [rec for rec in first if rec in survivors][-1]
-    assert all(len(first) > len(shard) for shard in [second, *rest]) and key_tuple(second[0].ns) < key_tuple(late.ns)
+    assert all(len(first) > len(shard) for shard in rest) and key_tuple(second[0].ns) < key_tuple(late.ns)
     bad = {key_tuple(second[0].ns), key_tuple(late.ns)}
     real = atlas.candidates_for_block
 
@@ -762,11 +763,48 @@ def test_sharded_dedup_raises_the_serial_error(monkeypatch, forks):
     messages = []
     for jobs in (1, 2, 3):
         with deadline(60), pytest.raises(InvariantViolation) as exc:
-            enumerate_atlas(3, 4, "empty", jobs=jobs)
+            enumerate_atlas(4, 3, "empty", jobs=jobs)
         messages.append(str(exc.value))
     assert len(forks) == 2 * (1 + 2)  # a generation map and a dedup map at each of --jobs 2 and 3
     assert messages == [messages[0]] * 3
     assert messages[0].startswith(f"record {canonical_key(second[0].ns)}: unknown family 'bogus' [provenance")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "delta, dim, family, up_to", [(4, 5, "both", False), (5, 4, "both", False), (3, 8, "lattice", True)]
+)
+def test_shard_key_is_the_lattice_invariant(monkeypatch, delta, dim, family, up_to):
+    # The shard key, read off a candidate's form and adjugate, is the exact
+    # class invariant that a validation gives. The first candidate made into
+    # no simplex, with V = delta c0 + w . h = 0 (h = 0, c0 = 0) or with every
+    # cone weight w_i = 0 (c = 0), gets the key None, and the walk's record
+    # check still raises the error of the serial walk at every --jobs.
+    from deltasimplex import atlas
+    from deltasimplex.equivalence import _lattice_invariant, _shard_key
+    from deltasimplex.errors import InvariantViolation
+
+    candidates = atlas.candidate_records(delta, dim, family, up_to)
+    for rec in candidates:
+        sys = rec.system()
+        assert _shard_key(rec.ns) == _lattice_invariant(sys, validate_simplex(sys))
+    target = candidates[0].ns
+    real = atlas.candidates_for_block
+    for bad in (target._replace(h=(0,) * dim, c0=0), target._replace(c=(0,) * dim)):
+
+        def corrupt(records, bad=bad):
+            return [rec._replace(ns=bad) if rec.ns == target else rec for rec in records]
+
+        assert _shard_key(bad) is None
+        with pytest.raises(InvariantViolation) as exc:
+            atlas.dedup_families(corrupt(candidates))
+        serial = str(exc.value)
+        assert serial.startswith(f"record {canonical_key(bad)}: ")
+        monkeypatch.setattr(atlas, "candidates_for_block", lambda *args: tuple(map(corrupt, real(*args))))
+        for jobs in (1, 2, 3):
+            with deadline(60), pytest.raises(InvariantViolation) as exc:
+                enumerate_atlas(delta, dim, family, up_to, jobs=jobs)
+            assert str(exc.value) == serial
     assert_no_child_left()
 
 

@@ -1046,9 +1046,10 @@ def test_early_stop_walk_equals_the_full_search_walk(delta, n):
 
 
 def test_early_stop_key_steps_are_pinned(monkeypatch):
-    # The dedup key steps of `enumerate_atlas(4, 5)`: 654 with the early
-    # stop, against 735 when every search runs to its end. The record check
-    # and the shard keys make no key step of the search module.
+    # The dedup key steps of `enumerate_atlas(4, 5)`: 418 with the early
+    # stop over the 55 shards of the class invariant, against 735 when every
+    # search runs to its end. The record check and the shard keys make no
+    # key step of the search module.
     from deltasimplex import equivalence
 
     steps = []
@@ -1060,7 +1061,7 @@ def test_early_stop_key_steps_are_pinned(monkeypatch):
 
     monkeypatch.setattr(equivalence, "key_step", counting)
     enumerate_atlas(4, 5)
-    assert len(steps) == 654
+    assert len(steps) == 418
     steps.clear()
     ref_dedup_families(candidate_records(4, 5))
     assert len(steps) == 735
