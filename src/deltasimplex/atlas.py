@@ -21,7 +21,7 @@ import os
 import sys
 
 from .enumeration import FAMILY_EMPTY, CandidateRecord, candidates_for_block, enumerate_H, record_problem
-from .equivalence import _lattice_invariant, _shard_key, class_keys, dedup_families
+from .equivalence import _shard_key, class_keys, dedup_families
 from .errors import DeltaSimplexError, PreconditionError, ScaleExceededError
 from .normal_form import NormalizedSystem, canonical_key, key_tuple
 from .simplex_model import AffineUnimodularMap, InequalitySystem, count_integer_points_bruteforce
@@ -329,10 +329,10 @@ def enumerate_atlas(delta: int, dim: int, family: str = "both", up_to: bool = Fa
     delta is part of the canonical key and a class invariant, so with
     `up_to` no equivalence search crosses delta values.
 
-    Dedup is sharded by `equivalence._shard_key`, computed here, in this
-    process, for every candidate: the exact class invariant
-    (`_lattice_invariant`), read off the candidate's form and the adjugate
-    of its H, with the edge contents memoized per cone (H, c). No class
+    Dedup is sharded by `equivalence._shard_key`, the package's one exact
+    class invariant, computed here, in this process, for every candidate:
+    it is read off the candidate's form and the adjugate of its H, with the
+    edge contents memoized per cone (H, c). No class
     crosses a shard, so every removal of the walk is shard-local, and each
     shard's ascending walk makes the same decisions as one walk over all
     keys; a finer partition by a class invariant changes no decision. The
@@ -395,9 +395,9 @@ def verify_atlas(records) -> list[str]:
     Canonical keys must be strictly ascending, as the file contract says, so
     a repeated or misplaced record is reported with its neighbour. Every
     pair of valid records must be inequivalent. The valid records are
-    grouped by `equivalence._lattice_invariant`, an exact class invariant
-    that fixes n (one facet pair per row) and delta (the largest |minor|),
-    so records of different groups are inequivalent without a search. A
+    grouped by `equivalence._shard_key` of their forms, the exact class
+    invariant that dedup shards by, which fixes n and delta, so records of
+    different groups are inequivalent without a search. A
     valid record is primitive and is its own form at its least base, so
     within a group a pair is equivalent iff the later key is in the earlier
     record's `class_keys`: every record but the group's last is searched
@@ -432,7 +432,7 @@ def verify_atlas(records) -> list[str]:
                 f"expected {expected} [provenance {rec.provenance}]"
             )
             continue
-        groups.setdefault(_lattice_invariant(sys, meta), []).append((keys[i], rec, sys, meta))
+        groups.setdefault(_shard_key(rec.ns), []).append((keys[i], rec, sys, meta))
     for group in groups.values():
         for i, (_, rec, sys, meta) in enumerate(group[:-1]):
             reached = class_keys(sys, meta)

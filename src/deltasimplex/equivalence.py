@@ -30,22 +30,21 @@ built. Each caller builds only what it reads. `equivalent_normalized_set`
 builds every form and map. `check_equivalence` reads the first simplex's
 search only up to the second simplex's key and builds the one map a hit
 needs; the search's first step, the least base's starting form, is its
-fast path. Past that first step, it compares an exact class invariant read
-off the two metas (`_lattice_invariant`: volume, facet pairs and edge
-lattice lengths, a few dozen integer operations), which rejects most
-inequivalent pairs that share the |minor| multiset without a search. The
-volume and facet pairs are compared first, and the edge lengths, which
-cost C(n+1, 2) pairs of gcds, only when those agree.
-`dedup_families` reads the keys, and runs the one record check
+fast path.
+
+One function computes the exact class invariant: `_shard_key` (volume,
+facet pairs and edge lattice lengths), read off a form's (H, h, c, c0) and
+the adjugate of its H without a validation. Past the fast path,
+`check_equivalence` compares it on the two least-base key steps, which
+rejects most inequivalent pairs that share the |minor| multiset without a
+search. `dedup_families` walks each shard of that key on its own, so a
+search reaches no other shard, and a shard holds one class or a few that
+share the invariant; it reads the keys, runs the one record check
 (`enumeration.record_problem`) on each record it walks, whose meta the
-search then reuses. It walks each `_shard_key` shard on its own, takes the
-search's first pair as the record's own key, and stops the search once no
-other key of the shard is left to remove. The shard key is the same
-`_lattice_invariant`, read off a candidate's form and the adjugate of its
-H without a validation, so a search reaches no other shard, and a shard
-holds one class or a few that share the invariant. `atlas.verify_atlas`
-groups an atlas's records by the same invariant and searches only within a
-group.
+search then reuses, takes the search's first pair as the record's own key,
+and stops the search once no other key of the shard is left to remove.
+`atlas.verify_atlas` groups an atlas's records by the same key and searches
+only within a group.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from typing import NamedTuple
 
 from .enumeration import record_problem
 from .errors import InvariantViolation
-from .exact_linalg import MEMO_CACHE_SIZE, Mat, Vec, _adjugate_cached, dot
+from .exact_linalg import MEMO_CACHE_SIZE, Mat, Vec, _adjugate_cached
 from .normal_form import KeyStep, NormalizedSystem, canonical_key, key_step, key_tuple, paral_weights, primitivize
 from .simplex_model import (
     AffineUnimodularMap,
@@ -243,40 +242,19 @@ def class_keys(prim: InequalitySystem, meta: SimplexMeta) -> set:
     return {step.key for step, _ in _search(prim, meta)}
 
 
-def _lattice_invariant(prim: InequalitySystem, meta: SimplexMeta) -> tuple:
-    """Exact class invariant of primitive `prim`, with `meta = validate_simplex(prim)`.
+def _shard_key(ns: NormalizedSystem | KeyStep) -> tuple | None:
+    """The exact class invariant of a form: (volume, facet pairs, edge lengths), None for no simplex.
 
-    Returns (volume, facet pairs, edge lengths); equivalent simplices give
-    equal values. A map x -> U x + x0 turns the primitive rows [A | b] into
-    the primitive rows [A U | b - A x0], in the same order, and a row order
-    only permutes indices, which the sorted tuples forget. The first two
-    are `_volume_and_facets`, the third `_edge_lengths`; `check_equivalence`
-    compares the parts in that order. `atlas.verify_atlas` groups an atlas's
-    records by the whole value, which fixes n (one facet pair per row) and
-    delta (the largest |minor|).
-    """
-    return (*_volume_and_facets(prim, meta), _edge_lengths(meta))
-
-
-def _volume_and_facets(prim: InequalitySystem, meta: SimplexMeta) -> tuple:
-    """The volume and the sorted facet pairs of `_lattice_invariant`: one dot product and a sort.
-
-    - Volume, |det [A | b]|: [A U | b - A x0] = [A | b] [[U, -x0], [0, 1]],
-      a factor of determinant +-1. It is read off the meta: the slack of
-      row 0 at vertex 0 is det [A | b] / minor_0 up to sign, so
-      |det| = |minor_0| |b_0 d_0 - a_0 . nums_0| / d_0.
-    - Facet pairs, the sorted (|minor_i|, d_i), d_i the denominator of
-      vertex i (opposite row i): U keeps |minors|, and the integral affine
-      map between the simplices keeps a point's reduced denominator.
-    """
-    points = meta.points
-    nums0, d0 = points[0]
-    volume = abs(meta.minors[0] * (prim.b[0] * d0 - dot(prim.A[0], nums0))) // d0
-    return volume, tuple(sorted(zip(map(abs, meta.minors), (d for _, d in points))))
-
-
-def _shard_key(ns: NormalizedSystem) -> tuple | None:
-    """The `_lattice_invariant` of a candidate, read off its form: the key `atlas.enumerate_atlas` shards by.
+    `ns` is a `NormalizedSystem` or an unbuilt `KeyStep`; only H, h, c and
+    c0 are read, as the rows [H | h] and [c | c0]. Equivalent simplices,
+    and so all forms of one class, share the key. A map x -> U x + x0 turns
+    the primitive rows [A | b] into [A | b] [[U, -x0], [0, 1]], a factor of
+    determinant +-1, which keeps the volume |det [A | b]|; U keeps the
+    |minors| and the content of an integer vector, so each edge's lattice
+    length (the translation cancels); the integral map keeps a point's
+    reduced denominator, so the facet pairs (|minor_i|, denominator of
+    vertex i); and the sorted tuples forget the row order. The key fixes n
+    (one facet pair per row) and delta (the largest |minor|).
 
     With D = det H, a_i column i of adj(H), w_i = -a_i . c (the cone
     weights, `paral_weights`), V = D c0 + w . h and Ah = adj(H) h:
@@ -292,10 +270,7 @@ def _shard_key(ns: NormalizedSystem) -> tuple | None:
     All but V, Ah and the vertex denominators depend on (H, c) alone and
     come from the memo `_cone_edges`, shared by every candidate of one
     cone, so a candidate costs w . h, adj(H) h, n + 1 gcds of n + 1
-    entries and one gcd per edge. For a candidate that is a simplex this is
-    `_lattice_invariant(sys, validate_simplex(sys))` without the
-    validation, so no class crosses a shard, and records with one
-    canonical key share a shard. A candidate with D, V or some w_i equal
+    entries and one gcd per edge. A candidate with D, V or some w_i equal
     to 0 is no simplex; it gets the key None, a shard apart, whose walk's
     record check reports it. The adjugate of H is a memo hit in the
     process that generated the block, which is this one at `jobs` = 1, and
@@ -340,23 +315,6 @@ def _cone_edges(h_mat: Mat, c: Vec) -> tuple:
     return d, adj, w, columns, tuple((content // (g := math.gcd(content, den)), den // g) for content, den in edges)
 
 
-def _edge_lengths(meta: SimplexMeta) -> tuple:
-    """The sorted edge lengths of `_lattice_invariant`: two gcds for each of the C(n+1, 2) edges.
-
-    The lattice length of p_i - p_j as reduced (numerator, denominator):
-    content(D (p_i - p_j)) / D in lowest terms, for D = d_i d_j or any other
-    common denominator. U keeps the content of an integer vector, and the
-    translation cancels.
-    """
-    edges = []
-    for (nums_i, d_i), (nums_j, d_j) in itertools.combinations(meta.points, 2):
-        den = d_i * d_j
-        content = math.gcd(*(x * d_j - y * d_i for x, y in zip(nums_i, nums_j)))
-        g = math.gcd(content, den)
-        edges.append((content // g, den // g))
-    return tuple(sorted(edges))
-
-
 class EquivalenceResult(NamedTuple):
     equivalent: bool
     witness: AffineUnimodularMap | None = None
@@ -377,13 +335,12 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
        first simplex's least-base starting step, yielded before any form is
        built. If its key is the second simplex's, the pair is equivalent
        (the fast path: one key step and two maps of the first simplex).
-    3. Otherwise the two `_lattice_invariant`s are compared
-       (`invariant-mismatch`), cheapest part first: the volume and the
-       facet pairs (`_volume_and_facets`, one dot product and a sort), and
-       only if those agree the edge lengths (`_edge_lengths`, two gcds per
-       edge), against a full search. It is placed after step 2, so a
-       fast-path hit pays nothing for it, and step 2 fills the Hermite memo
-       entry that a later `normalize` of the second simplex reads.
+    3. Otherwise the class invariants `_shard_key` of the two least-base
+       key steps are compared (`invariant-mismatch`), against a full
+       search. Each key step is a form of its validated simplex, so neither
+       key is None. It is placed after step 2, so a fast-path hit pays
+       nothing for it, and step 2 fills the Hermite memo entry that a later
+       `normalize` of the second simplex reads.
     4. Otherwise the same search goes on until it yields the second
        simplex's key (`search-exhausted` if it never does). The search
        yields each key once, so the step it stops at is the one
@@ -417,16 +374,12 @@ def check_equivalence(sys_s: InequalitySystem, sys_t: InequalitySystem) -> Equiv
     # it builds any form. If that key is T's, S's form is T's, field for field
     # (the key is injective), and already validated, so only S's map is built
     # (the witness is the identity when S and T are equal). On a miss the two
-    # lattice invariants are compared, edge lengths last, and only if they
-    # agree does the same search go on, building and validating S's starting
-    # forms itself.
+    # class invariants are compared, and only if they agree does the same
+    # search go on, building and validating S's starting forms itself.
     pairs = _search(prim_s, meta_s)
     found = next(pairs)
     if found[0].key != step_t.key:
-        if (
-            _volume_and_facets(prim_s, meta_s) != _volume_and_facets(prim_t, meta_t)
-            or _edge_lengths(meta_s) != _edge_lengths(meta_t)
-        ):
+        if _shard_key(found[0]) != _shard_key(step_t):
             return EquivalenceResult(False, certificate="invariant-mismatch")
         found = next((pair for pair in pairs if pair[0].key == step_t.key), None)
         if found is None:

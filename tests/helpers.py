@@ -8,8 +8,9 @@ references after them (the box-scan cone minimum, the maximal minors, the
 vertex opposite the c-row, the residue and key readers, the Fraction view
 of the vertices, the identity map and
 the equivalent-set search as one plain loop, the class's key set over
-every row order of every maximal base, and the dedup walk that runs every
-search to its end) are built on the package's primitives; no package
+every row order of every maximal base, the class invariant read off a
+validated simplex's vertices, and the dedup walk that runs every search to
+its end) are built on the package's primitives; no package
 module calls them.
 
 The reference kernels at the end (`ref_*`) are the plain versions of the
@@ -428,6 +429,33 @@ def ref_row_order_keys(prim: InequalitySystem, meta: SimplexMeta) -> set:
         for base in meta.max_det_bases
         for order in itertools.permutations(base)
     }
+
+
+def ref_lattice_invariant(prim: InequalitySystem, meta: SimplexMeta) -> tuple:
+    """(volume, facet pairs, edge lengths) of primitive `prim`, with `meta = validate_simplex(prim)`.
+
+    The class invariant that `equivalence._shard_key` reads off a form,
+    computed here from the vertices instead, as an independent oracle:
+    - the volume |det [A | b]|: the slack of row 0 at vertex 0 is
+      det [A | b] / minor_0 up to sign, so it is
+      |minor_0| |b_0 d_0 - a_0 . nums_0| / d_0;
+    - the facet pairs, the sorted (|minor_i|, d_i), d_i the reduced
+      denominator of vertex i (opposite row i);
+    - the edge lengths, the sorted lattice lengths of p_i - p_j as reduced
+      (numerator, denominator): content(d_i d_j (p_i - p_j)) / (d_i d_j)
+      in lowest terms.
+    """
+    points = meta.points
+    nums0, d0 = points[0]
+    volume = abs(meta.minors[0] * (prim.b[0] * d0 - sum(a * x for a, x in zip(prim.A[0], nums0)))) // d0
+    facets = tuple(sorted(zip(map(abs, meta.minors), (d for _, d in points))))
+    edges = []
+    for (nums_i, d_i), (nums_j, d_j) in itertools.combinations(points, 2):
+        den = d_i * d_j
+        content = math.gcd(*(x * d_j - y * d_i for x, y in zip(nums_i, nums_j)))
+        g = math.gcd(content, den)
+        edges.append((content // g, den // g))
+    return volume, facets, tuple(sorted(edges))
 
 
 def ref_dedup_families(records: list) -> list:

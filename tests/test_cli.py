@@ -775,19 +775,21 @@ def test_sharded_dedup_raises_the_serial_error(monkeypatch, forks):
     "delta, dim, family, up_to", [(4, 5, "both", False), (5, 4, "both", False), (3, 8, "lattice", True)]
 )
 def test_shard_key_is_the_lattice_invariant(monkeypatch, delta, dim, family, up_to):
-    # The shard key, read off a candidate's form and adjugate, is the exact
-    # class invariant that a validation gives. The first candidate made into
+    # The shard key, read off a candidate's form and adjugate, equals the
+    # class invariant that the oracle `ref_lattice_invariant` reads off a
+    # validation's vertices. The first candidate made into
     # no simplex, with V = delta c0 + w . h = 0 (h = 0, c0 = 0) or with every
     # cone weight w_i = 0 (c = 0), gets the key None, and the walk's record
     # check still raises the error of the serial walk at every --jobs.
     from deltasimplex import atlas
-    from deltasimplex.equivalence import _lattice_invariant, _shard_key
+    from deltasimplex.equivalence import _shard_key
     from deltasimplex.errors import InvariantViolation
+    from helpers import ref_lattice_invariant
 
     candidates = atlas.candidate_records(delta, dim, family, up_to)
     for rec in candidates:
         sys = rec.system()
-        assert _shard_key(rec.ns) == _lattice_invariant(sys, validate_simplex(sys))
+        assert _shard_key(rec.ns) == ref_lattice_invariant(sys, validate_simplex(sys))
     target = candidates[0].ns
     real = atlas.candidates_for_block
     for bad in (target._replace(h=(0,) * dim, c0=0), target._replace(c=(0,) * dim)):
@@ -1275,11 +1277,11 @@ def test_verify_searches_only_records_that_share_the_invariant(monkeypatch, delt
     # invariant; the search reuses its record check's meta, so each simplex
     # is still validated once.
     from deltasimplex import atlas, enumeration, simplex_model
-    from deltasimplex.equivalence import _lattice_invariant
+    from helpers import ref_lattice_invariant
 
     records = enumerate_atlas(delta, dim, family, up_to)
     systems = [rec.system() for rec in records]
-    invariants = [_lattice_invariant(sys, validate_simplex(sys)) for sys in systems]
+    invariants = [ref_lattice_invariant(sys, validate_simplex(sys)) for sys in systems]
     shared = [sys for i, sys in enumerate(systems) if invariants[i] in invariants[i + 1 :]]
     searched, calls = [], {"validate": 0}
     class_keys, validate = atlas.class_keys, simplex_model.validate_simplex

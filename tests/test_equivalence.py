@@ -22,7 +22,7 @@ from deltasimplex import (
     validate_simplex,
 )
 from deltasimplex.atlas import candidate_records, enumerate_atlas
-from deltasimplex.equivalence import _lattice_invariant, _shard_key, class_keys
+from deltasimplex.equivalence import _shard_key, class_keys
 from deltasimplex.exact_linalg import hnf
 from deltasimplex.normal_form import _normalize_primitive, key_step
 
@@ -33,6 +33,7 @@ from helpers import (
     random_unimodular_map,
     ref_dedup_families,
     ref_equivalent_set,
+    ref_lattice_invariant,
     ref_row_order_keys,
     shuffled_image,
     shuffled_rows,
@@ -412,7 +413,9 @@ def test_lattice_invariant_agrees_on_equivalent_pairs(atlas_cache):
     # which the search calls inequivalent. The invariant must agree on each,
     # so check_equivalence never answers invariant-mismatch on them. So must
     # the dedup shard key of the two forms at their least maximal bases, or
-    # a class could cross a shard.
+    # a class could cross a shard. The shard key of an unbuilt least-base
+    # KeyStep, which check_equivalence compares, is that of its built form
+    # and the oracle's value.
     rng = random.Random(89)
     pairs = []
     for n in [2, 3, 4] * 300 + [5] * 100:  # rejection sampling is slow at n = 5
@@ -426,9 +429,13 @@ def test_lattice_invariant_agrees_on_equivalent_pairs(atlas_cache):
     for sys_s, sys_t in pairs:
         prim_s, prim_t = primitivize(sys_s), primitivize(sys_t)
         meta_s, meta_t = validate_simplex(prim_s), validate_simplex(prim_t)
-        assert _lattice_invariant(prim_s, meta_s) == _lattice_invariant(prim_t, meta_t)
+        invariant = ref_lattice_invariant(prim_s, meta_s)
+        assert invariant == ref_lattice_invariant(prim_t, meta_t)
         shard_s = _shard_key(normalize(sys_s, min(meta_s.max_det_bases))[0])
         assert shard_s == _shard_key(normalize(sys_t, min(meta_t.max_det_bases))[0])
+        for prim, meta in ((prim_s, meta_s), (prim_t, meta_t)):
+            step = key_step(prim, min(meta.max_det_bases), meta.delta)
+            assert _shard_key(step) == _shard_key(step.form()) == invariant
         certificate = check_equivalence(sys_s, sys_t).certificate
         certificates[certificate] = certificates.get(certificate, 0) + 1
     assert set(certificates) == {None, "search-exhausted"}  # never invariant-mismatch
@@ -455,7 +462,7 @@ def test_row_order_oracle_classes_are_the_lattice_invariant_groups(atlas_cache):
     for rec in records:
         prim = rec.system()
         meta = validate_simplex(prim)
-        invariants.append(_lattice_invariant(prim, meta))
+        invariants.append(ref_lattice_invariant(prim, meta))
         oracles.append(ref_row_order_keys(prim, meta))
     cls = [next(i for i in range(j + 1) if keys[j] in oracles[i]) for j in range(len(records))]
     for j, i in enumerate(cls):
@@ -574,7 +581,7 @@ _EDGE_ONLY_T = InequalitySystem(2, ((2, -1), (-3, 3), (1, -2)), (-3, 1, 3))
 
 def test_check_equivalence_edge_lengths_mismatch():
     for s, t in ((_EDGE_ONLY_S, _EDGE_ONLY_T), (_EDGE_ONLY_T, _EDGE_ONLY_S)):
-        inv_s, inv_t = (_lattice_invariant(p, validate_simplex(p)) for p in (primitivize(s), primitivize(t)))
+        inv_s, inv_t = (ref_lattice_invariant(p, validate_simplex(p)) for p in (primitivize(s), primitivize(t)))
         assert inv_s[:2] == inv_t[:2] == (3, ((3, 1), (3, 3), (3, 3)))
         assert inv_s[2] != inv_t[2]
         assert check_equivalence(s, t) == EquivalenceResult(False, certificate="invariant-mismatch")
@@ -812,7 +819,7 @@ def _equivalence_queries(rng, count):
     groups = {}
     for rec in dedup_families(candidate_records(5, 3)):
         prim = rec.system()
-        groups.setdefault(_lattice_invariant(prim, validate_simplex(prim)), []).append(prim)
+        groups.setdefault(ref_lattice_invariant(prim, validate_simplex(prim)), []).append(prim)
     for group in groups.values():
         pairs += [(a, b) for a, b in zip(group, group[1:])]
     return pairs
@@ -837,7 +844,7 @@ def _answer_from_the_full_set(sys_s, sys_t):
     step_s = key_step(prim_s, min(meta_s.max_det_bases), meta_s.delta)
     if step_s.key == step_t.key:
         return EquivalenceResult(True, witness=compose(step_t.map(), inverse(step_s.map())))
-    if _lattice_invariant(prim_s, meta_s) != _lattice_invariant(prim_t, meta_t):
+    if ref_lattice_invariant(prim_s, meta_s) != ref_lattice_invariant(prim_t, meta_t):
         return EquivalenceResult(False, certificate="invariant-mismatch")
     records = equivalent_normalized_set(prim_s, meta_s).records
     if step_t.key not in records:
@@ -887,7 +894,7 @@ def test_lazy_search_answers_what_the_full_set_stores(monkeypatch):
 
 
 def _invariant_cases(rng, atlas_cache):
-    """Seeded pairs for the invariant's order.
+    """Seeded pairs for the invariant gate of `check_equivalence`.
 
     Constructed simplices that share a Hermite diagonal, records of the
     (5, 3) and (4, 5) atlases that share their |minor| multiset, row-shuffled
@@ -913,46 +920,27 @@ def _invariant_cases(rng, atlas_cache):
     return pairs
 
 
-def test_invariant_compares_edge_lengths_last(monkeypatch, atlas_cache):
-    # check_equivalence compares the volume and facet pairs first and reads
-    # the edge lengths only when those agree. Its answer, certificate and
-    # witness must be those of the compare of the whole `_lattice_invariant`
-    # (`_answer_from_the_full_set`), and the edge stage must run, once per
-    # simplex, exactly on the pairs past the fast path whose volume and
-    # facet pairs agree.
-    from deltasimplex import equivalence
-    from deltasimplex.equivalence import _volume_and_facets
-
-    edge_calls = []
-    edge_lengths = equivalence._edge_lengths
-
-    def counting_edge_lengths(meta):
-        edge_calls.append(meta)
-        return edge_lengths(meta)
-
-    monkeypatch.setattr(equivalence, "_edge_lengths", counting_edge_lengths)
-    seen = {"skipped": 0, "edges-agree": 0, "edges-differ": 0}
+def test_invariant_gate_answers_what_the_full_set_stores(atlas_cache):
+    # Past the fast path, check_equivalence compares `_shard_key` of the two
+    # unbuilt least-base key steps. Its answer, certificate and witness must
+    # be those of the compare of the oracle invariant
+    # (`_answer_from_the_full_set`) on every pair, and the pairs reach a
+    # fast-path hit, an invariant-mismatch and a pair past the gate.
+    seen = {"fast-path": 0, "invariant-mismatch": 0, "past-the-gate": 0}
     for sys_s, sys_t in _invariant_cases(random.Random(88), atlas_cache):
-        edge_calls.clear()
         got = check_equivalence(sys_s, sys_t)
-        ran = len(edge_calls)
         assert got == _answer_from_the_full_set(sys_s, sys_t)
         prim_s, prim_t = primitivize(sys_s), primitivize(sys_t)
         meta_s, meta_t = validate_simplex(prim_s), validate_simplex(prim_t)
-        past_fast_path = (
-            meta_s.delta == meta_t.delta
-            and sorted(map(abs, meta_s.minors)) == sorted(map(abs, meta_t.minors))
-            and key_step(prim_s, min(meta_s.max_det_bases), meta_s.delta).key
-            != key_step(prim_t, min(meta_t.max_det_bases), meta_t.delta).key
-        )
-        if not past_fast_path:
-            assert ran == 0
-        elif _volume_and_facets(prim_s, meta_s) != _volume_and_facets(prim_t, meta_t):
-            assert ran == 0 and got.certificate == "invariant-mismatch"
-            seen["skipped"] += 1
+        if meta_s.delta != meta_t.delta or sorted(map(abs, meta_s.minors)) != sorted(map(abs, meta_t.minors)):
+            continue
+        if (
+            key_step(prim_s, min(meta_s.max_det_bases), meta_s.delta).key
+            == key_step(prim_t, min(meta_t.max_det_bases), meta_t.delta).key
+        ):
+            seen["fast-path"] += 1
         else:
-            assert ran == 2
-            seen["edges-differ" if got.certificate == "invariant-mismatch" else "edges-agree"] += 1
+            seen["invariant-mismatch" if got.certificate == "invariant-mismatch" else "past-the-gate"] += 1
     assert min(seen.values()) > 0, seen
 
 
