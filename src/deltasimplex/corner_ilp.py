@@ -11,8 +11,10 @@ The weights, the group and the shortest-path tree depend on (H, c) alone,
 so they live on one `Cone` of (H, c) (`path_table`): it checks c and holds
 the weights w and det(H) from the start, runs Dijkstra once, on the first
 call that needs distances, and answers `minimum(h)` for every right-hand
-side h (each -e_j of the vertex-excluding problem included); the witness
-and its checks are still rebuilt per query. Nothing here memoizes cones:
+side h (each -e_j of the vertex-excluding problem included). A query
+reads its value off the distances, then rebuilds and checks the witness of
+that value; the vertex-excluding minimum reads n values and rebuilds only
+the witness of the least. Nothing here memoizes cones:
 whoever reads one (H, c) many times keeps its cone (the enumeration keeps
 one per c of a block).
 """
@@ -114,22 +116,28 @@ class Cone:
         return (group, *_dijkstra(group, self.weights))
 
     def minimum(self, h) -> CornerSolution:
-        """`corner_minimum` for right-hand side h.
+        """`corner_minimum` for right-hand side h: its value read, then its witness."""
+        return self._witness(h, *self._value(h))
 
-        Per h: the residue of h, the divisibility invariant, and the witness
-        rebuilt from the predecessors and checked against H, h and c. The
-        unit steps +e_i generate Z^n / H Z^n, so every class has a distance.
+    def _value(self, h) -> tuple[int, int]:
+        """(class of h, f*): the residue of h and the optimal value, checked for divisibility.
+
+        The unit steps +e_i generate Z^n / H Z^n, so every class has a distance.
         """
-        group, zero_id, dist, pred = self._paths
-        h_mat = self.H
-        n = len(h_mat)
-        target = group.index[_reduce_hnf_rhs(h_mat, h)[0]]
+        group, _, dist, _ = self._paths
+        target = group.index[_reduce_hnf_rhs(self.H, h)[0]]
         if dist[target] is None:
             raise InvariantViolation("a residue class is unreachable from 0 by unit steps")
         total = dist[target] - dot(self.weights, h)
         if total % self.delta:
             raise InvariantViolation("optimal value failed the divisibility invariant")
-        f_star = total // self.delta
+        return target, total // self.delta
+
+    def _witness(self, h, target: int, f_star: int) -> CornerSolution:
+        """The witness of value f_star for h, rebuilt from the predecessors and checked against H, h and c."""
+        _, zero_id, _, pred = self._paths
+        h_mat = self.H
+        n = len(h_mat)
         steps = [0] * n
         node = target
         while node != zero_id:
@@ -175,15 +183,14 @@ def corner_minimum_excluding_vertex(cone: Cone) -> CornerSolution:
 
     This is the reduced lattice-vertex case (h = 0, apex at the origin); the
     minimum is taken over the n subproblems with right-hand side -e_j, all
-    read off the one cone, each with its own witness.
+    read off the one cone. Only the first least of the n values gets its
+    witness rebuilt and checked; no other witness backs anything returned.
     """
     n = len(cone.weights)
-    best = None
-    for j in range(n):
-        sol = cone.minimum(tuple(-1 if i == j else 0 for i in range(n)))
-        if best is None or sol.f_star < best.f_star:
-            best = sol
-    return best
+    targets = [tuple(-1 if i == j else 0 for i in range(n)) for j in range(n)]
+    values = [cone._value(h) for h in targets]
+    j = min(range(n), key=lambda j: values[j][1])
+    return cone._witness(targets[j], *values[j])
 
 
 def count_minimum_attainers(cone: Cone, f_star: int) -> int:

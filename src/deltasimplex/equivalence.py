@@ -422,8 +422,14 @@ def dedup_families(records: list, sizes: list[int] | None = None) -> list:
     checked simplex, and its family cannot differ, as an empty simplex is
     never equivalent to a lattice one.
 
-    Nothing is memoized, so memory stays flat however long the stream. A
-    walked record is removed again when a later record's search reaches
+    The walk keeps no memo of its own, per record or otherwise; what it
+    leaves behind is in the kernel memos it reads, `_hnf_cached` and
+    `_adjugate_cached` (with `_cone_edges`, which the sharding in
+    `enumerate_atlas` fills), each an `lru_cache` of at most
+    `MEMO_CACHE_SIZE` entries, so memory stays bounded however long the
+    stream.
+
+    A walked record is removed again when a later record's search reaches
     its key although its own search missed the later one, which the
     incomplete search allows (see the module docstring): at (4, 5) both,
     17 of the 74 records walked. So the survivor of a class is not always

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import json
 import math
 import os
@@ -1246,6 +1247,31 @@ def test_module_entry_point_is_warning_free(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(read_file(out)) == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_only_the_process_entry_point_freezes_the_heap(tmp_path, jobs):
+    # `main()` with argv None is the whole process (`python -m`, the console
+    # script), so it freezes the heap for the exit; a call with a list, as
+    # from tests, tracers and library callers, leaves the collector alone.
+    # Both write the same atlas.
+    args = ["enumerate", "--delta", "3", "--dim", "4", "--jobs", jobs]
+    frozen = gc.get_freeze_count()
+    in_process = tmp_path / "in-process.jsonl"
+    assert run([*args, "--out", str(in_process)]) == 0
+    assert gc.get_freeze_count() == frozen
+    entry = tmp_path / "entry.jsonl"
+    code = (
+        "import gc, sys\n"
+        "from deltasimplex import atlas_cli\n"
+        f"sys.argv = ['delta-simplex', *{[*args, '--out', str(entry)]!r}]\n"
+        "before = gc.get_freeze_count()\n"
+        "code = atlas_cli.main()\n"
+        "print(code, before, gc.get_freeze_count() > 0)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 True\n", "")
+    assert entry.read_bytes() == in_process.read_bytes()
 
 
 def test_verify_validates_each_simplex_once(monkeypatch):

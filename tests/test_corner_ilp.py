@@ -324,36 +324,50 @@ def test_one_table_read_per_minimum(monkeypatch):
     # and every later minimum reads that table; neither entry point builds a
     # cone. c0_candidates runs Dijkstra and rebuilds a witness only when
     # w^T h > det(H); otherwise its range is empty and f_star = l_star = 0.
-    # The vertex-excluding minimum still rebuilds and checks n witnesses.
-    # Each minimum read reduces two right-hand sides: h, for its residue
-    # class, then h - steps, whose residue is 0 and whose quotient is the
-    # witness; so the witnesses are every second reduction.
+    # The vertex-excluding minimum reads n values and rebuilds and checks one
+    # witness, that of the first least value. Each value read reduces h, for
+    # its residue class, and each witness h - steps, whose quotient it is;
+    # nothing else reduces a right-hand side.
     from deltasimplex import c0_candidates, corner_ilp, enumeration
 
-    builds, reductions, runs = [], [], []
+    builds, reductions, runs, values, witnesses = [], [], [], [], []
     real_build, real_reduce, real_dijkstra = corner_ilp.path_table, corner_ilp._reduce_hnf_rhs, corner_ilp._dijkstra
+    real_value, real_witness = corner_ilp.Cone._value, corner_ilp.Cone._witness
 
     def counting_build(h_mat, c):
         builds.append((h_mat, c))
         return real_build(h_mat, c)
 
     def counting_reduce(h_mat, rhs):
-        residue, x = real_reduce(h_mat, rhs)
-        reductions.append(residue)
-        return residue, x
+        reductions.append(rhs)
+        return real_reduce(h_mat, rhs)
 
     def counting_dijkstra(table, weights):
         runs.append(weights)
         return real_dijkstra(table, weights)
 
-    def witnesses():
-        assert len(reductions) % 2 == 0 and not any(map(any, reductions[1::2]))
-        return reductions[1::2]
+    def counting_value(cone, h):
+        values.append(h)
+        return real_value(cone, h)
+
+    def counting_witness(cone, h, target, f_star):
+        witnesses.append(h)
+        return real_witness(cone, h, target, f_star)
+
+    def counts():
+        assert len(reductions) == len(values) + len(witnesses)
+        return len(builds), len(runs), len(values), len(witnesses)
+
+    def clear():
+        for calls in (builds, reductions, runs, values, witnesses):
+            calls.clear()
 
     for mod in (corner_ilp, enumeration):
         monkeypatch.setattr(mod, "path_table", counting_build)
     monkeypatch.setattr(corner_ilp, "_reduce_hnf_rhs", counting_reduce)
     monkeypatch.setattr(corner_ilp, "_dijkstra", counting_dijkstra)
+    monkeypatch.setattr(corner_ilp.Cone, "_value", counting_value)
+    monkeypatch.setattr(corner_ilp.Cone, "_witness", counting_witness)
     rng = random.Random(11)
     checked = skipped = 0
     for _ in range(20):
@@ -367,20 +381,23 @@ def test_one_table_read_per_minimum(monkeypatch):
             h = tuple(rng.randrange(h_mat[i][i]) for i in range(n))
             read = False
             if any(h):
-                builds.clear(), reductions.clear(), runs.clear()
+                clear()
                 decision = c0_candidates(cone, h)
                 read = dot(w, h) > delta
-                assert (len(builds), len(runs), len(witnesses())) == ((0, 1, 1) if read else (0, 0, 0))
+                assert counts() == ((0, 1, 1, 1) if read else (0, 0, 0, 0))
                 assert decision.f_star == corner_minimum(h_mat, h, c).f_star
                 assert decision.l_star == -dot(w, h) // delta + 1
                 if not read:
                     assert (decision.l_star, decision.f_star) == (0, 0)
                 checked += 1
                 skipped += not read
-            builds.clear(), reductions.clear(), runs.clear()
+            minima = [corner_minimum(h_mat, rhs, c) for rhs in targets]
+            first = min(range(n), key=lambda j: minima[j].f_star)
+            clear()
             sol = corner_minimum_excluding_vertex(cone)
-            assert (len(builds), len(runs), len(witnesses())) == (0, 0 if read else 1, n)
-            assert sol == min((corner_minimum(h_mat, rhs, c) for rhs in targets), key=lambda s: s.f_star)
+            assert counts() == (0, 0 if read else 1, n, 1)
+            assert values == targets
+            assert sol == minima[first] and witnesses == [targets[first]]
     assert checked > 5 and 0 < skipped < checked
 
 

@@ -264,27 +264,33 @@ def test_dropped_family_costs_no_cone_minimum(monkeypatch):
     # The family is fixed by h before the cone minimum: h = 0 needs the
     # vertex-excluding minimum, every other h the plain one, which
     # c0_candidates reads off the block's cone of (H, c) (`Cone.minimum`).
+    # The vertex-excluding minimum reads n values off the cone and rebuilds
+    # one witness; a plain minimum reads one value and rebuilds its witness.
     from deltasimplex import corner_ilp, enumeration
 
-    calls = {"minimum": 0, "excluding": 0}
+    calls = {"minimum": 0, "excluding": 0, "value": 0, "witness": 0}
     minimum, excluding = corner_ilp.Cone.minimum, enumeration.corner_minimum_excluding_vertex
+    value, witness = corner_ilp.Cone._value, corner_ilp.Cone._witness
 
-    def counting_minimum(cone, h):
-        calls["minimum"] += 1
-        return minimum(cone, h)
+    def counting(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
 
-    def counting_excluding(cone):
-        calls["excluding"] += 1
-        return excluding(cone)
+        return wrapper
 
-    monkeypatch.setattr(corner_ilp.Cone, "minimum", counting_minimum)
-    monkeypatch.setattr(enumeration, "corner_minimum_excluding_vertex", counting_excluding)
+    monkeypatch.setattr(corner_ilp.Cone, "minimum", counting("minimum", minimum))
+    monkeypatch.setattr(corner_ilp.Cone, "_value", counting("value", value))
+    monkeypatch.setattr(corner_ilp.Cone, "_witness", counting("witness", witness))
+    monkeypatch.setattr(enumeration, "corner_minimum_excluding_vertex", counting("excluding", excluding))
     candidate_records(4, 3, "lattice")
-    # Every plain minimum is one of the n = 3 targets of a vertex-excluding one.
-    assert calls["excluding"] > 0 and calls["minimum"] == 3 * calls["excluding"]
-    calls.update(minimum=0, excluding=0)
+    # n = 3 value reads and one witness per vertex-excluding minimum, no plain one.
+    assert calls["excluding"] > 0 and calls["minimum"] == 0
+    assert (calls["value"], calls["witness"]) == (3 * calls["excluding"], calls["excluding"])
+    calls.update(minimum=0, excluding=0, value=0, witness=0)
     candidate_records(4, 3, "empty")
     assert calls["excluding"] == 0 and calls["minimum"] > 0
+    assert calls["value"] == calls["witness"] == calls["minimum"]
 
 
 @pytest.mark.parametrize("delta, n", [(3, 3), (4, 3), (4, 2)])
